@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -100,16 +100,17 @@ def _log(message: str) -> None:
 
 
 def _add_gibbs_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--burnin", type=_nonneg_int, default=200,
-                     help="discarded initial sweeps (default 200)")
-    sub.add_argument("--samples", type=_positive_int, default=100,
-                     help="retained posterior draws (default 100)")
-    sub.add_argument("--thin", type=_positive_int, default=2,
-                     help="sweeps between retained draws (default 2)")
-    sub.add_argument("--alpha", type=_positive_float, default=0.25,
-                     help="partition concentration (default 0.25)")
-    sub.add_argument("--beta", type=_positive_float, default=1.0,
-                     help="flat Dirichlet pseudo-count (default 1.0)")
+    default = sampler.GibbsConfig()
+    sub.add_argument("--burnin", type=_nonneg_int, default=default.burnin,
+                     help="discarded initial sweeps (default %(default)s)")
+    sub.add_argument("--samples", type=_positive_int, default=default.samples,
+                     help="retained posterior draws (default %(default)s)")
+    sub.add_argument("--thin", type=_positive_int, default=default.thin,
+                     help="sweeps between retained draws (default %(default)s)")
+    sub.add_argument("--alpha", type=_positive_float, default=default.alpha,
+                     help="partition concentration (default %(default)s)")
+    sub.add_argument("--beta", type=_positive_float, default=default.beta,
+                     help="flat Dirichlet pseudo-count (default %(default)s)")
     sub.add_argument("--progress-every", type=_nonneg_int, default=50,
                      help="progress line interval in sweeps; 0 silences")
 
@@ -143,7 +144,7 @@ def _mechanism(args) -> synth.MechanismSpec | None:
 def _gibbs_config(args) -> sampler.GibbsConfig:
     return sampler.GibbsConfig(
         burnin=args.burnin, samples=args.samples, thin=args.thin,
-        seed=args.seed,
+        alpha=args.alpha, beta=args.beta,
     )
 
 
@@ -166,9 +167,8 @@ def _cmd_fit(args) -> int:
     text = Path(args.input).read_text()
     schema = core.CategoricalSchema(args.schema) if args.schema else None
     data = core.parse_dataset(text, schema)
-    priors = core.Priors.flat(data.schema, alpha=args.alpha, beta_value=args.beta)
     sample = sampler.run_gibbs(
-        data, priors, _gibbs_config(args), seed=args.seed,
+        data, _gibbs_config(args), seed=args.seed,
         progress=_progress_stream(args),
         progress_every=args.progress_every or 50,
     )
@@ -248,47 +248,32 @@ def _cmd_simulate(args) -> int:
 def _cmd_benchmark(args) -> int:
     mechanism = _mechanism(args)
     gibbs = _gibbs_config(args)
-    master = np.random.SeedSequence(args.seed)
-    children = master.spawn(args.reps)
-    task = partial(
-        metrics._replicate, protocol=args.protocol, mechanism=mechanism,
-        gibbs=gibbs, n=args.n or metrics._PROTOCOL_N[args.protocol],
-        p=args.p, k=args.k, cardinality=args.cardinality,
-    )
-
     results: list[dict] = []
+
+    def on_result(i: int, rep: dict) -> None:
+        results.append(rep)
+        if out is not None:
+            if i == 0:
+                out.write(",".join(("replication",) + tuple(rep)) + "\n")
+            out.write(
+                ",".join([str(i)] + [repr(float(v)) for v in rep.values()])
+                + "\n"
+            )
+            out.flush()
+        shown = ", ".join(f"{k}={v:.4f}" for k, v in rep.items())
+        _log(f"replication {i + 1}/{args.reps}: {shown}")
+
     failed = False
-    out = open(args.out, "w") if args.out else None
-    try:
-        if args.jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            pool = ProcessPoolExecutor(max_workers=args.jobs)
-            stream = pool.map(task, children)
-        else:
-            pool = None
-            stream = map(task, children)
+    with open(args.out, "w") if args.out else nullcontext() as out:
         try:
-            for i, rep in enumerate(stream):
-                results.append(rep)
-                if out is not None:
-                    if i == 0:
-                        out.write(",".join(("replication",) + tuple(rep)) + "\n")
-                    out.write(
-                        ",".join([str(i)] + [repr(float(v)) for v in rep.values()])
-                        + "\n"
-                    )
-                    out.flush()
-                shown = ", ".join(f"{k}={v:.4f}" for k, v in rep.items())
-                _log(f"replication {i + 1}/{args.reps}: {shown}")
+            metrics.run_replications(
+                args.protocol, mechanism, reps=args.reps, gibbs=gibbs,
+                seed=args.seed, jobs=args.jobs, n=args.n, p=args.p, k=args.k,
+                cardinality=args.cardinality, on_result=on_result,
+            )
         except Exception as exc:
             failed = True
             _log(f"replication {len(results) + 1} failed: {exc}")
-        finally:
-            if pool is not None:
-                pool.shutdown()
-    finally:
-        if out is not None:
-            out.close()
 
     if not results:
         return 1

@@ -39,6 +39,7 @@ __all__ = [
     "NA_TOKEN",
     "as_generator",
     "padded_dirichlet",
+    "rescale_missing",
     "dataset_to_csv",
     "deserialize_model",
     "deserialize_models",
@@ -85,6 +86,22 @@ def padded_dirichlet(conc: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """
     g = rng.standard_gamma(conc)
     return g / g.sum(axis=-1, keepdims=True)
+
+
+def rescale_missing(psi: np.ndarray) -> np.ndarray:
+    """Divide the missing mass out: ``psi[..., 1:] / (1 - psi[..., 0])``.
+
+    Turns vectors over the codes ``0 .. d`` into vectors over the
+    observable codes, indexed by ``code - 1``.  Raises ValueError when a
+    vector has essentially all of its mass on the missing code.
+    """
+    missing_mass = psi[..., 0]
+    if (missing_mass >= 1.0 - 1e-12).any():
+        raise ValueError(
+            "a component assigns probability 1 to the missing code, so it "
+            "cannot be rescaled to the observable codes"
+        )
+    return psi[..., 1:] / (1.0 - missing_mass[..., None])
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -272,16 +289,12 @@ class ModelState:
     psi : ndarray, shape (k, p, D + 1)
         Per component category probabilities over the codes
         ``0 .. d_j`` (missing included), zero padded beyond ``d_j``.
-    seed_token : object
-        Opaque token recording how the chain was seeded, carried along
-        for reproducibility bookkeeping.  Not interpreted.
     """
 
     schema: CategoricalSchema
     assignments: np.ndarray
     counts: np.ndarray
     psi: np.ndarray
-    seed_token: object = None
 
     def __post_init__(self):
         object.__setattr__(

@@ -13,7 +13,6 @@ from math import comb
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from catmix.core import (
     DEFAULT_CELL_LIMIT,
@@ -23,6 +22,7 @@ from catmix.core import (
     JointDistribution,
     MissingnessTable,
     as_generator,
+    rescale_missing,
 )
 
 __all__ = [
@@ -230,13 +230,14 @@ def _log_class_posteriors(model: CollapsedModel, cells: np.ndarray) -> np.ndarra
     gathered = by_var[np.arange(cells.shape[1])[None, :], idx]  # (m, p, k)
     contrib = np.where((cells > 0)[:, :, None], gathered, 0.0)
     logpost = log_theta[None, :] + contrib.sum(axis=1)
-    norm = logsumexp(logpost, axis=1, keepdims=True)
-    if np.isneginf(norm).any():
-        bad = int(np.nonzero(np.isneginf(norm.ravel()))[0][0])
+    top = logpost.max(axis=1, keepdims=True)
+    if np.isneginf(top).any():
+        bad = int(np.nonzero(np.isneginf(top.ravel()))[0][0])
         raise ValueError(
             f"row {bad} has probability zero under every component"
         )
-    return logpost - norm
+    shifted = logpost - top
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 def _check_row(row, model: CollapsedModel) -> np.ndarray:
@@ -574,13 +575,7 @@ def verify_construction(augmented: AugmentedModel, pi: JointDistribution,
     """
     if pi.schema.cardinalities != q.schema.cardinalities:
         raise ValueError("joint table and missingness table schemas differ")
-    missing_mass = augmented.psi[:, :, 0]
-    if (missing_mass >= 1.0 - 1e-12).any():
-        raise ValueError(
-            "a component assigns all mass to the missing code and "
-            "cannot be rescaled"
-        )
-    tilde = augmented.psi[:, :, 1:] / (1.0 - missing_mass[:, :, None])
+    tilde = rescale_missing(augmented.psi)
     model = CollapsedModel(augmented.schema, augmented.theta, tilde)
     implied = joint_distribution(model)
     pi_error = float(np.abs(implied.table - pi.table).max())
@@ -589,6 +584,6 @@ def verify_construction(augmented: AugmentedModel, pi: JointDistribution,
     for h in range(augmented.k):
         idx = tuple(augmented.cells[h] - 1)
         for j in range(augmented.schema.n_variables):
-            dev = abs(float(missing_mass[h, j]) - float(q.q[(j, *idx)]))
+            dev = abs(float(augmented.psi[h, j, 0]) - float(q.q[(j, *idx)]))
             q_error = max(q_error, dev)
     return ConstructionReport(pi_error=pi_error, q_error=q_error)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -191,8 +192,8 @@ def _replicate(seed_seq, protocol: str, mechanism: MechanismSpec,
 def run_replications(protocol: str, mechanism: MechanismSpec | None = None,
                      reps: int = 20, gibbs: GibbsConfig | None = None,
                      seed=None, jobs: int = 1, n: int | None = None,
-                     p: int = 20, k: int = 3,
-                     cardinality=2) -> ReplicationReport:
+                     p: int = 20, k: int = 3, cardinality=2,
+                     on_result=None) -> ReplicationReport:
     """Repeat a synthetic benchmark and aggregate its metrics.
 
     Each replication re-synthesizes the data, masks it with
@@ -218,6 +219,10 @@ def run_replications(protocol: str, mechanism: MechanismSpec | None = None,
         Mixture protocol dimensions (ignored by xor).
     cardinality : int or sequence
         Mixture protocol cardinalities (ignored by xor).
+    on_result : callable, optional
+        Called as ``on_result(i, metrics)`` as each replication finishes,
+        in replication order.  When a replication raises, the callback
+        has seen exactly the replications before it.
 
     Returns
     -------
@@ -243,11 +248,12 @@ def run_replications(protocol: str, mechanism: MechanismSpec | None = None,
         _replicate, protocol=protocol, mechanism=mechanism, gibbs=gibbs,
         n=n, p=p, k=k, cardinality=cardinality,
     )
-    if jobs == 1:
-        results = [task(child) for child in children]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(task, children))
+    results: list[dict] = []
+    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
+        for i, rep in enumerate((pool.map if pool else map)(task, children)):
+            results.append(rep)
+            if on_result is not None:
+                on_result(i, rep)
     return ReplicationReport(
         protocol=protocol,
         mechanism=mechanism,

@@ -44,6 +44,7 @@ from catmix.core import (
     Priors,
     as_generator,
     padded_dirichlet,
+    rescale_missing,
 )
 
 __all__ = [
@@ -62,7 +63,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GibbsConfig:
-    """Chain length and seeding settings.
+    """Chain length and priors of a fit; the seed is passed separately.
 
     Attributes
     ----------
@@ -72,33 +73,27 @@ class GibbsConfig:
         Number of retained posterior draws.
     thin : int
         Keep one state every ``thin`` sweeps after burn-in.
-    seed : int, SeedSequence or Generator, optional
-        Seed of the chain's random stream.
-    alpha_override : float, optional
-        When set, replaces the concentration of whatever priors the fit
-        is called with.
-    beta_override : float, optional
-        When set, replaces the priors with flat pseudo-counts of this
-        value.
+    alpha : float
+        Concentration of the partition prior.
+    beta : float
+        Flat Dirichlet pseudo-count of every code of every variable,
+        the missing code included.
     """
 
     burnin: int = 200
     samples: int = 100
     thin: int = 2
-    seed: object = None
-    alpha_override: float | None = None
-    beta_override: float | None = None
+    alpha: float = 0.25
+    beta: float = 1.0
 
     def __post_init__(self):
-        if self.burnin < 0:
-            raise ValueError(f"burnin must be >= 0, got {self.burnin}")
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if self.thin < 1:
-            raise ValueError(f"thin must be >= 1, got {self.thin}")
-        for name in ("alpha_override", "beta_override"):
+        for name, least in (("burnin", 0), ("samples", 1), ("thin", 1)):
             v = getattr(self, name)
-            if v is not None and not v > 0:
+            if v < least:
+                raise ValueError(f"{name} must be >= {least}, got {v}")
+        for name in ("alpha", "beta"):
+            v = getattr(self, name)
+            if not v > 0:
                 raise ValueError(f"{name} must be positive, got {v}")
 
     @property
@@ -108,18 +103,6 @@ class GibbsConfig:
     def retained(self, sweep: int) -> bool:
         """Whether the state after 1-based ``sweep`` is kept as a draw."""
         return sweep > self.burnin and (sweep - self.burnin) % self.thin == 0
-
-    def resolve_priors(self, schema: CategoricalSchema,
-                       priors: Priors | None) -> Priors:
-        """Apply the overrides to ``priors`` (default: flat priors)."""
-        if priors is None:
-            priors = Priors.flat(schema)
-        if self.beta_override is not None:
-            priors = Priors.flat(schema, alpha=priors.alpha,
-                                 beta_value=self.beta_override)
-        if self.alpha_override is not None:
-            priors = Priors(alpha=self.alpha_override, beta=priors.beta)
-        return priors
 
 
 @dataclass(frozen=True)
@@ -133,8 +116,6 @@ class PosteriorSample:
     k_values : ndarray of int
         Number of occupied components in each retained draw.
     config : GibbsConfig
-    seed_token : object
-        Opaque record of how the chain was seeded.
     final_state : ModelState
         Chain state after the last sweep.
     elapsed_seconds : float
@@ -143,7 +124,6 @@ class PosteriorSample:
     draws: tuple[CollapsedModel, ...]
     k_values: np.ndarray
     config: GibbsConfig
-    seed_token: object
     final_state: ModelState
     elapsed_seconds: float
 
@@ -207,13 +187,12 @@ class _Chain:
         self.counts = np.array(state.counts)
         self.set_psi(np.array(state.psi))
 
-    def snapshot(self, seed_token, schema: CategoricalSchema) -> ModelState:
+    def snapshot(self, schema: CategoricalSchema) -> ModelState:
         return ModelState(
             schema=schema,
             assignments=self.z.copy(),
             counts=self.counts.copy(),
             psi=self.psi.copy(),
-            seed_token=seed_token,
         )
 
     # -- kernels -----------------------------------------------------------
@@ -271,21 +250,6 @@ class _Chain:
         w = self.row_weights(i)
         self.commit(i, _pick(w, rng), rng)
 
-    def prune_sort(self) -> None:
-        """Drop empty components, sort the rest by descending occupancy.
-
-        Ties keep their previous relative order.
-        """
-        k = self.counts.size
-        order = np.lexsort((np.arange(k), -self.counts))
-        order = order[self.counts[order] > 0]
-        relabel = np.empty(k, dtype=np.int64)
-        relabel[order] = np.arange(order.size)
-        self.z = relabel[self.z]
-        self.counts = self.counts[order]
-        self.psi = self.psi[order]
-        self.log_psi = self.log_psi[order]
-
     def redraw_psi(self, rng: np.random.Generator) -> None:
         """Draw every psi from its Dirichlet posterior given the members."""
         k = self.counts.size
@@ -298,8 +262,23 @@ class _Chain:
     def sweep(self, rng: np.random.Generator) -> None:
         for i in range(self.n):
             self.reassign(i, rng)
-        self.prune_sort()
+        self.z, self.counts, self.psi, self.log_psi = _prune_sort(
+            self.z, self.counts, self.psi, self.log_psi)
         self.redraw_psi(rng)
+
+
+def _prune_sort(z: np.ndarray, counts: np.ndarray, *per_component):
+    """Drop empty components, sort the rest by descending occupancy.
+
+    Ties keep their previous relative order.  Returns the relabelled
+    assignments, the sorted counts and each ``per_component`` array in
+    the new order.
+    """
+    order = np.argsort(-counts, kind="stable")
+    order = order[counts[order] > 0]
+    relabel = np.empty(counts.size, dtype=np.int64)
+    relabel[order] = np.arange(order.size)
+    return (relabel[z], counts[order]) + tuple(a[order] for a in per_component)
 
 
 def _pick(weights: np.ndarray, rng: np.random.Generator) -> int:
@@ -331,7 +310,7 @@ def init_state(data: Dataset, priors: Priors, seed=None) -> ModelState:
     rng = as_generator(seed)
     ch = _Chain(data, priors)
     ch.init(rng)
-    return ch.snapshot(_token(seed), data.schema)
+    return ch.snapshot(data.schema)
 
 
 def assignment_weights(row: int, state: ModelState, data: Dataset,
@@ -388,7 +367,7 @@ def sample_assignment(row: int, weights: np.ndarray, state: ModelState,
             f"({ch.counts.size + 1},) after detaching row {row}"
         )
     ch.commit(row, _pick(weights, rng), rng)
-    return ch.snapshot(state.seed_token, data.schema)
+    return ch.snapshot(data.schema)
 
 
 def prune_and_relabel(state: ModelState) -> ModelState:
@@ -397,19 +376,8 @@ def prune_and_relabel(state: ModelState) -> ModelState:
     Ties keep their previous relative order, so the relabelling is
     deterministic.
     """
-    k = state.k
-    counts = np.asarray(state.counts)
-    order = np.lexsort((np.arange(k), -counts))
-    order = order[counts[order] > 0]
-    relabel = np.empty(k, dtype=np.int64)
-    relabel[order] = np.arange(order.size)
-    return ModelState(
-        schema=state.schema,
-        assignments=relabel[state.assignments],
-        counts=counts[order],
-        psi=np.asarray(state.psi)[order],
-        seed_token=state.seed_token,
-    )
+    z, counts, psi = _prune_sort(state.assignments, state.counts, state.psi)
+    return ModelState(state.schema, z, counts, psi)
 
 
 def update_psi(state: ModelState, data: Dataset, priors: Priors,
@@ -419,7 +387,7 @@ def update_psi(state: ModelState, data: Dataset, priors: Priors,
     ch = _Chain(data, priors)
     ch.load(state)
     ch.redraw_psi(rng)
-    return ch.snapshot(state.seed_token, data.schema)
+    return ch.snapshot(data.schema)
 
 
 def collapse_state(state: ModelState, data: Dataset | None = None) -> CollapsedModel:
@@ -440,24 +408,16 @@ def collapse_state(state: ModelState, data: Dataset | None = None) -> CollapsedM
     ------
     ValueError
         If some component puts essentially all of its mass for a
-        variable on the missing code, leaving nothing to rescale.  This
-        cannot happen with positive priors but is guarded anyway.
+        variable on the missing code, leaving nothing to rescale (see
+        :func:`~catmix.core.rescale_missing`).
     """
     if data is not None and data.n_rows != state.n_rows:
         raise ValueError(
             f"state covers {state.n_rows} rows but the dataset has "
             f"{data.n_rows}"
         )
-    psi = np.asarray(state.psi)
-    missing_mass = psi[:, :, 0]
-    if (missing_mass >= 1.0 - 1e-12).any():
-        raise ValueError(
-            "a component assigns probability 1 to the missing code; "
-            "the observable distribution is undefined"
-        )
     theta = state.counts / state.counts.sum()
-    tilde = psi[:, :, 1:] / (1.0 - missing_mass[:, :, None])
-    return CollapsedModel(state.schema, theta, tilde)
+    return CollapsedModel(state.schema, theta, rescale_missing(state.psi))
 
 
 def iterate_states(data: Dataset, priors: Priors | None = None,
@@ -493,7 +453,6 @@ def iterate_states(data: Dataset, priors: Priors | None = None,
     if priors is None:
         priors = Priors.flat(data.schema)
     rng = as_generator(seed)
-    token = _token(seed)
     ch = _Chain(data, priors)
     ch.init(rng)
     for t in range(1, sweeps + 1):
@@ -502,11 +461,10 @@ def iterate_states(data: Dataset, priors: Priors | None = None,
             t % progress_every == 0 or t == sweeps
         ):
             print(f"sweep {t}/{sweeps} k={ch.counts.size}", file=progress)
-        yield ch.snapshot(token, data.schema)
+        yield ch.snapshot(data.schema)
 
 
-def run_gibbs(data: Dataset, priors: Priors | None = None,
-              config: GibbsConfig | None = None, seed=None,
+def run_gibbs(data: Dataset, config: GibbsConfig | None = None, seed=None,
               progress: TextIO | None = None,
               progress_every: int = 50) -> PosteriorSample:
     """Fit the mixture by collapsed Gibbs sampling.
@@ -517,12 +475,9 @@ def run_gibbs(data: Dataset, priors: Priors | None = None,
     Parameters
     ----------
     data : Dataset
-    priors : Priors, optional
-        Defaults to ``Priors.flat(data.schema)``; the config's
-        ``alpha_override``/``beta_override`` are applied on top.
     config : GibbsConfig, optional
+        Schedule and flat priors; defaults to ``GibbsConfig()``.
     seed : int, SeedSequence or Generator, optional
-        Takes precedence over ``config.seed`` when both are given.
     progress : text stream, optional
         Passed through to :func:`iterate_states`.
 
@@ -532,9 +487,7 @@ def run_gibbs(data: Dataset, priors: Priors | None = None,
     """
     if config is None:
         config = GibbsConfig()
-    if seed is None:
-        seed = config.seed
-    priors = config.resolve_priors(data.schema, priors)
+    priors = Priors.flat(data.schema, alpha=config.alpha, beta_value=config.beta)
     started = time.perf_counter()
     draws: list[CollapsedModel] = []
     k_values: list[int] = []
@@ -551,16 +504,9 @@ def run_gibbs(data: Dataset, priors: Priors | None = None,
         draws=tuple(draws),
         k_values=np.asarray(k_values, dtype=np.int64),
         config=config,
-        seed_token=_token(seed),
         final_state=state,
         elapsed_seconds=time.perf_counter() - started,
     )
-
-
-def _token(seed) -> object:
-    if seed is None or isinstance(seed, (int, np.integer)):
-        return seed
-    return repr(seed)
 
 
 def _check_row(row: int, state: ModelState) -> None:

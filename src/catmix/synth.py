@@ -388,7 +388,7 @@ def preprocess_ratings(triples: Iterable[tuple], item_threshold: float = 0.25,
     ValueError
         On invalid ratings, or when filtering leaves no users or items.
     """
-    if coding not in ("binary", "five", "fiveCategory"):
+    if coding not in ("binary", "five"):
         raise ValueError(f"coding must be 'binary' or 'five', got {coding!r}")
     five = coding != "binary"
 

@@ -6,7 +6,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from catmix import cli
+from catmix import cli, metrics
 from catmix.core import (
     CategoricalSchema,
     CollapsedModel,
@@ -225,7 +225,7 @@ class TestBenchmark:
 
         report = run_replications(
             "mixture", reps=2, seed=9, n=12, p=4, k=2,
-            gibbs=GibbsConfig(burnin=20, samples=10, thin=1, seed=9),
+            gibbs=GibbsConfig(burnin=20, samples=10, thin=1),
         )
         for i, line in enumerate(lines[1:]):
             fields = line.split(",")
@@ -239,6 +239,45 @@ class TestBenchmark:
         assert blob["replications"] == 2
         assert blob["metrics"]["accuracy"]["mean"] == \
             pytest.approx(report.means["accuracy"])
+
+    def test_alpha_and_beta_change_the_fit(self, tmp_path):
+        def run(name, *priors):
+            out = tmp_path / name
+            rc = cli.main(["benchmark", "--protocol", "mixture", "--reps", "2",
+                           "--n", "12", "--p", "4", "--k", "2", "--seed", "3",
+                           "--jobs", "1", *FAST, "--progress-every", "0",
+                           "--out", str(out), *priors])
+            assert rc == 0
+            return out.read_text()
+
+        default = run("default.csv")
+        assert default == run("explicit.csv", "--alpha", "0.25", "--beta", "1")
+        assert default != run("priors.csv", "--alpha", "50", "--beta", "3")
+
+    def test_failure_keeps_the_finished_replications(self, tmp_path, capsys,
+                                                     monkeypatch):
+        real = metrics._replicate
+        calls = []
+
+        def second_fails(seed_seq, **kwargs):
+            calls.append(seed_seq)
+            if len(calls) == 2:
+                raise RuntimeError("replication broke")
+            return real(seed_seq, **kwargs)
+
+        monkeypatch.setattr(metrics, "_replicate", second_fails)
+        out = tmp_path / "bench.csv"
+        summary = tmp_path / "summary.json"
+        rc = cli.main(["benchmark", "--protocol", "mixture", "--reps", "3",
+                       "--n", "12", "--p", "4", "--k", "2", "--seed", "9",
+                       "--jobs", "1", *FAST, "--progress-every", "0",
+                       "--out", str(out), "--summary-out", str(summary)])
+        assert rc == 1
+        assert len(out.read_text().splitlines()) == 2  # header and rep 0
+        assert json.loads(summary.read_text())["replications"] == 1
+        err = capsys.readouterr().err
+        assert "replication 1/3: accuracy=" in err
+        assert "replication 2 failed: replication broke" in err
 
     def test_unknown_mechanism_is_a_usage_error(self):
         with pytest.raises(SystemExit) as err:

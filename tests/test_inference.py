@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from catmix.inference import (
     saturated_model,
     verify_construction,
 )
-from catmix.sampler import run_gibbs, GibbsConfig
+from catmix.sampler import run_gibbs
 from catmix.synth import sample_xor_dataset
 
 
@@ -76,8 +77,12 @@ class TestClassPosterior:
 
     def test_impossible_row(self):
         m = _single_component([[1.0, 0.0]])
-        with pytest.raises(ValueError, match="probability zero"):
-            class_posterior([2], m)
+        # -inf under every component: the max shift must not compute
+        # -inf - (-inf) on the way to the error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="probability zero"):
+                class_posterior([2], m)
 
     def test_normalization(self):
         m = _random_model(0)
@@ -494,7 +499,7 @@ def test_xor_fit_recovers_the_third_bit():
     """After fitting complete XOR data, the model predicts a missing V3
     from (V1, V2) with most of its mass on the XOR-consistent code."""
     data, _ = sample_xor_dataset(n=300, seed=21)
-    fit = run_gibbs(data, config=GibbsConfig(seed=22))
+    fit = run_gibbs(data, seed=22)
     probe = np.array([1, 2, 0])  # bits (0, 1): V3 should be bit 1 = code 2
     per_draw = np.mean([predictive_cell(probe, 2, m) for m in fit.draws],
                        axis=0)

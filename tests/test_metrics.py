@@ -170,3 +170,15 @@ class TestRunReplications:
                                   n=12, p=4, k=2)
         assert report.mechanism.kind == "MCAR"
         assert math.isnan(report.sds["accuracy"])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_on_result_sees_each_replication_once_in_order(self, jobs):
+        seen = []
+        report = run_replications(
+            "mixture", reps=3, gibbs=TINY, seed=5, n=12, p=4, k=2,
+            jobs=jobs, on_result=lambda i, rep: seen.append((i, rep)),
+        )
+        assert [i for i, _ in seen] == [0, 1, 2]
+        assert all(rep is kept for (_, rep), kept
+                   in zip(seen, report.per_replication, strict=True))
+

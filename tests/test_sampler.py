@@ -56,7 +56,6 @@ class TestInitState:
         a = init_state(data, pr, seed=42)
         b = init_state(data, pr, seed=42)
         assert np.array_equal(a.psi, b.psi)
-        assert a.seed_token == 42
 
     def test_rejects_empty_dataset(self):
         data = Dataset(CategoricalSchema([2]), np.zeros((0, 1), dtype=int))
@@ -314,24 +313,30 @@ class TestGibbsConfig:
             GibbsConfig(samples=0)
         with pytest.raises(ValueError):
             GibbsConfig(thin=0)
-        with pytest.raises(ValueError):
-            GibbsConfig(alpha_override=0.0)
 
-    def test_overrides(self):
-        schema = CategoricalSchema([2, 3])
-        cfg = GibbsConfig(alpha_override=0.7, beta_override=2.0)
-        pr = cfg.resolve_priors(schema, None)
-        assert pr.alpha == 0.7
-        assert [b.tolist() for b in pr.beta] == [[2, 2, 2], [2, 2, 2, 2]]
-        plain = GibbsConfig().resolve_priors(schema, None)
-        assert plain.alpha == 0.25
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_rejects_nonpositive_priors(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            GibbsConfig(**{field: value})
+
+    def test_priors_reach_the_chain(self):
+        # with these priors every row opens its own component
+        data = _toy_data(4)
+        cfg = GibbsConfig(burnin=0, samples=1, thin=1, alpha=1e12, beta=2.0)
+        out = run_gibbs(data, config=cfg, seed=0)
+        manual = next(iterate_states(
+            data, Priors.flat(data.schema, alpha=1e12, beta_value=2.0),
+            sweeps=1, seed=0))
+        assert np.array_equal(out.final_state.psi, manual.psi)
+        assert out.final_state.k == data.n_rows
 
 
 class TestRunGibbs:
     def test_single_draw(self):
         data = _toy_data(4)
         out = run_gibbs(data, config=GibbsConfig(burnin=0, samples=1,
-                                                 thin=1, seed=0))
+                                                 thin=1), seed=0)
         assert len(out.draws) == 1
         assert out.k_values.shape == (1,)
         assert out.k_values[0] == out.final_state.k
@@ -339,8 +344,8 @@ class TestRunGibbs:
 
     def test_histogram_accounts_for_every_draw(self):
         data = _toy_data(5)
-        cfg = GibbsConfig(burnin=10, samples=25, thin=2, seed=3)
-        out = run_gibbs(data, config=cfg)
+        cfg = GibbsConfig(burnin=10, samples=25, thin=2)
+        out = run_gibbs(data, config=cfg, seed=3)
         assert sum(out.k_histogram.values()) == 25
         assert out.modal_k in out.k_histogram
         assert len(out.draws) == 25
@@ -355,20 +360,10 @@ class TestRunGibbs:
             assert np.array_equal(da.theta, db.theta)
             assert np.array_equal(da.tilde_psi, db.tilde_psi)
 
-    def test_seed_argument_beats_config_seed(self):
-        data = _toy_data(7)
-        cfg = GibbsConfig(burnin=5, samples=5, thin=1, seed=1)
-        via_config = run_gibbs(data, config=GibbsConfig(burnin=5, samples=5,
-                                                        thin=1, seed=2))
-        via_arg = run_gibbs(data, config=cfg, seed=2)
-        assert np.array_equal(via_arg.k_values, via_config.k_values)
-        for da, db in zip(via_arg.draws, via_config.draws):
-            assert np.array_equal(da.tilde_psi, db.tilde_psi)
-
     def test_constant_dataset_concentrates_on_one_component(self):
         data = Dataset(CategoricalSchema([2, 2]), [[1, 2]] * 20)
         out = run_gibbs(data, config=GibbsConfig(burnin=50, samples=50,
-                                                 thin=1, seed=5))
+                                                 thin=1), seed=5)
         assert out.modal_k == 1
 
 

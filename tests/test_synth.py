@@ -323,3 +323,5 @@ class TestPreprocessRatings:
     def test_rejects_unknown_coding(self):
         with pytest.raises(ValueError, match="coding"):
             preprocess_ratings([(1, 1, 4.0)], coding="ternary")
+        with pytest.raises(ValueError, match="coding"):
+            preprocess_ratings([(1, 1, 4.0)], coding="fiveCategory")
