@@ -12,8 +12,7 @@ tables alike.
 Layout
 ------
 ``catmix.core``
-    Schemas, datasets, prior and model containers, CSV and JSON
-    serialization.
+    Schemas, datasets, model containers, CSV and JSON serialization.
 ``catmix.sampler``
     The collapsed Gibbs sampler and its single-step operations.
 ``catmix.inference``
@@ -39,7 +38,6 @@ from catmix.core import (
     MissingnessTable,
     ModelState,
     ParseError,
-    Priors,
     dataset_to_csv,
     deserialize_model,
     deserialize_models,
@@ -114,7 +112,6 @@ __all__ = [
     "ModelState",
     "ParseError",
     "PosteriorSample",
-    "Priors",
     "ReplicationReport",
     "assignment_weights",
     "class_posterior",

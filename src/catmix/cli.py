@@ -16,8 +16,6 @@ import sys
 from contextlib import nullcontext
 from pathlib import Path
 
-import numpy as np
-
 from catmix import core, inference, metrics, sampler, synth
 
 __all__ = ["main", "build_parser"]
@@ -209,16 +207,11 @@ def _cmd_impute(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    if args.protocol == "mixture":
-        data, truth = synth.sample_mixture_dataset(
-            n=args.n or 50, p=args.p, k=args.k,
-            cardinality=args.cardinality, seed=rng,
-        )
-        truth_model = truth
-    else:
-        data, joint = synth.sample_xor_dataset(n=args.n or 300, seed=rng)
-        truth_model = inference.saturated_model(joint)
+    rng = core.as_generator(args.seed)
+    data, truth_model = metrics.simulate(
+        args.protocol, n=args.n, p=args.p, k=args.k,
+        cardinality=args.cardinality, seed=rng,
+    )
 
     mechanism = _mechanism(args)
     if mechanism is None:
@@ -281,7 +274,6 @@ def _cmd_benchmark(args) -> int:
         protocol=args.protocol,
         mechanism=mechanism,
         per_replication=tuple(results),
-        gibbs=gibbs,
         seed=args.seed,
     )
     if args.summary_out:

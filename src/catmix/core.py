@@ -33,7 +33,6 @@ __all__ = [
     "MissingnessTable",
     "ModelState",
     "ParseError",
-    "Priors",
     "DEFAULT_CELL_LIMIT",
     "MISSING",
     "NA_TOKEN",
@@ -212,70 +211,6 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class Priors:
-    """Hyperparameters of the mixture.
-
-    Parameters
-    ----------
-    alpha : float
-        Concentration of the partition prior.  Small values favour few
-        occupied components.
-    beta : tuple of ndarray
-        ``beta[j]`` has length ``d_j + 1`` and holds the Dirichlet
-        pseudo-counts for variable ``j`` over the codes ``0 .. d_j``
-        (the missing code included).  All entries must be positive.
-    """
-
-    alpha: float
-    beta: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if not (self.alpha > 0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be a positive finite number, got {self.alpha}")
-        beta = tuple(_readonly(np.asarray(b, dtype=np.float64)) for b in self.beta)
-        for j, b in enumerate(beta):
-            if b.ndim != 1 or b.size < 3:
-                raise ValueError(
-                    f"beta[{j}] must be a 1-d vector of length d_j + 1 >= 3"
-                )
-            if not (np.isfinite(b).all() and (b > 0).all()):
-                raise ValueError(f"beta[{j}] entries must be positive and finite")
-        object.__setattr__(self, "beta", beta)
-
-    @classmethod
-    def flat(cls, schema: CategoricalSchema, alpha: float = 0.25,
-             beta_value: float = 1.0) -> "Priors":
-        """Symmetric priors: every pseudo-count equal to ``beta_value``."""
-        beta = tuple(
-            np.full(d + 1, float(beta_value)) for d in schema.cardinalities
-        )
-        return cls(alpha=float(alpha), beta=beta)
-
-    def matches(self, schema: CategoricalSchema) -> None:
-        """Raise ValueError if the beta vectors do not fit ``schema``."""
-        if len(self.beta) != schema.n_variables:
-            raise ValueError(
-                f"priors cover {len(self.beta)} variables, "
-                f"schema has {schema.n_variables}"
-            )
-        for j, (b, d) in enumerate(zip(self.beta, schema.cardinalities)):
-            if b.size != d + 1:
-                raise ValueError(
-                    f"beta[{j}] has length {b.size}, expected {d + 1}"
-                )
-
-    def beta_padded(self, schema: CategoricalSchema) -> np.ndarray:
-        """Stack the beta vectors into a zero padded ``(p, D + 1)`` array."""
-        self.matches(schema)
-        p = schema.n_variables
-        width = schema.max_cardinality + 1
-        out = np.zeros((p, width))
-        for j, b in enumerate(self.beta):
-            out[j, : b.size] = b
-        return out
-
-
-@dataclass(frozen=True)
 class ModelState:
     """Full state of the Gibbs chain after a sweep.
 
@@ -406,21 +341,20 @@ class JointDistribution:
 
     The table axis ``j`` has length ``d_j`` and index ``c`` corresponds
     to code ``c + 1``.  Construction refuses tables larger than
-    ``cell_limit`` cells; dense joints over many variables explode
-    combinatorially and callers should fall back to
+    ``DEFAULT_CELL_LIMIT`` cells; dense joints over many variables
+    explode combinatorially and callers should fall back to
     :func:`catmix.inference.pair_marginal` style queries instead.
     """
 
     schema: CategoricalSchema
     table: np.ndarray
-    cell_limit: int = DEFAULT_CELL_LIMIT
 
     def __post_init__(self):
         n_cells = self.schema.n_cells()
-        if n_cells > self.cell_limit:
+        if n_cells > DEFAULT_CELL_LIMIT:
             raise ValueError(
                 f"joint table would hold {n_cells} cells, "
-                f"limit is {self.cell_limit}"
+                f"limit is {DEFAULT_CELL_LIMIT}"
             )
         table = np.asarray(self.table, dtype=np.float64)
         if table.shape != tuple(self.schema.cardinalities):

@@ -120,7 +120,7 @@ def class_posterior(row, model: CollapsedModel) -> np.ndarray:
         If the row has probability zero under every component.
     """
     row = _check_row(row, model)
-    logpost = _log_class_posteriors(model, row[None, :])
+    logpost = _log_class_posteriors(model, row[None, :], [0])
     return np.exp(logpost[0])
 
 
@@ -194,7 +194,7 @@ def impute(data: Dataset, posterior, rule: str = "argmax",
     width = data.schema.max_cardinality
     acc = np.zeros((hit_rows.size, p, width))
     for m in draws:
-        post = np.exp(_log_class_posteriors(m, sub))
+        post = np.exp(_log_class_posteriors(m, sub, hit_rows))
         acc += np.einsum("mk,kjc->mjc", post, m.tilde_psi)
     acc /= len(draws)
 
@@ -215,11 +215,14 @@ def impute(data: Dataset, posterior, rule: str = "argmax",
     return ImputationResult(data.replace_cells(completed), cell_posteriors)
 
 
-def _log_class_posteriors(model: CollapsedModel, cells: np.ndarray) -> np.ndarray:
+def _log_class_posteriors(model: CollapsedModel, cells: np.ndarray,
+                          rows) -> np.ndarray:
     """Row-normalized log component posteriors for a batch of rows.
 
-    ``cells`` is (m, p) with zeros marking unobserved entries.  Returns
-    an (m, k) array whose rows are log probability vectors.
+    ``cells`` is (m, p) with zeros marking unobserved entries, and
+    ``rows[i]`` is the dataset index that error messages give for
+    ``cells[i]``.  Returns an (m, k) array whose rows are log
+    probability vectors.
     """
     with np.errstate(divide="ignore"):
         log_theta = np.log(model.theta)
@@ -232,9 +235,9 @@ def _log_class_posteriors(model: CollapsedModel, cells: np.ndarray) -> np.ndarra
     logpost = log_theta[None, :] + contrib.sum(axis=1)
     top = logpost.max(axis=1, keepdims=True)
     if np.isneginf(top).any():
-        bad = int(np.nonzero(np.isneginf(top.ravel()))[0][0])
+        bad = np.nonzero(np.isneginf(top.ravel()))[0][0]
         raise ValueError(
-            f"row {bad} has probability zero under every component"
+            f"row {rows[bad]} has probability zero under every component"
         )
     shifted = logpost - top
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -256,8 +259,7 @@ def _check_row(row, model: CollapsedModel) -> np.ndarray:
 # Joint, marginal and correlation summaries
 # ---------------------------------------------------------------------------
 
-def joint_distribution(model: CollapsedModel,
-                       cell_limit: int = DEFAULT_CELL_LIMIT) -> JointDistribution:
+def joint_distribution(model: CollapsedModel) -> JointDistribution:
     """Dense joint probability table implied by the mixture.
 
     ``table[c1 - 1, ..., cp - 1] = sum_h theta_h prod_j tilde_psi[h, j, cj - 1]``.
@@ -265,14 +267,14 @@ def joint_distribution(model: CollapsedModel,
     Raises
     ------
     ValueError
-        If the table would exceed ``cell_limit`` cells; use
+        If the table would exceed ``DEFAULT_CELL_LIMIT`` cells; use
         :func:`pair_marginal` for high-dimensional models instead.
     """
     schema = model.schema
-    if schema.n_cells() > cell_limit:
+    if schema.n_cells() > DEFAULT_CELL_LIMIT:
         raise ValueError(
             f"joint table would hold {schema.n_cells()} cells "
-            f"(limit {cell_limit}); query pair_marginal instead"
+            f"(limit {DEFAULT_CELL_LIMIT}); query pair_marginal instead"
         )
     cards = schema.cardinalities
     table = np.zeros(cards)
@@ -281,7 +283,7 @@ def joint_distribution(model: CollapsedModel,
         for j, d in enumerate(cards):
             block = np.multiply.outer(block, model.tilde_psi[h, j, :d])
         table += block
-    return JointDistribution(schema, table, cell_limit)
+    return JointDistribution(schema, table)
 
 
 def pair_marginal(model: CollapsedModel, j1: int, j2: int) -> np.ndarray:

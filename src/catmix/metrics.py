@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from catmix.core import Dataset, as_generator
+from catmix.core import CollapsedModel, Dataset, as_generator
 from catmix.inference import (
     correlation_matrix,
     impute,
@@ -39,6 +39,7 @@ __all__ = [
     "correlation_gap",
     "imputation_accuracy",
     "run_replications",
+    "simulate",
 ]
 
 PROTOCOLS = ("mixture", "xor")
@@ -103,7 +104,6 @@ class ReplicationReport:
     mechanism : MechanismSpec
     per_replication : tuple of dict
         One metric dictionary per replication, in replication order.
-    gibbs : GibbsConfig
     seed : object
         The master seed the replication seeds were spawned from.
     """
@@ -111,7 +111,6 @@ class ReplicationReport:
     protocol: str
     mechanism: MechanismSpec
     per_replication: tuple[dict, ...]
-    gibbs: GibbsConfig
     seed: object = None
 
     @property
@@ -164,18 +163,47 @@ class ReplicationReport:
         }
 
 
+def simulate(protocol: str, n: int | None = None, p: int = 20, k: int = 3,
+             cardinality=2, seed=None) -> tuple[Dataset, CollapsedModel]:
+    """Draw one complete benchmark dataset and its generating mixture.
+
+    Parameters
+    ----------
+    protocol : {"mixture", "xor"}
+        "mixture" draws from a random product-multinomial mixture (see
+        :func:`~catmix.synth.sample_mixture_dataset`); "xor" draws the
+        exclusive-or data, whose truth is the point-mass mixture of its
+        joint table.
+    n : int, optional
+        Rows; defaults to 50 (mixture) or 300 (xor).
+    p, k : int
+        Mixture protocol dimensions (ignored by xor).
+    cardinality : int or sequence
+        Mixture protocol cardinalities (ignored by xor).
+    seed : int, SeedSequence or Generator, optional
+
+    Returns
+    -------
+    (Dataset, CollapsedModel)
+    """
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
+    if n is None:
+        n = _PROTOCOL_N[protocol]
+    if protocol == "mixture":
+        return sample_mixture_dataset(
+            n=n, p=p, k=k, cardinality=cardinality, seed=seed
+        )
+    data, joint = sample_xor_dataset(n=n, seed=seed)
+    return data, saturated_model(joint)
+
+
 def _replicate(seed_seq, protocol: str, mechanism: MechanismSpec,
-               gibbs: GibbsConfig, n: int, p: int, k: int,
+               gibbs: GibbsConfig, n: int | None, p: int, k: int,
                cardinality) -> dict:
     """Run one benchmark replication on its own random stream."""
     rng = as_generator(seed_seq)
-    if protocol == "mixture":
-        data, truth_model = sample_mixture_dataset(
-            n=n, p=p, k=k, cardinality=cardinality, seed=rng
-        )
-    else:
-        data, joint = sample_xor_dataset(n=n, seed=rng)
-        truth_model = saturated_model(joint)
+    data, truth_model = simulate(protocol, n, p, k, cardinality, seed=rng)
     masked, record = mask(data, mechanism, seed=rng)
     sample = run_gibbs(masked, config=gibbs, seed=rng)
     completed = impute(masked, sample, rule="argmax").completed
@@ -213,12 +241,8 @@ def run_replications(protocol: str, mechanism: MechanismSpec | None = None,
     seed : int or SeedSequence, optional
     jobs : int
         Worker processes; 1 runs in-process.
-    n : int, optional
-        Rows per dataset; defaults to 50 (mixture) or 300 (xor).
-    p, k : int
-        Mixture protocol dimensions (ignored by xor).
-    cardinality : int or sequence
-        Mixture protocol cardinalities (ignored by xor).
+    n, p, k, cardinality
+        Dataset shape, passed to :func:`simulate`.
     on_result : callable, optional
         Called as ``on_result(i, metrics)`` as each replication finishes,
         in replication order.  When a replication raises, the callback
@@ -238,8 +262,6 @@ def run_replications(protocol: str, mechanism: MechanismSpec | None = None,
         mechanism = MechanismSpec.mcar()
     if gibbs is None:
         gibbs = GibbsConfig()
-    if n is None:
-        n = _PROTOCOL_N[protocol]
 
     master = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
@@ -258,6 +280,5 @@ def run_replications(protocol: str, mechanism: MechanismSpec | None = None,
         protocol=protocol,
         mechanism=mechanism,
         per_replication=tuple(results),
-        gibbs=gibbs,
         seed=seed,
     )

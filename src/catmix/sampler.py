@@ -11,10 +11,11 @@ proportional to
 where ``n_h`` counts the other rows in ``h``, or a brand new component
 with probability proportional to
 
-    alpha * prod_j beta[j, x_ij] / sum_c beta[j, c].
+    alpha * prod_j beta / sum_c beta = alpha * prod_j 1 / (d_j + 1).
 
 The second product is the exact marginal likelihood of a single row
-under a fresh Dirichlet draw.  A newly opened component receives its
+under a fresh flat Dirichlet draw; it does not depend on the row, so
+the chain computes it once.  A newly opened component receives its
 category probabilities right away, drawn from the Dirichlet posterior
 given its one member, so that later rows in the same sweep see it on
 equal footing.  After the reassignment pass the components are sorted
@@ -30,6 +31,7 @@ sampler.  The division by the missing mass is deferred to
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Iterator, TextIO
@@ -41,7 +43,6 @@ from catmix.core import (
     CollapsedModel,
     Dataset,
     ModelState,
-    Priors,
     as_generator,
     padded_dirichlet,
     rescale_missing,
@@ -93,8 +94,8 @@ class GibbsConfig:
                 raise ValueError(f"{name} must be >= {least}, got {v}")
         for name in ("alpha", "beta"):
             v = getattr(self, name)
-            if not v > 0:
-                raise ValueError(f"{name} must be positive, got {v}")
+            if not (v > 0 and math.isfinite(v)):
+                raise ValueError(f"{name} must be positive and finite, got {v}")
 
     @property
     def total_sweeps(self) -> int:
@@ -115,7 +116,6 @@ class PosteriorSample:
         Retained posterior draws, already rescaled to observable codes.
     k_values : ndarray of int
         Number of occupied components in each retained draw.
-    config : GibbsConfig
     final_state : ModelState
         Chain state after the last sweep.
     elapsed_seconds : float
@@ -123,7 +123,6 @@ class PosteriorSample:
 
     draws: tuple[CollapsedModel, ...]
     k_values: np.ndarray
-    config: GibbsConfig
     final_state: ModelState
     elapsed_seconds: float
 
@@ -152,24 +151,26 @@ class PosteriorSample:
 class _Chain:
     __slots__ = (
         "x", "n", "p", "width", "cols",
-        "alpha", "beta_pad", "new_loglik",
+        "beta_pad", "new_logw",
         "z", "counts", "psi", "log_psi",
     )
 
-    def __init__(self, data: Dataset, priors: Priors):
-        priors.matches(data.schema)
+    def __init__(self, data: Dataset, config: GibbsConfig):
+        if data.n_rows == 0:
+            raise ValueError("cannot run the sampler on an empty dataset")
         self.x = np.ascontiguousarray(data.cells)
         self.n, self.p = self.x.shape
         self.width = data.schema.max_cardinality + 1
         self.cols = np.arange(self.p)
-        self.alpha = priors.alpha
-        self.beta_pad = priors.beta_padded(data.schema)
-        # log marginal likelihood of each row under a fresh component:
-        # sum_j log(beta[j, x_ij] / sum_c beta[j, c])
+        cards = data.schema.codes_array()
+        self.beta_pad = np.where(
+            np.arange(self.width)[None, :] <= cards[:, None], config.beta, 0.0)
+        # log weight of opening a new component; flat priors give every
+        # code the same log(beta / sum_c beta), so code 0 stands for x_ij
         with np.errstate(divide="ignore"):
             log_beta = np.log(self.beta_pad)
         log_beta = log_beta - np.log(self.beta_pad.sum(axis=1))[:, None]
-        self.new_loglik = log_beta[self.cols[None, :], self.x].sum(axis=1)
+        self.new_logw = np.log(config.alpha) + log_beta[:, 0].sum()
         self.z = None
         self.counts = None
         self.psi = None
@@ -224,7 +225,7 @@ class _Chain:
         loglik = self.log_psi[:, self.cols, self.x[i]].sum(axis=1)
         logw = np.empty(self.counts.size + 1)
         logw[:-1] = np.log(self.counts) + loglik
-        logw[-1] = np.log(self.alpha) + self.new_loglik[i]
+        logw[-1] = self.new_logw
         logw -= logw.max()
         w = np.exp(logw)
         return w / w.sum()
@@ -292,29 +293,28 @@ def _pick(weights: np.ndarray, rng: np.random.Generator) -> int:
 # Public single-step operations
 # ---------------------------------------------------------------------------
 
-def init_state(data: Dataset, priors: Priors, seed=None) -> ModelState:
+def init_state(data: Dataset, config: GibbsConfig, seed=None) -> ModelState:
     """Initial chain state: one component per row, psi from the prior.
 
     Parameters
     ----------
     data : Dataset
-    priors : Priors
+    config : GibbsConfig
+        Only ``alpha`` and ``beta`` are read.
     seed : int, SeedSequence or Generator, optional
 
     Returns
     -------
     ModelState
     """
-    if data.n_rows == 0:
-        raise ValueError("cannot initialize a chain on an empty dataset")
     rng = as_generator(seed)
-    ch = _Chain(data, priors)
+    ch = _Chain(data, config)
     ch.init(rng)
     return ch.snapshot(data.schema)
 
 
 def assignment_weights(row: int, state: ModelState, data: Dataset,
-                       priors: Priors) -> np.ndarray:
+                       config: GibbsConfig) -> np.ndarray:
     """Conditional reassignment distribution of one row.
 
     The row is detached from its current component first, so if it was
@@ -328,14 +328,14 @@ def assignment_weights(row: int, state: ModelState, data: Dataset,
         new component.  Sums to 1.
     """
     _check_row(row, state)
-    ch = _Chain(data, priors)
+    ch = _Chain(data, config)
     ch.load(state)
     ch.detach(row)
     return ch.row_weights(row)
 
 
 def sample_assignment(row: int, weights: np.ndarray, state: ModelState,
-                      data: Dataset, priors: Priors, rng) -> ModelState:
+                      data: Dataset, config: GibbsConfig, rng) -> ModelState:
     """Redraw the component of one row from its conditional.
 
     Parameters
@@ -346,7 +346,8 @@ def sample_assignment(row: int, weights: np.ndarray, state: ModelState,
         and state.
     state : ModelState
     data : Dataset
-    priors : Priors
+    config : GibbsConfig
+        Only ``alpha`` and ``beta`` are read.
     rng : int, SeedSequence or Generator
 
     Returns
@@ -357,7 +358,7 @@ def sample_assignment(row: int, weights: np.ndarray, state: ModelState,
     """
     _check_row(row, state)
     rng = as_generator(rng)
-    ch = _Chain(data, priors)
+    ch = _Chain(data, config)
     ch.load(state)
     ch.detach(row)
     weights = np.asarray(weights, dtype=np.float64)
@@ -380,11 +381,11 @@ def prune_and_relabel(state: ModelState) -> ModelState:
     return ModelState(state.schema, z, counts, psi)
 
 
-def update_psi(state: ModelState, data: Dataset, priors: Priors,
+def update_psi(state: ModelState, data: Dataset, config: GibbsConfig,
                rng) -> ModelState:
     """Redraw every component's psi from its Dirichlet posterior."""
     rng = as_generator(rng)
-    ch = _Chain(data, priors)
+    ch = _Chain(data, config)
     ch.load(state)
     ch.redraw_psi(rng)
     return ch.snapshot(data.schema)
@@ -420,7 +421,7 @@ def collapse_state(state: ModelState, data: Dataset | None = None) -> CollapsedM
     return CollapsedModel(state.schema, theta, rescale_missing(state.psi))
 
 
-def iterate_states(data: Dataset, priors: Priors | None = None,
+def iterate_states(data: Dataset, config: GibbsConfig = GibbsConfig(),
                    sweeps: int = 1, seed=None,
                    progress: TextIO | None = None,
                    progress_every: int = 50) -> Iterator[ModelState]:
@@ -432,8 +433,9 @@ def iterate_states(data: Dataset, priors: Priors | None = None,
     Parameters
     ----------
     data : Dataset
-    priors : Priors, optional
-        Defaults to ``Priors.flat(data.schema)``.
+    config : GibbsConfig, optional
+        Only ``alpha`` and ``beta`` are read; the schedule comes from
+        ``sweeps``.
     sweeps : int
         Number of sweeps to run.
     seed : int, SeedSequence or Generator, optional
@@ -446,14 +448,10 @@ def iterate_states(data: Dataset, priors: Priors | None = None,
     ModelState
         An independent snapshot after each sweep.
     """
-    if data.n_rows == 0:
-        raise ValueError("cannot run the sampler on an empty dataset")
     if sweeps < 1:
         raise ValueError(f"sweeps must be >= 1, got {sweeps}")
-    if priors is None:
-        priors = Priors.flat(data.schema)
     rng = as_generator(seed)
-    ch = _Chain(data, priors)
+    ch = _Chain(data, config)
     ch.init(rng)
     for t in range(1, sweeps + 1):
         ch.sweep(rng)
@@ -476,7 +474,7 @@ def run_gibbs(data: Dataset, config: GibbsConfig | None = None, seed=None,
     ----------
     data : Dataset
     config : GibbsConfig, optional
-        Schedule and flat priors; defaults to ``GibbsConfig()``.
+        Schedule and priors; defaults to ``GibbsConfig()``.
     seed : int, SeedSequence or Generator, optional
     progress : text stream, optional
         Passed through to :func:`iterate_states`.
@@ -487,13 +485,12 @@ def run_gibbs(data: Dataset, config: GibbsConfig | None = None, seed=None,
     """
     if config is None:
         config = GibbsConfig()
-    priors = Priors.flat(data.schema, alpha=config.alpha, beta_value=config.beta)
     started = time.perf_counter()
     draws: list[CollapsedModel] = []
     k_values: list[int] = []
     state = None
     states = iterate_states(
-        data, priors, sweeps=config.total_sweeps, seed=seed,
+        data, config, sweeps=config.total_sweeps, seed=seed,
         progress=progress, progress_every=progress_every,
     )
     for t, state in enumerate(states, start=1):
@@ -503,7 +500,6 @@ def run_gibbs(data: Dataset, config: GibbsConfig | None = None, seed=None,
     return PosteriorSample(
         draws=tuple(draws),
         k_values=np.asarray(k_values, dtype=np.int64),
-        config=config,
         final_state=state,
         elapsed_seconds=time.perf_counter() - started,
     )

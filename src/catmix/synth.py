@@ -182,9 +182,11 @@ def sample_mixture_dataset(n: int = 50, p: int = 20, k: int = 3,
 
     z = rng.choice(k, size=n, p=theta)
     u = rng.random((n, p))
-    edges = np.cumsum(tilde[z], axis=2)
-    idx = (u[:, :, None] > edges).sum(axis=2)
-    idx = np.minimum(idx, schema.codes_array()[None, :] - 1)
+    # one variable at a time, so memory grows with n * d_j, not n * p * D
+    idx = np.empty((n, p), dtype=np.int64)
+    for j, d in enumerate(cards):
+        edges = np.cumsum(tilde[:, j, :d], axis=1)[z]
+        idx[:, j] = np.minimum((u[:, j, None] > edges).sum(axis=1), d - 1)
     data = Dataset(schema, idx + 1)
     return data, truth
 

@@ -18,7 +18,6 @@ from catmix.core import (
     Dataset,
     JointDistribution,
     MissingnessTable,
-    Priors,
 )
 from catmix.inference import (
     construct_saturated_model,
@@ -29,6 +28,7 @@ from catmix.inference import (
 )
 from catmix.metrics import imputation_accuracy, run_replications
 from catmix.sampler import (
+    GibbsConfig,
     assignment_weights,
     init_state,
     iterate_states,
@@ -227,7 +227,7 @@ def test_criterion_08_partition_posterior(capsys):
     data = Dataset(CategoricalSchema([2]), [[v] for v in x])
     burnin, keep = 500, 50_000
     freq: dict = {}
-    states = iterate_states(data, Priors.flat(data.schema),
+    states = iterate_states(data, GibbsConfig(),
                             sweeps=burnin + keep, seed=108)
     for t, state in enumerate(states, start=1):
         if t <= burnin:
@@ -260,14 +260,14 @@ def test_criterion_09_invariant_battery(capsys):
         rows = m.tilde_psi[:, :, :2]
         if np.abs(rows.sum(axis=2) - 1.0).max() > 1e-8 or (rows < 0).any():
             failures.append("draw vectors are not distributions")
-    pr = Priors.flat(masked.schema)
-    state = init_state(masked, pr, seed=112)
-    w = assignment_weights(0, state, masked, pr)
+    cfg = GibbsConfig()
+    state = init_state(masked, cfg, seed=112)
+    w = assignment_weights(0, state, masked, cfg)
     if abs(w.sum() - 1.0) > 1e-12 or (w < 0).any():
         failures.append("assignment weights are not a distribution")
 
     # count consistency along the chain
-    for s in iterate_states(masked, pr, sweeps=5, seed=113):
+    for s in iterate_states(masked, cfg, sweeps=5, seed=113):
         if s.counts.sum() != masked.n_rows or (s.counts < 1).any():
             failures.append("occupancy counts do not add up")
         if (np.diff(s.counts) > 0).any():

@@ -95,6 +95,17 @@ class TestFit:
             cli.main(["fit", str(inp), "--out", "x.json", "--alpha", "0"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+    def test_infinite_prior_fails_cleanly(self, tmp_path, capsys, flag):
+        inp = _toy_csv(tmp_path)
+        out = tmp_path / "x.json"
+        rc = cli.main(["fit", str(inp), "--out", str(out), flag, "inf"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_input_file(self, tmp_path, capsys):
         rc = cli.main(["fit", str(tmp_path / "nope.csv"), "--out", "x.json"])
         assert rc == 1
@@ -160,6 +171,21 @@ class TestImpute:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_impossible_row_is_named_by_its_dataset_index(self, tmp_path,
+                                                          capsys):
+        tilde = np.zeros((2, 3, 2))
+        tilde[0, :, 0] = 1.0
+        tilde[1, :, 1] = 1.0
+        model = tmp_path / "model.json"
+        model.write_text(serialize_model(
+            CollapsedModel(CategoricalSchema([2, 2, 2]), [0.5, 0.5], tilde)))
+        inp = tmp_path / "data.csv"
+        inp.write_text("a,b,c\n1,1,NA\n1,1,1\n1,2,NA\n")
+        rc = cli.main(["impute", str(inp), str(model), "--out",
+                       str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert "error: row 2 has probability zero" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_mixture_with_masking(self, tmp_path):
@@ -208,6 +234,17 @@ class TestSimulate:
         data = parse_dataset(out.read_text(), CategoricalSchema([2, 2, 2]))
         assert data.n_missing() == 0
         assert mask_out.read_text() == "row,column,value\n"
+
+    @pytest.mark.parametrize("protocol", ["mixture", "xor"])
+    def test_writes_what_the_library_simulates(self, tmp_path, protocol):
+        out = tmp_path / "data.csv"
+        truth = tmp_path / "truth.json"
+        assert cli.main(["simulate", "--protocol", protocol, "--seed", "4",
+                         "--out", str(out), "--truth-out", str(truth)]) == 0
+        data, model = metrics.simulate(protocol, seed=4)
+        assert data.n_rows == {"mixture": 50, "xor": 300}[protocol]
+        assert out.read_text() == dataset_to_csv(data)
+        assert truth.read_text() == serialize_model(model)
 
 
 class TestBenchmark:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catmix.core import (
+    DEFAULT_CELL_LIMIT,
     CategoricalSchema,
     CollapsedModel,
     Dataset,
@@ -14,7 +15,6 @@ from catmix.core import (
     MissingnessTable,
     ModelState,
     ParseError,
-    Priors,
     dataset_to_csv,
     deserialize_model,
     deserialize_models,
@@ -67,39 +67,6 @@ class TestDataset:
         d = Dataset(CategoricalSchema([2]), [[1]])
         with pytest.raises(ValueError):
             d.cells[0, 0] = 2
-
-
-class TestPriors:
-    def test_flat_factory(self):
-        s = CategoricalSchema([2, 3])
-        pr = Priors.flat(s)
-        assert pr.alpha == 0.25
-        assert [b.tolist() for b in pr.beta] == [[1, 1, 1], [1, 1, 1, 1]]
-
-    def test_rejects_nonpositive_alpha(self):
-        s = CategoricalSchema([2])
-        for alpha in (0.0, -1.0, float("nan")):
-            with pytest.raises(ValueError, match="alpha"):
-                Priors.flat(s, alpha=alpha)
-
-    def test_rejects_bad_beta(self):
-        with pytest.raises(ValueError, match="beta"):
-            Priors(alpha=1.0, beta=(np.array([1.0, 1.0]),))
-        with pytest.raises(ValueError, match="positive"):
-            Priors(alpha=1.0, beta=(np.array([1.0, 0.0, 1.0]),))
-
-    def test_matches_checks_lengths(self):
-        s = CategoricalSchema([2, 2])
-        pr = Priors.flat(CategoricalSchema([2, 3]))
-        with pytest.raises(ValueError):
-            pr.matches(s)
-
-    def test_beta_padded(self):
-        s = CategoricalSchema([2, 3])
-        pad = Priors.flat(s).beta_padded(s)
-        assert pad.shape == (2, 4)
-        assert pad[0].tolist() == [1, 1, 1, 0]
-        assert pad[1].tolist() == [1, 1, 1, 1]
 
 
 class TestModelState:
@@ -165,9 +132,12 @@ class TestJointDistribution:
             JointDistribution(CategoricalSchema([2]), np.array([0.6, 0.6]))
 
     def test_rejects_tables_over_the_cell_limit(self):
-        schema = CategoricalSchema([2, 2])
-        with pytest.raises(ValueError, match="limit"):
-            JointDistribution(schema, np.full((2, 2), 0.25), cell_limit=3)
+        # nine 7-level variables span 7**9 = 40,353,607 cells; the refusal
+        # comes before the table's shape is even looked at
+        schema = CategoricalSchema([7] * 9)
+        assert schema.n_cells() > DEFAULT_CELL_LIMIT
+        with pytest.raises(ValueError, match="limit is 10000000"):
+            JointDistribution(schema, np.ones(1))
 
 
 class TestMissingnessTable:

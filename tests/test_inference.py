@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -201,6 +202,17 @@ class TestImpute:
         with pytest.raises(ValueError, match="cardinalities"):
             impute(data, m)
 
+    def test_impossible_row_is_named_by_its_dataset_index(self):
+        # components all-1 and all-2; row 1 is complete and not imputed,
+        # row 2 mixes codes 1 and 2 and fits neither component
+        tilde = np.zeros((2, 3, 2))
+        tilde[0, :, 0] = 1.0
+        tilde[1, :, 1] = 1.0
+        m = CollapsedModel(CategoricalSchema([2, 2, 2]), [0.5, 0.5], tilde)
+        data = Dataset(m.schema, [[1, 1, 0], [1, 1, 1], [1, 2, 0]])
+        with pytest.raises(ValueError, match="^row 2 has probability zero"):
+            impute(data, m)
+
 
 class TestPoolDraws:
     def test_single_draw_is_identity(self):
@@ -250,11 +262,17 @@ class TestJointDistribution:
         assert np.array_equal(again.table, pi.table)
 
     def test_refuses_huge_tables(self):
-        schema = CategoricalSchema([10] * 10)
-        tilde = np.full((1, 10, 10), 0.1)
-        m = CollapsedModel(schema, [1.0], tilde)
-        with pytest.raises(ValueError, match="pair_marginal"):
-            joint_distribution(m)
+        # 7**9 cells: refused before the 323 MB table is allocated
+        schema = CategoricalSchema([7] * 9)
+        m = CollapsedModel(schema, [1.0], np.full((1, 9, 7), 1 / 7))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"limit 10000000\).*pair_marginal"):
+                joint_distribution(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestPairMarginal:

@@ -79,7 +79,7 @@ class TestReplicationReport:
             {"accuracy": 0.6, "correlation_gap": 7.0, "estimated_k": 4.0},
         )
         return ReplicationReport("mixture", MechanismSpec.mcar(), reps,
-                                 GibbsConfig(), seed=11)
+                                 seed=11)
 
     def test_means_and_sds(self):
         r = self._report()
@@ -92,7 +92,7 @@ class TestReplicationReport:
 
     def test_single_replication_has_nan_spread(self):
         r = ReplicationReport("xor", MechanismSpec.mcar(),
-                              ({"accuracy": 0.9},), GibbsConfig())
+                              ({"accuracy": 0.9},))
         assert math.isnan(r.sds["accuracy"])
         assert r.means["accuracy"] == 0.9
 

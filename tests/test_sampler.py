@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catmix.core import CategoricalSchema, Dataset, ModelState, Priors
+from catmix.core import CategoricalSchema, Dataset, ModelState
 from catmix.sampler import (
     GibbsConfig,
     assignment_weights,
@@ -38,7 +38,7 @@ def _pair_state(psi_row):
 class TestInitState:
     def test_one_component_per_row(self):
         data = Dataset(CategoricalSchema([2, 3]), [[1, 0], [2, 3], [0, 1]])
-        state = init_state(data, Priors.flat(data.schema), seed=0)
+        state = init_state(data, GibbsConfig(), seed=0)
         assert state.k == 3
         assert state.assignments.tolist() == [0, 1, 2]
         assert state.counts.tolist() == [1, 1, 1]
@@ -47,20 +47,20 @@ class TestInitState:
 
     def test_single_row(self):
         data = Dataset(CategoricalSchema([2]), [[1]])
-        state = init_state(data, Priors.flat(data.schema), seed=0)
+        state = init_state(data, GibbsConfig(), seed=0)
         assert state.k == 1
 
     def test_deterministic(self):
         data = Dataset(CategoricalSchema([2, 2]), [[1, 2], [2, 1]])
-        pr = Priors.flat(data.schema)
-        a = init_state(data, pr, seed=42)
-        b = init_state(data, pr, seed=42)
+        cfg = GibbsConfig()
+        a = init_state(data, cfg, seed=42)
+        b = init_state(data, cfg, seed=42)
         assert np.array_equal(a.psi, b.psi)
 
     def test_rejects_empty_dataset(self):
         data = Dataset(CategoricalSchema([2]), np.zeros((0, 1), dtype=int))
         with pytest.raises(ValueError, match="empty"):
-            init_state(data, Priors.flat(data.schema))
+            init_state(data, GibbsConfig())
 
 
 class TestAssignmentWeights:
@@ -72,9 +72,24 @@ class TestAssignmentWeights:
         # normalized: (36/41, 5/41).
         data = _binary_pair_data()
         w = assignment_weights(1, _pair_state([0.1, 0.6, 0.3]), data,
-                               Priors.flat(data.schema))
+                               GibbsConfig())
         np.testing.assert_allclose(w, [36 / 41, 5 / 41], rtol=1e-12)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_new_component_weight_is_the_same_for_every_row(self):
+        # under a fresh flat Dirichlet each code of variable j, the missing
+        # code included, has marginal probability 1 / (d_j + 1)
+        data = Dataset(CategoricalSchema([2, 4, 3]), [[1, 0, 3], [0, 4, 2]])
+        psi = np.array([[[0.2, 0.3, 0.5, 0.0, 0.0],
+                         [0.1, 0.2, 0.3, 0.15, 0.25],
+                         [0.25, 0.25, 0.25, 0.25, 0.0]]])
+        state = ModelState(data.schema, [0, 0], [2], psi)
+        cfg = GibbsConfig(alpha=0.7, beta=2.5)
+        new = 0.7 / (3 * 5 * 4)
+        for row, existing in ((0, 0.3 * 0.1 * 0.25), (1, 0.2 * 0.25 * 0.25)):
+            w = assignment_weights(row, state, data, cfg)
+            np.testing.assert_allclose(
+                w, np.array([existing, new]) / (existing + new), rtol=1e-12)
 
     def test_singleton_component_vanishes(self):
         data = Dataset(CategoricalSchema([2]), [[1], [2]])
@@ -82,34 +97,35 @@ class TestAssignmentWeights:
             data.schema, [0, 1], [1, 1],
             np.full((2, 1, 3), 1 / 3),
         )
-        w = assignment_weights(1, state, data, Priors.flat(data.schema))
+        w = assignment_weights(1, state, data, GibbsConfig())
         assert w.shape == (2,)  # one surviving component + "new"
 
     def test_huge_alpha_prefers_a_new_component(self):
         data = _binary_pair_data()
         w = assignment_weights(1, _pair_state([0.1, 0.6, 0.3]), data,
-                               Priors.flat(data.schema, alpha=1e9))
+                               GibbsConfig(alpha=1e9))
         assert w[-1] > 0.999
 
     def test_zero_likelihood_component_gets_zero_weight(self):
         data = _binary_pair_data()
         w = assignment_weights(1, _pair_state([0.5, 0.0, 0.5]), data,
-                               Priors.flat(data.schema))
+                               GibbsConfig())
         assert w.tolist() == [0.0, 1.0]
 
     def test_row_out_of_range(self):
         data = _binary_pair_data()
         with pytest.raises(ValueError, match="row"):
             assignment_weights(5, _pair_state([0.1, 0.6, 0.3]), data,
-                               Priors.flat(data.schema))
+                               GibbsConfig())
 
 
 class TestSampleAssignment:
     def test_certain_stay_keeps_state(self):
         data = _binary_pair_data()
         state = _pair_state([0.1, 0.6, 0.3])
-        pr = Priors.flat(data.schema)
-        out = sample_assignment(1, np.array([1.0, 0.0]), state, data, pr, 0)
+        cfg = GibbsConfig()
+        out = sample_assignment(1, np.array([1.0, 0.0]), state, data, cfg,
+                                0)
         assert out.assignments.tolist() == [0, 0]
         assert out.counts.tolist() == [2]
         assert np.array_equal(out.psi, state.psi)
@@ -117,10 +133,10 @@ class TestSampleAssignment:
     def test_certain_birth_opens_component(self):
         data = _binary_pair_data()
         state = _pair_state([0.1, 0.6, 0.3])
-        pr = Priors.flat(data.schema)
+        cfg = GibbsConfig()
         for seed in range(5):
             out = sample_assignment(1, np.array([0.0, 1.0]), state, data,
-                                    pr, seed)
+                                    cfg, seed)
             assert out.k == 2
             assert out.assignments.tolist() == [0, 1]
             assert out.counts.tolist() == [1, 1]
@@ -132,12 +148,12 @@ class TestSampleAssignment:
         data = Dataset(CategoricalSchema([2]), [[1], [2]])
         state = ModelState(data.schema, [0, 1], [1, 1],
                            np.full((2, 1, 3), 1 / 3))
-        pr = Priors.flat(data.schema)
+        cfg = GibbsConfig()
         # after detaching row 1 its singleton component is gone, so a
         # 3-long vector no longer matches
         with pytest.raises(ValueError, match="shape"):
             sample_assignment(1, np.array([0.2, 0.3, 0.5]), state, data,
-                              pr, 0)
+                              cfg, 0)
 
 
 class TestPruneAndRelabel:
@@ -179,19 +195,19 @@ class TestUpdatePsi:
         data = Dataset(CategoricalSchema([2]), [[1]] * 5)
         state = ModelState(data.schema, [0] * 5, [5],
                            np.full((1, 1, 3), 1 / 3))
-        pr = Priors.flat(data.schema)
+        cfg = GibbsConfig()
         rng = np.random.default_rng(123)
         acc = np.zeros(3)
         reps = 4000
         for _ in range(reps):
-            acc += update_psi(state, data, pr, rng).psi[0, 0]
+            acc += update_psi(state, data, cfg, rng).psi[0, 0]
         np.testing.assert_allclose(acc / reps, [1 / 8, 6 / 8, 1 / 8],
                                    atol=0.02)
 
     def test_keeps_padding_zero(self):
         data = Dataset(CategoricalSchema([2, 3]), [[1, 3], [2, 1]])
-        state = init_state(data, Priors.flat(data.schema), seed=1)
-        out = update_psi(state, data, Priors.flat(data.schema), 2)
+        state = init_state(data, GibbsConfig(), seed=1)
+        out = update_psi(state, data, GibbsConfig(), 2)
         assert (out.psi[:, 0, 3] == 0.0).all()
         out.validate()
 
@@ -230,7 +246,7 @@ class TestCollapseState:
 
     def test_mixed_cardinality_padding(self):
         data = Dataset(CategoricalSchema([2, 3]), [[1, 3], [2, 1], [0, 2]])
-        state = init_state(data, Priors.flat(data.schema), seed=3)
+        state = init_state(data, GibbsConfig(), seed=3)
         model = collapse_state(state, data)
         assert (model.tilde_psi[:, 0, 2] == 0.0).all()
         np.testing.assert_allclose(
@@ -251,17 +267,17 @@ def _toy_data(seed=0, n=8):
 def test_public_steps_compose_into_one_sweep():
     """Chaining the single-step operations reproduces iterate_states."""
     data = _toy_data(1)
-    pr = Priors.flat(data.schema)
+    cfg = GibbsConfig()
 
     rng = np.random.default_rng(11)
-    state = init_state(data, pr, rng)
+    state = init_state(data, cfg, rng)
     for i in range(data.n_rows):
-        w = assignment_weights(i, state, data, pr)
-        state = sample_assignment(i, w, state, data, pr, rng)
+        w = assignment_weights(i, state, data, cfg)
+        state = sample_assignment(i, w, state, data, cfg, rng)
     state = prune_and_relabel(state)
-    state = update_psi(state, data, pr, rng)
+    state = update_psi(state, data, cfg, rng)
 
-    swept = next(iterate_states(data, pr, sweeps=1, seed=11))
+    swept = next(iterate_states(data, cfg, sweeps=1, seed=11))
     assert np.array_equal(state.assignments, swept.assignments)
     assert np.array_equal(state.counts, swept.counts)
     assert np.array_equal(state.psi, swept.psi)
@@ -315,7 +331,8 @@ class TestGibbsConfig:
             GibbsConfig(thin=0)
 
     @pytest.mark.parametrize("field", ["alpha", "beta"])
-    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize(
+        "value", [0.0, -1.0, float("inf"), float("nan")])
     def test_rejects_nonpositive_priors(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be positive"):
             GibbsConfig(**{field: value})
@@ -326,8 +343,7 @@ class TestGibbsConfig:
         cfg = GibbsConfig(burnin=0, samples=1, thin=1, alpha=1e12, beta=2.0)
         out = run_gibbs(data, config=cfg, seed=0)
         manual = next(iterate_states(
-            data, Priors.flat(data.schema, alpha=1e12, beta_value=2.0),
-            sweeps=1, seed=0))
+            data, GibbsConfig(alpha=1e12, beta=2.0), sweeps=1, seed=0))
         assert np.array_equal(out.final_state.psi, manual.psi)
         assert out.final_state.k == data.n_rows
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from catmix.core import CategoricalSchema, Dataset, ParseError
+from catmix.core import CategoricalSchema, Dataset, ParseError, padded_dirichlet
 from catmix.synth import (
     MaskResult,
     MechanismSpec,
@@ -58,6 +58,25 @@ class TestSampleMixtureDataset:
         assert data.schema.cardinalities == (2, 4, 3)
         assert (data.cells <= np.array([2, 4, 3])).all()
         assert (truth.tilde_psi[:, 0, 2:] == 0).all()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_cells_match_the_dense_cumsum_formula(self, seed):
+        # replay the generator's stream and draw every cell at once from
+        # the (n, p, D) cumulative sums of each row's component
+        n, k, cards = 60, 3, np.array([2, 5, 3, 9, 2, 4])
+        data, truth = sample_mixture_dataset(n=n, p=cards.size, k=k,
+                                             cardinality=cards, seed=seed)
+        rng = np.random.default_rng(seed)
+        rng.dirichlet(np.full(k, 10.0))
+        conc = np.zeros((k, cards.size, cards.max()))
+        for j, d in enumerate(cards):
+            conc[:, j, :d] = 0.5
+        padded_dirichlet(conc, rng)
+        z = rng.choice(k, size=n, p=truth.theta)
+        u = rng.random((n, cards.size))
+        edges = np.cumsum(truth.tilde_psi[z], axis=2)
+        idx = np.minimum((u[:, :, None] > edges).sum(axis=2), cards - 1)
+        assert np.array_equal(data.cells, idx + 1)
 
     def test_empirical_frequencies_match_the_truth(self):
         data, truth = sample_mixture_dataset(n=50_000, p=5, seed=2)
