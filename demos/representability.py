@@ -21,6 +21,7 @@ from catmix import (
     joint_distribution,
     verify_construction,
 )
+from catmix.core import rescale_missing
 
 rng = np.random.default_rng(3)
 schema = CategoricalSchema([2, 3, 2])
@@ -42,7 +43,7 @@ print(f"missingness error:  {report.q_error}")
 
 # The rescaled components are exact point masses, so rebuilding the
 # joint recovers pi bit for bit.
-tilde = augmented.psi[:, :, 1:] / (1 - augmented.psi[:, :, :1])
+tilde = rescale_missing(augmented.psi)
 implied = joint_distribution(
     CollapsedModel(schema, augmented.theta, tilde))
 print(f"tables identical: {np.array_equal(implied.table, pi.table)}")

@@ -25,44 +25,26 @@ __all__ = ["main", "build_parser"]
 # Flag helpers
 # ---------------------------------------------------------------------------
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
+def _bounded(cast, ok, rule: str):
+    """Flag type: convert with ``cast``, then require ``ok(value)``."""
+    kind = "a number" if cast is float else "an integer"
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {kind}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text}")
+        return value
+
+    return parse
 
 
-def _rate(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
-
-
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
+_positive_float = _bounded(float, lambda v: v > 0, "must be positive")
+_rate = _bounded(float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
+_positive_int = _bounded(int, lambda v: v >= 1, "must be >= 1")
+_nonneg_int = _bounded(int, lambda v: v >= 0, "must be >= 0")
 
 
 def _rate_pair(text: str) -> tuple[float, float]:
@@ -246,12 +228,7 @@ def _cmd_benchmark(args) -> int:
     def on_result(i: int, rep: dict) -> None:
         results.append(rep)
         if out is not None:
-            if i == 0:
-                out.write(",".join(("replication",) + tuple(rep)) + "\n")
-            out.write(
-                ",".join([str(i)] + [repr(float(v)) for v in rep.values()])
-                + "\n"
-            )
+            out.writelines(metrics.csv_lines(i, rep))
             out.flush()
         shown = ", ".join(f"{k}={v:.4f}" for k, v in rep.items())
         _log(f"replication {i + 1}/{args.reps}: {shown}")

@@ -108,6 +108,42 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_shape(a: np.ndarray, shape: tuple, name: str) -> None:
+    if a.shape != shape:
+        raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+
+
+def _check_weights(w: np.ndarray, name: str, tol: float) -> None:
+    """Raise ValueError unless ``w`` is a nonempty vector of finite,
+    nonnegative entries whose sum lies within ``tol`` of 1."""
+    if w.ndim != 1 or w.size < 1:
+        raise ValueError(f"{name} must be a nonempty vector")
+    if not np.isfinite(w).all() or (w < 0).any():
+        raise ValueError(f"{name} entries must be finite and nonnegative")
+    total = w.sum()
+    if abs(total - 1.0) > tol:
+        raise ValueError(f"{name} sums to {total!r}, expected 1")
+
+
+def _check_tables(a: np.ndarray, schema: CategoricalSchema, k: int,
+                  offset: int, name: str, tol: float) -> None:
+    """Raise ValueError unless ``a`` is a ``(k, p, D + offset)`` stack of
+    zero padded probability vectors, finite, nonnegative and summing to 1
+    within ``tol``; ``offset`` is 1 with the missing code and 0 without."""
+    width = schema.max_cardinality + offset
+    _check_shape(a, (k, schema.n_variables, width), name)
+    if not np.isfinite(a).all() or (a < 0).any():
+        raise ValueError(f"{name} entries must be finite and nonnegative")
+    padding = np.arange(width) >= schema.codes_array()[:, None] + offset
+    stray = (a * padding).any(axis=(0, 2))
+    if stray.any():
+        raise ValueError(f"{name} padding of variable {stray.argmax()} is not zero")
+    # with the padding zero, summing the full width sums each vector
+    off = (np.abs(a.sum(axis=2) - 1.0) > tol).any(axis=0)
+    if off.any():
+        raise ValueError(f"{name} rows of variable {off.argmax()} do not sum to 1")
+
+
 @dataclass(frozen=True)
 class CategoricalSchema:
     """Cardinalities of a block of categorical variables.
@@ -254,12 +290,7 @@ class ModelState:
     def validate(self) -> None:
         """Check the structural invariants, raising ValueError on failure."""
         k = self.k
-        p = self.schema.n_variables
-        width = self.schema.max_cardinality + 1
-        if self.psi.shape != (k, p, width):
-            raise ValueError(
-                f"psi has shape {self.psi.shape}, expected {(k, p, width)}"
-            )
+        _check_tables(self.psi, self.schema, k, 1, "psi", 1e-10)
         if (self.counts <= 0).any():
             raise ValueError("every retained component must be occupied")
         if self.counts.sum() != self.n_rows:
@@ -269,14 +300,6 @@ class ModelState:
         obs = np.bincount(self.assignments, minlength=k)
         if not np.array_equal(obs, self.counts):
             raise ValueError("counts disagree with assignments")
-        if (self.psi < 0).any():
-            raise ValueError("psi entries must be nonnegative")
-        for j, d in enumerate(self.schema.cardinalities):
-            sums = self.psi[:, j, : d + 1].sum(axis=1)
-            if not np.allclose(sums, 1.0, rtol=0, atol=1e-10):
-                raise ValueError(f"psi rows of variable {j} do not sum to 1")
-            if self.psi[:, j, d + 1 :].any():
-                raise ValueError(f"psi padding of variable {j} is not zero")
 
 
 @dataclass(frozen=True)
@@ -302,27 +325,8 @@ class CollapsedModel:
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=np.float64)
         tilde = np.asarray(self.tilde_psi, dtype=np.float64)
-        p = self.schema.n_variables
-        width = self.schema.max_cardinality
-        if theta.ndim != 1 or theta.size < 1:
-            raise ValueError("theta must be a nonempty vector")
-        k = theta.size
-        if tilde.shape != (k, p, width):
-            raise ValueError(
-                f"tilde_psi has shape {tilde.shape}, expected {(k, p, width)}"
-            )
-        if (theta < 0).any() or abs(theta.sum() - 1.0) > LOAD_TOL:
-            raise ValueError("theta must be nonnegative and sum to 1")
-        if (tilde < 0).any():
-            raise ValueError("tilde_psi entries must be nonnegative")
-        for j, d in enumerate(self.schema.cardinalities):
-            sums = tilde[:, j, :d].sum(axis=1)
-            if np.abs(sums - 1.0).max() > LOAD_TOL:
-                raise ValueError(
-                    f"tilde_psi rows of variable {j} do not sum to 1"
-                )
-            if tilde[:, j, d:].any():
-                raise ValueError(f"tilde_psi padding of variable {j} is not zero")
+        _check_weights(theta, "theta", LOAD_TOL)
+        _check_tables(tilde, self.schema, theta.size, 0, "tilde_psi", LOAD_TOL)
         object.__setattr__(self, "theta", _readonly(theta))
         object.__setattr__(self, "tilde_psi", _readonly(tilde))
 
@@ -357,15 +361,8 @@ class JointDistribution:
                 f"limit is {DEFAULT_CELL_LIMIT}"
             )
         table = np.asarray(self.table, dtype=np.float64)
-        if table.shape != tuple(self.schema.cardinalities):
-            raise ValueError(
-                f"table has shape {table.shape}, expected "
-                f"{tuple(self.schema.cardinalities)}"
-            )
-        if (table < 0).any():
-            raise ValueError("joint probabilities must be nonnegative")
-        if abs(table.sum() - 1.0) > 1e-9:
-            raise ValueError(f"joint table sums to {table.sum()!r}, expected 1")
+        _check_shape(table, tuple(self.schema.cardinalities), "table")
+        _check_weights(table.ravel(), "joint table", 1e-9)
         object.__setattr__(self, "table", _readonly(table))
 
 
@@ -382,14 +379,9 @@ class MissingnessTable:
     q: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(self.schema.cardinalities)
         q = np.asarray(self.q, dtype=np.float64)
-        if q.shape != (self.schema.n_variables,) + dims:
-            raise ValueError(
-                f"q has shape {q.shape}, expected "
-                f"{(self.schema.n_variables,) + dims}"
-            )
-        if (q < 0).any() or (q > 1).any():
+        _check_shape(q, (self.schema.n_variables, *self.schema.cardinalities), "q")
+        if not ((q >= 0) & (q <= 1)).all():
             raise ValueError("missingness probabilities must lie in [0, 1]")
         object.__setattr__(self, "q", _readonly(q))
 
@@ -521,8 +513,8 @@ def model_from_dict(obj) -> CollapsedModel:
     ------
     LoadError
         If required keys are missing, shapes are inconsistent, entries
-        are negative, or a probability vector deviates from sum 1 by
-        more than 1e-8.
+        are negative or not finite, or a probability vector deviates
+        from sum 1 by more than 1e-8.
     """
     if not isinstance(obj, dict):
         raise LoadError(f"model document must be an object, got {type(obj).__name__}")

@@ -21,6 +21,9 @@ from catmix.core import (
     Dataset,
     JointDistribution,
     MissingnessTable,
+    _check_shape,
+    _check_tables,
+    _check_weights,
     as_generator,
     rescale_missing,
 )
@@ -246,10 +249,7 @@ def _log_class_posteriors(model: CollapsedModel, cells: np.ndarray,
 def _check_row(row, model: CollapsedModel) -> np.ndarray:
     row = np.asarray(row, dtype=np.int64)
     cards = model.schema.codes_array()
-    if row.shape != (model.n_variables,):
-        raise ValueError(
-            f"row has shape {row.shape}, expected ({model.n_variables},)"
-        )
+    _check_shape(row, (model.n_variables,), "row")
     if (row < 0).any() or (row > cards).any():
         raise ValueError("row codes must lie in 0 .. d_j for each variable")
     return row
@@ -455,8 +455,8 @@ def pairwise_independence(model: CollapsedModel, n: int) -> list[tuple[int, int,
 class AugmentedModel:
     """A mixture whose category vectors still include the missing code.
 
-    One component per represented cell combination: component ``h``
-    describes the complete row ``cells[h]`` and places the cell's
+    In a saturated construction component ``h`` describes one complete
+    row, the argmax of its rescaled vectors, and places that cell's
     missingness probability on code 0.
 
     Attributes
@@ -465,34 +465,19 @@ class AugmentedModel:
     theta : ndarray, shape (k,)
     psi : ndarray, shape (k, p, D + 1)
         Probabilities over codes ``0 .. d_j``, zero padded.
-    cells : ndarray of int, shape (k, p)
-        The complete category combination each component represents.
     """
 
     schema: CategoricalSchema
     theta: np.ndarray
     psi: np.ndarray
-    cells: np.ndarray
 
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=np.float64)
         psi = np.asarray(self.psi, dtype=np.float64)
-        cells = np.asarray(self.cells, dtype=np.int64)
-        k = theta.size
-        p = self.schema.n_variables
-        if psi.shape != (k, p, self.schema.max_cardinality + 1):
-            raise ValueError("psi shape inconsistent with theta and schema")
-        if cells.shape != (k, p):
-            raise ValueError("cells shape inconsistent with theta and schema")
-        if (theta < 0).any() or abs(theta.sum() - 1.0) > 1e-9:
-            raise ValueError("theta must be nonnegative and sum to 1")
-        for j, d in enumerate(self.schema.cardinalities):
-            sums = psi[:, j, : d + 1].sum(axis=1)
-            if k and np.abs(sums - 1.0).max() > 1e-9:
-                raise ValueError(f"psi rows of variable {j} do not sum to 1")
+        _check_weights(theta, "theta", 1e-9)
+        _check_tables(psi, self.schema, theta.size, 1, "psi", 1e-9)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "cells", cells)
 
     @property
     def k(self) -> int:
@@ -514,6 +499,22 @@ class ConstructionReport:
     q_error: float
 
 
+def _point_masses(pi: JointDistribution, q: MissingnessTable | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and psi of :func:`construct_saturated_model`, with the
+    positive cells in C order; without ``q`` code 0 gets no mass."""
+    schema = pi.schema
+    positive = np.nonzero(pi.table > 0)
+    theta = pi.table[positive]
+    k, p = theta.size, schema.n_variables
+    rate = np.zeros((k, p)) if q is None else q.q[(slice(None),) + positive].T
+    psi = np.zeros((k, p, schema.max_cardinality + 1))
+    comp, var = np.arange(k)[:, None], np.arange(p)[None, :]
+    psi[comp, var, 0] = rate
+    psi[comp, var, np.stack(positive, axis=1) + 1] = 1.0 - rate
+    return theta, psi
+
+
 def saturated_model(pi: JointDistribution) -> CollapsedModel:
     """Exact mixture representation of a joint table.
 
@@ -521,14 +522,8 @@ def saturated_model(pi: JointDistribution) -> CollapsedModel:
     for feeding exact ground-truth joints to model-based summaries such
     as :func:`correlation_matrix`.
     """
-    schema = pi.schema
-    positive = np.argwhere(pi.table > 0)
-    theta = pi.table[tuple(positive.T)]
-    tilde = np.zeros((positive.shape[0], schema.n_variables,
-                      schema.max_cardinality))
-    for h, idx in enumerate(positive):
-        tilde[h, np.arange(schema.n_variables), idx] = 1.0
-    return CollapsedModel(schema, theta, tilde)
+    theta, psi = _point_masses(pi)
+    return CollapsedModel(pi.schema, theta, rescale_missing(psi))
 
 
 def construct_saturated_model(pi: JointDistribution,
@@ -544,20 +539,7 @@ def construct_saturated_model(pi: JointDistribution,
     """
     if pi.schema.cardinalities != q.schema.cardinalities:
         raise ValueError("joint table and missingness table schemas differ")
-    schema = pi.schema
-    p = schema.n_variables
-    width = schema.max_cardinality + 1
-
-    positive = np.argwhere(pi.table > 0)
-    k = positive.shape[0]
-    theta = pi.table[tuple(positive.T)]
-    psi = np.zeros((k, p, width))
-    for h, idx in enumerate(positive):
-        for j in range(p):
-            rate = q.q[(j, *idx)]
-            psi[h, j, 0] = rate
-            psi[h, j, idx[j] + 1] = 1.0 - rate
-    return AugmentedModel(schema, theta, psi, positive + 1)
+    return AugmentedModel(pi.schema, *_point_masses(pi, q))
 
 
 def verify_construction(augmented: AugmentedModel, pi: JointDistribution,
@@ -567,7 +549,8 @@ def verify_construction(augmented: AugmentedModel, pi: JointDistribution,
     The augmented model is rescaled exactly like a chain state (divide
     the observable mass of each vector by one minus its missing mass),
     the implied joint table is rebuilt, and both it and the implied
-    missingness probabilities are compared to the targets.
+    missingness probabilities are compared to the targets.  Each
+    component's cell is read as the argmax of its rescaled vectors.
 
     Returns
     -------
@@ -582,10 +565,7 @@ def verify_construction(augmented: AugmentedModel, pi: JointDistribution,
     implied = joint_distribution(model)
     pi_error = float(np.abs(implied.table - pi.table).max())
 
-    q_error = 0.0
-    for h in range(augmented.k):
-        idx = tuple(augmented.cells[h] - 1)
-        for j in range(augmented.schema.n_variables):
-            dev = abs(float(augmented.psi[h, j, 0]) - float(q.q[(j, *idx)]))
-            q_error = max(q_error, dev)
+    cells = tuple(tilde.argmax(axis=2).T)
+    target = q.q[(slice(None),) + cells].T
+    q_error = float(np.abs(augmented.psi[:, :, 0] - target).max())
     return ConstructionReport(pi_error=pi_error, q_error=q_error)

@@ -37,6 +37,7 @@ __all__ = [
     "PROTOCOLS",
     "ReplicationReport",
     "correlation_gap",
+    "csv_lines",
     "imputation_accuracy",
     "run_replications",
     "simulate",
@@ -94,6 +95,14 @@ def correlation_gap(estimated: np.ndarray, truth: np.ndarray) -> float:
     return float(((estimated - truth) ** 2).sum())
 
 
+def csv_lines(i: int, metrics: dict) -> list[str]:
+    """Replication ``i``'s CSV row, preceded by the header when ``i == 0``;
+    each line ends in a newline, metrics in dictionary order."""
+    row = ",".join([str(i)] + [repr(float(v)) for v in metrics.values()])
+    header = [",".join(("replication",) + tuple(metrics)) + "\n"] if i == 0 else []
+    return header + [row + "\n"]
+
+
 @dataclass(frozen=True)
 class ReplicationReport:
     """Per-replication benchmark metrics with summary statistics.
@@ -143,11 +152,8 @@ class ReplicationReport:
 
     def to_csv(self) -> str:
         """One row per replication, columns in metric order."""
-        names = self.metric_names
-        lines = [",".join(("replication",) + names)]
-        for i, rep in enumerate(self.per_replication):
-            lines.append(",".join([str(i)] + [repr(float(rep[m])) for m in names]))
-        return "\n".join(lines) + "\n"
+        return "".join(line for i, rep in enumerate(self.per_replication)
+                       for line in csv_lines(i, rep))
 
     def summary(self) -> dict:
         """JSON-friendly summary block."""

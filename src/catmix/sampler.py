@@ -61,6 +61,10 @@ __all__ = [
     "update_psi",
 ]
 
+# Largest accepted ``beta``: a Dirichlet draw sums gammas of shape about
+# beta over a variable's codes, which overflows near 1e308.
+_BETA_MAX = 1e300
+
 
 @dataclass(frozen=True)
 class GibbsConfig:
@@ -78,7 +82,7 @@ class GibbsConfig:
         Concentration of the partition prior.
     beta : float
         Flat Dirichlet pseudo-count of every code of every variable,
-        the missing code included.
+        the missing code included; at most 1e300.
     """
 
     burnin: int = 200
@@ -96,6 +100,9 @@ class GibbsConfig:
             v = getattr(self, name)
             if not (v > 0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be positive and finite, got {v}")
+        if self.beta > _BETA_MAX:
+            raise ValueError(
+                f"beta must be at most {_BETA_MAX:g}, got {self.beta:g}")
 
     @property
     def total_sweeps(self) -> int:

@@ -2,6 +2,7 @@ import json
 import math
 import shutil
 import subprocess
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,22 @@ class TestFit:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_huge_beta_is_refused_with_its_bound(self, tmp_path, capsys):
+        inp = tmp_path / "sim.csv"
+        rc = cli.main(["simulate", "--protocol", "mixture", "--n", "30",
+                       "--p", "5", "--seed", "0", "--out", str(inp)])
+        assert rc == 0
+        capsys.readouterr()
+        out = tmp_path / "x.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["fit", str(inp), "--out", str(out),
+                           "--beta", "1e308"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: beta must be at most 1e+300, got 1e+308\n"
+        assert not out.exists()
+
     def test_missing_input_file(self, tmp_path, capsys):
         rc = cli.main(["fit", str(tmp_path / "nope.csv"), "--out", "x.json"])
         assert rc == 1
@@ -170,6 +187,22 @@ class TestImpute:
                        str(tmp_path / "x.csv")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_nan_model_fails_cleanly(self, tmp_path, capsys):
+        inp = _toy_csv(tmp_path)
+        doc = json.loads(_fit(tmp_path, inp, ("--summary",)).read_text())
+        doc["tildePsi"][0][1][0] = math.nan
+        model = tmp_path / "nan.json"
+        model.write_text(json.dumps(doc))
+        assert "NaN" in model.read_text()
+        capsys.readouterr()
+        out = tmp_path / "x.csv"
+        rc = cli.main(["impute", str(inp), str(model), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+        assert not (tmp_path / "x.csv.cells.csv").exists()
 
     def test_impossible_row_is_named_by_its_dataset_index(self, tmp_path,
                                                           capsys):
@@ -271,6 +304,8 @@ class TestBenchmark:
             assert float(fields[1]) == rep["accuracy"]
             assert float(fields[2]) == rep["correlation_gap"]
             assert float(fields[3]) == rep["estimated_k"]
+
+        assert out.read_text() == report.to_csv()
 
         blob = json.loads(summary.read_text())
         assert blob["replications"] == 2

@@ -105,13 +105,16 @@ class TestModelState:
 class TestCollapsedModel:
     def test_rejects_bad_theta_sum(self):
         schema = CategoricalSchema([2])
-        with pytest.raises(ValueError, match="theta"):
-            CollapsedModel(schema, [0.6, 0.6], np.full((2, 1, 2), 0.5))
+        for theta in ([0.6, 0.6], [np.nan, 1.0]):
+            with pytest.raises(ValueError, match="theta"):
+                CollapsedModel(schema, theta, np.full((2, 1, 2), 0.5))
 
     def test_rejects_bad_row_sum(self):
         schema = CategoricalSchema([2])
         with pytest.raises(ValueError, match="sum to 1"):
             CollapsedModel(schema, [1.0], np.array([[[0.7, 0.7]]]))
+        with pytest.raises(ValueError, match="finite"):
+            CollapsedModel(schema, [1.0], np.array([[[np.nan, 1.0]]]))
 
     def test_rejects_nonzero_padding(self):
         schema = CategoricalSchema([2, 3])
@@ -130,6 +133,8 @@ class TestJointDistribution:
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError, match="sums to"):
             JointDistribution(CategoricalSchema([2]), np.array([0.6, 0.6]))
+        with pytest.raises(ValueError, match="finite"):
+            JointDistribution(CategoricalSchema([2]), np.array([np.nan, 1.0]))
 
     def test_rejects_tables_over_the_cell_limit(self):
         # nine 7-level variables span 7**9 = 40,353,607 cells; the refusal
@@ -148,6 +153,10 @@ class TestMissingnessTable:
             MissingnessTable(schema, np.zeros((2, 2)))
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             MissingnessTable(schema, np.full((2, 2, 2), 1.5))
+        q = np.zeros((2, 2, 2))
+        q[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            MissingnessTable(schema, q)
 
 
 class TestParseDataset:

@@ -460,7 +460,6 @@ class TestSaturatedConstruction:
         assert aug.theta.tolist() == [0.3, 0.7]
         assert aug.psi[0, 0].tolist() == [0.1, 0.9, 0.0]
         assert aug.psi[1, 0].tolist() == [0.2, 0.0, 0.8]
-        assert aug.cells.tolist() == [[1], [2]]
 
     def test_zero_probability_cells_are_skipped(self):
         schema = CategoricalSchema([2, 2])
@@ -506,11 +505,17 @@ class TestSaturatedConstruction:
     def test_augmented_model_validation(self):
         schema = CategoricalSchema([2])
         with pytest.raises(ValueError, match="sum to 1"):
-            AugmentedModel(schema, [1.0],
-                           np.array([[[0.5, 0.4, 0.0]]]), [[1]])
+            AugmentedModel(schema, [1.0], np.array([[[0.5, 0.4, 0.0]]]))
         with pytest.raises(ValueError, match="theta"):
-            AugmentedModel(schema, [0.5],
-                           np.array([[[0.0, 1.0, 0.0]]]), [[1]])
+            AugmentedModel(schema, [0.5], np.array([[[0.0, 1.0, 0.0]]]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            AugmentedModel(schema, [1.0], np.array([[[0.0, 1.5, -0.5]]]))
+        wide = CategoricalSchema([2, 3])
+        psi = np.zeros((1, 2, 4))
+        psi[0, 0] = [0.2, 0.4, 0.3, 0.1]  # stray mass beyond d_0
+        psi[0, 1] = 0.25
+        with pytest.raises(ValueError, match="padding of variable 0"):
+            AugmentedModel(wide, [1.0], psi)
 
 
 def test_xor_fit_recovers_the_third_bit():

@@ -1,5 +1,6 @@
 import io
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -336,6 +337,17 @@ class TestGibbsConfig:
     def test_rejects_nonpositive_priors(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be positive"):
             GibbsConfig(**{field: value})
+
+    def test_largest_beta_fits_a_hundred_level_column(self):
+        rng = np.random.default_rng(0)
+        cells = np.column_stack([rng.integers(1, 101, 40),
+                                 rng.integers(0, 3, 40)])
+        data = Dataset(CategoricalSchema([100, 2]), cells)
+        cfg = GibbsConfig(burnin=3, samples=2, thin=1, beta=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = run_gibbs(data, config=cfg, seed=0)
+        assert len(out.draws) == 2
 
     def test_priors_reach_the_chain(self):
         # with these priors every row opens its own component
