@@ -393,7 +393,7 @@ def largest_remainder_counts(probs, n: int) -> np.ndarray:
     position (row-major first).
     """
     probs = np.asarray(probs, dtype=np.float64)
-    if (probs < 0).any() or probs.sum() <= 0:
+    if not np.isfinite(probs).all() or (probs < 0).any() or probs.sum() <= 0:
         raise ValueError("probs must be nonnegative with positive sum")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")

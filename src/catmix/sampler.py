@@ -23,6 +23,14 @@ by occupancy (largest first, ties kept in previous order), and every
 psi is redrawn from its Dirichlet posterior given the current
 membership.
 
+A birth or a death costs O(k) bookkeeping (a birth also draws its own
+psi): components live in slots of buffers that only grow, an emptied
+component frees its slot and a new one takes a free slot, and no other
+component's probabilities are copied.  So the
+first sweep from one component per row, which sees about n deaths, no
+longer costs O(n^2 p D); what stays is the row likelihoods, O(k p) for
+each row as in any sweep.
+
 Missing cells simply carry the code 0 and participate in the products
 above like any other category; no special casing happens inside the
 sampler.  The division by the missing mass is deferred to
@@ -154,12 +162,18 @@ class PosteriorSample:
 # the sweep loop drives the same kernels on a mutable record.  Keeping a
 # single implementation guarantees that composing the public steps by hand
 # reproduces run_gibbs draw for draw.
+#
+# Components live in slots of buffers that are only ever grown: ``order``
+# lists the live slots in component order, ``free`` the empty ones, and
+# ``z`` holds each row's slot.  A death drops its slot from ``order`` and a
+# birth reuses a free slot (doubling the buffers when there is none), so
+# neither moves any other component's probabilities.
 
 class _Chain:
     __slots__ = (
-        "x", "n", "p", "width", "cols",
+        "x", "n", "p", "width", "cols", "offsets",
         "beta_pad", "new_logw",
-        "z", "counts", "psi", "log_psi",
+        "z", "counts", "psi", "log_psi", "order", "free",
     )
 
     def __init__(self, data: Dataset, config: GibbsConfig):
@@ -169,6 +183,8 @@ class _Chain:
         self.n, self.p = self.x.shape
         self.width = data.schema.max_cardinality + 1
         self.cols = np.arange(self.p)
+        # position of cell (i, j) in a flattened (p, width) table
+        self.offsets = self.cols * self.width + self.x
         cards = data.schema.codes_array()
         self.beta_pad = np.where(
             np.arange(self.width)[None, :] <= cards[:, None], config.beta, 0.0)
@@ -182,97 +198,133 @@ class _Chain:
         self.counts = None
         self.psi = None
         self.log_psi = None
+        self.order = None
+        self.free = None
+
+    @property
+    def k(self) -> int:
+        """Number of live components."""
+        return self.order.size
 
     # -- state transfer ----------------------------------------------------
 
-    def set_psi(self, psi: np.ndarray) -> None:
+    def set_state(self, z: np.ndarray, counts: np.ndarray,
+                  psi: np.ndarray) -> None:
+        """Adopt components in label order, slot ``h`` holding component
+        ``h``."""
+        k = counts.size
+        self.z = z
+        self.counts = counts
         self.psi = psi
+        # log psi is kept transposed, shape (p * width, slots), so that a
+        # row's terms for every slot are one row gather
+        self.log_psi = np.empty((self.p * self.width, k))
         with np.errstate(divide="ignore"):
-            self.log_psi = np.log(psi)
+            np.log(psi.reshape(k, -1).T, out=self.log_psi)
+        self.order = np.arange(k)
+        self.free = []
 
     def load(self, state: ModelState) -> None:
-        self.z = np.array(state.assignments)
-        self.counts = np.array(state.counts)
-        self.set_psi(np.array(state.psi))
+        self.set_state(np.array(state.assignments), np.array(state.counts),
+                       np.array(state.psi))
+
+    def labels(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's component label, and the counts in label order."""
+        rank = np.empty(self.counts.size, dtype=np.int64)
+        rank[self.order] = np.arange(self.k)
+        return rank[self.z], self.counts[self.order]
 
     def snapshot(self, schema: CategoricalSchema) -> ModelState:
-        return ModelState(
-            schema=schema,
-            assignments=self.z.copy(),
-            counts=self.counts.copy(),
-            psi=self.psi.copy(),
-        )
+        z, counts = self.labels()
+        return ModelState(schema=schema, assignments=z, counts=counts,
+                          psi=self.psi[self.order])
 
     # -- kernels -----------------------------------------------------------
 
     def init(self, rng: np.random.Generator) -> None:
         """Every row in its own component, psi drawn from the prior."""
-        self.z = np.arange(self.n)
-        self.counts = np.ones(self.n, dtype=np.int64)
         conc = np.broadcast_to(self.beta_pad, (self.n, self.p, self.width))
-        self.set_psi(padded_dirichlet(conc, rng))
+        self.set_state(np.arange(self.n), np.ones(self.n, dtype=np.int64),
+                       padded_dirichlet(conc, rng))
 
     def detach(self, i: int) -> None:
         """Remove row i from its component, dropping it if now empty."""
-        h = self.z[i]
-        self.counts[h] -= 1
+        s = self.z[i]
+        self.counts[s] -= 1
         self.z[i] = -1
-        if self.counts[h] == 0:
-            self.counts = np.delete(self.counts, h)
-            self.psi = np.delete(self.psi, h, axis=0)
-            self.log_psi = np.delete(self.log_psi, h, axis=0)
-            self.z[self.z > h] -= 1
+        if self.counts[s] == 0:
+            self.order = self.order[self.order != s]
+            self.free.append(s)
 
     def row_weights(self, i: int) -> np.ndarray:
         """Normalized reassignment probabilities for detached row i.
 
-        Entry ``h < k`` targets existing component ``h``; the last entry
-        opens a new component.
+        Entry ``h < k`` targets the ``h``-th live component; the last
+        entry opens a new component.
         """
-        loglik = self.log_psi[:, self.cols, self.x[i]].sum(axis=1)
-        logw = np.empty(self.counts.size + 1)
-        logw[:-1] = np.log(self.counts) + loglik
+        # every slot's log likelihood, each summed over the variables in
+        # order; free slots keep finite or -inf logs and are dropped here
+        loglik = self.log_psi.take(self.offsets[i], axis=0).sum(axis=0)
+        logw = np.empty(self.k + 1)
+        logw[:-1] = np.log(self.counts[self.order]) + loglik[self.order]
         logw[-1] = self.new_logw
         logw -= logw.max()
         w = np.exp(logw)
         return w / w.sum()
 
     def commit(self, i: int, h: int, rng: np.random.Generator) -> None:
-        """Attach detached row i to component h (== k opens a new one)."""
-        k = self.counts.size
-        if h < k:
-            self.z[i] = h
-            self.counts[h] += 1
+        """Attach detached row i to live component h (== k opens one)."""
+        if h < self.k:
+            s = self.order[h]
+            self.z[i] = s
+            self.counts[s] += 1
             return
         conc = self.beta_pad.copy()
         conc[self.cols, self.x[i]] += 1.0
-        fresh = padded_dirichlet(conc[None, :, :], rng)
-        self.z[i] = k
-        self.counts = np.append(self.counts, 1)
-        self.psi = np.concatenate([self.psi, fresh])
+        fresh = padded_dirichlet(conc, rng)
+        s = self._free_slot()
+        self.psi[s] = fresh
         with np.errstate(divide="ignore"):
-            self.log_psi = np.concatenate([self.log_psi, np.log(fresh)])
+            self.log_psi[:, s] = np.log(fresh).ravel()
+        self.counts[s] = 1
+        self.order = np.append(self.order, s)
+        self.z[i] = s
+
+    def _free_slot(self) -> int:
+        """A slot for a new component, doubling the buffers when full."""
+        if not self.free:
+            cap = self.counts.size
+            counts = np.zeros(2 * cap, dtype=np.int64)
+            psi = np.empty((2 * cap,) + self.psi.shape[1:])
+            # zeros, so that free slots never feed NaN into the row sums
+            log_psi = np.zeros((self.log_psi.shape[0], 2 * cap))
+            counts[:cap], psi[:cap], log_psi[:, :cap] = (
+                self.counts, self.psi, self.log_psi)
+            self.counts, self.psi, self.log_psi = counts, psi, log_psi
+            self.free = list(range(2 * cap - 1, cap - 1, -1))
+        return self.free.pop()
 
     def reassign(self, i: int, rng: np.random.Generator) -> None:
         self.detach(i)
         w = self.row_weights(i)
         self.commit(i, _pick(w, rng), rng)
 
-    def redraw_psi(self, rng: np.random.Generator) -> None:
-        """Draw every psi from its Dirichlet posterior given the members."""
-        k = self.counts.size
-        flat = (self.z[:, None] * (self.p * self.width)
-                + self.cols[None, :] * self.width + self.x)
+    def redraw_psi(self, z: np.ndarray, counts: np.ndarray,
+                   rng: np.random.Generator) -> None:
+        """Adopt the labelled partition ``(z, counts)`` and draw every
+        component's psi from its Dirichlet posterior given the members."""
+        # release the slot buffers before the draw allocates new ones
+        self.psi = self.log_psi = None
+        k = counts.size
+        flat = z[:, None] * (self.p * self.width) + self.offsets
         tab = np.bincount(flat.ravel(), minlength=k * self.p * self.width)
         conc = tab.reshape(k, self.p, self.width) + self.beta_pad
-        self.set_psi(padded_dirichlet(conc, rng))
+        self.set_state(z, counts, padded_dirichlet(conc, rng))
 
     def sweep(self, rng: np.random.Generator) -> None:
         for i in range(self.n):
             self.reassign(i, rng)
-        self.z, self.counts, self.psi, self.log_psi = _prune_sort(
-            self.z, self.counts, self.psi, self.log_psi)
-        self.redraw_psi(rng)
+        self.redraw_psi(*_prune_sort(*self.labels()), rng)
 
 
 def _prune_sort(z: np.ndarray, counts: np.ndarray, *per_component):
@@ -369,10 +421,10 @@ def sample_assignment(row: int, weights: np.ndarray, state: ModelState,
     ch.load(state)
     ch.detach(row)
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (ch.counts.size + 1,):
+    if weights.shape != (ch.k + 1,):
         raise ValueError(
             f"weights has shape {weights.shape}, expected "
-            f"({ch.counts.size + 1},) after detaching row {row}"
+            f"({ch.k + 1},) after detaching row {row}"
         )
     ch.commit(row, _pick(weights, rng), rng)
     return ch.snapshot(data.schema)
@@ -393,8 +445,7 @@ def update_psi(state: ModelState, data: Dataset, config: GibbsConfig,
     """Redraw every component's psi from its Dirichlet posterior."""
     rng = as_generator(rng)
     ch = _Chain(data, config)
-    ch.load(state)
-    ch.redraw_psi(rng)
+    ch.redraw_psi(np.array(state.assignments), np.array(state.counts), rng)
     return ch.snapshot(data.schema)
 
 
@@ -465,7 +516,7 @@ def iterate_states(data: Dataset, config: GibbsConfig = GibbsConfig(),
         if progress is not None and (
             t % progress_every == 0 or t == sweeps
         ):
-            print(f"sweep {t}/{sweeps} k={ch.counts.size}", file=progress)
+            print(f"sweep {t}/{sweeps} k={ch.k}", file=progress)
         yield ch.snapshot(data.schema)
 
 

@@ -405,6 +405,13 @@ class TestLargestRemainder:
         with pytest.raises(ValueError):
             largest_remainder_counts([0.5, 0.5], -1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="nonnegative with positive"):
+                largest_remainder_counts([bad, 1.0], 10)
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1,

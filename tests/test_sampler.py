@@ -1,5 +1,6 @@
 import io
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catmix.core import CategoricalSchema, Dataset, ModelState
+from catmix import sampler
+from catmix.core import (
+    CategoricalSchema, Dataset, ModelState, padded_dirichlet)
 from catmix.sampler import (
     GibbsConfig,
     assignment_weights,
@@ -303,6 +306,135 @@ def test_iterate_states_progress_lines():
     assert len(lines) == 3  # sweeps 2, 4 and the final 5
     assert all(re.fullmatch(r"sweep \d+/5 k=\d+", s) for s in lines)
     assert lines[-1].startswith("sweep 5/5")
+
+
+def test_progress_lines_report_the_live_component_count():
+    data = _toy_data(3, n=12)
+    buf = io.StringIO()
+    states = iterate_states(data, GibbsConfig(alpha=5.0), sweeps=6, seed=2,
+                            progress=buf, progress_every=1)
+    for t, state in enumerate(states, start=1):
+        assert buf.getvalue().splitlines()[-1] == f"sweep {t}/6 k={state.k}"
+
+
+def _reference_states(data, config, sweeps, seed):
+    """The sweep as it stood before slot buffers, kept as the oracle.
+
+    Every death deletes the component's rows from ``psi`` and
+    ``log_psi`` and relabels the later components; every birth appends.
+    Yields ``(assignments, counts, psi)`` after each sweep.
+    """
+    rng = np.random.default_rng(seed)
+    x = data.cells
+    n, p = x.shape
+    width = data.schema.max_cardinality + 1
+    cols = np.arange(p)
+    cards = data.schema.codes_array()
+    beta_pad = np.where(
+        np.arange(width)[None, :] <= cards[:, None], config.beta, 0.0)
+    with np.errstate(divide="ignore"):
+        log_beta = np.log(beta_pad)
+    log_beta = log_beta - np.log(beta_pad.sum(axis=1))[:, None]
+    new_logw = np.log(config.alpha) + log_beta[:, 0].sum()
+
+    z = np.arange(n)
+    counts = np.ones(n, dtype=np.int64)
+    psi = padded_dirichlet(np.broadcast_to(beta_pad, (n, p, width)), rng)
+    with np.errstate(divide="ignore"):
+        log_psi = np.log(psi)
+        for _ in range(sweeps):
+            for i in range(n):
+                h = z[i]
+                counts[h] -= 1
+                z[i] = -1
+                if counts[h] == 0:
+                    counts = np.delete(counts, h)
+                    psi = np.delete(psi, h, axis=0)
+                    log_psi = np.delete(log_psi, h, axis=0)
+                    z[z > h] -= 1
+                loglik = log_psi[:, cols, x[i]].sum(axis=1)
+                logw = np.append(np.log(counts) + loglik, new_logw)
+                w = np.exp(logw - logw.max())
+                w /= w.sum()
+                edges = np.cumsum(w)
+                h = int(np.searchsorted(edges, rng.random() * edges[-1],
+                                        side="right"))
+                h = min(h, w.size - 1)
+                if h < counts.size:
+                    z[i] = h
+                    counts[h] += 1
+                    continue
+                conc = beta_pad.copy()
+                conc[cols, x[i]] += 1.0
+                fresh = padded_dirichlet(conc[None], rng)
+                z[i] = counts.size
+                counts = np.append(counts, 1)
+                psi = np.concatenate([psi, fresh])
+                log_psi = np.concatenate([log_psi, np.log(fresh)])
+            order = np.argsort(-counts, kind="stable")
+            order = order[counts[order] > 0]
+            relabel = np.empty(counts.size, dtype=np.int64)
+            relabel[order] = np.arange(order.size)
+            z, counts = relabel[z], counts[order]
+            tab = np.zeros((counts.size, p, width))
+            np.add.at(tab, (z[:, None], cols, x), 1.0)
+            psi = padded_dirichlet(tab + beta_pad, rng)
+            log_psi = np.log(psi)
+            yield z.copy(), counts.copy(), psi.copy()
+
+
+def _mixed_missing_table(seed, n=40):
+    """n x 5 table with cardinalities 2, 3 and 7 and about 25% zeros."""
+    rng = np.random.default_rng(seed)
+    cards = [2, 7, 3, 7, 2]
+    cells = np.column_stack([rng.integers(1, d + 1, n) for d in cards])
+    cells[rng.random(cells.shape) < 0.25] = 0
+    return Dataset(CategoricalSchema(cards), cells)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.25, 1.0), (50.0, 3.0)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sweeps_match_the_reference_kernel_draw_for_draw(seed, alpha, beta,
+                                                       monkeypatch):
+    # record, for every birth, whether it had to grow the slot buffers
+    grew = []
+    free_slot = sampler._Chain._free_slot
+
+    def recording(chain):
+        grew.append(not chain.free)
+        return free_slot(chain)
+
+    monkeypatch.setattr(sampler._Chain, "_free_slot", recording)
+    data = _mixed_missing_table(seed)
+    cfg = GibbsConfig(alpha=alpha, beta=beta)
+    pairs = zip(iterate_states(data, cfg, sweeps=3, seed=seed),
+                _reference_states(data, cfg, sweeps=3, seed=seed))
+    for state, (z, counts, psi) in pairs:
+        assert state.assignments.tolist() == z.tolist()
+        assert state.counts.tolist() == counts.tolist()
+        assert state.psi.tobytes() == psi.tobytes()
+    if alpha > 1:
+        # births both reused freed slots and, after compaction, doubled
+        # the buffers
+        assert False in grew and True in grew
+
+
+def test_first_sweep_memory_stays_near_the_initial_psi():
+    # one component per row: the initial psi, 8 * n * p * (D + 1) bytes,
+    # and its log dominate; a death must not copy them
+    rng = np.random.default_rng(0)
+    cards = [100] + [2, 3, 4] * 3
+    n = 300
+    cells = np.column_stack([rng.integers(0, d + 1, n) for d in cards])
+    data = Dataset(CategoricalSchema(cards), cells)
+    psi_bytes = 8 * n * len(cards) * (max(cards) + 1)
+    tracemalloc.start()
+    try:
+        next(iterate_states(data, GibbsConfig(), sweeps=1, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * psi_bytes
 
 
 def test_iterate_states_rejects_bad_arguments():
