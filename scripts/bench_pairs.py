@@ -1,0 +1,152 @@
+"""Compare two catmix checkouts with the repository benchmark, in pairs.
+
+    python3 scripts/bench_pairs.py --parent DIR --change DIR \
+        --run levels:10 --run wide:1 --seed 1 --seconds 25 --out BENCH.json
+
+Each ``--run WORKLOAD:PAIRS`` makes PAIRS pairs of
+``python3 bench/run.py --workload WORKLOAD --seed SEED --seconds S``,
+one in each checkout, one process at a time.  Pair i runs the parent
+first when i is even and the change first when it is odd, so a drift of
+the machine's speed does not favour one side.  Both checkouts run their
+own ``bench/``; compare only checkouts whose ``bench/`` is the same.
+
+The JSON written to ``--out`` holds every run (its end-to-end metrics,
+``correct`` flag, failed-command count, environment line and check
+figures), each pair's change/parent ratios, and per workload and side
+the median and quartiles of every metric, the model-JSON sha1s seen, and
+how many pairs the change won on each metric (lower is better; ties
+count for neither side).
+"""
+
+import argparse
+import datetime
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SIDES = ("parent", "change")
+
+
+def bench_once(checkout: Path, workload: str, seed: int,
+               seconds: int) -> dict:
+    """One ``bench/run.py`` run in ``checkout``; its parsed output."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    started = datetime.datetime.now(datetime.timezone.utc)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                          check=False)
+    run = {"started": started.isoformat(timespec="seconds"),
+           "exit_code": proc.returncode}
+    lines = proc.stdout.splitlines()
+    for line in lines:
+        for tag in ("env", "checks"):
+            if line.startswith(tag + ": "):
+                run[tag] = json.loads(line[len(tag) + 2:])
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        run["correct"] = False
+        run["stderr"] = proc.stderr[-2000:]
+        return run
+    run["correct"] = result["correct"]
+    run["attempted"] = result["attempted"]
+    run["failed"] = result["failed"]
+    run["metrics"] = {k: v["value"] for k, v in result["metrics"].items()}
+    if not result["correct"]:
+        run["stderr"] = proc.stderr[-2000:]
+    return run
+
+
+def summarize(pairs: list[dict]) -> dict:
+    """Medians, quartiles, wins and model sha1s over a workload's pairs."""
+    metrics = sorted(pairs[0]["parent"].get("metrics", {}))
+    out = {"pairs": len(pairs), "metrics": {}, "model_json_sha1": {}}
+    for side in SIDES:
+        out["model_json_sha1"][side] = sorted({
+            p[side]["checks"]["model_json_sha1"] for p in pairs
+            if "model_json_sha1" in p[side].get("checks", {})})
+        out[f"all_correct_{side}"] = all(p[side]["correct"] for p in pairs)
+    for name in metrics:
+        row = {}
+        for side in SIDES:
+            values = [p[side]["metrics"][name] for p in pairs
+                      if "metrics" in p[side]]
+            q1, med, q3 = np.percentile(values, [25, 50, 75])
+            row[side] = {"median": med, "q1": q1, "q3": q3}
+        wins = sum(p["change"]["metrics"][name] < p["parent"]["metrics"][name]
+                   for p in pairs if "metrics" in p["change"]
+                   and "metrics" in p["parent"])
+        parent_iqr = row["parent"]["q3"] - row["parent"]["q1"]
+        gain = row["parent"]["median"] - row["change"]["median"]
+        row["change_wins"] = wins
+        row["median_ratio"] = row["change"]["median"] / row["parent"]["median"]
+        row["gain_exceeds_parent_iqr"] = bool(gain > parent_iqr)
+        out["metrics"][name] = row
+    return out
+
+
+def host() -> dict:
+    """The machine both sides ran on."""
+    cpu = platform.processor() or "unknown"
+    try:
+        with open("/proc/cpuinfo") as f:
+            cpu = next((line.split(":", 1)[1].strip() for line in f
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    return {"machine": platform.machine(), "cpu": cpu,
+            "cpu_count": os.cpu_count(), "system": platform.system()}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, type=Path)
+    ap.add_argument("--change", required=True, type=Path)
+    ap.add_argument("--run", action="append", required=True,
+                    metavar="WORKLOAD:PAIRS")
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--seconds", type=int, default=25)
+    ap.add_argument("--out", required=True, type=Path)
+    args = ap.parse_args()
+    dirs = {"parent": args.parent, "change": args.change}
+    doc = {
+        "command": "python3 bench/run.py --workload W --seed "
+                   f"{args.seed} --seconds {args.seconds} --trace 0",
+        "revisions": {side: subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=d, capture_output=True,
+            text=True, check=False).stdout.strip() or "unavailable"
+            for side, d in dirs.items()},
+        "host": host(),
+        "workloads": {},
+    }
+    for spec in args.run:
+        workload, count = spec.split(":")
+        pairs = []
+        for i in range(int(count)):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            pair = {"order": list(order)}
+            for side in order:
+                pair[side] = bench_once(dirs[side], workload, args.seed,
+                                        args.seconds)
+                m = pair[side].get("metrics", {})
+                print(f"{workload} pair {i} {side}: correct="
+                      f"{pair[side]['correct']} {json.dumps(m)}",
+                      file=sys.stderr, flush=True)
+            if "metrics" in pair["parent"] and "metrics" in pair["change"]:
+                pair["ratio_change_over_parent"] = {
+                    k: pair["change"]["metrics"][k] / v
+                    for k, v in pair["parent"]["metrics"].items()}
+            pairs.append(pair)
+        doc["workloads"][workload] = {"runs": pairs,
+                                      "summary": summarize(pairs)}
+        args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -26,10 +26,10 @@ membership.
 A birth or a death costs O(k) bookkeeping (a birth also draws its own
 psi): components live in slots of buffers that only grow, an emptied
 component frees its slot and a new one takes a free slot, and no other
-component's probabilities are copied.  So the
-first sweep from one component per row, which sees about n deaths, no
-longer costs O(n^2 p D); what stays is the row likelihoods, O(k p) for
-each row as in any sweep.
+component's probabilities are copied.  So the first sweep from one
+component per row, which sees about n deaths, no longer costs
+O(n^2 p D); what remains are the row likelihoods, O(k p) per row as in
+any sweep.
 
 Missing cells simply carry the code 0 and participate in the products
 above like any other category; no special casing happens inside the
@@ -163,11 +163,9 @@ class PosteriorSample:
 # single implementation guarantees that composing the public steps by hand
 # reproduces run_gibbs draw for draw.
 #
-# Components live in slots of buffers that are only ever grown: ``order``
-# lists the live slots in component order, ``free`` the empty ones, and
-# ``z`` holds each row's slot.  A death drops its slot from ``order`` and a
-# birth reuses a free slot (doubling the buffers when there is none), so
-# neither moves any other component's probabilities.
+# Inside the chain ``z`` holds each row's slot, ``order`` lists the live
+# slots in component order and ``free`` the empty ones; ``labels`` maps
+# slots back to component labels.
 
 class _Chain:
     __slots__ = (
