@@ -14,7 +14,8 @@ Layout
 ``catmix.core``
     Schemas, datasets, model containers, CSV and JSON serialization.
 ``catmix.sampler``
-    The collapsed Gibbs sampler and its single-step operations.
+    The collapsed Gibbs sampler: ``run_gibbs`` and the raw sweep loop
+    ``iterate_states``.
 ``catmix.inference``
     Posterior predictive queries: imputation, joint and pairwise
     distributions, correlation summaries, exact independence tests,
@@ -39,7 +40,6 @@ from catmix.core import (
     ModelState,
     ParseError,
     dataset_to_csv,
-    deserialize_model,
     deserialize_models,
     model_from_dict,
     model_to_dict,
@@ -50,14 +50,9 @@ from catmix.core import (
 from catmix.sampler import (
     GibbsConfig,
     PosteriorSample,
-    assignment_weights,
     collapse_state,
-    init_state,
     iterate_states,
-    prune_and_relabel,
     run_gibbs,
-    sample_assignment,
-    update_psi,
 )
 from catmix.inference import (
     AugmentedModel,
@@ -113,19 +108,16 @@ __all__ = [
     "ParseError",
     "PosteriorSample",
     "ReplicationReport",
-    "assignment_weights",
     "class_posterior",
     "collapse_state",
     "construct_saturated_model",
     "correlation_gap",
     "correlation_matrix",
     "dataset_to_csv",
-    "deserialize_model",
     "deserialize_models",
     "fisher_exact_2x2",
     "impute",
     "imputation_accuracy",
-    "init_state",
     "iterate_states",
     "joint_distribution",
     "largest_remainder_counts",
@@ -140,15 +132,12 @@ __all__ = [
     "predictive_cell",
     "preprocess_ratings",
     "pool_draws",
-    "prune_and_relabel",
     "run_gibbs",
     "run_replications",
-    "sample_assignment",
     "sample_mixture_dataset",
     "sample_xor_dataset",
     "saturated_model",
     "serialize_model",
     "serialize_models",
-    "update_psi",
     "verify_construction",
 ]

@@ -40,7 +40,6 @@ __all__ = [
     "padded_dirichlet",
     "rescale_missing",
     "dataset_to_csv",
-    "deserialize_model",
     "deserialize_models",
     "model_from_dict",
     "model_to_dict",
@@ -557,15 +556,6 @@ def model_from_dict(obj) -> CollapsedModel:
 def serialize_model(model: CollapsedModel) -> str:
     """Serialize one model as a JSON document (bit exact round trip)."""
     return json.dumps(model_to_dict(model), indent=2) + "\n"
-
-
-def deserialize_model(text: str) -> CollapsedModel:
-    """Parse a document produced by :func:`serialize_model`."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise LoadError(f"invalid JSON: {exc}") from None
-    return model_from_dict(obj)
 
 
 def serialize_models(models: Sequence[CollapsedModel]) -> str:

@@ -393,11 +393,14 @@ def largest_remainder_counts(probs, n: int) -> np.ndarray:
     position (row-major first).
     """
     probs = np.asarray(probs, dtype=np.float64)
-    if not np.isfinite(probs).all() or (probs < 0).any() or probs.sum() <= 0:
+    # a non-finite sum refuses NaN, infinite and overflowing entries alike
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = probs.sum()
+    if not np.isfinite(total) or (probs < 0).any() or total <= 0:
         raise ValueError("probs must be nonnegative with positive sum")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    scaled = probs / probs.sum() * n
+    scaled = probs / total * n
     base = np.floor(scaled).astype(np.int64)
     short = int(n - base.sum())
     if short > 0:

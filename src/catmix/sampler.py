@@ -21,7 +21,8 @@ given its one member, so that later rows in the same sweep see it on
 equal footing.  After the reassignment pass the components are sorted
 by occupancy (largest first, ties kept in previous order), and every
 psi is redrawn from its Dirichlet posterior given the current
-membership.
+membership.  That redraw is the psi a sweep reports; during a sweep
+the chain keeps only the log of each component's psi.
 
 A birth or a death costs O(k) bookkeeping (a birth also draws its own
 psi): components live in slots of buffers that only grow, an emptied
@@ -59,14 +60,9 @@ from catmix.core import (
 __all__ = [
     "GibbsConfig",
     "PosteriorSample",
-    "assignment_weights",
     "collapse_state",
-    "init_state",
     "iterate_states",
-    "prune_and_relabel",
     "run_gibbs",
-    "sample_assignment",
-    "update_psi",
 ]
 
 # Largest accepted ``beta``: a Dirichlet draw sums gammas of shape about
@@ -158,11 +154,6 @@ class PosteriorSample:
 # Internal mutable chain
 # ---------------------------------------------------------------------------
 #
-# The public operations below are thin wrappers around these kernels, and
-# the sweep loop drives the same kernels on a mutable record.  Keeping a
-# single implementation guarantees that composing the public steps by hand
-# reproduces run_gibbs draw for draw.
-#
 # Inside the chain ``z`` holds each row's slot, ``order`` lists the live
 # slots in component order and ``free`` the empty ones; ``labels`` maps
 # slots back to component labels.
@@ -171,7 +162,7 @@ class _Chain:
     __slots__ = (
         "x", "n", "p", "width", "cols", "offsets",
         "beta_pad", "new_logw",
-        "z", "counts", "psi", "log_psi", "order", "free",
+        "z", "counts", "log_psi", "order", "free",
     )
 
     def __init__(self, data: Dataset, config: GibbsConfig):
@@ -194,7 +185,6 @@ class _Chain:
         self.new_logw = np.log(config.alpha) + log_beta[:, 0].sum()
         self.z = None
         self.counts = None
-        self.psi = None
         self.log_psi = None
         self.order = None
         self.free = None
@@ -209,11 +199,10 @@ class _Chain:
     def set_state(self, z: np.ndarray, counts: np.ndarray,
                   psi: np.ndarray) -> None:
         """Adopt components in label order, slot ``h`` holding component
-        ``h``."""
+        ``h``; only the log of ``psi`` is kept."""
         k = counts.size
         self.z = z
         self.counts = counts
-        self.psi = psi
         # log psi is kept transposed, shape (p * width, slots), so that a
         # row's terms for every slot are one row gather
         self.log_psi = np.empty((self.p * self.width, k))
@@ -222,25 +211,24 @@ class _Chain:
         self.order = np.arange(k)
         self.free = []
 
-    def load(self, state: ModelState) -> None:
-        self.set_state(np.array(state.assignments), np.array(state.counts),
-                       np.array(state.psi))
-
     def labels(self) -> tuple[np.ndarray, np.ndarray]:
         """Each row's component label, and the counts in label order."""
         rank = np.empty(self.counts.size, dtype=np.int64)
         rank[self.order] = np.arange(self.k)
         return rank[self.z], self.counts[self.order]
 
-    def snapshot(self, schema: CategoricalSchema) -> ModelState:
+    def snapshot(self, schema: CategoricalSchema,
+                 psi: np.ndarray) -> ModelState:
+        """The current partition with ``psi``, the redraw that ended the
+        sweep."""
         z, counts = self.labels()
         return ModelState(schema=schema, assignments=z, counts=counts,
-                          psi=self.psi[self.order])
+                          psi=psi)
 
     # -- kernels -----------------------------------------------------------
 
     def init(self, rng: np.random.Generator) -> None:
-        """Every row in its own component, psi drawn from the prior."""
+        """Every row in its own component, log psi from a prior draw."""
         conc = np.broadcast_to(self.beta_pad, (self.n, self.p, self.width))
         self.set_state(np.arange(self.n), np.ones(self.n, dtype=np.int64),
                        padded_dirichlet(conc, rng))
@@ -281,7 +269,6 @@ class _Chain:
         conc[self.cols, self.x[i]] += 1.0
         fresh = padded_dirichlet(conc, rng)
         s = self._free_slot()
-        self.psi[s] = fresh
         with np.errstate(divide="ignore"):
             self.log_psi[:, s] = np.log(fresh).ravel()
         self.counts[s] = 1
@@ -293,12 +280,10 @@ class _Chain:
         if not self.free:
             cap = self.counts.size
             counts = np.zeros(2 * cap, dtype=np.int64)
-            psi = np.empty((2 * cap,) + self.psi.shape[1:])
             # zeros, so that free slots never feed NaN into the row sums
             log_psi = np.zeros((self.log_psi.shape[0], 2 * cap))
-            counts[:cap], psi[:cap], log_psi[:, :cap] = (
-                self.counts, self.psi, self.log_psi)
-            self.counts, self.psi, self.log_psi = counts, psi, log_psi
+            counts[:cap], log_psi[:, :cap] = self.counts, self.log_psi
+            self.counts, self.log_psi = counts, log_psi
             self.free = list(range(2 * cap - 1, cap - 1, -1))
         return self.free.pop()
 
@@ -308,35 +293,39 @@ class _Chain:
         self.commit(i, _pick(w, rng), rng)
 
     def redraw_psi(self, z: np.ndarray, counts: np.ndarray,
-                   rng: np.random.Generator) -> None:
-        """Adopt the labelled partition ``(z, counts)`` and draw every
-        component's psi from its Dirichlet posterior given the members."""
-        # release the slot buffers before the draw allocates new ones
-        self.psi = self.log_psi = None
+                   rng: np.random.Generator) -> np.ndarray:
+        """Adopt the labelled partition ``(z, counts)``, draw every
+        component's psi from its Dirichlet posterior given the members
+        and return it in label order."""
+        # release the slot buffer before the draw allocates a new one
+        self.log_psi = None
         k = counts.size
         flat = z[:, None] * (self.p * self.width) + self.offsets
         tab = np.bincount(flat.ravel(), minlength=k * self.p * self.width)
         conc = tab.reshape(k, self.p, self.width) + self.beta_pad
-        self.set_state(z, counts, padded_dirichlet(conc, rng))
+        psi = padded_dirichlet(conc, rng)
+        self.set_state(z, counts, psi)
+        return psi
 
-    def sweep(self, rng: np.random.Generator) -> None:
+    def sweep(self, rng: np.random.Generator) -> np.ndarray:
+        """One sweep; returns the psi redrawn at its end."""
         for i in range(self.n):
             self.reassign(i, rng)
-        self.redraw_psi(*_prune_sort(*self.labels()), rng)
+        return self.redraw_psi(*_prune_sort(*self.labels()), rng)
 
 
-def _prune_sort(z: np.ndarray, counts: np.ndarray, *per_component):
+def _prune_sort(z: np.ndarray,
+                counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Drop empty components, sort the rest by descending occupancy.
 
     Ties keep their previous relative order.  Returns the relabelled
-    assignments, the sorted counts and each ``per_component`` array in
-    the new order.
+    assignments and the sorted counts.
     """
     order = np.argsort(-counts, kind="stable")
     order = order[counts[order] > 0]
     relabel = np.empty(counts.size, dtype=np.int64)
     relabel[order] = np.arange(order.size)
-    return (relabel[z], counts[order]) + tuple(a[order] for a in per_component)
+    return relabel[z], counts[order]
 
 
 def _pick(weights: np.ndarray, rng: np.random.Generator) -> int:
@@ -344,107 +333,6 @@ def _pick(weights: np.ndarray, rng: np.random.Generator) -> int:
     edges = np.cumsum(weights)
     idx = int(np.searchsorted(edges, rng.random() * edges[-1], side="right"))
     return min(idx, weights.size - 1)
-
-
-# ---------------------------------------------------------------------------
-# Public single-step operations
-# ---------------------------------------------------------------------------
-
-def init_state(data: Dataset, config: GibbsConfig, seed=None) -> ModelState:
-    """Initial chain state: one component per row, psi from the prior.
-
-    Parameters
-    ----------
-    data : Dataset
-    config : GibbsConfig
-        Only ``alpha`` and ``beta`` are read.
-    seed : int, SeedSequence or Generator, optional
-
-    Returns
-    -------
-    ModelState
-    """
-    rng = as_generator(seed)
-    ch = _Chain(data, config)
-    ch.init(rng)
-    return ch.snapshot(data.schema)
-
-
-def assignment_weights(row: int, state: ModelState, data: Dataset,
-                       config: GibbsConfig) -> np.ndarray:
-    """Conditional reassignment distribution of one row.
-
-    The row is detached from its current component first, so if it was
-    alone in one, that component does not appear among the choices.
-
-    Returns
-    -------
-    ndarray, shape (k' + 1,)
-        Probabilities over the ``k'`` components remaining after the
-        detachment, in order, followed by the probability of opening a
-        new component.  Sums to 1.
-    """
-    _check_row(row, state)
-    ch = _Chain(data, config)
-    ch.load(state)
-    ch.detach(row)
-    return ch.row_weights(row)
-
-
-def sample_assignment(row: int, weights: np.ndarray, state: ModelState,
-                      data: Dataset, config: GibbsConfig, rng) -> ModelState:
-    """Redraw the component of one row from its conditional.
-
-    Parameters
-    ----------
-    row : int
-    weights : ndarray
-        The vector returned by :func:`assignment_weights` for this row
-        and state.
-    state : ModelState
-    data : Dataset
-    config : GibbsConfig
-        Only ``alpha`` and ``beta`` are read.
-    rng : int, SeedSequence or Generator
-
-    Returns
-    -------
-    ModelState
-        The updated state.  A new component, when opened, receives psi
-        drawn from its single-member Dirichlet posterior.
-    """
-    _check_row(row, state)
-    rng = as_generator(rng)
-    ch = _Chain(data, config)
-    ch.load(state)
-    ch.detach(row)
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (ch.k + 1,):
-        raise ValueError(
-            f"weights has shape {weights.shape}, expected "
-            f"({ch.k + 1},) after detaching row {row}"
-        )
-    ch.commit(row, _pick(weights, rng), rng)
-    return ch.snapshot(data.schema)
-
-
-def prune_and_relabel(state: ModelState) -> ModelState:
-    """Delete empty components and sort by descending occupancy.
-
-    Ties keep their previous relative order, so the relabelling is
-    deterministic.
-    """
-    z, counts, psi = _prune_sort(state.assignments, state.counts, state.psi)
-    return ModelState(state.schema, z, counts, psi)
-
-
-def update_psi(state: ModelState, data: Dataset, config: GibbsConfig,
-               rng) -> ModelState:
-    """Redraw every component's psi from its Dirichlet posterior."""
-    rng = as_generator(rng)
-    ch = _Chain(data, config)
-    ch.redraw_psi(np.array(state.assignments), np.array(state.counts), rng)
-    return ch.snapshot(data.schema)
 
 
 def collapse_state(state: ModelState, data: Dataset | None = None) -> CollapsedModel:
@@ -498,6 +386,8 @@ def iterate_states(data: Dataset, config: GibbsConfig = GibbsConfig(),
     progress : text stream, optional
         When given, a line ``sweep <t>/<T> k=<k>`` is written every
         ``progress_every`` sweeps and after the final one.
+    progress_every : int
+        At least 1, with or without ``progress``.
 
     Yields
     ------
@@ -506,16 +396,18 @@ def iterate_states(data: Dataset, config: GibbsConfig = GibbsConfig(),
     """
     if sweeps < 1:
         raise ValueError(f"sweeps must be >= 1, got {sweeps}")
+    if progress_every < 1:
+        raise ValueError(f"progress_every must be >= 1, got {progress_every}")
     rng = as_generator(seed)
     ch = _Chain(data, config)
     ch.init(rng)
     for t in range(1, sweeps + 1):
-        ch.sweep(rng)
+        psi = ch.sweep(rng)
         if progress is not None and (
             t % progress_every == 0 or t == sweeps
         ):
             print(f"sweep {t}/{sweeps} k={ch.k}", file=progress)
-        yield ch.snapshot(data.schema)
+        yield ch.snapshot(data.schema, psi)
 
 
 def run_gibbs(data: Dataset, config: GibbsConfig | None = None, seed=None,
@@ -560,7 +452,3 @@ def run_gibbs(data: Dataset, config: GibbsConfig | None = None, seed=None,
         elapsed_seconds=time.perf_counter() - started,
     )
 
-
-def _check_row(row: int, state: ModelState) -> None:
-    if not 0 <= row < state.n_rows:
-        raise ValueError(f"row {row} out of range for {state.n_rows} rows")

@@ -13,7 +13,6 @@ from catmix.core import (
     CollapsedModel,
     Dataset,
     dataset_to_csv,
-    deserialize_model,
     deserialize_models,
     parse_dataset,
     serialize_model,
@@ -68,7 +67,7 @@ class TestFit:
     def test_summary_pools_into_one_model(self, tmp_path):
         inp = _toy_csv(tmp_path)
         out = _fit(tmp_path, inp, extra=["--summary"])
-        model = deserialize_model(out.read_text())
+        model = deserialize_models(out.read_text())[0]
         assert isinstance(model, CollapsedModel)
         assert len(deserialize_models(out.read_text())) == 1
 
@@ -243,7 +242,7 @@ class TestSimulate:
             i, j = int(row), names.index(col)
             assert masked.cells[i, j] == 0
             assert complete.cells[i, j] == int(value)
-        truth = deserialize_model((tmp_path / "truth.json").read_text())
+        truth = deserialize_models((tmp_path / "truth.json").read_text())[0]
         assert truth.k == 3
 
     def test_xor_truth_is_a_point_mass_mixture(self, tmp_path):
@@ -254,7 +253,7 @@ class TestSimulate:
         data = parse_dataset((tmp_path / "xor.csv").read_text(),
                              CategoricalSchema([2, 2, 2]))
         assert data.cells.shape == (30, 3)
-        truth = deserialize_model((tmp_path / "truth.json").read_text())
+        truth = deserialize_models((tmp_path / "truth.json").read_text())[0]
         assert truth.k == 8
         assert set(np.unique(truth.tilde_psi)) == {0.0, 1.0}
 

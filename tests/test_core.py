@@ -16,7 +16,6 @@ from catmix.core import (
     ModelState,
     ParseError,
     dataset_to_csv,
-    deserialize_model,
     deserialize_models,
     padded_dirichlet,
     parse_dataset,
@@ -228,13 +227,13 @@ def _random_model(rng, k=3, cards=(2, 3)):
 class TestModelSerialization:
     def test_minimal_round_trip(self):
         m = CollapsedModel(CategoricalSchema([2]), [1.0], np.array([[[0.5, 0.5]]]))
-        again = deserialize_model(serialize_model(m))
+        again = deserialize_models(serialize_model(m))[0]
         assert np.array_equal(again.theta, m.theta)
         assert np.array_equal(again.tilde_psi, m.tilde_psi)
 
     def test_round_trip_is_bit_exact(self):
         m = _random_model(np.random.default_rng(7))
-        again = deserialize_model(serialize_model(m))
+        again = deserialize_models(serialize_model(m))[0]
         assert again.schema.cardinalities == m.schema.cardinalities
         assert np.array_equal(again.theta, m.theta)
         assert np.array_equal(again.tilde_psi, m.tilde_psi)
@@ -251,7 +250,7 @@ class TestModelSerialization:
             "tildePsi": [[[0.5, 0.5]], [[0.5, 0.5]]],
         })
         with pytest.raises(LoadError, match="theta"):
-            deserialize_model(doc)
+            deserialize_models(doc)
 
     def test_rejects_vector_sum_violation(self):
         doc = json.dumps({
@@ -260,7 +259,7 @@ class TestModelSerialization:
             "tildePsi": [[[0.5, 0.5 + 1e-6]]],
         })
         with pytest.raises(LoadError):
-            deserialize_model(doc)
+            deserialize_models(doc)
 
     def test_accepts_tiny_sum_slack(self):
         doc = json.dumps({
@@ -268,7 +267,7 @@ class TestModelSerialization:
             "theta": [1.0],
             "tildePsi": [[[0.5, 0.5 + 1e-10]]],
         })
-        deserialize_model(doc)
+        deserialize_models(doc)
 
     def test_rejects_negative_entries(self):
         doc = json.dumps({
@@ -277,22 +276,22 @@ class TestModelSerialization:
             "tildePsi": [[[-0.5, 1.5]]],
         })
         with pytest.raises(LoadError):
-            deserialize_model(doc)
+            deserialize_models(doc)
 
     def test_rejects_malformed_json(self):
         with pytest.raises(LoadError, match="JSON"):
-            deserialize_model("{not json")
+            deserialize_models("{not json")
 
     def test_rejects_missing_keys_and_bad_shapes(self):
         with pytest.raises(LoadError, match="required key"):
-            deserialize_model(json.dumps({"k": 1}))
+            deserialize_models(json.dumps({"k": 1}))
         with pytest.raises(LoadError, match="length k"):
-            deserialize_model(json.dumps({
+            deserialize_models(json.dumps({
                 "k": 2, "cardinalities": [2], "theta": [1.0],
                 "tildePsi": [[[0.5, 0.5]]],
             }))
         with pytest.raises(LoadError, match="entries"):
-            deserialize_model(json.dumps({
+            deserialize_models(json.dumps({
                 "k": 1, "cardinalities": [3], "theta": [1.0],
                 "tildePsi": [[[0.5, 0.5]]],
             }))
@@ -324,7 +323,7 @@ class TestModelSerialization:
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_random_model_round_trips_bit_exactly(seed):
     m = _random_model(np.random.default_rng(seed), k=1 + seed % 4)
-    again = deserialize_model(serialize_model(m))
+    again = deserialize_models(serialize_model(m))[0]
     assert np.array_equal(again.theta, m.theta)
     assert np.array_equal(again.tilde_psi, m.tilde_psi)
 

@@ -405,12 +405,14 @@ class TestLargestRemainder:
         with pytest.raises(ValueError):
             largest_remainder_counts([0.5, 0.5], -1)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_rejects_non_finite_entries(self, bad):
+    @pytest.mark.parametrize(
+        "probs", [[math.nan, 1.0], [math.inf, 1.0], [1e308, 1e308]],
+        ids=["nan", "inf", "overflowing-sum"])
+    def test_rejects_non_finite_entries(self, probs):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="nonnegative with positive"):
-                largest_remainder_counts([bad, 1.0], 10)
+                largest_remainder_counts(probs, 10)
 
     @settings(max_examples=40, deadline=None)
     @given(

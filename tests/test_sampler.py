@@ -13,14 +13,9 @@ from catmix.core import (
     CategoricalSchema, Dataset, ModelState, padded_dirichlet)
 from catmix.sampler import (
     GibbsConfig,
-    assignment_weights,
     collapse_state,
-    init_state,
     iterate_states,
-    prune_and_relabel,
     run_gibbs,
-    sample_assignment,
-    update_psi,
 )
 
 
@@ -39,32 +34,57 @@ def _pair_state(psi_row):
     )
 
 
+def _chain(data, state, config=GibbsConfig()):
+    """A chain holding ``state``, as a sweep holds it between row visits."""
+    ch = sampler._Chain(data, config)
+    ch.set_state(np.array(state.assignments), np.array(state.counts),
+                 state.psi)
+    return ch
+
+
+def _weights(row, state, data, config=GibbsConfig()):
+    """The sweep's reassignment probabilities for ``row`` in ``state``."""
+    ch = _chain(data, state, config)
+    ch.detach(row)
+    return ch.row_weights(row)
+
+
+def _psi(ch):
+    """The chain's psi by slot, shape (slots, p, D + 1), from its logs."""
+    return np.exp(ch.log_psi.T.reshape(ch.counts.size, ch.p, ch.width))
+
+
 class TestInitState:
     def test_one_component_per_row(self):
         data = Dataset(CategoricalSchema([2, 3]), [[1, 0], [2, 3], [0, 1]])
-        state = init_state(data, GibbsConfig(), seed=0)
-        assert state.k == 3
-        assert state.assignments.tolist() == [0, 1, 2]
-        assert state.counts.tolist() == [1, 1, 1]
-        assert state.psi.shape == (3, 2, 4)
-        state.validate()
+        ch = sampler._Chain(data, GibbsConfig())
+        ch.init(np.random.default_rng(0))
+        z, counts = ch.labels()
+        assert ch.k == 3
+        assert z.tolist() == [0, 1, 2]
+        assert counts.tolist() == [1, 1, 1]
+        psi = _psi(ch)
+        assert psi.shape == (3, 2, 4)
+        ModelState(data.schema, z, counts, psi).validate()
 
     def test_single_row(self):
         data = Dataset(CategoricalSchema([2]), [[1]])
-        state = init_state(data, GibbsConfig(), seed=0)
+        (state,) = iterate_states(data, GibbsConfig(), sweeps=1, seed=0)
         assert state.k == 1
 
     def test_deterministic(self):
         data = Dataset(CategoricalSchema([2, 2]), [[1, 2], [2, 1]])
-        cfg = GibbsConfig()
-        a = init_state(data, cfg, seed=42)
-        b = init_state(data, cfg, seed=42)
-        assert np.array_equal(a.psi, b.psi)
+        a, b = (sampler._Chain(data, GibbsConfig()) for _ in range(2))
+        a.init(np.random.default_rng(42))
+        b.init(np.random.default_rng(42))
+        assert np.array_equal(a.log_psi, b.log_psi)
 
     def test_rejects_empty_dataset(self):
         data = Dataset(CategoricalSchema([2]), np.zeros((0, 1), dtype=int))
-        with pytest.raises(ValueError, match="empty"):
-            init_state(data, GibbsConfig())
+        with pytest.raises(
+                ValueError,
+                match="cannot run the sampler on an empty dataset"):
+            run_gibbs(data, GibbsConfig())
 
 
 class TestAssignmentWeights:
@@ -75,8 +95,7 @@ class TestAssignmentWeights:
         #   new:      0.25 * (1/3)       = 1/12
         # normalized: (36/41, 5/41).
         data = _binary_pair_data()
-        w = assignment_weights(1, _pair_state([0.1, 0.6, 0.3]), data,
-                               GibbsConfig())
+        w = _weights(1, _pair_state([0.1, 0.6, 0.3]), data)
         np.testing.assert_allclose(w, [36 / 41, 5 / 41], rtol=1e-12)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -91,7 +110,7 @@ class TestAssignmentWeights:
         cfg = GibbsConfig(alpha=0.7, beta=2.5)
         new = 0.7 / (3 * 5 * 4)
         for row, existing in ((0, 0.3 * 0.1 * 0.25), (1, 0.2 * 0.25 * 0.25)):
-            w = assignment_weights(row, state, data, cfg)
+            w = _weights(row, state, data, cfg)
             np.testing.assert_allclose(
                 w, np.array([existing, new]) / (existing + new), rtol=1e-12)
 
@@ -101,95 +120,70 @@ class TestAssignmentWeights:
             data.schema, [0, 1], [1, 1],
             np.full((2, 1, 3), 1 / 3),
         )
-        w = assignment_weights(1, state, data, GibbsConfig())
+        w = _weights(1, state, data)
         assert w.shape == (2,)  # one surviving component + "new"
 
     def test_huge_alpha_prefers_a_new_component(self):
         data = _binary_pair_data()
-        w = assignment_weights(1, _pair_state([0.1, 0.6, 0.3]), data,
-                               GibbsConfig(alpha=1e9))
+        w = _weights(1, _pair_state([0.1, 0.6, 0.3]), data,
+                     GibbsConfig(alpha=1e9))
         assert w[-1] > 0.999
 
     def test_zero_likelihood_component_gets_zero_weight(self):
         data = _binary_pair_data()
-        w = assignment_weights(1, _pair_state([0.5, 0.0, 0.5]), data,
-                               GibbsConfig())
+        w = _weights(1, _pair_state([0.5, 0.0, 0.5]), data)
         assert w.tolist() == [0.0, 1.0]
-
-    def test_row_out_of_range(self):
-        data = _binary_pair_data()
-        with pytest.raises(ValueError, match="row"):
-            assignment_weights(5, _pair_state([0.1, 0.6, 0.3]), data,
-                               GibbsConfig())
 
 
 class TestSampleAssignment:
+    """``_Chain.commit`` carries out a sampled assignment."""
+
     def test_certain_stay_keeps_state(self):
         data = _binary_pair_data()
-        state = _pair_state([0.1, 0.6, 0.3])
-        cfg = GibbsConfig()
-        out = sample_assignment(1, np.array([1.0, 0.0]), state, data, cfg,
-                                0)
-        assert out.assignments.tolist() == [0, 0]
-        assert out.counts.tolist() == [2]
-        assert np.array_equal(out.psi, state.psi)
+        ch = _chain(data, _pair_state([0.1, 0.6, 0.3]))
+        before = ch.log_psi.copy()
+        ch.detach(1)
+        ch.commit(1, 0, np.random.default_rng(0))
+        z, counts = ch.labels()
+        assert z.tolist() == [0, 0]
+        assert counts.tolist() == [2]
+        assert np.array_equal(ch.log_psi, before)
 
     def test_certain_birth_opens_component(self):
         data = _binary_pair_data()
         state = _pair_state([0.1, 0.6, 0.3])
-        cfg = GibbsConfig()
         for seed in range(5):
-            out = sample_assignment(1, np.array([0.0, 1.0]), state, data,
-                                    cfg, seed)
-            assert out.k == 2
-            assert out.assignments.tolist() == [0, 1]
-            assert out.counts.tolist() == [1, 1]
-            out.validate()
+            ch = _chain(data, state)
+            ch.detach(1)
+            ch.commit(1, ch.k, np.random.default_rng(seed))
+            z, counts = ch.labels()
+            assert ch.k == 2
+            assert z.tolist() == [0, 1]
+            assert counts.tolist() == [1, 1]
             # fresh psi comes from Dir(beta + indicator of x=1)
-            assert not np.array_equal(out.psi[1], state.psi[0])
-
-    def test_rejects_stale_weight_vector(self):
-        data = Dataset(CategoricalSchema([2]), [[1], [2]])
-        state = ModelState(data.schema, [0, 1], [1, 1],
-                           np.full((2, 1, 3), 1 / 3))
-        cfg = GibbsConfig()
-        # after detaching row 1 its singleton component is gone, so a
-        # 3-long vector no longer matches
-        with pytest.raises(ValueError, match="shape"):
-            sample_assignment(1, np.array([0.2, 0.3, 0.5]), state, data,
-                              cfg, 0)
+            fresh = _psi(ch)[ch.order]
+            ModelState(data.schema, z, counts, fresh).validate()
+            assert not np.array_equal(fresh[1], state.psi[0])
 
 
 class TestPruneAndRelabel:
     def test_sorts_by_occupancy(self):
-        schema = CategoricalSchema([2])
-        psi = np.array([[[0.2, 0.4, 0.4]],
-                        [[0.5, 0.25, 0.25]],
-                        [[0.1, 0.8, 0.1]]])
-        state = ModelState(schema, [0, 0, 2, 2, 2], [2, 0, 3], psi)
-        out = prune_and_relabel(state)
-        assert out.counts.tolist() == [3, 2]
-        assert out.assignments.tolist() == [1, 1, 0, 0, 0]
-        assert np.array_equal(out.psi, psi[[2, 0]])
-        out.validate()
+        z, counts = sampler._prune_sort(np.array([0, 0, 2, 2, 2]),
+                                        np.array([2, 0, 3]))
+        assert counts.tolist() == [3, 2]
+        assert z.tolist() == [1, 1, 0, 0, 0]
 
     def test_ties_keep_previous_order(self):
-        schema = CategoricalSchema([2])
-        psi = np.array([[[0.2, 0.4, 0.4]],
-                        [[0.5, 0.25, 0.25]],
-                        [[0.1, 0.8, 0.1]]])
-        state = ModelState(schema, [0, 1, 2], [1, 1, 1], psi)
-        out = prune_and_relabel(state)
-        assert out.assignments.tolist() == [0, 1, 2]
-        assert np.array_equal(out.psi, psi)
+        z, counts = sampler._prune_sort(np.array([0, 1, 2]),
+                                        np.array([1, 1, 1]))
+        assert z.tolist() == [0, 1, 2]
+        assert counts.tolist() == [1, 1, 1]
 
     def test_idempotent_when_sorted(self):
-        schema = CategoricalSchema([2])
-        psi = np.array([[[0.2, 0.4, 0.4]], [[0.5, 0.25, 0.25]]])
-        state = ModelState(schema, [0, 0, 1], [2, 1], psi)
-        out = prune_and_relabel(state)
-        assert np.array_equal(out.assignments, state.assignments)
-        assert np.array_equal(out.psi, state.psi)
+        z, counts = sampler._prune_sort(np.array([0, 0, 1]),
+                                        np.array([2, 1]))
+        assert z.tolist() == [0, 0, 1]
+        assert counts.tolist() == [2, 1]
 
 
 class TestUpdatePsi:
@@ -197,21 +191,22 @@ class TestUpdatePsi:
         # five members, all observed as code 1, flat priors: the
         # conditional is Dir(1, 6, 1) with mean (1/8, 6/8, 1/8)
         data = Dataset(CategoricalSchema([2]), [[1]] * 5)
-        state = ModelState(data.schema, [0] * 5, [5],
-                           np.full((1, 1, 3), 1 / 3))
-        cfg = GibbsConfig()
+        ch = sampler._Chain(data, GibbsConfig())
         rng = np.random.default_rng(123)
         acc = np.zeros(3)
         reps = 4000
         for _ in range(reps):
-            acc += update_psi(state, data, cfg, rng).psi[0, 0]
+            acc += ch.redraw_psi(np.zeros(5, dtype=np.int64),
+                                 np.array([5]), rng)[0, 0]
         np.testing.assert_allclose(acc / reps, [1 / 8, 6 / 8, 1 / 8],
                                    atol=0.02)
 
     def test_keeps_padding_zero(self):
         data = Dataset(CategoricalSchema([2, 3]), [[1, 3], [2, 1]])
-        state = init_state(data, GibbsConfig(), seed=1)
-        out = update_psi(state, data, GibbsConfig(), 2)
+        ch = sampler._Chain(data, GibbsConfig())
+        ch.init(np.random.default_rng(1))
+        rng = np.random.default_rng(2)
+        out = ch.snapshot(data.schema, ch.redraw_psi(*ch.labels(), rng))
         assert (out.psi[:, 0, 3] == 0.0).all()
         out.validate()
 
@@ -250,7 +245,7 @@ class TestCollapseState:
 
     def test_mixed_cardinality_padding(self):
         data = Dataset(CategoricalSchema([2, 3]), [[1, 3], [2, 1], [0, 2]])
-        state = init_state(data, GibbsConfig(), seed=3)
+        (state,) = iterate_states(data, GibbsConfig(), sweeps=1, seed=3)
         model = collapse_state(state, data)
         assert (model.tilde_psi[:, 0, 2] == 0.0).all()
         np.testing.assert_allclose(
@@ -266,25 +261,6 @@ def _toy_data(seed=0, n=8):
         rng.integers(1, 3, size=n),
     ], axis=1)
     return Dataset(schema, cells)
-
-
-def test_public_steps_compose_into_one_sweep():
-    """Chaining the single-step operations reproduces iterate_states."""
-    data = _toy_data(1)
-    cfg = GibbsConfig()
-
-    rng = np.random.default_rng(11)
-    state = init_state(data, cfg, rng)
-    for i in range(data.n_rows):
-        w = assignment_weights(i, state, data, cfg)
-        state = sample_assignment(i, w, state, data, cfg, rng)
-    state = prune_and_relabel(state)
-    state = update_psi(state, data, cfg, rng)
-
-    swept = next(iterate_states(data, cfg, sweeps=1, seed=11))
-    assert np.array_equal(state.assignments, swept.assignments)
-    assert np.array_equal(state.counts, swept.counts)
-    assert np.array_equal(state.psi, swept.psi)
 
 
 def test_iterate_states_yields_valid_sorted_states():
@@ -441,6 +417,11 @@ def test_iterate_states_rejects_bad_arguments():
     data = _toy_data(0)
     with pytest.raises(ValueError, match="sweeps"):
         list(iterate_states(data, sweeps=0))
+    for every in (0, -1):
+        # refused before the first sweep runs
+        with pytest.raises(ValueError, match="progress_every must be >= 1"):
+            next(iterate_states(data, sweeps=3, progress=io.StringIO(),
+                                progress_every=every))
 
 
 class TestGibbsConfig:
