@@ -1,7 +1,12 @@
 """Compare two catmix checkouts with the repository benchmark, in pairs.
 
-    python3 scripts/bench_pairs.py --parent DIR --change DIR \
+    python3 scripts/bench_pairs.py --parent DIR_OR_REV --change DIR \
         --run levels:10 --run wide:1 --seed 1 --seconds 25 --out BENCH.json
+
+``--change`` names a checkout directory.  ``--parent`` names one too,
+or a git revision of the repository holding this script, which is then
+checked out with ``git worktree add --detach`` into a temporary
+directory that is removed when the script ends.
 
 Each ``--run WORKLOAD:PAIRS`` makes PAIRS pairs of
 ``python3 bench/run.py --workload WORKLOAD --seed SEED --seconds S``,
@@ -19,17 +24,45 @@ count for neither side).
 """
 
 import argparse
+import contextlib
 import datetime
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 SIDES = ("parent", "change")
+REPO = Path(__file__).resolve().parent.parent
+
+
+def checkout(spec: str, stack: contextlib.ExitStack) -> Path:
+    """``spec`` itself if it is a directory, else a temporary worktree
+    of the git revision ``spec``, removed when ``stack`` closes."""
+    if Path(spec).is_dir():
+        return Path(spec)
+    git = ["git", "-C", str(REPO)]
+    rev = subprocess.run(git + ["rev-parse", "--verify", "--quiet",
+                                f"{spec}^{{commit}}"],
+                         capture_output=True, text=True, check=False)
+    if rev.returncode != 0:
+        sys.exit(f"bench_pairs: {spec!r} is neither a directory nor a "
+                 "git revision")
+    tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
+    stack.callback(shutil.rmtree, tmp, ignore_errors=True)
+    tree = tmp / "checkout"
+    subprocess.run(git + ["worktree", "add", "--detach", str(tree),
+                          rev.stdout.strip()],
+                   capture_output=True, check=True)
+    stack.callback(subprocess.run, git + ["worktree", "remove", "--force",
+                                          str(tree)],
+                   capture_output=True, check=False)
+    return tree
 
 
 def bench_once(checkout: Path, workload: str, seed: int,
@@ -105,7 +138,7 @@ def host() -> dict:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--parent", required=True, type=Path)
+    ap.add_argument("--parent", required=True, metavar="DIR_OR_REV")
     ap.add_argument("--change", required=True, type=Path)
     ap.add_argument("--run", action="append", required=True,
                     metavar="WORKLOAD:PAIRS")
@@ -113,7 +146,15 @@ def main() -> int:
     ap.add_argument("--seconds", type=int, default=25)
     ap.add_argument("--out", required=True, type=Path)
     args = ap.parse_args()
-    dirs = {"parent": args.parent, "change": args.change}
+    with contextlib.ExitStack() as stack:
+        dirs = {"parent": checkout(args.parent, stack),
+                "change": args.change}
+        run_pairs(args, dirs)
+    return 0
+
+
+def run_pairs(args, dirs: dict) -> None:
+    """Run every ``--run`` spec in ``dirs`` and write ``--out``."""
     doc = {
         "command": "python3 bench/run.py --workload W --seed "
                    f"{args.seed} --seconds {args.seconds} --trace 0",
@@ -145,7 +186,6 @@ def main() -> int:
         doc["workloads"][workload] = {"runs": pairs,
                                       "summary": summarize(pairs)}
         args.out.write_text(json.dumps(doc, indent=2) + "\n")
-    return 0
 
 
 if __name__ == "__main__":

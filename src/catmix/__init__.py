@@ -46,6 +46,7 @@ from catmix.core import (
     parse_dataset,
     serialize_model,
     serialize_models,
+    write_models,
 )
 from catmix.sampler import (
     GibbsConfig,
@@ -140,4 +141,5 @@ __all__ = [
     "serialize_model",
     "serialize_models",
     "verify_construction",
+    "write_models",
 ]

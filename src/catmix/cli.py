@@ -10,6 +10,7 @@ errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -65,11 +66,20 @@ def _int_list(text: str) -> tuple[int, ...]:
         ) from None
 
 
-def _write_atomic(path, text: str) -> None:
+def _write_atomic(path, content) -> None:
+    """Write ``content`` to ``path`` through a temporary file.
+
+    ``content`` is a string, or a function that writes to the open
+    temporary file, so that a large document need not be built first.
+    """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
     try:
-        tmp.write_text(text)
+        with open(tmp, "w") as f:
+            if callable(content):
+                content(f)
+            else:
+                f.write(content)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -155,7 +165,7 @@ def _cmd_fit(args) -> int:
     if args.summary:
         payload = core.serialize_model(inference.pool_draws(sample))
     else:
-        payload = core.serialize_models(sample.draws)
+        payload = functools.partial(core.write_models, sample.draws)
     _write_atomic(args.out, payload)
     khist_path = args.k_histogram or f"{args.out}.khist.csv"
     _write_atomic(khist_path, _khist_csv(sample))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -46,6 +46,7 @@ __all__ = [
     "parse_dataset",
     "serialize_model",
     "serialize_models",
+    "write_models",
 ]
 
 #: Integer code reserved for missing cells.
@@ -558,8 +559,8 @@ def serialize_model(model: CollapsedModel) -> str:
     return json.dumps(model_to_dict(model), indent=2) + "\n"
 
 
-def serialize_models(models: Sequence[CollapsedModel]) -> str:
-    """Serialize a list of posterior draws as one JSON document."""
+def _draws_document(models: Sequence[CollapsedModel]) -> dict:
+    """The JSON object of a list of posterior draws."""
     models = list(models)
     if not models:
         raise ValueError("need at least one model")
@@ -567,13 +568,22 @@ def serialize_models(models: Sequence[CollapsedModel]) -> str:
     for m in models[1:]:
         if m.schema.cardinalities != schema.cardinalities:
             raise ValueError("all draws must share one schema")
-    return json.dumps(
-        {
-            "cardinalities": list(schema.cardinalities),
-            "draws": [model_to_dict(m) for m in models],
-        },
-        indent=2,
-    ) + "\n"
+    return {
+        "cardinalities": list(schema.cardinalities),
+        "draws": [model_to_dict(m) for m in models],
+    }
+
+
+def serialize_models(models: Sequence[CollapsedModel]) -> str:
+    """Serialize a list of posterior draws as one JSON document."""
+    return json.dumps(_draws_document(models), indent=2) + "\n"
+
+
+def write_models(models: Sequence[CollapsedModel], fp: TextIO) -> None:
+    """Write the document of :func:`serialize_models` to the text file
+    ``fp`` piece by piece, without holding it in memory."""
+    json.dump(_draws_document(models), fp, indent=2)
+    fp.write("\n")
 
 
 def deserialize_models(text: str) -> list[CollapsedModel]:

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -21,6 +22,7 @@ from catmix.core import (
     parse_dataset,
     serialize_model,
     serialize_models,
+    write_models,
 )
 
 
@@ -304,6 +306,13 @@ class TestModelSerialization:
         for a, b in zip(again, models):
             assert np.array_equal(a.theta, b.theta)
             assert np.array_equal(a.tilde_psi, b.tilde_psi)
+
+    def test_written_document_is_the_serialized_one(self):
+        rng = np.random.default_rng(4)
+        models = [_random_model(rng, k=3), _random_model(rng, k=1)]
+        buf = io.StringIO()
+        write_models(models, buf)
+        assert buf.getvalue() == serialize_models(models)
 
     def test_single_model_document_loads_as_one_draw(self):
         m = _random_model(np.random.default_rng(5))

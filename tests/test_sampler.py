@@ -395,6 +395,78 @@ def test_sweeps_match_the_reference_kernel_draw_for_draw(seed, alpha, beta,
         assert False in grew and True in grew
 
 
+def _clustered_missing_table(seed, n=200):
+    """n x 8 table of three noisy groups, cardinalities 2 to 9, and
+    about 25% zeros: after a few sweeps most rows stay put."""
+    rng = np.random.default_rng(seed)
+    cards = [2, 3, 5, 9, 2, 4, 3, 6]
+    group = rng.integers(0, 3, n)
+    cells = np.column_stack([
+        np.where(rng.random(n) < 0.8, 1 + group * (j + 2) % d,
+                 rng.integers(1, d + 1, n))
+        for j, d in enumerate(cards)])
+    cells[rng.random(cells.shape) < 0.25] = 0
+    return Dataset(CategoricalSchema(cards), cells)
+
+
+def _spy_on_blocks(monkeypatch):
+    """Count the rows block passes settle and the components their
+    movers open."""
+    seen = {"settled": 0, "births": 0}
+    settle = sampler._Chain.settle
+
+    def spying(chain, start, stop, rng):
+        k = chain.k
+        stayed = settle(chain, start, stop, rng)
+        seen["settled"] += stayed
+        seen["births"] += chain.k > k
+        return stayed
+
+    monkeypatch.setattr(sampler._Chain, "settle", spying)
+    return seen
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.25, 1.0), (50.0, 3.0)])
+def test_steady_sweeps_match_the_reference_kernel_draw_for_draw(
+        alpha, beta, monkeypatch):
+    seen = _spy_on_blocks(monkeypatch)
+    data = _clustered_missing_table(3)
+    cfg = GibbsConfig(alpha=alpha, beta=beta)
+    sweeps = 40
+    pairs = zip(iterate_states(data, cfg, sweeps=sweeps, seed=11),
+                _reference_states(data, cfg, sweeps=sweeps, seed=11))
+    for state, (z, counts, psi) in pairs:
+        assert state.assignments.tolist() == z.tolist()
+        assert state.counts.tolist() == counts.tolist()
+        assert state.psi.tobytes() == psi.tobytes()
+    # most row visits were settled by block passes, not row by row
+    assert seen["settled"] > 0.5 * sweeps * data.n_rows
+    if alpha > 1:
+        # a block's mover opened a component, drawing its psi after
+        # the replayed uniforms
+        assert seen["births"] > 0
+
+
+@pytest.mark.parametrize("bit_generator",
+                         [np.random.PCG64, np.random.MT19937,
+                          np.random.Philox])
+def test_sweeps_leave_a_callers_generator_where_the_reference_does(
+        bit_generator, monkeypatch):
+    # a uniform drawn once too often, or replayed wrongly after a block
+    # is cut, shifts every later draw of the caller's generator
+    seen = _spy_on_blocks(monkeypatch)
+    data = _clustered_missing_table(4)
+    cfg = GibbsConfig(alpha=3.0)
+    ours, ref = (np.random.Generator(bit_generator(7)) for _ in range(2))
+    for state, (z, _, psi) in zip(
+            iterate_states(data, cfg, sweeps=15, seed=ours),
+            _reference_states(data, cfg, sweeps=15, seed=ref)):
+        assert state.assignments.tolist() == z.tolist()
+        assert state.psi.tobytes() == psi.tobytes()
+    assert seen["settled"] > 0
+    assert ours.random(8).tolist() == ref.random(8).tolist()
+
+
 def test_first_sweep_memory_stays_near_the_initial_psi():
     # one component per row: the initial psi, 8 * n * p * (D + 1) bytes,
     # and its log dominate; a death must not copy them
