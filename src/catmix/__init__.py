@@ -46,7 +46,6 @@ from catmix.core import (
     parse_dataset,
     serialize_model,
     serialize_models,
-    write_models,
 )
 from catmix.sampler import (
     GibbsConfig,
@@ -141,5 +140,4 @@ __all__ = [
     "serialize_model",
     "serialize_models",
     "verify_construction",
-    "write_models",
 ]
