@@ -20,13 +20,18 @@ The JSON written to ``--out`` holds every run (its end-to-end metrics,
 figures), each pair's change/parent ratios, and per workload and side
 the median and quartiles of every metric, the model-JSON sha1s seen, and
 how many pairs the change won on each metric (lower is better; ties
-count for neither side).
+count for neither side).  Each metric's summary also gives the median of
+the pairs' change/parent ratios with a distribution-free interval from
+sign-test order statistics, and ``claim_met``: whether the change won at
+least nine tenths of the pairs and its median is below the parent's by
+more than the parent's interquartile range.
 """
 
 import argparse
 import contextlib
 import datetime
 import json
+import math
 import os
 import platform
 import shutil
@@ -95,6 +100,27 @@ def bench_once(checkout: Path, workload: str, seed: int,
     return run
 
 
+def median_interval(ratios: list[float], level: float = 0.95) -> dict:
+    """Median of ``ratios`` and a distribution-free interval for it.
+
+    The interval is the l-th smallest to the l-th largest ratio, with
+    the largest l whose sign-test coverage 1 - 2 P(Bin(n, 1/2) < l)
+    is at least ``level``; with too few ratios for that, l is 1 and the
+    interval is their range, with its smaller coverage.
+    """
+    r = sorted(ratios)
+    n = len(r)
+
+    def coverage(l: int) -> float:
+        return 1.0 - 2.0 * sum(math.comb(n, i) for i in range(l)) / 2 ** n
+
+    l = 1
+    while 2 * (l + 1) <= n + 1 and coverage(l + 1) >= level:
+        l += 1
+    return {"median": float(np.median(r)), "low": r[l - 1],
+            "high": r[n - l], "coverage": coverage(l)}
+
+
 def summarize(pairs: list[dict]) -> dict:
     """Medians, quartiles, wins and model sha1s over a workload's pairs."""
     metrics = sorted(pairs[0]["parent"].get("metrics", {}))
@@ -119,6 +145,13 @@ def summarize(pairs: list[dict]) -> dict:
         row["change_wins"] = wins
         row["median_ratio"] = row["change"]["median"] / row["parent"]["median"]
         row["gain_exceeds_parent_iqr"] = bool(gain > parent_iqr)
+        ratios = [p["ratio_change_over_parent"][name] for p in pairs
+                  if "ratio_change_over_parent" in p]
+        if ratios:
+            row["pair_ratio"] = median_interval(ratios)
+        # nine tenths of all pairs run, failed ones included
+        row["claim_met"] = bool(10 * wins >= 9 * len(pairs)
+                                and gain > parent_iqr)
         out["metrics"][name] = row
     return out
 

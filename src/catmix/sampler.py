@@ -32,6 +32,18 @@ component per row, which sees about n deaths, no longer costs
 O(n^2 p D); what remains are the row likelihoods, O(k p) per row as in
 any sweep.
 
+The chain keeps each component's log psi only at the codes its
+variables really have, sum_j (d_j + 1) of them, not at the p (D + 1)
+codes of a table padded to the widest variable; one 100-level column
+among 2- to 5-level ones would otherwise make nine entries in ten
+padding.  Starting from one component per row, this log table takes
+O(n sum_j (d_j + 1)) floats.  Psi itself is drawn in the padded
+(k, p, D + 1) layout that a state reports, whose zero padding keeps the
+Dirichlet normaliser of every draw, but a chunk of components at a
+time: no padded array over all n initial components is built, and
+each padded scratch array of a chunk holds at most ``_BLOCK_CELLS``
+floats (256 KiB), or one component's table if that is larger.
+
 Where it can, a sweep settles rows in blocks instead of one at a time,
 with unchanged draws.  A row that stays in its component changes no
 count and no live order, so every row up to the first one that moves
@@ -100,7 +112,9 @@ _BETA_MAX = 1e300
 # when that reaches _BLOCK_MIN rows: a pass costs a few single-row
 # visits.  Its (rows, p, slots) gather of log psi holds at most
 # _BLOCK_CELLS floats, which also bounds the work a block wastes on the
-# rows after its first mover.
+# rows after its first mover.  Psi is drawn in chunks of components
+# whose padded (rows, p, D + 1) tables hold at most _BLOCK_CELLS floats
+# (or one component, if larger).
 _BLOCK_MIN = 6
 _BLOCK_CELLS = 1 << 15
 _GROW = 2
@@ -197,8 +211,8 @@ class PosteriorSample:
 
 class _Chain:
     __slots__ = (
-        "x", "n", "p", "width", "cols", "offsets",
-        "beta_pad", "new_logw",
+        "x", "n", "p", "width", "cols", "real", "offsets", "chunk",
+        "beta", "beta_pad", "new_logw",
         "z", "counts", "log_psi", "order", "free", "run", "mean_run",
     )
 
@@ -209,11 +223,16 @@ class _Chain:
         self.n, self.p = self.x.shape
         self.width = data.schema.max_cardinality + 1
         self.cols = np.arange(self.p)
-        # position of cell (i, j) in a flattened (p, width) table
-        self.offsets = self.cols * self.width + self.x
         cards = data.schema.codes_array()
-        self.beta_pad = np.where(
-            np.arange(self.width)[None, :] <= cards[:, None], config.beta, 0.0)
+        is_real = np.arange(self.width)[None, :] <= cards[:, None]
+        # flat positions of the real codes 0 .. d_j in a padded
+        # (p, width) table, variable by variable
+        self.real = np.flatnonzero(is_real)
+        # position of cell (i, j) among the real codes
+        self.offsets = np.cumsum(cards + 1) - (cards + 1) + self.x
+        self.chunk = max(1, _BLOCK_CELLS // (self.p * self.width))
+        self.beta = config.beta
+        self.beta_pad = np.where(is_real, self.beta, 0.0)
         # log weight of opening a new component; flat priors give every
         # code the same log(beta / sum_c beta), so code 0 stands for x_ij
         with np.errstate(divide="ignore"):
@@ -235,20 +254,36 @@ class _Chain:
 
     # -- state transfer ----------------------------------------------------
 
+    def _adopt(self, z: np.ndarray, counts: np.ndarray) -> None:
+        """Take components in label order, slot ``h`` holding component
+        ``h``, with room for their log psi."""
+        self.z = z
+        self.counts = counts
+        # log psi is kept transposed, shape (real codes, slots), so that
+        # a row's terms for every slot are one row gather
+        self.log_psi = np.empty((self.real.size, counts.size))
+        self.order = np.arange(counts.size)
+        self.free = []
+
+    def _chunks(self, k: int) -> Iterator[slice]:
+        """Consecutive slices of ``range(k)``, ``chunk`` long."""
+        for start in range(0, k, self.chunk):
+            yield slice(start, min(start + self.chunk, k))
+
+    def _keep_log(self, slots: slice, psi: np.ndarray) -> None:
+        """Store the log of padded ``psi``, shape (slots, p, width), at
+        the real codes of ``slots``."""
+        flat = psi.reshape(-1, self.p * self.width).take(self.real, axis=1)
+        with np.errstate(divide="ignore"):
+            np.log(flat.T, out=self.log_psi[:, slots])
+
     def set_state(self, z: np.ndarray, counts: np.ndarray,
                   psi: np.ndarray) -> None:
         """Adopt components in label order, slot ``h`` holding component
-        ``h``; only the log of ``psi`` is kept."""
-        k = counts.size
-        self.z = z
-        self.counts = counts
-        # log psi is kept transposed, shape (p * width, slots), so that a
-        # row's terms for every slot are one row gather
-        self.log_psi = np.empty((self.p * self.width, k))
-        with np.errstate(divide="ignore"):
-            np.log(psi.reshape(k, -1).T, out=self.log_psi)
-        self.order = np.arange(k)
-        self.free = []
+        ``h``; only the log of ``psi`` at the real codes is kept."""
+        self._adopt(z, counts)
+        for slots in self._chunks(counts.size):
+            self._keep_log(slots, psi[slots])
 
     def labels(self) -> tuple[np.ndarray, np.ndarray]:
         """Each row's component label, and the counts in label order."""
@@ -268,9 +303,12 @@ class _Chain:
 
     def init(self, rng: np.random.Generator) -> None:
         """Every row in its own component, log psi from a prior draw."""
-        conc = np.broadcast_to(self.beta_pad, (self.n, self.p, self.width))
-        self.set_state(np.arange(self.n), np.ones(self.n, dtype=np.int64),
-                       padded_dirichlet(conc, rng))
+        self._adopt(np.arange(self.n), np.ones(self.n, dtype=np.int64))
+        conc = np.broadcast_to(self.beta_pad,
+                               (self.chunk, self.p, self.width))
+        for slots in self._chunks(self.n):
+            rows = slots.stop - slots.start
+            self._keep_log(slots, padded_dirichlet(conc[:rows], rng))
 
     def detach(self, i: int) -> None:
         """Remove row i from its component, dropping it if now empty."""
@@ -330,8 +368,7 @@ class _Chain:
         conc[self.cols, self.x[i]] += 1.0
         fresh = padded_dirichlet(conc, rng)
         s = self._free_slot()
-        with np.errstate(divide="ignore"):
-            self.log_psi[:, s] = np.log(fresh).ravel()
+        self._keep_log(slice(s, s + 1), fresh)
         self.counts[s] = 1
         self.order = np.append(self.order, s)
         self.z[i] = s
@@ -363,10 +400,17 @@ class _Chain:
         # release the slot buffer before the draw allocates a new one
         self.log_psi = None
         k = counts.size
-        flat = z[:, None] * (self.p * self.width) + self.offsets
-        tab = np.bincount(flat.ravel(), minlength=k * self.p * self.width)
-        conc = tab.reshape(k, self.p, self.width) + self.beta_pad
-        psi = padded_dirichlet(conc, rng)
+        real = self.real.size
+        tab = np.bincount((z[:, None] * real + self.offsets).ravel(),
+                          minlength=k * real).reshape(k, real)
+        psi = np.empty((k, self.p, self.width))
+        # the padding stays zero; the real codes are set chunk by chunk
+        conc = np.zeros((min(k, self.chunk), self.p * self.width))
+        for slots in self._chunks(k):
+            part = conc[:slots.stop - slots.start]
+            part[:, self.real] = tab[slots] + self.beta
+            psi[slots] = padded_dirichlet(
+                part.reshape(-1, self.p, self.width), rng)
         self.set_state(z, counts, psi)
         return psi
 

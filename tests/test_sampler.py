@@ -50,8 +50,11 @@ def _weights(row, state, data, config=GibbsConfig()):
 
 
 def _psi(ch):
-    """The chain's psi by slot, shape (slots, p, D + 1), from its logs."""
-    return np.exp(ch.log_psi.T.reshape(ch.counts.size, ch.p, ch.width))
+    """The chain's psi by slot, shape (slots, p, D + 1), from its logs at
+    the real codes, zero in the padding."""
+    psi = np.zeros((ch.counts.size, ch.p * ch.width))
+    psi[:, ch.real] = np.exp(ch.log_psi.T)
+    return psi.reshape(ch.counts.size, ch.p, ch.width)
 
 
 class TestInitState:
@@ -465,6 +468,57 @@ def test_sweeps_leave_a_callers_generator_where_the_reference_does(
         assert state.psi.tobytes() == psi.tobytes()
     assert seen["settled"] > 0
     assert ours.random(8).tolist() == ref.random(8).tolist()
+
+
+def _wide_column_table(seed, n):
+    """n x 9 table, one 150-level column among 2- to 5-level ones, and
+    about 25% zeros: the padded psi is mostly padding."""
+    rng = np.random.default_rng(seed)
+    cards = [150] + [2, 3, 5, 4] * 2
+    cells = np.column_stack([rng.integers(1, d + 1, n) for d in cards])
+    cells[rng.random(cells.shape) < 0.25] = 0
+    return Dataset(CategoricalSchema(cards), cells)
+
+
+def test_chunked_psi_draws_match_the_reference_kernel_draw_for_draw():
+    # psi is drawn a chunk of components at a time; here both the
+    # initial draw over n components and the first redraw span several
+    # chunks
+    data = _wide_column_table(5, n=240)
+    cfg = GibbsConfig()
+    chunk = sampler._BLOCK_CELLS // (
+        data.n_variables * (data.schema.max_cardinality + 1))
+    ours, ref = (np.random.default_rng(21) for _ in range(2))
+    pairs = list(zip(iterate_states(data, cfg, sweeps=4, seed=ours),
+                     _reference_states(data, cfg, sweeps=4, seed=ref)))
+    assert data.n_rows > 2 * chunk
+    assert pairs[0][0].k > 2 * chunk
+    for state, (z, counts, psi) in pairs:
+        assert state.assignments.tolist() == z.tolist()
+        assert state.counts.tolist() == counts.tolist()
+        assert state.psi.tobytes() == psi.tobytes()
+    assert ours.random(8).tolist() == ref.random(8).tolist()
+
+
+def test_first_sweep_memory_scales_with_the_real_codes():
+    # one 1000-level column pads nine small ones tenfold; the chain keeps
+    # log psi only at the real codes, 8 * n * sum_j (d_j + 1) bytes, and
+    # draws psi a bounded chunk at a time.  The first redraw's psi, which
+    # the state reports padded, is the largest array: k is about n / 3.
+    rng = np.random.default_rng(0)
+    cards = [1000] + [2, 3, 4] * 3
+    n = 300
+    cells = np.column_stack([rng.integers(0, d + 1, n) for d in cards])
+    data = Dataset(CategoricalSchema(cards), cells)
+    real_bytes = 8 * n * sum(d + 1 for d in cards)
+    chunk_bytes = 8 * sampler._BLOCK_CELLS
+    tracemalloc.start()
+    try:
+        next(iterate_states(data, GibbsConfig(), sweeps=1, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * real_bytes + 8 * chunk_bytes
 
 
 def test_first_sweep_memory_stays_near_the_initial_psi():

@@ -13,11 +13,18 @@ pytestmark = pytest.mark.skipif(shutil.which("git") is None,
 
 
 @pytest.fixture()
-def bench_pairs(tmp_path, monkeypatch):
-    """The script as a module, with a one-commit repository as REPO."""
+def script():
+    """The script as a module."""
     spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture()
+def bench_pairs(script, tmp_path, monkeypatch):
+    """The script as a module, with a two-commit repository as REPO."""
+    module = script
     repo = tmp_path / "repo"
     repo.mkdir()
     git = ["git", "-C", str(repo), "-c", "user.name=t",
@@ -61,3 +68,68 @@ def test_neither_directory_nor_revision_is_refused(bench_pairs):
     with pytest.raises(SystemExit, match="neither a directory nor a git"):
         with contextlib.ExitStack() as stack:
             module.checkout("no-such-revision", stack)
+
+
+def _pairs(parent, change):
+    """Synthetic pair records of one metric, ``wall_s``."""
+    out = []
+    for a, b in zip(parent, change):
+        out.append({
+            "parent": {"correct": True, "metrics": {"wall_s": a}},
+            "change": {"correct": True, "metrics": {"wall_s": b}},
+            "ratio_change_over_parent": {"wall_s": b / a}})
+    return out
+
+
+def test_ten_pairs_give_the_sign_test_interval_and_meet_the_claim(script):
+    parent = [1.00, 1.02, 0.98, 1.05, 0.97, 1.01, 1.03, 0.99, 1.04, 0.96]
+    scale = [0.50, 0.52, 0.54, 0.56, 0.58, 0.60, 0.62, 0.64, 0.66, 0.68]
+    row = script.summarize(_pairs(parent, [a * s for a, s in
+                                           zip(parent, scale)]))
+    wall = row["metrics"]["wall_s"]
+    # with 10 pairs, the 2nd smallest to the 2nd largest ratio covers
+    # the median with probability 1 - 2 * 11 / 1024; the 3rd would not
+    # reach 95%
+    assert wall["pair_ratio"]["low"] == pytest.approx(0.52)
+    assert wall["pair_ratio"]["high"] == pytest.approx(0.66)
+    assert wall["pair_ratio"]["median"] == pytest.approx(0.59)
+    assert wall["pair_ratio"]["coverage"] == pytest.approx(1 - 22 / 1024)
+    assert wall["change_wins"] == 10
+    assert wall["claim_met"] is True
+
+
+def test_eight_wins_in_ten_pairs_do_not_meet_the_claim(script):
+    parent = [1.0] * 10
+    change = [0.5] * 8 + [1.5] * 2
+    wall = script.summarize(_pairs(parent, change))["metrics"]["wall_s"]
+    assert wall["change_wins"] == 8
+    assert wall["gain_exceeds_parent_iqr"] is True
+    assert wall["claim_met"] is False
+
+
+def test_a_gain_within_the_parent_spread_does_not_meet_the_claim(script):
+    parent = [1.0, 1.4, 1.0, 1.4, 1.0, 1.4, 1.0, 1.4, 1.0, 1.4]
+    change = [a - 0.05 for a in parent]
+    wall = script.summarize(_pairs(parent, change))["metrics"]["wall_s"]
+    assert wall["change_wins"] == 10
+    assert wall["gain_exceeds_parent_iqr"] is False
+    assert wall["claim_met"] is False
+
+
+def test_failed_pairs_count_against_the_claim(script):
+    pairs = _pairs([1.0] * 9, [0.5] * 9)
+    pairs.append({"parent": {"correct": True, "metrics": {"wall_s": 1.0}},
+                  "change": {"correct": False}})
+    wall = script.summarize(pairs)["metrics"]["wall_s"]
+    assert wall["change_wins"] == 9
+    assert wall["claim_met"] is True
+    pairs.append(pairs[-1])
+    wall = script.summarize(pairs)["metrics"]["wall_s"]
+    assert wall["claim_met"] is False
+
+
+def test_three_pairs_give_their_range_with_its_coverage(script):
+    interval = script.median_interval([1.2, 0.9, 1.0])
+    assert (interval["low"], interval["median"], interval["high"]) == (
+        0.9, 1.0, 1.2)
+    assert interval["coverage"] == pytest.approx(0.75)
