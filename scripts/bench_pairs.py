@@ -20,11 +20,15 @@ The JSON written to ``--out`` holds every run (its end-to-end metrics,
 figures), each pair's change/parent ratios, and per workload and side
 the median and quartiles of every metric, the model-JSON sha1s seen, and
 how many pairs the change won on each metric (lower is better; ties
-count for neither side).  Each metric's summary also gives the median of
-the pairs' change/parent ratios with a distribution-free interval from
-sign-test order statistics, and ``claim_met``: whether the change won at
-least nine tenths of the pairs and its median is below the parent's by
-more than the parent's interquartile range.
+count for neither side).  A pair is a win only when both runs are
+correct and the change's run failed no more commands than the parent's.
+Each workload's summary counts the failures of each side: its failed
+commands plus one for each run that was not correct.  Each metric's
+summary also gives the median of the pairs' change/parent ratios with a
+distribution-free interval from sign-test order statistics, and
+``claim_met``: whether at least ten pairs ran, the change won at least
+nine tenths of them, its median is below the parent's by more than the
+parent's interquartile range, and it had no more failures in total.
 """
 
 import argparse
@@ -43,6 +47,10 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("parent", "change")
+# fewest pairs on which a gain may be claimed
+MIN_PAIRS = 10
+# least sign-test coverage of the pair-ratio median interval
+COVERAGE = 0.95
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -100,12 +108,12 @@ def bench_once(checkout: Path, workload: str, seed: int,
     return run
 
 
-def median_interval(ratios: list[float], level: float = 0.95) -> dict:
+def median_interval(ratios: list[float]) -> dict:
     """Median of ``ratios`` and a distribution-free interval for it.
 
     The interval is the l-th smallest to the l-th largest ratio, with
     the largest l whose sign-test coverage 1 - 2 P(Bin(n, 1/2) < l)
-    is at least ``level``; with too few ratios for that, l is 1 and the
+    is at least ``COVERAGE``; with too few ratios for that, l is 1 and the
     interval is their range, with its smaller coverage.
     """
     r = sorted(ratios)
@@ -115,21 +123,39 @@ def median_interval(ratios: list[float], level: float = 0.95) -> dict:
         return 1.0 - 2.0 * sum(math.comb(n, i) for i in range(l)) / 2 ** n
 
     l = 1
-    while 2 * (l + 1) <= n + 1 and coverage(l + 1) >= level:
+    while 2 * (l + 1) <= n + 1 and coverage(l + 1) >= COVERAGE:
         l += 1
     return {"median": float(np.median(r)), "low": r[l - 1],
             "high": r[n - l], "coverage": coverage(l)}
 
 
+def failures(run: dict) -> int:
+    """Failed commands of one run, plus one if the run was not correct:
+    its checks failed or its output could not be parsed."""
+    return run.get("failed", 0) + (not run["correct"])
+
+
+def won(pair: dict, name: str) -> bool:
+    """Whether the change beat the parent on metric ``name`` in ``pair``,
+    both runs correct and the change failing no more commands."""
+    parent, change = pair["parent"], pair["change"]
+    return (parent["correct"] and change["correct"]
+            and failures(change) <= failures(parent)
+            and change["metrics"][name] < parent["metrics"][name])
+
+
 def summarize(pairs: list[dict]) -> dict:
     """Medians, quartiles, wins and model sha1s over a workload's pairs."""
     metrics = sorted(pairs[0]["parent"].get("metrics", {}))
-    out = {"pairs": len(pairs), "metrics": {}, "model_json_sha1": {}}
+    out = {"pairs": len(pairs), "metrics": {}, "model_json_sha1": {},
+           "failed": {}}
     for side in SIDES:
         out["model_json_sha1"][side] = sorted({
             p[side]["checks"]["model_json_sha1"] for p in pairs
             if "model_json_sha1" in p[side].get("checks", {})})
         out[f"all_correct_{side}"] = all(p[side]["correct"] for p in pairs)
+        out["failed"][side] = sum(failures(p[side]) for p in pairs)
+    no_more_failed = out["failed"]["change"] <= out["failed"]["parent"]
     for name in metrics:
         row = {}
         for side in SIDES:
@@ -137,9 +163,7 @@ def summarize(pairs: list[dict]) -> dict:
                       if "metrics" in p[side]]
             q1, med, q3 = np.percentile(values, [25, 50, 75])
             row[side] = {"median": med, "q1": q1, "q3": q3}
-        wins = sum(p["change"]["metrics"][name] < p["parent"]["metrics"][name]
-                   for p in pairs if "metrics" in p["change"]
-                   and "metrics" in p["parent"])
+        wins = sum(won(p, name) for p in pairs)
         parent_iqr = row["parent"]["q3"] - row["parent"]["q1"]
         gain = row["parent"]["median"] - row["change"]["median"]
         row["change_wins"] = wins
@@ -150,8 +174,9 @@ def summarize(pairs: list[dict]) -> dict:
         if ratios:
             row["pair_ratio"] = median_interval(ratios)
         # nine tenths of all pairs run, failed ones included
-        row["claim_met"] = bool(10 * wins >= 9 * len(pairs)
-                                and gain > parent_iqr)
+        row["claim_met"] = bool(len(pairs) >= MIN_PAIRS
+                                and 10 * wins >= 9 * len(pairs)
+                                and gain > parent_iqr and no_more_failed)
         out["metrics"][name] = row
     return out
 

@@ -403,6 +403,7 @@ class _Chain:
         real = self.real.size
         tab = np.bincount((z[:, None] * real + self.offsets).ravel(),
                           minlength=k * real).reshape(k, real)
+        self._adopt(z, counts)
         psi = np.empty((k, self.p, self.width))
         # the padding stays zero; the real codes are set chunk by chunk
         conc = np.zeros((min(k, self.chunk), self.p * self.width))
@@ -411,7 +412,7 @@ class _Chain:
             part[:, self.real] = tab[slots] + self.beta
             psi[slots] = padded_dirichlet(
                 part.reshape(-1, self.p, self.width), rng)
-        self.set_state(z, counts, psi)
+            self._keep_log(slots, psi[slots])
         return psi
 
     def settle(self, start: int, stop: int,

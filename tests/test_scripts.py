@@ -8,10 +8,6 @@ import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
 
-pytestmark = pytest.mark.skipif(shutil.which("git") is None,
-                                reason="needs git")
-
-
 @pytest.fixture()
 def script():
     """The script as a module."""
@@ -24,6 +20,8 @@ def script():
 @pytest.fixture()
 def bench_pairs(script, tmp_path, monkeypatch):
     """The script as a module, with a two-commit repository as REPO."""
+    if shutil.which("git") is None:
+        pytest.skip("needs git")
     module = script
     repo = tmp_path / "repo"
     repo.mkdir()
@@ -75,8 +73,10 @@ def _pairs(parent, change):
     out = []
     for a, b in zip(parent, change):
         out.append({
-            "parent": {"correct": True, "metrics": {"wall_s": a}},
-            "change": {"correct": True, "metrics": {"wall_s": b}},
+            "parent": {"correct": True, "failed": 0,
+                       "metrics": {"wall_s": a}},
+            "change": {"correct": True, "failed": 0,
+                       "metrics": {"wall_s": b}},
             "ratio_change_over_parent": {"wall_s": b / a}})
     return out
 
@@ -117,14 +117,49 @@ def test_a_gain_within_the_parent_spread_does_not_meet_the_claim(script):
 
 
 def test_failed_pairs_count_against_the_claim(script):
+    unparsed = {"correct": False}
     pairs = _pairs([1.0] * 9, [0.5] * 9)
-    pairs.append({"parent": {"correct": True, "metrics": {"wall_s": 1.0}},
-                  "change": {"correct": False}})
-    wall = script.summarize(pairs)["metrics"]["wall_s"]
+    pairs.append({"parent": unparsed,
+                  "change": {"correct": True, "failed": 0,
+                             "metrics": {"wall_s": 0.5}}})
+    summary = script.summarize(pairs)
+    assert summary["failed"] == {"parent": 1, "change": 0}
+    assert summary["metrics"]["wall_s"]["change_wins"] == 9
+    assert summary["metrics"]["wall_s"]["claim_met"] is True
+    pairs[-1] = {"parent": {"correct": True, "failed": 0,
+                            "metrics": {"wall_s": 1.0}},
+                 "change": unparsed}
+    summary = script.summarize(pairs)
+    assert summary["failed"] == {"parent": 0, "change": 1}
+    assert summary["metrics"]["wall_s"]["change_wins"] == 9
+    assert summary["metrics"]["wall_s"]["claim_met"] is False
+
+
+def test_three_winning_pairs_are_too_few_for_a_claim(script):
+    wall = script.summarize(_pairs([1.0, 1.01, 0.99],
+                                   [0.5, 0.51, 0.49]))["metrics"]["wall_s"]
+    assert wall["change_wins"] == 3
+    assert wall["gain_exceeds_parent_iqr"] is True
+    assert wall["claim_met"] is False
+
+
+def test_a_faster_incorrect_change_run_defeats_the_claim(script):
+    pairs = _pairs([1.0] * 10, [0.5] * 10)
+    pairs[0]["change"]["correct"] = False
+    summary = script.summarize(pairs)
+    wall = summary["metrics"]["wall_s"]
+    assert summary["failed"] == {"parent": 0, "change": 1}
     assert wall["change_wins"] == 9
-    assert wall["claim_met"] is True
-    pairs.append(pairs[-1])
-    wall = script.summarize(pairs)["metrics"]["wall_s"]
+    assert wall["claim_met"] is False
+
+
+def test_more_failed_commands_on_the_change_defeat_the_claim(script):
+    pairs = _pairs([1.0] * 10, [0.5] * 10)
+    pairs[0]["change"]["failed"] = 1
+    summary = script.summarize(pairs)
+    wall = summary["metrics"]["wall_s"]
+    assert summary["failed"] == {"parent": 0, "change": 1}
+    assert wall["change_wins"] == 9
     assert wall["claim_met"] is False
 
 
