@@ -1,20 +1,30 @@
 import contextlib
+import hashlib
 import importlib.util
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "bench_pairs.py"
+
+
+def _load(path):
+    """The script at ``path`` as a module."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 @pytest.fixture()
 def script():
     """The script as a module."""
-    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load(SCRIPT)
 
 
 @pytest.fixture()
@@ -168,3 +178,39 @@ def test_three_pairs_give_their_range_with_its_coverage(script):
     assert (interval["low"], interval["median"], interval["high"]) == (
         0.9, 1.0, 1.2)
     assert interval["coverage"] == pytest.approx(0.75)
+
+
+@pytest.fixture()
+def draw_hashes():
+    return _load(ROOT / "scripts" / "draw_hashes.py")
+
+
+def test_draw_hashes_print_one_line_per_fit(draw_hashes, tmp_path, capsys):
+    saved = tmp_path / "psi.npz"
+    draw_hashes.main(["--save", str(saved)])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(draw_hashes.TABLES) * len(draw_hashes.PRIORS)
+    psi = np.load(saved)
+    for line in lines:
+        name, *digests = line.split()
+        assert len(digests) == 3
+        assert all(len(d) == 40 and set(d) <= set("0123456789abcdef")
+                   for d in digests)
+        assert hashlib.sha1(psi[name].tobytes()).hexdigest() == digests[1]
+    # --src imports catmix from the named directory, here in a fresh
+    # interpreter whose working directory holds no catmix
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "draw_hashes.py"),
+         "--src", str(ROOT / "src")],
+        cwd=tmp_path, capture_output=True, text=True, check=True, env={})
+    assert out.stdout.splitlines() == lines
+
+
+def test_padded_and_flat_psi_hash_alike(draw_hashes):
+    cards = (2, 4)
+    flat = np.array([[0.2, 0.3, 0.5, 0.1, 0.2, 0.3, 0.15, 0.25]])
+    padded = np.zeros((1, 2, 5))
+    padded[0, 0, :3] = flat[0, :3]
+    padded[0, 1] = flat[0, 3:]
+    assert (draw_hashes.real_codes(padded, cards).tobytes()
+            == draw_hashes.real_codes(flat, cards).tobytes())
