@@ -12,7 +12,9 @@ Conventions used throughout the package:
   codes only have length ``d_j`` and are indexed by ``code - 1``.
 * Arrays that stack per-variable vectors are padded with zeros up to
   the largest cardinality so that everything fits in one rectangular
-  ndarray.
+  ndarray.  A chain state's psi (:class:`ModelState`) is the exception:
+  it lays every variable's codes ``0 .. d_j`` end to end in one flat
+  row, variable ``j`` from its :meth:`CategoricalSchema.offsets` entry.
 """
 
 from __future__ import annotations
@@ -185,6 +187,11 @@ class CategoricalSchema:
         """Cardinalities as an int array, handy for vectorized checks."""
         return np.asarray(self.cardinalities, dtype=np.int64)
 
+    def offsets(self) -> np.ndarray:
+        """Start of each variable's codes ``0 .. d_j`` in the flat layout
+        of :class:`ModelState`, then its width ``sum_j (d_j + 1)``."""
+        return np.cumsum([0, *(d + 1 for d in self.cardinalities)])
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -257,9 +264,11 @@ class ModelState:
         Component index of each row, in ``0 .. k - 1``.
     counts : ndarray of int, shape (k,)
         Occupancy of each component; all entries positive.
-    psi : ndarray, shape (k, p, D + 1)
+    psi : ndarray, shape (k, sum_j (d_j + 1))
         Per component category probabilities over the codes
-        ``0 .. d_j`` (missing included), zero padded beyond ``d_j``.
+        ``0 .. d_j`` (missing included) of every variable, laid flat:
+        variable ``j``'s code ``c`` sits at column
+        ``schema.offsets()[j] + c``, and nothing pads a variable.
     """
 
     schema: CategoricalSchema
@@ -290,7 +299,14 @@ class ModelState:
     def validate(self) -> None:
         """Check the structural invariants, raising ValueError on failure."""
         k = self.k
-        _check_tables(self.psi, self.schema, k, 1, "psi", 1e-10)
+        starts = self.schema.offsets()
+        _check_shape(self.psi, (k, int(starts[-1])), "psi")
+        if not np.isfinite(self.psi).all() or (self.psi < 0).any():
+            raise ValueError("psi entries must be finite and nonnegative")
+        sums = np.add.reduceat(self.psi, starts[:-1], axis=1)
+        off = (np.abs(sums - 1.0) > 1e-10).any(axis=0)
+        if off.any():
+            raise ValueError(f"psi rows of variable {off.argmax()} do not sum to 1")
         if (self.counts <= 0).any():
             raise ValueError("every retained component must be occupied")
         if self.counts.sum() != self.n_rows:

@@ -32,17 +32,15 @@ component per row, which sees about n deaths, no longer costs
 O(n^2 p D); what remains are the row likelihoods, O(k p) per row as in
 any sweep.
 
-The chain keeps each component's log psi only at the codes its
-variables really have, sum_j (d_j + 1) of them, not at the p (D + 1)
-codes of a table padded to the widest variable; one 100-level column
-among 2- to 5-level ones would otherwise make nine entries in ten
-padding.  Starting from one component per row, this log table takes
-O(n sum_j (d_j + 1)) floats.  Psi itself is drawn in the padded
-(k, p, D + 1) layout that a state reports, whose zero padding keeps the
-Dirichlet normaliser of every draw, but a chunk of components at a
-time: no padded array over all n initial components is built, and
-each padded scratch array of a chunk holds at most ``_BLOCK_CELLS``
-floats (256 KiB), or one component's table if that is larger.
+Psi and its log cover only the codes each variable really has,
+sum_j (d_j + 1) of them, laid flat as in :class:`ModelState`, not the
+p (D + 1) codes of a table padded to the widest variable; one 100-level
+column among 2- to 5-level ones would otherwise make nine entries in
+ten padding.  Every Dirichlet draw is one ``standard_gamma`` over the
+flat concentrations, normalised by one rectangular sum per distinct
+cardinality.  Starting from one component per row, the log table takes
+O(n sum_j (d_j + 1)) floats, and its prior draw is made at most
+``_BLOCK_CELLS`` floats (256 KiB) at a time.
 
 Where it can, a sweep settles rows in blocks instead of one at a time,
 with unchanged draws.  A row that stays in its component changes no
@@ -90,7 +88,6 @@ from catmix.core import (
     Dataset,
     ModelState,
     as_generator,
-    padded_dirichlet,
     rescale_missing,
 )
 
@@ -112,9 +109,9 @@ _BETA_MAX = 1e300
 # when that reaches _BLOCK_MIN rows: a pass costs a few single-row
 # visits.  Its (rows, p, slots) gather of log psi holds at most
 # _BLOCK_CELLS floats, which also bounds the work a block wastes on the
-# rows after its first mover.  Psi is drawn in chunks of components
-# whose padded (rows, p, D + 1) tables hold at most _BLOCK_CELLS floats
-# (or one component, if larger).
+# rows after its first mover.  The prior psi of the n initial
+# components is drawn at most _BLOCK_CELLS floats (or one component) at
+# a time.
 _BLOCK_MIN = 6
 _BLOCK_CELLS = 1 << 15
 _GROW = 2
@@ -211,39 +208,30 @@ class PosteriorSample:
 
 class _Chain:
     __slots__ = (
-        "x", "n", "p", "width", "cols", "real", "offsets", "chunk",
-        "beta", "beta_pad", "new_logw",
+        "n", "p", "offsets", "groups", "var_of", "beta", "new_logw",
         "z", "counts", "log_psi", "order", "free", "run", "mean_run",
     )
 
     def __init__(self, data: Dataset, config: GibbsConfig):
         if data.n_rows == 0:
             raise ValueError("cannot run the sampler on an empty dataset")
-        self.x = np.ascontiguousarray(data.cells)
-        self.n, self.p = self.x.shape
-        self.width = data.schema.max_cardinality + 1
-        self.cols = np.arange(self.p)
+        self.n, self.p = data.cells.shape
+        starts = data.schema.offsets()
         cards = data.schema.codes_array()
-        is_real = np.arange(self.width)[None, :] <= cards[:, None]
-        # flat positions of the real codes 0 .. d_j in a padded
-        # (p, width) table, variable by variable
-        self.real = np.flatnonzero(is_real)
-        # position of cell (i, j) among the real codes
-        self.offsets = np.cumsum(cards + 1) - (cards + 1) + self.x
-        self.chunk = max(1, _BLOCK_CELLS // (self.p * self.width))
-        self.beta = config.beta
-        self.beta_pad = np.where(is_real, self.beta, 0.0)
+        # position of cell (i, j) in the flat layout of the codes
+        self.offsets = starts[:-1] + data.cells
+        # one (variables, d + 1) block of flat positions per distinct
+        # cardinality d, and the variable of every flat position
+        self.groups = []
+        for d in sorted(set(data.schema.cardinalities)):
+            var = np.flatnonzero(cards == d)
+            self.groups.append((var, starts[var, None] + np.arange(d + 1)))
+        self.var_of = np.repeat(np.arange(self.p), cards + 1)
+        self.beta = np.full(starts[-1], config.beta)
         # log weight of opening a new component; flat priors give every
         # code the same log(beta / sum_c beta), so code 0 stands for x_ij
-        with np.errstate(divide="ignore"):
-            log_beta = np.log(self.beta_pad)
-        log_beta = log_beta - np.log(self.beta_pad.sum(axis=1))[:, None]
-        self.new_logw = np.log(config.alpha) + log_beta[:, 0].sum()
-        self.z = None
-        self.counts = None
-        self.log_psi = None
-        self.order = None
-        self.free = None
+        self.new_logw = np.log(config.alpha) + (
+            np.log(config.beta) - np.log(self._sums(self.beta))).sum()
         self.run = 0
         self.mean_run = 0.0
 
@@ -259,31 +247,32 @@ class _Chain:
         ``h``, with room for their log psi."""
         self.z = z
         self.counts = counts
-        # log psi is kept transposed, shape (real codes, slots), so that
-        # a row's terms for every slot are one row gather
-        self.log_psi = np.empty((self.real.size, counts.size))
+        # log psi is kept transposed, shape (codes, slots), so that a
+        # row's terms for every slot are one row gather
+        self.log_psi = np.empty((self.beta.size, counts.size))
         self.order = np.arange(counts.size)
         self.free = []
 
-    def _chunks(self, k: int) -> Iterator[slice]:
-        """Consecutive slices of ``range(k)``, ``chunk`` long."""
-        for start in range(0, k, self.chunk):
-            yield slice(start, min(start + self.chunk, k))
+    def _sums(self, a: np.ndarray) -> np.ndarray:
+        """Each variable's sum of ``a`` over its flat codes (last axis),
+        one sum per distinct cardinality over a C-ordered ``take``: numpy
+        sums its rows pairwise, as it sums a padded table's rows of that
+        width, but a fancy-indexed gather is laid out transposed."""
+        out = np.empty(a.shape[:-1] + (self.p,))
+        for var, idx in self.groups:
+            out[..., var] = a.take(idx, axis=-1).sum(axis=-1)
+        return out
 
-    def _keep_log(self, slots: slice, psi: np.ndarray) -> None:
-        """Store the log of padded ``psi``, shape (slots, p, width), at
-        the real codes of ``slots``."""
-        flat = psi.reshape(-1, self.p * self.width).take(self.real, axis=1)
+    def _draw(self, conc: np.ndarray, slots: slice,
+              rng: np.random.Generator) -> np.ndarray:
+        """Draw the psi of ``slots`` from the Dirichlet distributions with
+        flat concentrations ``conc``, one row per slot; keep its log and
+        return it."""
+        psi = rng.standard_gamma(conc)
+        psi /= self._sums(psi)[:, self.var_of]
         with np.errstate(divide="ignore"):
-            np.log(flat.T, out=self.log_psi[:, slots])
-
-    def set_state(self, z: np.ndarray, counts: np.ndarray,
-                  psi: np.ndarray) -> None:
-        """Adopt components in label order, slot ``h`` holding component
-        ``h``; only the log of ``psi`` at the real codes is kept."""
-        self._adopt(z, counts)
-        for slots in self._chunks(counts.size):
-            self._keep_log(slots, psi[slots])
+            np.log(psi.T, out=self.log_psi[:, slots])
+        return psi
 
     def labels(self) -> tuple[np.ndarray, np.ndarray]:
         """Each row's component label, and the counts in label order."""
@@ -304,11 +293,11 @@ class _Chain:
     def init(self, rng: np.random.Generator) -> None:
         """Every row in its own component, log psi from a prior draw."""
         self._adopt(np.arange(self.n), np.ones(self.n, dtype=np.int64))
-        conc = np.broadcast_to(self.beta_pad,
-                               (self.chunk, self.p, self.width))
-        for slots in self._chunks(self.n):
-            rows = slots.stop - slots.start
-            self._keep_log(slots, padded_dirichlet(conc[:rows], rng))
+        chunk = max(1, _BLOCK_CELLS // self.beta.size)
+        conc = np.broadcast_to(self.beta, (chunk, self.beta.size))
+        for start in range(0, self.n, chunk):
+            stop = min(start + chunk, self.n)
+            self._draw(conc[:stop - start], slice(start, stop), rng)
 
     def detach(self, i: int) -> None:
         """Remove row i from its component, dropping it if now empty."""
@@ -364,11 +353,10 @@ class _Chain:
             self.z[i] = s
             self.counts[s] += 1
             return
-        conc = self.beta_pad.copy()
-        conc[self.cols, self.x[i]] += 1.0
-        fresh = padded_dirichlet(conc, rng)
+        conc = self.beta.copy()
+        conc[self.offsets[i]] += 1.0
         s = self._free_slot()
-        self._keep_log(slice(s, s + 1), fresh)
+        self._draw(conc[None], slice(s, s + 1), rng)
         self.counts[s] = 1
         self.order = np.append(self.order, s)
         self.z[i] = s
@@ -399,21 +387,11 @@ class _Chain:
         and return it in label order."""
         # release the slot buffer before the draw allocates a new one
         self.log_psi = None
-        k = counts.size
-        real = self.real.size
-        tab = np.bincount((z[:, None] * real + self.offsets).ravel(),
-                          minlength=k * real).reshape(k, real)
+        k, size = counts.size, self.beta.size
+        conc = np.bincount((z[:, None] * size + self.offsets).ravel(),
+                           minlength=k * size).reshape(k, size) + self.beta
         self._adopt(z, counts)
-        psi = np.empty((k, self.p, self.width))
-        # the padding stays zero; the real codes are set chunk by chunk
-        conc = np.zeros((min(k, self.chunk), self.p * self.width))
-        for slots in self._chunks(k):
-            part = conc[:slots.stop - slots.start]
-            part[:, self.real] = tab[slots] + self.beta
-            psi[slots] = padded_dirichlet(
-                part.reshape(-1, self.p, self.width), rng)
-            self._keep_log(slots, psi[slots])
-        return psi
+        return self._draw(conc, slice(None), rng)
 
     def settle(self, start: int, stop: int,
                rng: np.random.Generator) -> int:
@@ -496,7 +474,9 @@ def collapse_state(state: ModelState, data: Dataset | None = None) -> CollapsedM
 
     Component weights are the occupancy fractions ``n_h / n``.  Within
     each component the missing mass is divided out:
-    ``tilde_psi[h, j, c - 1] = psi[h, j, c] / (1 - psi[h, j, 0])``.
+    ``tilde_psi[h, j, c - 1] = psi_hj[c] / (1 - psi_hj[0])``, where
+    ``psi_hj`` is variable ``j``'s segment of the flat ``psi[h]``.  The
+    result is padded with zeros to the widest variable.
 
     Parameters
     ----------
@@ -518,7 +498,11 @@ def collapse_state(state: ModelState, data: Dataset | None = None) -> CollapsedM
             f"{data.n_rows}"
         )
     theta = state.counts / state.counts.sum()
-    return CollapsedModel(state.schema, theta, rescale_missing(state.psi))
+    cards = state.schema.codes_array()
+    real = np.arange(state.schema.max_cardinality + 1) <= cards[:, None]
+    psi = np.zeros((state.k,) + real.shape)
+    psi[:, real] = state.psi
+    return CollapsedModel(state.schema, theta, rescale_missing(psi))
 
 
 def iterate_states(data: Dataset, config: GibbsConfig = GibbsConfig(),

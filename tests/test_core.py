@@ -27,6 +27,10 @@ from catmix.core import (
 
 
 class TestCategoricalSchema:
+    def test_offsets_lay_the_codes_flat(self):
+        s = CategoricalSchema([3, 2, 5])
+        assert s.offsets().tolist() == [0, 4, 7, 13]
+
     def test_basic(self):
         s = CategoricalSchema([2, 3, 2])
         assert s.n_variables == 3
@@ -73,7 +77,7 @@ class TestDataset:
 class TestModelState:
     def _state(self):
         schema = CategoricalSchema([2])
-        psi = np.array([[[0.2, 0.5, 0.3]], [[0.1, 0.1, 0.8]]])
+        psi = np.array([[0.2, 0.5, 0.3], [0.1, 0.1, 0.8]])
         return ModelState(schema, [0, 1, 0], [2, 1], psi)
 
     def test_validate_accepts_consistent_state(self):
@@ -88,19 +92,34 @@ class TestModelState:
     def test_validate_rejects_unnormalized_psi(self):
         s = self._state()
         psi = np.array(s.psi)
-        psi[0, 0, 1] += 0.1
+        psi[0, 1] += 0.1
         with pytest.raises(ValueError, match="sum to 1"):
             ModelState(s.schema, s.assignments, s.counts, psi).validate()
 
-    def test_validate_rejects_nonzero_padding(self):
+    def test_validate_rejects_the_padded_layout(self):
+        # psi lays the codes of every variable flat, with no padding
         schema = CategoricalSchema([2, 3])
         psi = np.zeros((1, 2, 4))
         psi[0, 0, :3] = [0.2, 0.4, 0.4]
-        psi[0, 0, 3] = 0.1  # stray mass beyond d_0 + 1
         psi[0, 1] = 0.25
         state = ModelState(schema, [0], [1], psi)
-        with pytest.raises(ValueError, match="padding"):
+        with pytest.raises(ValueError, match=r"shape \(1, 2, 4\), expected \(1, 7\)"):
             state.validate()
+
+    def test_validate_rejects_wrong_width(self):
+        schema = CategoricalSchema([2, 3])
+        for width in (6, 8):
+            psi = np.full((1, width), 1 / 3)
+            with pytest.raises(ValueError, match=r"expected \(1, 7\)"):
+                ModelState(schema, [0], [1], psi).validate()
+
+    def test_validate_rejects_a_segment_that_does_not_sum_to_one(self):
+        # the row sums to 2 = p, but mass moved from variable 0's codes
+        # to variable 1's
+        schema = CategoricalSchema([2, 3])
+        psi = np.array([[0.2, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3]])
+        with pytest.raises(ValueError, match="variable 0 do not sum to 1"):
+            ModelState(schema, [0], [1], psi).validate()
 
 
 class TestCollapsedModel:

@@ -30,15 +30,16 @@ def _pair_state(psi_row):
         CategoricalSchema([2]),
         assignments=[0, 0],
         counts=[2],
-        psi=np.asarray(psi_row, dtype=float).reshape(1, 1, 3),
+        psi=np.asarray(psi_row, dtype=float).reshape(1, 3),
     )
 
 
 def _chain(data, state, config=GibbsConfig()):
     """A chain holding ``state``, as a sweep holds it between row visits."""
     ch = sampler._Chain(data, config)
-    ch.set_state(np.array(state.assignments), np.array(state.counts),
-                 state.psi)
+    ch._adopt(np.array(state.assignments), np.array(state.counts))
+    with np.errstate(divide="ignore"):
+        np.log(state.psi.T, out=ch.log_psi)
     return ch
 
 
@@ -50,11 +51,9 @@ def _weights(row, state, data, config=GibbsConfig()):
 
 
 def _psi(ch):
-    """The chain's psi by slot, shape (slots, p, D + 1), from its logs at
-    the real codes, zero in the padding."""
-    psi = np.zeros((ch.counts.size, ch.p * ch.width))
-    psi[:, ch.real] = np.exp(ch.log_psi.T)
-    return psi.reshape(ch.counts.size, ch.p, ch.width)
+    """The chain's flat psi by slot, shape (slots, sum_j (d_j + 1)), from
+    its logs."""
+    return np.exp(ch.log_psi.T)
 
 
 class TestInitState:
@@ -67,7 +66,7 @@ class TestInitState:
         assert z.tolist() == [0, 1, 2]
         assert counts.tolist() == [1, 1, 1]
         psi = _psi(ch)
-        assert psi.shape == (3, 2, 4)
+        assert psi.shape == (3, 3 + 4)
         ModelState(data.schema, z, counts, psi).validate()
 
     def test_single_row(self):
@@ -106,9 +105,9 @@ class TestAssignmentWeights:
         # under a fresh flat Dirichlet each code of variable j, the missing
         # code included, has marginal probability 1 / (d_j + 1)
         data = Dataset(CategoricalSchema([2, 4, 3]), [[1, 0, 3], [0, 4, 2]])
-        psi = np.array([[[0.2, 0.3, 0.5, 0.0, 0.0],
-                         [0.1, 0.2, 0.3, 0.15, 0.25],
-                         [0.25, 0.25, 0.25, 0.25, 0.0]]])
+        psi = np.array([[0.2, 0.3, 0.5,
+                         0.1, 0.2, 0.3, 0.15, 0.25,
+                         0.25, 0.25, 0.25, 0.25]])
         state = ModelState(data.schema, [0, 0], [2], psi)
         cfg = GibbsConfig(alpha=0.7, beta=2.5)
         new = 0.7 / (3 * 5 * 4)
@@ -121,7 +120,7 @@ class TestAssignmentWeights:
         data = Dataset(CategoricalSchema([2]), [[1], [2]])
         state = ModelState(
             data.schema, [0, 1], [1, 1],
-            np.full((2, 1, 3), 1 / 3),
+            np.full((2, 3), 1 / 3),
         )
         w = _weights(1, state, data)
         assert w.shape == (2,)  # one surviving component + "new"
@@ -200,18 +199,21 @@ class TestUpdatePsi:
         reps = 4000
         for _ in range(reps):
             acc += ch.redraw_psi(np.zeros(5, dtype=np.int64),
-                                 np.array([5]), rng)[0, 0]
+                                 np.array([5]), rng)[0]
         np.testing.assert_allclose(acc / reps, [1 / 8, 6 / 8, 1 / 8],
                                    atol=0.02)
 
     def test_keeps_padding_zero(self):
+        # the state's psi has no padding at all; its collapse pads
+        # variable 0 with zeros
         data = Dataset(CategoricalSchema([2, 3]), [[1, 3], [2, 1]])
         ch = sampler._Chain(data, GibbsConfig())
         ch.init(np.random.default_rng(1))
         rng = np.random.default_rng(2)
         out = ch.snapshot(data.schema, ch.redraw_psi(*ch.labels(), rng))
-        assert (out.psi[:, 0, 3] == 0.0).all()
+        assert out.psi.shape == (out.k, 3 + 4)
         out.validate()
+        assert (collapse_state(out).tilde_psi[:, 0, 2] == 0.0).all()
 
 
 class TestCollapseState:
@@ -231,7 +233,7 @@ class TestCollapseState:
         n = 50
         assignments = [0] * 30 + [1] * 20
         state = ModelState(schema, assignments, [30, 20],
-                           np.full((2, 1, 3), 1 / 3))
+                           np.full((2, 3), 1 / 3))
         model = collapse_state(state)
         assert model.theta.tolist() == [0.6, 0.4]
 
@@ -296,12 +298,25 @@ def test_progress_lines_report_the_live_component_count():
         assert buf.getvalue().splitlines()[-1] == f"sweep {t}/6 k={state.k}"
 
 
-def _reference_states(data, config, sweeps, seed):
+def _per_variable_dirichlet(cards):
+    """Dirichlet draws at padded (..., p, D + 1) concentrations, each
+    variable normalised over its own codes ``0 .. d_j``."""
+    def draw(conc, rng):
+        g = rng.standard_gamma(conc)
+        for j, d in enumerate(cards):
+            g[..., j, :d + 1] /= g[..., j, :d + 1].sum(axis=-1, keepdims=True)
+        return g
+    return draw
+
+
+def _reference_states(data, config, sweeps, seed, dirichlet=None):
     """The sweep as it stood before slot buffers, kept as the oracle.
 
     Every death deletes the component's rows from ``psi`` and
     ``log_psi`` and relabels the later components; every birth appends.
-    Yields ``(assignments, counts, psi)`` after each sweep.
+    Psi is drawn padded to the widest variable with ``dirichlet``, by
+    default :func:`_per_variable_dirichlet`.  Yields ``(assignments,
+    counts, psi)`` after each sweep, psi at the real codes only, flat.
     """
     rng = np.random.default_rng(seed)
     x = data.cells
@@ -309,8 +324,9 @@ def _reference_states(data, config, sweeps, seed):
     width = data.schema.max_cardinality + 1
     cols = np.arange(p)
     cards = data.schema.codes_array()
-    beta_pad = np.where(
-        np.arange(width)[None, :] <= cards[:, None], config.beta, 0.0)
+    real = np.arange(width)[None, :] <= cards[:, None]
+    beta_pad = np.where(real, config.beta, 0.0)
+    draw = dirichlet or _per_variable_dirichlet(cards)
     with np.errstate(divide="ignore"):
         log_beta = np.log(beta_pad)
     log_beta = log_beta - np.log(beta_pad.sum(axis=1))[:, None]
@@ -318,7 +334,7 @@ def _reference_states(data, config, sweeps, seed):
 
     z = np.arange(n)
     counts = np.ones(n, dtype=np.int64)
-    psi = padded_dirichlet(np.broadcast_to(beta_pad, (n, p, width)), rng)
+    psi = draw(np.broadcast_to(beta_pad, (n, p, width)), rng)
     with np.errstate(divide="ignore"):
         log_psi = np.log(psi)
         for _ in range(sweeps):
@@ -345,7 +361,7 @@ def _reference_states(data, config, sweeps, seed):
                     continue
                 conc = beta_pad.copy()
                 conc[cols, x[i]] += 1.0
-                fresh = padded_dirichlet(conc[None], rng)
+                fresh = draw(conc[None], rng)
                 z[i] = counts.size
                 counts = np.append(counts, 1)
                 psi = np.concatenate([psi, fresh])
@@ -357,9 +373,9 @@ def _reference_states(data, config, sweeps, seed):
             z, counts = relabel[z], counts[order]
             tab = np.zeros((counts.size, p, width))
             np.add.at(tab, (z[:, None], cols, x), 1.0)
-            psi = padded_dirichlet(tab + beta_pad, rng)
+            psi = draw(tab + beta_pad, rng)
             log_psi = np.log(psi)
-            yield z.copy(), counts.copy(), psi.copy()
+            yield z.copy(), counts.copy(), psi[:, real]
 
 
 def _mixed_missing_table(seed, n=40):
@@ -472,7 +488,7 @@ def test_sweeps_leave_a_callers_generator_where_the_reference_does(
 
 def _wide_column_table(seed, n):
     """n x 9 table, one 150-level column among 2- to 5-level ones, and
-    about 25% zeros: the padded psi is mostly padding."""
+    about 25% zeros: a padded psi would be mostly padding."""
     rng = np.random.default_rng(seed)
     cards = [150] + [2, 3, 5, 4] * 2
     cells = np.column_stack([rng.integers(1, d + 1, n) for d in cards])
@@ -481,18 +497,17 @@ def _wide_column_table(seed, n):
 
 
 def test_chunked_psi_draws_match_the_reference_kernel_draw_for_draw():
-    # psi is drawn a chunk of components at a time; here both the
-    # initial draw over n components and the first redraw span several
-    # chunks
-    data = _wide_column_table(5, n=240)
+    # the prior psi of the n initial components is drawn a chunk of
+    # components at a time; here it spans several chunks, the last one
+    # short
+    data = _wide_column_table(5, n=400)
     cfg = GibbsConfig()
-    chunk = sampler._BLOCK_CELLS // (
-        data.n_variables * (data.schema.max_cardinality + 1))
+    chunk = sampler._BLOCK_CELLS // data.schema.offsets()[-1]
     ours, ref = (np.random.default_rng(21) for _ in range(2))
     pairs = list(zip(iterate_states(data, cfg, sweeps=4, seed=ours),
                      _reference_states(data, cfg, sweeps=4, seed=ref)))
     assert data.n_rows > 2 * chunk
-    assert pairs[0][0].k > 2 * chunk
+    assert data.n_rows % chunk
     for state, (z, counts, psi) in pairs:
         assert state.assignments.tolist() == z.tolist()
         assert state.counts.tolist() == counts.tolist()
@@ -500,11 +515,36 @@ def test_chunked_psi_draws_match_the_reference_kernel_draw_for_draw():
     assert ours.random(8).tolist() == ref.random(8).tolist()
 
 
+@pytest.mark.parametrize("d", [4, 9])
+def test_equal_cardinalities_draw_what_the_padded_normaliser_draws(d):
+    # with every d_j equal no variable is padded, so each rectangular sum
+    # over a variable's codes is the sum padded_dirichlet takes, also
+    # where numpy sums ten codes pairwise
+    rng = np.random.default_rng(8)
+    cells = rng.integers(0, d + 1, size=(60, 7))
+    data = Dataset(CategoricalSchema([d] * 7), cells)
+    cfg = GibbsConfig(alpha=2.0, beta=0.3)
+    for state, (z, counts, psi) in zip(
+            iterate_states(data, cfg, sweeps=6, seed=4),
+            _reference_states(data, cfg, sweeps=6, seed=4,
+                              dirichlet=padded_dirichlet)):
+        assert state.assignments.tolist() == z.tolist()
+        assert state.counts.tolist() == counts.tolist()
+        assert state.psi.tobytes() == psi.tobytes()
+
+
+def test_states_carry_psi_over_the_real_codes_only():
+    data = _wide_column_table(2, n=90)
+    state = next(iterate_states(data, GibbsConfig(), sweeps=1, seed=0))
+    width = sum(d + 1 for d in data.schema.cardinalities)
+    assert state.psi.nbytes == 8 * state.k * width
+    state.validate()
+
+
 def test_first_sweep_memory_scales_with_the_real_codes():
     # one 1000-level column pads nine small ones tenfold; the chain keeps
-    # log psi only at the real codes, 8 * n * sum_j (d_j + 1) bytes, and
-    # draws psi a bounded chunk at a time.  The first redraw's psi, which
-    # the state reports padded, is the largest array: k is about n / 3.
+    # psi and its log only at the real codes, 8 * n * sum_j (d_j + 1)
+    # bytes, and draws the initial psi a bounded chunk at a time
     rng = np.random.default_rng(0)
     cards = [1000] + [2, 3, 4] * 3
     n = 300
