@@ -90,19 +90,19 @@ def padded_dirichlet(conc: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def rescale_missing(psi: np.ndarray) -> np.ndarray:
-    """Divide the missing mass out: ``psi[..., 1:] / (1 - psi[..., 0])``.
+    """Divide the missing mass out: ``psi[..., 1:] / psi[..., 1:].sum(-1)``.
 
     Turns vectors over the codes ``0 .. d`` into vectors over the
-    observable codes, indexed by ``code - 1``.  Raises ValueError when a
-    vector has essentially all of its mass on the missing code.
+    observable codes, indexed by ``code - 1``, with no cancellation near
+    ``psi[..., 0] = 1``.  Raises ValueError on zero observable mass.
     """
-    missing_mass = psi[..., 0]
-    if (missing_mass >= 1.0 - 1e-12).any():
+    mass = psi[..., 1:].sum(axis=-1, keepdims=True)
+    if (mass == 0).any():
         raise ValueError(
             "a component assigns probability 1 to the missing code, so it "
             "cannot be rescaled to the observable codes"
         )
-    return psi[..., 1:] / (1.0 - missing_mass[..., None])
+    return psi[..., 1:] / mass
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

@@ -474,9 +474,9 @@ def collapse_state(state: ModelState, data: Dataset | None = None) -> CollapsedM
 
     Component weights are the occupancy fractions ``n_h / n``.  Within
     each component the missing mass is divided out:
-    ``tilde_psi[h, j, c - 1] = psi_hj[c] / (1 - psi_hj[0])``, where
-    ``psi_hj`` is variable ``j``'s segment of the flat ``psi[h]``.  The
-    result is padded with zeros to the widest variable.
+    ``tilde_psi[h, j, c - 1] = psi_hj[c] / sum_{c' >= 1} psi_hj[c']``,
+    where ``psi_hj`` is variable ``j``'s segment of the flat ``psi[h]``.
+    The result is padded with zeros to the widest variable.
 
     Parameters
     ----------
@@ -488,8 +488,8 @@ def collapse_state(state: ModelState, data: Dataset | None = None) -> CollapsedM
     Raises
     ------
     ValueError
-        If some component puts essentially all of its mass for a
-        variable on the missing code, leaving nothing to rescale (see
+        If some component puts all of its mass for a variable on the
+        missing code, leaving nothing to rescale (see
         :func:`~catmix.core.rescale_missing`).
     """
     if data is not None and data.n_rows != state.n_rows:

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catmix import sampler
+from catmix import cli, sampler
 from catmix.core import (
-    CategoricalSchema, Dataset, ModelState, padded_dirichlet)
+    CategoricalSchema, Dataset, ModelState, padded_dirichlet, parse_dataset)
+from catmix.inference import impute
 from catmix.sampler import (
     GibbsConfig,
     collapse_state,
@@ -637,6 +638,27 @@ class TestGibbsConfig:
             data, GibbsConfig(alpha=1e12, beta=2.0), sweeps=1, seed=0))
         assert np.array_equal(out.final_state.psi, manual.psi)
         assert out.final_state.k == data.n_rows
+
+
+@pytest.mark.parametrize("beta", [0.2, 0.1, 0.01])
+def test_small_beta_fits_collapse_and_impute(beta, tmp_path):
+    # a component's missing mass can come within rounding of 1 at small
+    # beta; the observable codes still carry mass and must rescale
+    table = tmp_path / "data.csv"
+    assert cli.main(["simulate", "--protocol", "mixture", "--n", "50",
+                     "--p", "20", "--seed", "1", "--mechanism", "mcar",
+                     "--out", str(table)]) == 0
+    data = parse_dataset(table.read_text())
+    observed = data.cells != 0
+    cfg = GibbsConfig(burnin=100, samples=50, beta=beta)
+    for seed in range(6):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = run_gibbs(data, cfg, seed=seed)
+            cells = impute(data, fit).completed.cells
+        assert len(fit.draws) == 50
+        assert (cells[observed] == data.cells[observed]).all()
+        assert ((cells >= 1) & (cells <= data.schema.codes_array())).all()
 
 
 class TestRunGibbs:
