@@ -550,7 +550,7 @@ def verify_construction(augmented: AugmentedModel, pi: JointDistribution,
     """Measure how well a saturated construction reproduces its targets.
 
     The augmented model is rescaled exactly like a chain state (divide
-    the observable mass of each vector by one minus its missing mass),
+    the observable codes of each vector by their total mass),
     the implied joint table is rebuilt, and both it and the implied
     missingness probabilities are compared to the targets.  Each
     component's cell is read as the argmax of its rescaled vectors.
