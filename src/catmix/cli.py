@@ -46,6 +46,7 @@ _positive_float = _bounded(float, lambda v: v > 0, "must be positive")
 _rate = _bounded(float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
 _positive_int = _bounded(int, lambda v: v >= 1, "must be >= 1")
 _nonneg_int = _bounded(int, lambda v: v >= 0, "must be >= 0")
+_zero = _bounded(int, lambda v: v == 0, "must be 0")
 
 
 def _rate_pair(text: str) -> tuple[float, float]:
@@ -101,8 +102,18 @@ def _add_gibbs_flags(sub: argparse.ArgumentParser) -> None:
                      help="partition concentration (default %(default)s)")
     sub.add_argument("--beta", type=_positive_float, default=default.beta,
                      help="flat Dirichlet pseudo-count (default %(default)s)")
-    sub.add_argument("--progress-every", type=_nonneg_int, default=50,
-                     help="progress line interval in sweeps; 0 silences")
+
+
+def _add_table_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--n", type=_positive_int, default=None,
+                     help="rows (default 50 mixture / 300 xor)")
+    sub.add_argument("--p", type=_positive_int, default=20,
+                     help="variables, mixture protocol (default 20)")
+    sub.add_argument("--k", type=_positive_int, default=3,
+                     help="components, mixture protocol (default 3)")
+    sub.add_argument("--cardinality", type=_positive_int, default=2,
+                     help="categories per variable, mixture protocol")
+    sub.add_argument("--seed", type=int, default=None)
 
 
 def _add_mechanism_flags(sub: argparse.ArgumentParser, *, with_none: bool) -> None:
@@ -138,15 +149,11 @@ def _gibbs_config(args) -> sampler.GibbsConfig:
     )
 
 
-def _progress_stream(args):
-    return sys.stderr if args.progress_every > 0 else None
-
-
-def _khist_csv(sample: sampler.PosteriorSample) -> str:
-    lines = ["k,count"]
-    for k, count in sorted(sample.k_histogram.items()):
-        lines.append(f"{k},{count}")
-    return "\n".join(lines) + "\n"
+def _csv(header, rows) -> str:
+    """CSV text: the ``header`` tuple, then one line per row tuple, each
+    value printed with ``str``."""
+    line = ",".join(["%s"] * len(header)) + "\n"
+    return "".join([line % header] + [line % row for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +166,7 @@ def _cmd_fit(args) -> int:
     data = core.parse_dataset(text, schema)
     sample = sampler.run_gibbs(
         data, _gibbs_config(args), seed=args.seed,
-        progress=_progress_stream(args),
+        progress=sys.stderr if args.progress_every > 0 else None,
         progress_every=args.progress_every or 50,
     )
     if args.summary:
@@ -168,7 +175,8 @@ def _cmd_fit(args) -> int:
         payload = functools.partial(core.write_models, sample.draws)
     _write_atomic(args.out, payload)
     khist_path = args.k_histogram or f"{args.out}.khist.csv"
-    _write_atomic(khist_path, _khist_csv(sample))
+    _write_atomic(khist_path, _csv(("k", "count"),
+                                   sorted(sample.k_histogram.items())))
     _log(
         f"fit: {data.n_rows} rows, {data.n_variables} variables, "
         f"{len(sample.draws)} draws, modal k={sample.modal_k}, "
@@ -184,13 +192,12 @@ def _cmd_impute(args) -> int:
     result = inference.impute(data, draws, rule=args.rule, seed=args.seed)
     _write_atomic(args.out, core.dataset_to_csv(result.completed))
 
-    lines = ["row,column,category,probability"]
-    for (i, j), vec in result.cell_posteriors.items():
-        name = data.column_names[j]
-        for c, prob in enumerate(vec, start=1):
-            lines.append(f"{i},{name},{c},{float(prob)!r}")
+    cells = ((i, data.column_names[j], c, prob)
+             for (i, j), vec in result.cell_posteriors.items()
+             for c, prob in enumerate(vec.tolist(), start=1))
     cell_path = args.cell_posterior or f"{args.out}.cells.csv"
-    _write_atomic(cell_path, "\n".join(lines) + "\n")
+    _write_atomic(cell_path,
+                  _csv(("row", "column", "category", "probability"), cells))
     _log(
         f"impute: filled {len(result.cell_posteriors)} cells "
         f"({args.rule} rule) in {data.n_rows} rows"
@@ -207,7 +214,7 @@ def _cmd_simulate(args) -> int:
 
     mechanism = _mechanism(args)
     if mechanism is None:
-        out_data, record = data, None
+        out_data, record = data, synth.MaskResult([], [], [], data.cells.size)
     else:
         out_data, record = synth.mask(data, mechanism, seed=rng)
 
@@ -217,15 +224,12 @@ def _cmd_simulate(args) -> int:
     if args.truth_out:
         _write_atomic(args.truth_out, core.serialize_model(truth_model))
     if args.mask_out:
-        lines = ["row,column,value"]
-        if record is not None:
-            for i, j, v in zip(record.rows, record.cols, record.values):
-                lines.append(f"{i},{data.column_names[j]},{v}")
-        _write_atomic(args.mask_out, "\n".join(lines) + "\n")
-    masked = len(record) if record is not None else 0
+        names = [data.column_names[j] for j in record.cols.tolist()]
+        cells = zip(record.rows.tolist(), names, record.values.tolist())
+        _write_atomic(args.mask_out, _csv(("row", "column", "value"), cells))
     _log(
         f"simulate: {data.n_rows}x{data.n_variables} {args.protocol} data, "
-        f"{masked} cells masked"
+        f"{len(record)} cells masked"
     )
     return 0
 
@@ -274,10 +278,7 @@ def _cmd_test_independence(args) -> int:
     models = core.deserialize_models(Path(args.model).read_text())
     pooled = inference.pool_draws(models)
     pairs = inference.pairwise_independence(pooled, args.n)
-    lines = ["j1,j2,p_value"]
-    for j1, j2, p in pairs:
-        lines.append(f"{j1},{j2},{p!r}")
-    payload = "\n".join(lines) + "\n"
+    payload = _csv(("j1", "j2", "p_value"), pairs)
     if args.out:
         _write_atomic(args.out, payload)
     else:
@@ -328,6 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="component-count histogram CSV (default OUT.khist.csv)")
     fit.add_argument("--seed", type=int, default=None)
     _add_gibbs_flags(fit)
+    fit.add_argument("--progress-every", type=_nonneg_int, default=50,
+                     help="progress line interval in sweeps; 0 silences")
     fit.set_defaults(func=_cmd_fit)
 
     imp = subs.add_parser("impute", help="fill missing cells from a fitted model")
@@ -350,15 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write the generating mixture as model JSON")
     sim.add_argument("--mask-out", default=None,
                      help="write masked coordinates and true values as CSV")
-    sim.add_argument("--n", type=_positive_int, default=None,
-                     help="rows (default 50 mixture / 300 xor)")
-    sim.add_argument("--p", type=_positive_int, default=20,
-                     help="variables, mixture protocol (default 20)")
-    sim.add_argument("--k", type=_positive_int, default=3,
-                     help="components, mixture protocol (default 3)")
-    sim.add_argument("--cardinality", type=_positive_int, default=2,
-                     help="categories per variable, mixture protocol")
-    sim.add_argument("--seed", type=int, default=None)
+    _add_table_flags(sim)
     _add_mechanism_flags(sim, with_none=True)
     sim.set_defaults(func=_cmd_simulate)
 
@@ -372,14 +367,11 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--jobs", type=_positive_int,
                        default=os.cpu_count() or 1,
                        help="worker processes (default: available cores)")
-    bench.add_argument("--n", type=_positive_int, default=None,
-                       help="rows (default 50 mixture / 300 xor)")
-    bench.add_argument("--p", type=_positive_int, default=20)
-    bench.add_argument("--k", type=_positive_int, default=3)
-    bench.add_argument("--cardinality", type=_positive_int, default=2)
-    bench.add_argument("--seed", type=int, default=None)
+    _add_table_flags(bench)
     _add_mechanism_flags(bench, with_none=False)
     _add_gibbs_flags(bench)
+    bench.add_argument("--progress-every", type=_zero, default=0,
+                       help="must be 0: replications print no sweep lines")
     bench.set_defaults(func=_cmd_benchmark)
 
     ind = subs.add_parser(

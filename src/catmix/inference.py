@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Sequence
 
 import numpy as np
 

@@ -83,7 +83,6 @@ from typing import Iterator, TextIO
 import numpy as np
 
 from catmix.core import (
-    CategoricalSchema,
     CollapsedModel,
     Dataset,
     ModelState,
@@ -275,18 +274,12 @@ class _Chain:
         return psi
 
     def labels(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's component label, and the counts in label order."""
+        """New arrays of each row's component label and the counts in label
+        order: live components by descending occupancy, ties in live order."""
+        live = self.order[np.argsort(-self.counts[self.order], kind="stable")]
         rank = np.empty(self.counts.size, dtype=np.int64)
-        rank[self.order] = np.arange(self.k)
-        return rank[self.z], self.counts[self.order]
-
-    def snapshot(self, schema: CategoricalSchema,
-                 psi: np.ndarray) -> ModelState:
-        """The current partition with ``psi``, the redraw that ended the
-        sweep."""
-        z, counts = self.labels()
-        return ModelState(schema=schema, assignments=z, counts=counts,
-                          psi=psi)
+        rank[live] = np.arange(self.k)
+        return rank[self.z], self.counts[live]
 
     # -- kernels -----------------------------------------------------------
 
@@ -422,7 +415,7 @@ class _Chain:
         return stayed
 
     def sweep(self, rng: np.random.Generator) -> np.ndarray:
-        """One sweep; returns the psi redrawn at its end.
+        """The row pass, one relabel, the psi redraw; returns that psi.
 
         ``run`` counts the rows that stayed since the last mover and
         ``mean_run`` is the running mean of such runs.  Once
@@ -452,24 +445,10 @@ class _Chain:
             if moved:
                 self.mean_run += _RUN_WEIGHT * (self.run - self.mean_run)
                 self.run = 0
-        return self.redraw_psi(*_prune_sort(*self.labels()), rng)
+        return self.redraw_psi(*self.labels(), rng)
 
 
-def _prune_sort(z: np.ndarray,
-                counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drop empty components, sort the rest by descending occupancy.
-
-    Ties keep their previous relative order.  Returns the relabelled
-    assignments and the sorted counts.
-    """
-    order = np.argsort(-counts, kind="stable")
-    order = order[counts[order] > 0]
-    relabel = np.empty(counts.size, dtype=np.int64)
-    relabel[order] = np.arange(order.size)
-    return relabel[z], counts[order]
-
-
-def collapse_state(state: ModelState, data: Dataset | None = None) -> CollapsedModel:
+def collapse_state(state: ModelState) -> CollapsedModel:
     """Rescale a chain state into a mixture over observable codes.
 
     Component weights are the occupancy fractions ``n_h / n``.  Within
@@ -481,9 +460,6 @@ def collapse_state(state: ModelState, data: Dataset | None = None) -> CollapsedM
     Parameters
     ----------
     state : ModelState
-    data : Dataset, optional
-        Only used for a consistency check; the occupancy counts carried
-        by the state already determine the weights.
 
     Raises
     ------
@@ -492,11 +468,6 @@ def collapse_state(state: ModelState, data: Dataset | None = None) -> CollapsedM
         missing code, leaving nothing to rescale (see
         :func:`~catmix.core.rescale_missing`).
     """
-    if data is not None and data.n_rows != state.n_rows:
-        raise ValueError(
-            f"state covers {state.n_rows} rows but the dataset has "
-            f"{data.n_rows}"
-        )
     theta = state.counts / state.counts.sum()
     cards = state.schema.codes_array()
     real = np.arange(state.schema.max_cardinality + 1) <= cards[:, None]
@@ -506,13 +477,12 @@ def collapse_state(state: ModelState, data: Dataset | None = None) -> CollapsedM
 
 
 def iterate_states(data: Dataset, config: GibbsConfig = GibbsConfig(),
-                   sweeps: int = 1, seed=None,
-                   progress: TextIO | None = None,
-                   progress_every: int = 50) -> Iterator[ModelState]:
+                   sweeps: int = 1, seed=None) -> Iterator[ModelState]:
     """Run the chain, yielding the state after each sweep.
 
     This is the raw loop underneath :func:`run_gibbs`; it is useful
     when per-sweep quantities such as the partition itself are wanted.
+    It prints nothing.
 
     Parameters
     ----------
@@ -523,11 +493,6 @@ def iterate_states(data: Dataset, config: GibbsConfig = GibbsConfig(),
     sweeps : int
         Number of sweeps to run.
     seed : int, SeedSequence or Generator, optional
-    progress : text stream, optional
-        When given, a line ``sweep <t>/<T> k=<k>`` is written every
-        ``progress_every`` sweeps and after the final one.
-    progress_every : int
-        At least 1, with or without ``progress``.
 
     Yields
     ------
@@ -536,18 +501,12 @@ def iterate_states(data: Dataset, config: GibbsConfig = GibbsConfig(),
     """
     if sweeps < 1:
         raise ValueError(f"sweeps must be >= 1, got {sweeps}")
-    if progress_every < 1:
-        raise ValueError(f"progress_every must be >= 1, got {progress_every}")
     rng = as_generator(seed)
     ch = _Chain(data, config)
     ch.init(rng)
-    for t in range(1, sweeps + 1):
+    for _ in range(sweeps):
         psi = ch.sweep(rng)
-        if progress is not None and (
-            t % progress_every == 0 or t == sweeps
-        ):
-            print(f"sweep {t}/{sweeps} k={ch.k}", file=progress)
-        yield ch.snapshot(data.schema, psi)
+        yield ModelState(data.schema, *ch.labels(), psi)
 
 
 def run_gibbs(data: Dataset, config: GibbsConfig | None = None, seed=None,
@@ -565,7 +524,10 @@ def run_gibbs(data: Dataset, config: GibbsConfig | None = None, seed=None,
         Schedule and priors; defaults to ``GibbsConfig()``.
     seed : int, SeedSequence or Generator, optional
     progress : text stream, optional
-        Passed through to :func:`iterate_states`.
+        When given, a line ``sweep <t>/<T> k=<k>`` is written every
+        ``progress_every`` sweeps and after the final one.
+    progress_every : int
+        At least 1, with or without ``progress``.
 
     Returns
     -------
@@ -573,15 +535,17 @@ def run_gibbs(data: Dataset, config: GibbsConfig | None = None, seed=None,
     """
     if config is None:
         config = GibbsConfig()
+    if progress_every < 1:
+        raise ValueError(f"progress_every must be >= 1, got {progress_every}")
     started = time.perf_counter()
     draws: list[CollapsedModel] = []
     k_values: list[int] = []
     state = None
-    states = iterate_states(
-        data, config, sweeps=config.total_sweeps, seed=seed,
-        progress=progress, progress_every=progress_every,
-    )
+    sweeps = config.total_sweeps
+    states = iterate_states(data, config, sweeps=sweeps, seed=seed)
     for t, state in enumerate(states, start=1):
+        if progress is not None and (t % progress_every == 0 or t == sweeps):
+            print(f"sweep {t}/{sweeps} k={state.k}", file=progress)
         if config.retained(t):
             draws.append(collapse_state(state))
             k_values.append(state.k)

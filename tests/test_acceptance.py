@@ -272,9 +272,10 @@ def test_criterion_09_invariant_battery(capsys):
             failures.append("counts disagree with assignments")
 
     # deterministic tie-breaks
-    singletons = np.arange(masked.n_rows)
-    tied, _ = sampler._prune_sort(singletons, np.ones_like(singletons))
-    if not np.array_equal(tied, singletons):
+    singletons = sampler._Chain(masked, cfg)
+    singletons.init(np.random.default_rng(114))
+    tied, _ = singletons.labels()
+    if not np.array_equal(tied, np.arange(masked.n_rows)):
         failures.append("relabelling moved tied singleton components")
     if largest_remainder_counts([0.25] * 4, 10).tolist() != [3, 3, 2, 2]:
         failures.append("rounding ties are not positional")

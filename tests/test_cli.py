@@ -356,6 +356,23 @@ class TestBenchmark:
                       "--mechanism", "sometimes"])
         assert err.value.code == 2
 
+    def test_progress_interval_other_than_zero_is_a_usage_error(
+            self, tmp_path, capsys):
+        # replications print no sweep lines, so the flag takes only 0
+        argv = ["benchmark", "--protocol", "mixture", "--reps", "1",
+                "--jobs", "1", "--n", "10", "--p", "3", "--seed", "1",
+                "--out", str(tmp_path / "reps.csv"), *FAST]
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv + ["--progress-every", "1"])
+        assert err.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and "--progress-every" in errors[0]
+        assert not (tmp_path / "reps.csv").exists()
+        assert cli.main(argv + ["--progress-every", "0"]) == 0
+        assert "sweep" not in capsys.readouterr().err
+        assert (tmp_path / "reps.csv").exists()
+
     def test_failing_replications_exit_nonzero(self, tmp_path, capsys):
         # MNAR requires binary data, so cardinality 3 fails inside rep 1
         rc = cli.main(["benchmark", "--protocol", "mixture", "--reps", "2",

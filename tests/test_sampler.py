@@ -170,21 +170,40 @@ class TestSampleAssignment:
 
 
 class TestPruneAndRelabel:
+    """``_Chain.labels`` relabels the live components of a chain."""
+
     def test_sorts_by_occupancy(self):
-        z, counts = sampler._prune_sort(np.array([0, 0, 2, 2, 2]),
-                                        np.array([2, 0, 3]))
-        assert counts.tolist() == [3, 2]
-        assert z.tolist() == [1, 1, 0, 0, 0]
+        # row 2 leaves its singleton for the last component, which empties
+        # slot 1 and makes slot 2 the largest
+        data = Dataset(CategoricalSchema([2]), [[1]] * 6)
+        state = ModelState(data.schema, [0, 0, 1, 2, 2, 2], [2, 1, 3],
+                           np.full((3, 3), 1 / 3))
+        ch = _chain(data, state)
+        ch.detach(2)
+        ch.commit(2, 1, np.random.default_rng(0))
+        z, counts = ch.labels()
+        assert counts.tolist() == [4, 2]
+        assert z.tolist() == [1, 1, 0, 0, 0, 0]
 
     def test_ties_keep_previous_order(self):
-        z, counts = sampler._prune_sort(np.array([0, 1, 2]),
-                                        np.array([1, 1, 1]))
-        assert z.tolist() == [0, 1, 2]
+        # row 0 leaves its singleton and opens a new component, which
+        # reuses slot 0 but comes last in live order
+        data = Dataset(CategoricalSchema([2]), [[1], [2], [1]])
+        state = ModelState(data.schema, [0, 1, 2], [1, 1, 1],
+                           np.full((3, 3), 1 / 3))
+        ch = _chain(data, state)
+        ch.detach(0)
+        ch.commit(0, ch.k, np.random.default_rng(0))
+        assert ch.order.tolist() == [1, 2, 0]
+        z, counts = ch.labels()
+        assert z.tolist() == [2, 0, 1]
         assert counts.tolist() == [1, 1, 1]
 
     def test_idempotent_when_sorted(self):
-        z, counts = sampler._prune_sort(np.array([0, 0, 1]),
-                                        np.array([2, 1]))
+        data = Dataset(CategoricalSchema([2]), [[1], [1], [2]])
+        state = ModelState(data.schema, [0, 0, 1], [2, 1],
+                           np.full((2, 3), 1 / 3))
+        z, counts = _chain(data, state).labels()
         assert z.tolist() == [0, 0, 1]
         assert counts.tolist() == [2, 1]
 
@@ -210,8 +229,8 @@ class TestUpdatePsi:
         data = Dataset(CategoricalSchema([2, 3]), [[1, 3], [2, 1]])
         ch = sampler._Chain(data, GibbsConfig())
         ch.init(np.random.default_rng(1))
-        rng = np.random.default_rng(2)
-        out = ch.snapshot(data.schema, ch.redraw_psi(*ch.labels(), rng))
+        psi = ch.redraw_psi(*ch.labels(), np.random.default_rng(2))
+        out = ModelState(data.schema, *ch.labels(), psi)
         assert out.psi.shape == (out.k, 3 + 4)
         out.validate()
         assert (collapse_state(out).tilde_psi[:, 0, 2] == 0.0).all()
@@ -243,16 +262,10 @@ class TestCollapseState:
         with pytest.raises(ValueError, match="missing"):
             collapse_state(state)
 
-    def test_rejects_mismatched_dataset(self):
-        state = _pair_state([0.2, 0.4, 0.4])
-        other = Dataset(CategoricalSchema([2]), [[1], [2], [1]])
-        with pytest.raises(ValueError, match="rows"):
-            collapse_state(state, other)
-
     def test_mixed_cardinality_padding(self):
         data = Dataset(CategoricalSchema([2, 3]), [[1, 3], [2, 1], [0, 2]])
         (state,) = iterate_states(data, GibbsConfig(), sweeps=1, seed=3)
-        model = collapse_state(state, data)
+        model = collapse_state(state)
         assert (model.tilde_psi[:, 0, 2] == 0.0).all()
         np.testing.assert_allclose(
             model.tilde_psi[:, 1].sum(axis=1), 1.0, atol=1e-12)
@@ -279,11 +292,11 @@ def test_iterate_states_yields_valid_sorted_states():
         assert (np.diff(counts) <= 0).all()
 
 
-def test_iterate_states_progress_lines():
+def test_run_gibbs_progress_lines():
     data = _toy_data(3, n=5)
     buf = io.StringIO()
-    list(iterate_states(data, sweeps=5, seed=0, progress=buf,
-                        progress_every=2))
+    run_gibbs(data, GibbsConfig(burnin=1, samples=2, thin=2), seed=0,
+              progress=buf, progress_every=2)
     lines = buf.getvalue().splitlines()
     assert len(lines) == 3  # sweeps 2, 4 and the final 5
     assert all(re.fullmatch(r"sweep \d+/5 k=\d+", s) for s in lines)
@@ -293,10 +306,10 @@ def test_iterate_states_progress_lines():
 def test_progress_lines_report_the_live_component_count():
     data = _toy_data(3, n=12)
     buf = io.StringIO()
-    states = iterate_states(data, GibbsConfig(alpha=5.0), sweeps=6, seed=2,
-                            progress=buf, progress_every=1)
-    for t, state in enumerate(states, start=1):
-        assert buf.getvalue().splitlines()[-1] == f"sweep {t}/6 k={state.k}"
+    fit = run_gibbs(data, GibbsConfig(burnin=0, samples=6, thin=1, alpha=5.0),
+                    seed=2, progress=buf, progress_every=1)
+    assert buf.getvalue().splitlines() == [
+        f"sweep {t}/6 k={k}" for t, k in enumerate(fit.k_values, start=1)]
 
 
 def _per_variable_dirichlet(cards):
@@ -584,11 +597,18 @@ def test_iterate_states_rejects_bad_arguments():
     data = _toy_data(0)
     with pytest.raises(ValueError, match="sweeps"):
         list(iterate_states(data, sweeps=0))
+
+
+def test_run_gibbs_rejects_bad_progress_interval(monkeypatch):
+    def no_sweeps(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(sampler._Chain, "sweep", no_sweeps)
     for every in (0, -1):
         # refused before the first sweep runs
         with pytest.raises(ValueError, match="progress_every must be >= 1"):
-            next(iterate_states(data, sweeps=3, progress=io.StringIO(),
-                                progress_every=every))
+            run_gibbs(_toy_data(0), seed=0, progress=io.StringIO(),
+                      progress_every=every)
 
 
 class TestGibbsConfig:
@@ -712,4 +732,4 @@ def test_sweeps_preserve_state_invariants(seed, n):
         assert state.counts.sum() == n
         assert (np.diff(state.counts) <= 0).all()
         last = state
-    collapse_state(last, data)  # always rescalable under positive priors
+    collapse_state(last)  # always rescalable under positive priors
