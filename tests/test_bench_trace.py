@@ -36,6 +36,7 @@ def test_trace_sees_every_sweep_and_draw(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [
         str(ROOT / "src"), str(ROOT / "bench"), env.get("PYTHONPATH")]))
+    env["PYTHONDONTWRITEBYTECODE"] = "1"  # leave bench/ as it is
     proc = subprocess.run([sys.executable, "-c", TRACED_FIT], cwd=tmp_path,
                           capture_output=True, text=True, env=env,
                           timeout=120)
