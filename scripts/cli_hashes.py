@@ -1,0 +1,105 @@
+"""Hash the outputs of fixed catmix CLI commands, to show that a change keeps them.
+
+    python3 scripts/cli_hashes.py [--src DIR]
+
+Runs a fixed list of ``catmix`` commands, each as ``python -m catmix.cli``
+in a fresh interpreter, in one temporary directory: ``simulate`` (mixture
+MCAR with all four outputs, xor MNAR with ``--mask-out``), ``fit`` (with
+``--progress-every 7``, and with ``--summary``), ``impute`` (argmax, and
+``--rule sample --seed 9``), ``test-independence`` (to stdout and to
+``--out``), ``benchmark --reps 3 --jobs 1`` with ``--out`` and
+``--summary-out``, and ``preprocess-ratings`` (binary and five) on a
+small inline ratings table.  It prints one ``name sha1`` line for each
+command's stdout, one ``name sha1 exit=N`` line for its stderr and exit
+code, and then one ``name sha1`` line for each file the commands wrote.
+The elapsed seconds in ``fit``'s summary line are masked.
+
+``--src`` names the directory that holds the ``catmix`` package
+(default: this repository's ``src``); run the script once per checkout
+and compare the outputs with ``diff``.
+"""
+
+import argparse
+import hashlib
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+FAST = ["--burnin", "10", "--samples", "5", "--thin", "2"]
+RATINGS = "user,item,rating\n" + "".join(
+    f"u{u},m{i},{(u * 7 + i * 3) % 9 / 2 + 0.5}\n"
+    for u in range(12) for i in range(5) if (u + i) % 6)
+#: (name, argv) of each command, run in this order in one directory.
+COMMANDS = (
+    ("simulate-mixture", ["simulate", "--protocol", "mixture", "--n", "40",
+                          "--p", "5", "--seed", "1", "--mechanism", "mcar",
+                          "--out", "mixture.csv", "--complete-out",
+                          "complete.csv", "--truth-out", "truth.json",
+                          "--mask-out", "mask.csv"]),
+    ("simulate-xor", ["simulate", "--protocol", "xor", "--n", "60",
+                      "--seed", "2", "--mechanism", "mnar", "--out", "xor.csv",
+                      "--mask-out", "xor-mask.csv"]),
+    ("fit", ["fit", "mixture.csv", "--out", "model.json", "--seed", "3",
+             *FAST, "--progress-every", "7"]),
+    ("fit-summary", ["fit", "xor.csv", "--out", "pooled.json", "--seed", "4",
+                     *FAST, "--summary"]),
+    ("impute-argmax", ["impute", "mixture.csv", "model.json",
+                       "--out", "argmax.csv"]),
+    ("impute-sample", ["impute", "mixture.csv", "model.json",
+                       "--out", "sample.csv", "--rule", "sample",
+                       "--seed", "9"]),
+    ("independence-stdout", ["test-independence", "model.json", "--n", "40"]),
+    ("independence-out", ["test-independence", "pooled.json", "--n", "60",
+                          "--out", "pvalues.csv"]),
+    ("benchmark", ["benchmark", "--protocol", "mixture", "--reps", "3",
+                   "--jobs", "1", "--n", "20", "--p", "4", "--seed", "5",
+                   *FAST, "--out", "reps.csv", "--summary-out",
+                   "summary.json"]),
+    ("ratings-binary", ["preprocess-ratings", "../ratings.csv",
+                        "--user-threshold", "0.7", "--out", "binary.csv"]),
+    ("ratings-five", ["preprocess-ratings", "../ratings.csv",
+                      "--user-threshold", "0.7", "--coding", "five",
+                      "--out", "five.csv"]),
+)
+
+
+def sha1(data: bytes) -> str:
+    return hashlib.sha1(data).hexdigest()
+
+
+def masked(stderr: bytes) -> bytes:
+    """``stderr`` with the elapsed seconds of fit's summary line masked."""
+    return re.sub(rb"(?m)^(fit: .*, )[0-9.]+s$", rb"\1<elapsed>s", stderr)
+
+
+def lines(src: Path):
+    """Yield the output lines for the catmix package under ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "ratings.csv").write_text(RATINGS)
+        work = Path(tmp) / "work"
+        work.mkdir()
+        for name, argv in COMMANDS:
+            run = subprocess.run([sys.executable, "-m", "catmix.cli", *argv],
+                                 cwd=work, env=env, capture_output=True)
+            yield f"{name}.stdout {sha1(run.stdout)}"
+            yield f"{name}.stderr {sha1(masked(run.stderr))} exit={run.returncode}"
+        for path in sorted(work.iterdir()):
+            yield f"{path.name} {sha1(path.read_bytes())}"
+
+
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", type=Path, default=SRC,
+                    help="directory holding the catmix package")
+    args = ap.parse_args(argv)
+    for line in lines(args.src.resolve()):
+        print(line, flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -12,7 +12,8 @@ tables alike.
 Layout
 ------
 ``catmix.core``
-    Schemas, datasets, model containers, CSV and JSON serialization.
+    Schemas, datasets, model containers, JSON serialization, and the
+    one CSV writer behind every CSV that catmix writes.
 ``catmix.sampler``
     The collapsed Gibbs sampler: ``run_gibbs`` and the raw sweep loop
     ``iterate_states``.
@@ -28,116 +29,19 @@ Layout
     Benchmark metrics and the replication harness.
 ``catmix.cli``
     Command line entry points.
+
+The ``__all__`` of each of the first five modules declares its public
+names; the package re-exports exactly those, and its ``__all__`` is
+their union.  Other module-level names stay importable from their
+modules.
 """
 
-from catmix.core import (
-    CategoricalSchema,
-    CollapsedModel,
-    Dataset,
-    JointDistribution,
-    LoadError,
-    MissingnessTable,
-    ModelState,
-    ParseError,
-    dataset_to_csv,
-    deserialize_models,
-    model_from_dict,
-    model_to_dict,
-    parse_dataset,
-    serialize_model,
-    serialize_models,
-)
-from catmix.sampler import (
-    GibbsConfig,
-    PosteriorSample,
-    collapse_state,
-    iterate_states,
-    run_gibbs,
-)
-from catmix.inference import (
-    AugmentedModel,
-    ConstructionReport,
-    ImputationResult,
-    class_posterior,
-    construct_saturated_model,
-    correlation_matrix,
-    fisher_exact_2x2,
-    impute,
-    joint_distribution,
-    largest_remainder_counts,
-    pair_marginal,
-    pairwise_independence,
-    pool_draws,
-    predictive_cell,
-    saturated_model,
-    verify_construction,
-)
-from catmix.synth import (
-    MaskResult,
-    MechanismSpec,
-    mask,
-    mask_fraction,
-    parse_ratings_csv,
-    preprocess_ratings,
-    sample_mixture_dataset,
-    sample_xor_dataset,
-)
-from catmix.metrics import (
-    ReplicationReport,
-    correlation_gap,
-    imputation_accuracy,
-    run_replications,
-)
+from catmix import core, sampler, inference, synth, metrics  # dependency order
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AugmentedModel",
-    "CategoricalSchema",
-    "CollapsedModel",
-    "ConstructionReport",
-    "Dataset",
-    "GibbsConfig",
-    "ImputationResult",
-    "JointDistribution",
-    "LoadError",
-    "MaskResult",
-    "MechanismSpec",
-    "MissingnessTable",
-    "ModelState",
-    "ParseError",
-    "PosteriorSample",
-    "ReplicationReport",
-    "class_posterior",
-    "collapse_state",
-    "construct_saturated_model",
-    "correlation_gap",
-    "correlation_matrix",
-    "dataset_to_csv",
-    "deserialize_models",
-    "fisher_exact_2x2",
-    "impute",
-    "imputation_accuracy",
-    "iterate_states",
-    "joint_distribution",
-    "largest_remainder_counts",
-    "mask",
-    "mask_fraction",
-    "model_from_dict",
-    "model_to_dict",
-    "pair_marginal",
-    "pairwise_independence",
-    "parse_dataset",
-    "parse_ratings_csv",
-    "predictive_cell",
-    "preprocess_ratings",
-    "pool_draws",
-    "run_gibbs",
-    "run_replications",
-    "sample_mixture_dataset",
-    "sample_xor_dataset",
-    "saturated_model",
-    "serialize_model",
-    "serialize_models",
-    "verify_construction",
-]
+_public = {name: getattr(module, name)
+           for module in (core, sampler, inference, synth, metrics)
+           for name in module.__all__}
+globals().update(_public)
+__all__ = list(_public)

@@ -121,25 +121,24 @@ def _add_mechanism_flags(sub: argparse.ArgumentParser, *, with_none: bool) -> No
     sub.add_argument("--mechanism", choices=choices,
                      default="none" if with_none else "mcar",
                      help="missingness mechanism")
-    sub.add_argument("--mcar-rate", type=_rate, default=0.2,
+    sub.add_argument("--mcar-rate", type=_rate,
                      help="MCAR per-cell masking rate (default 0.2)")
-    sub.add_argument("--mar-rates", type=_rate_pair, default=(0.1, 0.3),
-                     metavar="R1,R2",
+    sub.add_argument("--mar-rates", type=_rate_pair, metavar="R1,R2",
                      help="MAR rates keyed on the first variable (default 0.1,0.3)")
-    sub.add_argument("--mnar-rates", type=_rate_pair, default=(0.1, 0.3),
-                     metavar="R1,R2",
+    sub.add_argument("--mnar-rates", type=_rate_pair, metavar="R1,R2",
                      help="MNAR rates keyed on the cell value (default 0.1,0.3)")
+    sub.set_defaults(usage_error=sub.error)
+
+
+#: Each mechanism's rate flag, as the ``MechanismSpec`` field it sets.
+_RATES = {"mcar": "mcar_rate", "mar": "mar_rates", "mnar": "mnar_rates"}
 
 
 def _mechanism(args) -> synth.MechanismSpec | None:
     if args.mechanism == "none":
         return None
-    return synth.MechanismSpec(
-        kind=args.mechanism,
-        mcar_rate=args.mcar_rate,
-        mar_rates=args.mar_rates,
-        mnar_rates=args.mnar_rates,
-    )
+    given = {f: vars(args)[f] for f in _RATES.values() if vars(args)[f] is not None}
+    return synth.MechanismSpec(kind=args.mechanism, **given)
 
 
 def _gibbs_config(args) -> sampler.GibbsConfig:
@@ -147,13 +146,6 @@ def _gibbs_config(args) -> sampler.GibbsConfig:
         burnin=args.burnin, samples=args.samples, thin=args.thin,
         alpha=args.alpha, beta=args.beta,
     )
-
-
-def _csv(header, rows) -> str:
-    """CSV text: the ``header`` tuple, then one line per row tuple, each
-    value printed with ``str``."""
-    line = ",".join(["%s"] * len(header)) + "\n"
-    return "".join([line % header] + [line % row for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +167,8 @@ def _cmd_fit(args) -> int:
         payload = functools.partial(core.write_models, sample.draws)
     _write_atomic(args.out, payload)
     khist_path = args.k_histogram or f"{args.out}.khist.csv"
-    _write_atomic(khist_path, _csv(("k", "count"),
-                                   sorted(sample.k_histogram.items())))
+    _write_atomic(khist_path, core._csv(("k", "count"),
+                                        sorted(sample.k_histogram.items())))
     _log(
         f"fit: {data.n_rows} rows, {data.n_variables} variables, "
         f"{len(sample.draws)} draws, modal k={sample.modal_k}, "
@@ -197,7 +189,7 @@ def _cmd_impute(args) -> int:
              for c, prob in enumerate(vec.tolist(), start=1))
     cell_path = args.cell_posterior or f"{args.out}.cells.csv"
     _write_atomic(cell_path,
-                  _csv(("row", "column", "category", "probability"), cells))
+                  core._csv(("row", "column", "category", "probability"), cells))
     _log(
         f"impute: filled {len(result.cell_posteriors)} cells "
         f"({args.rule} rule) in {data.n_rows} rows"
@@ -226,7 +218,7 @@ def _cmd_simulate(args) -> int:
     if args.mask_out:
         names = [data.column_names[j] for j in record.cols.tolist()]
         cells = zip(record.rows.tolist(), names, record.values.tolist())
-        _write_atomic(args.mask_out, _csv(("row", "column", "value"), cells))
+        _write_atomic(args.mask_out, core._csv(("row", "column", "value"), cells))
     _log(
         f"simulate: {data.n_rows}x{data.n_variables} {args.protocol} data, "
         f"{len(record)} cells masked"
@@ -239,10 +231,18 @@ def _cmd_benchmark(args) -> int:
     gibbs = _gibbs_config(args)
     results: list[dict] = []
 
+    def report() -> metrics.ReplicationReport:
+        return metrics.ReplicationReport(
+            protocol=args.protocol, mechanism=mechanism,
+            per_replication=tuple(results), seed=args.seed,
+        )
+
     def on_result(i: int, rep: dict) -> None:
         results.append(rep)
         if out is not None:
-            out.writelines(metrics.csv_lines(i, rep))
+            # the CSV only grows, so rewriting it from the start is enough
+            out.seek(0)
+            out.write(report().to_csv())
             out.flush()
         shown = ", ".join(f"{k}={v:.4f}" for k, v in rep.items())
         _log(f"replication {i + 1}/{args.reps}: {shown}")
@@ -261,16 +261,11 @@ def _cmd_benchmark(args) -> int:
 
     if not results:
         return 1
-    report = metrics.ReplicationReport(
-        protocol=args.protocol,
-        mechanism=mechanism,
-        per_replication=tuple(results),
-        seed=args.seed,
-    )
+    final = report()
     if args.summary_out:
-        _write_atomic(args.summary_out, json.dumps(report.summary(), indent=2) + "\n")
-    for name in report.metric_names:
-        _log(f"{name}: mean={report.means[name]:.4f} sd={report.sds[name]:.4f}")
+        _write_atomic(args.summary_out, json.dumps(final.summary(), indent=2) + "\n")
+    for name in final.metric_names:
+        _log(f"{name}: mean={final.means[name]:.4f} sd={final.sds[name]:.4f}")
     return 1 if failed else 0
 
 
@@ -278,7 +273,7 @@ def _cmd_test_independence(args) -> int:
     models = core.deserialize_models(Path(args.model).read_text())
     pooled = inference.pool_draws(models)
     pairs = inference.pairwise_independence(pooled, args.n)
-    payload = _csv(("j1", "j2", "p_value"), pairs)
+    payload = core._csv(("j1", "j2", "p_value"), pairs)
     if args.out:
         _write_atomic(args.out, payload)
     else:
@@ -406,6 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for kind, field in _RATES.items():
+        if getattr(args, field, None) is not None and args.mechanism != kind:
+            args.usage_error(f"argument --{field.replace('_', '-')}: "
+                             f"applies only to --mechanism {kind}")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

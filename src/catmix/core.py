@@ -35,12 +35,6 @@ __all__ = [
     "MissingnessTable",
     "ModelState",
     "ParseError",
-    "DEFAULT_CELL_LIMIT",
-    "MISSING",
-    "NA_TOKEN",
-    "as_generator",
-    "padded_dirichlet",
-    "rescale_missing",
     "dataset_to_csv",
     "deserialize_models",
     "model_from_dict",
@@ -48,7 +42,6 @@ __all__ = [
     "parse_dataset",
     "serialize_model",
     "serialize_models",
-    "write_models",
 ]
 
 #: Integer code reserved for missing cells.
@@ -488,14 +481,18 @@ def parse_dataset(text: str, schema: CategoricalSchema | None = None) -> Dataset
     return Dataset(schema, rows, tuple(names))
 
 
+def _csv(header, rows) -> str:
+    """CSV text of every table catmix writes: the ``header`` tuple, then
+    one line per row tuple, each value printed with ``str``."""
+    line = ",".join(["%s"] * len(header)) + "\n"
+    return "".join([line % header] + [line % row for row in rows])
+
+
 def dataset_to_csv(dataset: Dataset) -> str:
     """Render a dataset in the CSV format understood by :func:`parse_dataset`."""
-    out = [",".join(dataset.column_names)]
-    for row in dataset.cells:
-        out.append(
-            ",".join(NA_TOKEN if c == MISSING else str(int(c)) for c in row)
-        )
-    return "\n".join(out) + "\n"
+    rows = (tuple(NA_TOKEN if c == MISSING else c for c in row)
+            for row in dataset.cells.tolist())
+    return _csv(dataset.column_names, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +519,12 @@ def model_to_dict(model: CollapsedModel) -> dict:
     }
 
 
+def _json_numbers(values, kind=(int, float)) -> bool:
+    """Whether ``values`` is a list of JSON numbers of ``kind``, not bools."""
+    return isinstance(values, list) and not any(
+        isinstance(v, bool) or not isinstance(v, kind) for v in values)
+
+
 def model_from_dict(obj) -> CollapsedModel:
     """Inverse of :func:`model_to_dict`, validating as it goes.
 
@@ -529,26 +532,28 @@ def model_from_dict(obj) -> CollapsedModel:
     ------
     LoadError
         If required keys are missing, shapes are inconsistent, entries
-        are negative or not finite, or a probability vector deviates
-        from sum 1 by more than 1e-8.
+        are not JSON numbers, negative or not finite, or a probability
+        vector deviates from sum 1 by more than 1e-8.
     """
     if not isinstance(obj, dict):
         raise LoadError(f"model document must be an object, got {type(obj).__name__}")
     for key in ("k", "cardinalities", "theta", "tildePsi"):
         if key not in obj:
             raise LoadError(f"model document lacks required key {key!r}")
+    if not _json_numbers(obj["cardinalities"], int):
+        raise LoadError("cardinalities must be a list of integers")
     try:
         schema = CategoricalSchema(obj["cardinalities"])
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise LoadError(f"bad cardinalities: {exc}") from None
 
     k = obj["k"]
     theta = obj["theta"]
     tilde = obj["tildePsi"]
-    if not isinstance(k, int) or k < 1:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise LoadError(f"k must be a positive integer, got {k!r}")
-    if not isinstance(theta, list) or len(theta) != k:
-        raise LoadError(f"theta must be a list of length k={k}")
+    if not _json_numbers(theta) or len(theta) != k:
+        raise LoadError(f"theta must be a list of numbers of length k={k}")
     if not isinstance(tilde, list) or len(tilde) != k:
         raise LoadError(f"tildePsi must be a list of length k={k}")
 
@@ -559,9 +564,9 @@ def model_from_dict(obj) -> CollapsedModel:
         if not isinstance(comp, list) or len(comp) != p:
             raise LoadError(f"tildePsi[{h}] must list {p} variables")
         for j, (vec, d) in enumerate(zip(comp, schema.cardinalities)):
-            if not isinstance(vec, list) or len(vec) != d:
+            if not _json_numbers(vec) or len(vec) != d:
                 raise LoadError(
-                    f"tildePsi[{h}][{j}] must have {d} entries"
+                    f"tildePsi[{h}][{j}] must have {d} entries, all numbers"
                 )
             packed[h, j, :d] = vec
     try:
@@ -575,17 +580,23 @@ def serialize_model(model: CollapsedModel) -> str:
     return json.dumps(model_to_dict(model), indent=2) + "\n"
 
 
-def _draws_document(models: Sequence[CollapsedModel]) -> dict:
-    """The JSON object of a list of posterior draws."""
+def _draw_list(models: Iterable[CollapsedModel], error=ValueError) -> list:
+    """``models`` as a list; raises ``error`` unless it is nonempty and
+    its draws share one schema."""
     models = list(models)
     if not models:
-        raise ValueError("need at least one model")
-    schema = models[0].schema
-    for m in models[1:]:
-        if m.schema.cardinalities != schema.cardinalities:
-            raise ValueError("all draws must share one schema")
+        raise error("need at least one posterior draw")
+    cards = models[0].schema.cardinalities
+    if any(m.schema.cardinalities != cards for m in models):
+        raise error("draws disagree on cardinalities")
+    return models
+
+
+def _draws_document(models: Sequence[CollapsedModel]) -> dict:
+    """The JSON object of a list of posterior draws."""
+    models = _draw_list(models)
     return {
-        "cardinalities": list(schema.cardinalities),
+        "cardinalities": list(models[0].schema.cardinalities),
         "draws": [model_to_dict(m) for m in models],
     }
 
@@ -614,11 +625,7 @@ def deserialize_models(text: str) -> list[CollapsedModel]:
         raise LoadError(f"invalid JSON: {exc}") from None
     if isinstance(obj, dict) and "draws" in obj:
         draws = obj["draws"]
-        if not isinstance(draws, list) or not draws:
-            raise LoadError("'draws' must be a nonempty list")
-        models = [model_from_dict(d) for d in draws]
-        cards = models[0].schema.cardinalities
-        if any(m.schema.cardinalities != cards for m in models):
-            raise LoadError("draws disagree on cardinalities")
-        return models
+        if not isinstance(draws, list):
+            raise LoadError("'draws' must be a list")
+        return _draw_list(map(model_from_dict, draws), LoadError)
     return [model_from_dict(obj)]

@@ -23,6 +23,7 @@ from catmix.core import (
     _check_shape,
     _check_tables,
     _check_weights,
+    _draw_list,
     as_generator,
     rescale_missing,
 )
@@ -70,17 +71,11 @@ def _as_draws(posterior) -> list[CollapsedModel]:
     """Accept a PosteriorSample, a model list, or a single model."""
     if isinstance(posterior, CollapsedModel):
         return [posterior]
-    draws = getattr(posterior, "draws", posterior)
-    draws = list(draws)
-    if not draws:
-        raise ValueError("need at least one posterior draw")
-    cards = draws[0].schema.cardinalities
+    draws = list(getattr(posterior, "draws", posterior))
     for m in draws:
         if not isinstance(m, CollapsedModel):
             raise ValueError(f"expected CollapsedModel draws, got {type(m).__name__}")
-        if m.schema.cardinalities != cards:
-            raise ValueError("posterior draws disagree on cardinalities")
-    return draws
+    return _draw_list(draws)
 
 
 def pool_draws(posterior) -> CollapsedModel:

@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from catmix.core import CollapsedModel, Dataset, as_generator
+from catmix.core import CollapsedModel, Dataset, _csv, as_generator
 from catmix.inference import (
     correlation_matrix,
     impute,
@@ -34,13 +34,10 @@ from catmix.synth import (
 )
 
 __all__ = [
-    "PROTOCOLS",
     "ReplicationReport",
     "correlation_gap",
-    "csv_lines",
     "imputation_accuracy",
     "run_replications",
-    "simulate",
 ]
 
 PROTOCOLS = ("mixture", "xor")
@@ -95,14 +92,6 @@ def correlation_gap(estimated: np.ndarray, truth: np.ndarray) -> float:
     return float(((estimated - truth) ** 2).sum())
 
 
-def csv_lines(i: int, metrics: dict) -> list[str]:
-    """Replication ``i``'s CSV row, preceded by the header when ``i == 0``;
-    each line ends in a newline, metrics in dictionary order."""
-    row = ",".join([str(i)] + [repr(float(v)) for v in metrics.values()])
-    header = [",".join(("replication",) + tuple(metrics)) + "\n"] if i == 0 else []
-    return header + [row + "\n"]
-
-
 @dataclass(frozen=True)
 class ReplicationReport:
     """Per-replication benchmark metrics with summary statistics.
@@ -152,8 +141,9 @@ class ReplicationReport:
 
     def to_csv(self) -> str:
         """One row per replication, columns in metric order."""
-        return "".join(line for i, rep in enumerate(self.per_replication)
-                       for line in csv_lines(i, rep))
+        rows = ((i, *map(float, rep.values()))
+                for i, rep in enumerate(self.per_replication))
+        return _csv(("replication", *self.metric_names), rows)
 
     def summary(self) -> dict:
         """JSON-friendly summary block."""

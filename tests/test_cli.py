@@ -19,7 +19,7 @@ from catmix.core import (
 )
 from catmix.metrics import run_replications
 from catmix.sampler import GibbsConfig
-from catmix.synth import sample_mixture_dataset
+from catmix.synth import MechanismSpec, mask, sample_mixture_dataset
 
 FAST = ["--burnin", "20", "--samples", "10", "--thin", "1"]
 
@@ -203,6 +203,46 @@ class TestImpute:
         assert not out.exists()
         assert not (tmp_path / "x.csv.cells.csv").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("k", True),
+        ("cardinalities", [2.9, 2, 2]),
+        ("cardinalities", ["2", 2, 2]),
+        ("theta", ["1.0"]),
+        ("tildePsi", [[["0.5", 0.5], [0.5, 0.5], [0.5, 0.5]]]),
+        ("tildePsi", [[[[0.5], 0.5], [0.5, 0.5], [0.5, 0.5]]]),
+    ])
+    def test_malformed_model_is_one_error_naming_its_key(
+            self, tmp_path, capsys, key, value):
+        # JSON integers and numbers only: no bools, strings or nesting
+        inp = _toy_csv(tmp_path)
+        doc = {"k": 1, "cardinalities": [2, 2, 2], "theta": [1.0],
+               "tildePsi": [[[0.5, 0.5]] * 3]}
+        model = tmp_path / "bad.json"
+        model.write_text(json.dumps({**doc, key: value}))
+        out = tmp_path / "x.csv"
+        rc = cli.main(["impute", str(inp), str(model), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+        assert not out.exists()
+        assert not (tmp_path / "x.csv.cells.csv").exists()
+
+    def test_draws_of_two_schemas_are_one_error(self, tmp_path, capsys):
+        inp = _toy_csv(tmp_path)
+        one = json.loads(_fit(tmp_path, inp, ("--summary",)).read_text())
+        other = {"k": 1, "cardinalities": [2, 3], "theta": [1.0],
+                 "tildePsi": [[[0.5, 0.5], [0.2, 0.3, 0.5]]]}
+        model = tmp_path / "mixed.json"
+        model.write_text(json.dumps({"cardinalities": [2, 2, 2],
+                                     "draws": [one, other]}))
+        capsys.readouterr()
+        out = tmp_path / "x.csv"
+        rc = cli.main(["impute", str(inp), str(model), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: draws disagree on cardinalities\n"
+        assert not out.exists()
+
     def test_impossible_row_is_named_by_its_dataset_index(self, tmp_path,
                                                           capsys):
         tilde = np.zeros((2, 3, 2))
@@ -266,6 +306,40 @@ class TestSimulate:
         data = parse_dataset(out.read_text(), CategoricalSchema([2, 2, 2]))
         assert data.n_missing() == 0
         assert mask_out.read_text() == "row,column,value\n"
+
+    @pytest.mark.parametrize("kind, flag, value, rates", [
+        ("mcar", "--mcar-rate", "0", {"mcar_rate": 0.0}),
+        ("mar", "--mar-rates", "0.9,0.2", {"mar_rates": (0.9, 0.2)}),
+        ("mnar", "--mnar-rates", "0.6,0", {"mnar_rates": (0.6, 0.0)}),
+    ])
+    def test_rate_flag_reaches_its_mechanism(self, tmp_path, kind, flag,
+                                             value, rates):
+        out = tmp_path / "masked.csv"
+        assert cli.main(["simulate", "--protocol", "mixture", "--n", "30",
+                         "--p", "3", "--seed", "3", "--mechanism", kind,
+                         flag, value, "--out", str(out)]) == 0
+        rng = np.random.default_rng(3)
+        data, _ = metrics.simulate("mixture", n=30, p=3, seed=rng)
+        masked, _ = mask(data, MechanismSpec(kind, **rates), seed=rng)
+        assert out.read_text() == dataset_to_csv(masked)
+
+    @pytest.mark.parametrize("extra", [
+        ["--mechanism", "mcar", "--mar-rates", "0.9,0.9"],
+        ["--mechanism", "mcar", "--mnar-rates", "1,1"],
+        ["--mechanism", "mnar", "--mcar-rate", "0.5"],
+        ["--mcar-rate", "0.9"],  # --mechanism defaults to none
+    ])
+    def test_rate_flag_of_another_mechanism_is_a_usage_error(
+            self, tmp_path, capsys, extra):
+        out = tmp_path / "masked.csv"
+        with pytest.raises(SystemExit) as err:
+            cli.main(["simulate", "--protocol", "mixture", "--n", "20",
+                      "--p", "3", "--seed", "1", "--out", str(out), *extra])
+        assert err.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and extra[-2] in errors[0]
+        assert not out.exists()
 
     @pytest.mark.parametrize("protocol", ["mixture", "xor"])
     def test_writes_what_the_library_simulates(self, tmp_path, protocol):
@@ -372,6 +446,24 @@ class TestBenchmark:
         assert cli.main(argv + ["--progress-every", "0"]) == 0
         assert "sweep" not in capsys.readouterr().err
         assert (tmp_path / "reps.csv").exists()
+
+    def test_rate_flag_of_another_mechanism_is_a_usage_error(
+            self, tmp_path, capsys, monkeypatch):
+        def no_replications(*args, **kwargs):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(metrics, "run_replications", no_replications)
+        out = tmp_path / "reps.csv"
+        with pytest.raises(SystemExit) as err:
+            # --mechanism defaults to mcar
+            cli.main(["benchmark", "--protocol", "mixture", "--reps", "1",
+                      "--jobs", "1", "--mnar-rates", "0.5,0.5",
+                      "--out", str(out)])
+        assert err.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and "--mnar-rates" in errors[0]
+        assert not out.exists()
 
     def test_failing_replications_exit_nonzero(self, tmp_path, capsys):
         # MNAR requires binary data, so cardinality 3 fails inside rep 1

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import catmix
+from catmix import core, inference, metrics, sampler, synth
 from catmix.core import (
     DEFAULT_CELL_LIMIT,
     CategoricalSchema,
@@ -362,3 +364,39 @@ def test_padded_dirichlet_keeps_zero_concentrations_at_zero():
     draw = padded_dirichlet(conc, rng)
     assert draw[0, 2] == 0.0
     np.testing.assert_allclose(draw.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+#: The package surface: the names ``catmix`` re-exports.
+PACKAGE_NAMES = {
+    "AugmentedModel", "CategoricalSchema", "CollapsedModel",
+    "ConstructionReport", "Dataset", "GibbsConfig", "ImputationResult",
+    "JointDistribution", "LoadError", "MaskResult", "MechanismSpec",
+    "MissingnessTable", "ModelState", "ParseError", "PosteriorSample",
+    "ReplicationReport", "class_posterior", "collapse_state",
+    "construct_saturated_model", "correlation_gap", "correlation_matrix",
+    "dataset_to_csv", "deserialize_models", "fisher_exact_2x2", "impute",
+    "imputation_accuracy", "iterate_states", "joint_distribution",
+    "largest_remainder_counts", "mask", "mask_fraction", "model_from_dict",
+    "model_to_dict", "pair_marginal", "pairwise_independence",
+    "parse_dataset", "parse_ratings_csv", "predictive_cell",
+    "preprocess_ratings", "pool_draws", "run_gibbs", "run_replications",
+    "sample_mixture_dataset", "sample_xor_dataset", "saturated_model",
+    "serialize_model", "serialize_models", "verify_construction",
+}
+
+
+def test_package_surface_is_the_union_of_the_module_lists():
+    modules = (core, sampler, inference, synth, metrics)
+    assert len(PACKAGE_NAMES) == 48
+    assert sorted(catmix.__all__) == sorted(PACKAGE_NAMES)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(catmix, name) is getattr(module, name)
+    # names kept off the package surface still import from their modules
+    for module, name in [
+            (core, "DEFAULT_CELL_LIMIT"), (core, "MISSING"),
+            (core, "NA_TOKEN"), (core, "as_generator"),
+            (core, "padded_dirichlet"), (core, "rescale_missing"),
+            (core, "write_models"), (metrics, "PROTOCOLS"),
+            (metrics, "simulate")]:
+        assert name not in catmix.__all__ and hasattr(module, name)

@@ -214,3 +214,29 @@ def test_padded_and_flat_psi_hash_alike(draw_hashes):
     padded[0, 1] = flat[0, 3:]
     assert (draw_hashes.real_codes(padded, cards).tobytes()
             == draw_hashes.real_codes(flat, cards).tobytes())
+
+
+def test_cli_hashes_print_one_line_per_stream_and_file(tmp_path, capsys,
+                                                       monkeypatch):
+    cli_hashes = _load(ROOT / "scripts" / "cli_hashes.py")
+    # the commands run in a temporary directory of their own
+    monkeypatch.chdir(tmp_path)
+    cli_hashes.main(["--src", str(ROOT / "src")])
+    lines = capsys.readouterr().out.splitlines()
+    assert not list(tmp_path.iterdir())
+    streams = 2 * len(cli_hashes.COMMANDS)
+    assert [line.split()[0] for line in lines[:streams]] == [
+        f"{name}.{stream}" for name, _ in cli_hashes.COMMANDS
+        for stream in ("stdout", "stderr")]
+    assert all(line.endswith(" exit=0") for line in lines[1:streams:2])
+    assert [line.split()[0] for line in lines[streams:]] == [
+        "argmax.csv", "argmax.csv.cells.csv", "binary.csv", "complete.csv",
+        "five.csv", "mask.csv", "mixture.csv", "model.json",
+        "model.json.khist.csv", "pooled.json", "pooled.json.khist.csv",
+        "pvalues.csv", "reps.csv", "sample.csv", "sample.csv.cells.csv",
+        "summary.json", "truth.json", "xor-mask.csv", "xor.csv"]
+    for line in lines:
+        digest = line.split()[1]
+        assert len(digest) == 40 and set(digest) <= set("0123456789abcdef")
+    assert cli_hashes.masked(b"sweep 7/20 k=3\nfit: 9 rows, 3 draws, 1.5s\n") \
+        == b"sweep 7/20 k=3\nfit: 9 rows, 3 draws, <elapsed>s\n"
