@@ -555,26 +555,35 @@ def test_states_carry_psi_over_the_real_codes_only():
     state.validate()
 
 
-def test_first_sweep_memory_scales_with_the_real_codes():
-    # one 1000- or 100-level column pads nine small ones tenfold or more;
-    # the chain keeps psi and its log only at the real codes,
-    # 8 * n * sum_j (d_j + 1) bytes, draws the initial psi a bounded chunk
-    # at a time, and a death copies neither
+def _assert_first_sweep_memory_near_the_real_codes(top):
+    # one top-level column pads nine small ones tenfold or more; the chain
+    # keeps psi and its log only at the real codes, 8 * n * sum_j (d_j + 1)
+    # bytes, draws the initial psi a bounded chunk at a time, and a death
+    # copies neither
+    rng = np.random.default_rng(0)
+    cards = [top] + [2, 3, 4] * 3
+    n = 300
+    cells = np.column_stack([rng.integers(0, d + 1, n) for d in cards])
+    data = Dataset(CategoricalSchema(cards), cells)
+    real_bytes = 8 * n * sum(d + 1 for d in cards)
     chunk_bytes = 8 * sampler._BLOCK_CELLS
-    for top in (1000, 100):
-        rng = np.random.default_rng(0)
-        cards = [top] + [2, 3, 4] * 3
-        n = 300
-        cells = np.column_stack([rng.integers(0, d + 1, n) for d in cards])
-        data = Dataset(CategoricalSchema(cards), cells)
-        real_bytes = 8 * n * sum(d + 1 for d in cards)
-        tracemalloc.start()
-        try:
-            next(iterate_states(data, GibbsConfig(), sweeps=1, seed=0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 5 * real_bytes + 8 * chunk_bytes, top
+    tracemalloc.start()
+    try:
+        next(iterate_states(data, GibbsConfig(), sweeps=1, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * real_bytes + 8 * chunk_bytes
+
+
+def test_first_sweep_memory_scales_with_the_real_codes():
+    _assert_first_sweep_memory_near_the_real_codes(1000)
+
+
+def test_first_sweep_memory_stays_near_the_initial_psi():
+    # the real-code bound, not a multiple of the padded psi: a chain that
+    # kept the padded 300 x 10 x 101 table would fail it
+    _assert_first_sweep_memory_near_the_real_codes(100)
 
 
 def test_iterate_states_rejects_bad_arguments():
