@@ -4,9 +4,12 @@
 
 Runs a fixed list of ``catmix`` commands, each as ``python -m catmix.cli``
 in a fresh interpreter, in one temporary directory: ``simulate`` (mixture
-MCAR with all four outputs, xor MNAR with ``--mask-out``), ``fit`` (with
-``--progress-every 7``, and with ``--summary``), ``impute`` (argmax, and
-``--rule sample --seed 9``), ``test-independence`` (to stdout and to
+MCAR with all four outputs, xor MNAR with ``--mask-out`` and
+``--truth-out``), ``fit`` (with ``--progress-every 7``, with
+``--summary``, and with ``--schema`` on a small inline table of
+cardinalities 2, 5, 9 and 12), ``impute`` (argmax, and ``--rule sample``,
+from the mixture fit, from the inline table's fit, and from the xor
+point-mass truth model), ``test-independence`` (to stdout and to
 ``--out``), ``benchmark --reps 3 --jobs 1`` with ``--out`` and
 ``--summary-out``, and ``preprocess-ratings`` (binary and five) on a
 small inline ratings table.  It prints one ``name sha1`` line for each
@@ -33,6 +36,12 @@ FAST = ["--burnin", "10", "--samples", "5", "--thin", "2"]
 RATINGS = "user,item,rating\n" + "".join(
     f"u{u},m{i},{(u * 7 + i * 3) % 9 / 2 + 0.5}\n"
     for u in range(12) for i in range(5) if (u + i) % 6)
+# cardinalities 2, 5, 9 and 12, about one cell in four missing, so that
+# imputing it sums predictive vectors of eight codes and more
+MIXED = "a,b,c,d\n" + "".join(
+    ",".join("NA" if (r * 3 + j) % 4 == 0 else str((r * m + j) % d + 1)
+             for j, (m, d) in enumerate(((1, 2), (3, 5), (7, 9), (5, 12))))
+    + "\n" for r in range(40))
 #: (name, argv) of each command, run in this order in one directory.
 COMMANDS = (
     ("simulate-mixture", ["simulate", "--protocol", "mixture", "--n", "40",
@@ -42,16 +51,29 @@ COMMANDS = (
                           "--mask-out", "mask.csv"]),
     ("simulate-xor", ["simulate", "--protocol", "xor", "--n", "60",
                       "--seed", "2", "--mechanism", "mnar", "--out", "xor.csv",
-                      "--mask-out", "xor-mask.csv"]),
+                      "--mask-out", "xor-mask.csv", "--truth-out",
+                      "xor-truth.json"]),
     ("fit", ["fit", "mixture.csv", "--out", "model.json", "--seed", "3",
              *FAST, "--progress-every", "7"]),
     ("fit-summary", ["fit", "xor.csv", "--out", "pooled.json", "--seed", "4",
                      *FAST, "--summary"]),
+    ("fit-schema", ["fit", "../mixed.csv", "--out", "mixed.json", "--seed",
+                    "6", *FAST, "--schema", "2,5,9,12"]),
     ("impute-argmax", ["impute", "mixture.csv", "model.json",
                        "--out", "argmax.csv"]),
     ("impute-sample", ["impute", "mixture.csv", "model.json",
                        "--out", "sample.csv", "--rule", "sample",
                        "--seed", "9"]),
+    ("impute-mixed-argmax", ["impute", "../mixed.csv", "mixed.json",
+                             "--out", "mixed-argmax.csv"]),
+    ("impute-mixed-sample", ["impute", "../mixed.csv", "mixed.json",
+                             "--out", "mixed-sample.csv", "--rule", "sample",
+                             "--seed", "10"]),
+    ("impute-xor-argmax", ["impute", "xor.csv", "xor-truth.json",
+                           "--out", "xor-argmax.csv"]),
+    ("impute-xor-sample", ["impute", "xor.csv", "xor-truth.json",
+                           "--out", "xor-sample.csv", "--rule", "sample",
+                           "--seed", "11"]),
     ("independence-stdout", ["test-independence", "model.json", "--n", "40"]),
     ("independence-out", ["test-independence", "pooled.json", "--n", "60",
                           "--out", "pvalues.csv"]),
@@ -81,6 +103,7 @@ def lines(src: Path):
     env = {**os.environ, "PYTHONPATH": str(src)}
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "ratings.csv").write_text(RATINGS)
+        (Path(tmp) / "mixed.csv").write_text(MIXED)
         work = Path(tmp) / "work"
         work.mkdir()
         for name, argv in COMMANDS:

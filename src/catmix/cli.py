@@ -188,8 +188,8 @@ def _cmd_impute(args) -> int:
              for (i, j), vec in result.cell_posteriors.items()
              for c, prob in enumerate(vec.tolist(), start=1))
     cell_path = args.cell_posterior or f"{args.out}.cells.csv"
-    _write_atomic(cell_path,
-                  core._csv(("row", "column", "category", "probability"), cells))
+    lines = core._csv_lines(("row", "column", "category", "probability"), cells)
+    _write_atomic(cell_path, lambda f: f.writelines(lines))
     _log(
         f"impute: filled {len(result.cell_posteriors)} cells "
         f"({args.rule} rule) in {data.n_rows} rows"

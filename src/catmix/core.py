@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
@@ -481,11 +482,17 @@ def parse_dataset(text: str, schema: CategoricalSchema | None = None) -> Dataset
     return Dataset(schema, rows, tuple(names))
 
 
-def _csv(header, rows) -> str:
-    """CSV text of every table catmix writes: the ``header`` tuple, then
-    one line per row tuple, each value printed with ``str``."""
+def _csv_lines(header, rows):
+    """Yield the lines of every CSV table catmix writes: the ``header``
+    tuple, then one line per row tuple, each value printed with ``str``."""
     line = ",".join(["%s"] * len(header)) + "\n"
-    return "".join([line % header] + [line % row for row in rows])
+    yield line % header
+    yield from (line % row for row in rows)
+
+
+def _csv(header, rows) -> str:
+    """The text of :func:`_csv_lines`."""
+    return "".join(_csv_lines(header, rows))
 
 
 def dataset_to_csv(dataset: Dataset) -> str:
@@ -520,9 +527,11 @@ def model_to_dict(model: CollapsedModel) -> dict:
 
 
 def _json_numbers(values, kind=(int, float)) -> bool:
-    """Whether ``values`` is a list of JSON numbers of ``kind``, not bools."""
+    """Whether ``values`` is a list of finite JSON numbers of ``kind``:
+    no bools, and no integer beyond the float range."""
     return isinstance(values, list) and not any(
-        isinstance(v, bool) or not isinstance(v, kind) for v in values)
+        isinstance(v, bool) or not isinstance(v, kind)
+        or not abs(v) <= sys.float_info.max for v in values)
 
 
 def model_from_dict(obj) -> CollapsedModel:
@@ -553,22 +562,23 @@ def model_from_dict(obj) -> CollapsedModel:
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise LoadError(f"k must be a positive integer, got {k!r}")
     if not _json_numbers(theta) or len(theta) != k:
-        raise LoadError(f"theta must be a list of numbers of length k={k}")
+        raise LoadError(f"theta must be a list of finite numbers of length k={k}")
     if not isinstance(tilde, list) or len(tilde) != k:
         raise LoadError(f"tildePsi must be a list of length k={k}")
 
     p = schema.n_variables
-    width = schema.max_cardinality
-    packed = np.zeros((k, p, width))
     for h, comp in enumerate(tilde):
         if not isinstance(comp, list) or len(comp) != p:
             raise LoadError(f"tildePsi[{h}] must list {p} variables")
         for j, (vec, d) in enumerate(zip(comp, schema.cardinalities)):
             if not _json_numbers(vec) or len(vec) != d:
                 raise LoadError(
-                    f"tildePsi[{h}][{j}] must have {d} entries, all numbers"
+                    f"tildePsi[{h}][{j}] must have {d} entries, all finite numbers"
                 )
-            packed[h, j, :d] = vec
+    # allocated only now that every vector has its d_j entries
+    valid = np.arange(schema.max_cardinality) < schema.codes_array()[:, None]
+    packed = np.zeros((k,) + valid.shape)
+    packed[:, valid] = [[x for vec in comp for x in vec] for comp in tilde]
     try:
         return CollapsedModel(schema, np.asarray(theta, dtype=np.float64), packed)
     except (TypeError, ValueError) as exc:

@@ -117,8 +117,7 @@ def class_posterior(row, model: CollapsedModel) -> np.ndarray:
         If the row has probability zero under every component.
     """
     row = _check_row(row, model)
-    logpost = _log_class_posteriors(model, row[None, :], [0])
-    return np.exp(logpost[0])
+    return next(_class_posteriors([model], row[None, :], [0]))[0]
 
 
 def predictive_cell(row, j: int, model: CollapsedModel) -> np.ndarray:
@@ -165,8 +164,8 @@ def impute(data: Dataset, posterior, rule: str = "argmax",
     posterior : PosteriorSample, sequence of CollapsedModel, or CollapsedModel
     rule : {"argmax", "sample"}
     seed : int, SeedSequence or Generator, optional
-        Only used by the "sample" rule.  Cells are visited in row-major
-        order, so a fixed seed reproduces the completion.
+        Only used by the "sample" rule, which draws one uniform per
+        missing cell, in row-major order.
 
     Returns
     -------
@@ -186,58 +185,74 @@ def impute(data: Dataset, posterior, rule: str = "argmax",
         return ImputationResult(data, {})
 
     hit_rows = np.nonzero(miss.any(axis=1))[0]
-    sub = cells[hit_rows]
-    p = data.n_variables
     width = data.schema.max_cardinality
-    acc = np.zeros((hit_rows.size, p, width))
-    for m in draws:
-        post = np.exp(_log_class_posteriors(m, sub, hit_rows))
+    acc = np.zeros((hit_rows.size, data.n_variables, width))
+    for m, post in zip(draws, _class_posteriors(draws, cells[hit_rows],
+                                                hit_rows)):
         acc += np.einsum("mk,kjc->mjc", post, m.tilde_psi)
     acc /= len(draws)
 
-    rng = as_generator(seed) if rule == "sample" else None
+    # one uniform per cell in row-major order, as Generator.choice(d, p=vec)
+    # spends it: the code is the count of cdf / cdf[-1] that are <= u
+    local, cols = np.nonzero(miss[hit_rows])
+    rows = hit_rows[local]
+    cards = data.schema.codes_array()[cols]
+    u = as_generator(seed).random(cols.size) if rule == "sample" else None
+    probs = np.zeros((cols.size, width))
     completed = cells.copy()
-    cell_posteriors: dict[tuple[int, int], np.ndarray] = {}
-    cards = data.schema.cardinalities
-    for local, i in enumerate(hit_rows):
-        for j in np.nonzero(miss[i])[0]:
-            vec = acc[local, j, : cards[j]]
-            vec = vec / vec.sum()
-            vec.setflags(write=False)
-            cell_posteriors[(int(i), int(j))] = vec
-            if rule == "argmax":
-                completed[i, j] = int(np.argmax(vec)) + 1
-            else:
-                completed[i, j] = int(rng.choice(cards[j], p=vec)) + 1
+    for d in set(data.schema.cardinalities):
+        at = np.nonzero(cards == d)[0]
+        vec = acc[local[at], cols[at], :d]
+        vec = vec / vec.sum(axis=1, keepdims=True)
+        probs[at, :d] = vec
+        if rule == "argmax":
+            completed[rows[at], cols[at]] = vec.argmax(axis=1) + 1
+        else:
+            cdf = vec.cumsum(axis=1)
+            completed[rows[at], cols[at]] = (
+                cdf / cdf[:, -1:] <= u[at, None]).sum(axis=1) + 1
+    probs.setflags(write=False)
+    cell_posteriors = {(i, j): probs[c, :d] for c, (i, j, d) in enumerate(
+        zip(rows.tolist(), cols.tolist(), cards.tolist()))}
     return ImputationResult(data.replace_cells(completed), cell_posteriors)
 
 
-def _log_class_posteriors(model: CollapsedModel, cells: np.ndarray,
-                          rows) -> np.ndarray:
-    """Row-normalized log component posteriors for a batch of rows.
+def _class_posteriors(draws, cells: np.ndarray, rows):
+    """Yield each draw's (m, k) component posteriors for a batch of rows.
 
     ``cells`` is (m, p) with zeros marking unobserved entries, and
     ``rows[i]`` is the dataset index that error messages give for
-    ``cells[i]``.  Returns an (m, k) array whose rows are log
-    probability vectors.
+    ``cells[i]``.  Draws are taken in groups whose evidence and log
+    table hold about 2**15 floats.  A group's evidence is summed one
+    variable at a time from a table with one row per variable and code
+    ``0 .. D``, whose code-0 rows are zero, so a missing cell adds 0.0.
     """
-    with np.errstate(divide="ignore"):
-        log_theta = np.log(model.theta)
-        log_tilde = np.log(model.tilde_psi)
-    # (p, D, k) so the row codes can index the first two axes
-    by_var = np.moveaxis(log_tilde, 0, 2)
-    idx = np.maximum(cells - 1, 0)
-    gathered = by_var[np.arange(cells.shape[1])[None, :], idx]  # (m, p, k)
-    contrib = np.where((cells > 0)[:, :, None], gathered, 0.0)
-    logpost = log_theta[None, :] + contrib.sum(axis=1)
-    top = logpost.max(axis=1, keepdims=True)
-    if np.isneginf(top).any():
-        bad = np.nonzero(np.isneginf(top.ravel()))[0][0]
-        raise ValueError(
-            f"row {rows[bad]} has probability zero under every component"
-        )
-    shifted = logpost - top
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    m, p = cells.shape
+    width = draws[0].schema.max_cardinality + 1
+    idx = cells + width * np.arange(p)
+    step = max(1, 2 ** 15 // ((m + p * width) * max(g.k for g in draws)))
+    for start in range(0, len(draws), step):
+        group = draws[start:start + step]
+        with np.errstate(divide="ignore"):
+            log_tilde = np.log(np.concatenate([g.tilde_psi for g in group]))
+        table = np.zeros((p * width, log_tilde.shape[0]))
+        table.reshape(p, width, -1)[:, 1:] = log_tilde.transpose(1, 2, 0)
+        evidence = table[idx[:, 0]]
+        for j in range(1, p):
+            evidence += table[idx[:, j]]
+        ends = np.cumsum([g.k for g in group])
+        for model, end in zip(group, ends):
+            with np.errstate(divide="ignore"):
+                logpost = np.log(model.theta) + evidence[:, end - model.k:end]
+            top = logpost.max(axis=1, keepdims=True)
+            if np.isneginf(top).any():
+                bad = np.nonzero(np.isneginf(top.ravel()))[0][0]
+                raise ValueError(
+                    f"row {rows[bad]} has probability zero under every component"
+                )
+            shifted = logpost - top
+            norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+            yield np.exp(shifted - norm)
 
 
 def _check_row(row, model: CollapsedModel) -> np.ndarray:

@@ -210,6 +210,9 @@ class TestImpute:
         ("theta", ["1.0"]),
         ("tildePsi", [[["0.5", 0.5], [0.5, 0.5], [0.5, 0.5]]]),
         ("tildePsi", [[[[0.5], 0.5], [0.5, 0.5], [0.5, 0.5]]]),
+        # integers that no float holds
+        ("theta", [10 ** 400]),
+        ("tildePsi", [[[10 ** 400, 0.5], [0.5, 0.5], [0.5, 0.5]]]),
     ])
     def test_malformed_model_is_one_error_naming_its_key(
             self, tmp_path, capsys, key, value):
@@ -224,6 +227,23 @@ class TestImpute:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+        assert not out.exists()
+        assert not (tmp_path / "x.csv.cells.csv").exists()
+
+    def test_huge_cardinality_is_refused_before_allocating(self, tmp_path,
+                                                            capsys):
+        # a padded (1, 1, 10**12) array would need 7.28 TiB
+        inp = _toy_csv(tmp_path)
+        model = tmp_path / "big.json"
+        model.write_text(json.dumps({"k": 1, "cardinalities": [10 ** 12],
+                                     "theta": [1.0],
+                                     "tildePsi": [[[0.5, 0.5]]]}))
+        out = tmp_path / "x.csv"
+        rc = cli.main(["impute", str(inp), str(model), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: tildePsi[0][0] must have 1000000000000 "
+                       "entries, all finite numbers"]
         assert not out.exists()
         assert not (tmp_path / "x.csv.cells.csv").exists()
 

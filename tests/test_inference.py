@@ -125,6 +125,64 @@ class TestPredictiveCell:
             predictive_cell([1, 0], 2, m)
 
 
+def _mixed_draws_and_data():
+    """Draws of k = 1 .. 4 over cardinalities up to 40, one of them the
+    point masses of a saturated model, and rows that each draw allows,
+    among them a row with every cell missing."""
+    rng = np.random.default_rng(21)
+    cards = (2, 3, 9, 17, 40)
+    schema = CategoricalSchema(cards)
+    table = np.zeros(cards)
+    points = [tuple(rng.integers(0, d) for d in cards) for _ in range(4)]
+    for cell, weight in zip(points, (0.4, 0.3, 0.2, 0.1)):
+        table[cell] = weight
+    draws = [_random_model(s, k=k, cards=cards)
+             for s, k in zip(range(30, 36), (1, 3, 2, 4, 1, 2))]
+    draws.insert(2, saturated_model(JointDistribution(schema, table)))
+    cells = np.array([points[i] for i in rng.integers(0, 4, 80)]) + 1
+    cells[rng.random(cells.shape) < 0.5] = 0
+    cells[7] = 0
+    return draws, Dataset(schema, cells)
+
+
+def _reference_impute(data, draws, rule, rng):
+    """Completed cells and cell posteriors as impute computed them with
+    one (m, p, k) gather per draw and one rng.choice per cell."""
+    cells = np.asarray(data.cells)
+    miss = cells == 0
+    hit_rows = np.nonzero(miss.any(axis=1))[0]
+    sub = cells[hit_rows]
+    acc = np.zeros((hit_rows.size, data.n_variables,
+                    data.schema.max_cardinality))
+    for m in draws:
+        with np.errstate(divide="ignore"):
+            log_theta = np.log(m.theta)
+            log_tilde = np.log(m.tilde_psi)
+        by_var = np.moveaxis(log_tilde, 0, 2)
+        gathered = by_var[np.arange(sub.shape[1])[None, :],
+                          np.maximum(sub - 1, 0)]
+        contrib = np.where((sub > 0)[:, :, None], gathered, 0.0)
+        logpost = log_theta[None, :] + contrib.sum(axis=1)
+        shifted = logpost - logpost.max(axis=1, keepdims=True)
+        post = np.exp(shifted - np.log(np.exp(shifted).sum(axis=1,
+                                                           keepdims=True)))
+        acc += np.einsum("mk,kjc->mjc", post, m.tilde_psi)
+    acc /= len(draws)
+    completed = cells.copy()
+    posteriors = {}
+    cards = data.schema.cardinalities
+    for local, i in enumerate(hit_rows):
+        for j in np.nonzero(miss[i])[0]:
+            vec = acc[local, j, : cards[j]]
+            vec = vec / vec.sum()
+            posteriors[(int(i), int(j))] = vec
+            if rule == "argmax":
+                completed[i, j] = int(np.argmax(vec)) + 1
+            else:
+                completed[i, j] = int(rng.choice(cards[j], p=vec)) + 1
+    return completed, posteriors
+
+
 class TestImpute:
     def test_tie_prefers_the_lowest_code(self):
         m = _single_component([[0.5, 0.5]])
@@ -212,6 +270,41 @@ class TestImpute:
         data = Dataset(m.schema, [[1, 1, 0], [1, 1, 1], [1, 2, 0]])
         with pytest.raises(ValueError, match="^row 2 has probability zero"):
             impute(data, m)
+
+    @pytest.mark.parametrize("rule", ["argmax", "sample"])
+    @pytest.mark.parametrize("seed", [
+        12, np.random.PCG64, np.random.MT19937, np.random.Philox])
+    def test_matches_the_per_draw_per_cell_reference(self, rule, seed):
+        draws, data = _mixed_draws_and_data()
+        if isinstance(seed, int):
+            ours, ref = seed, np.random.default_rng(seed)
+        else:
+            ours, ref = np.random.Generator(seed(3)), np.random.Generator(seed(3))
+        out = impute(data, draws, rule=rule, seed=ours)
+        completed, posteriors = _reference_impute(data, draws, rule, ref)
+        assert np.array_equal(out.completed.cells, completed)
+        assert list(out.cell_posteriors) == list(posteriors)
+        for key, vec in out.cell_posteriors.items():
+            assert vec.tobytes() == posteriors[key].tobytes()
+            assert not vec.flags.writeable
+        if not isinstance(seed, int):
+            assert np.array_equal(ours.random(8), ref.random(8))
+
+    def test_evidence_is_gathered_in_bounded_groups(self):
+        rng = np.random.default_rng(8)
+        cards = (2, 3, 4)
+        draws = [_random_model(s, k=3, cards=cards) for s in range(200)]
+        cells = np.stack([rng.integers(0, d + 1, 2000) for d in cards], axis=1)
+        cells[:, 0] = 0
+        data = Dataset(draws[0].schema, cells)
+        uncapped = 8 * 2000 * sum(m.k for m in draws)
+        tracemalloc.start()
+        try:
+            impute(data, draws, rule="sample", seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < uncapped / 2
 
 
 class TestPoolDraws:

@@ -231,10 +231,15 @@ def test_cli_hashes_print_one_line_per_stream_and_file(tmp_path, capsys,
     assert all(line.endswith(" exit=0") for line in lines[1:streams:2])
     assert [line.split()[0] for line in lines[streams:]] == [
         "argmax.csv", "argmax.csv.cells.csv", "binary.csv", "complete.csv",
-        "five.csv", "mask.csv", "mixture.csv", "model.json",
-        "model.json.khist.csv", "pooled.json", "pooled.json.khist.csv",
-        "pvalues.csv", "reps.csv", "sample.csv", "sample.csv.cells.csv",
-        "summary.json", "truth.json", "xor-mask.csv", "xor.csv"]
+        "five.csv", "mask.csv", "mixed-argmax.csv",
+        "mixed-argmax.csv.cells.csv", "mixed-sample.csv",
+        "mixed-sample.csv.cells.csv", "mixed.json", "mixed.json.khist.csv",
+        "mixture.csv", "model.json", "model.json.khist.csv", "pooled.json",
+        "pooled.json.khist.csv", "pvalues.csv", "reps.csv", "sample.csv",
+        "sample.csv.cells.csv", "summary.json", "truth.json",
+        "xor-argmax.csv", "xor-argmax.csv.cells.csv", "xor-mask.csv",
+        "xor-sample.csv", "xor-sample.csv.cells.csv", "xor-truth.json",
+        "xor.csv"]
     for line in lines:
         digest = line.split()[1]
         assert len(digest) == 40 and set(digest) <= set("0123456789abcdef")
