@@ -78,6 +78,19 @@ def checkout(spec: str, stack: contextlib.ExitStack) -> Path:
     return tree
 
 
+def revision(tree: Path) -> str:
+    """The commit checked out in ``tree``, ending in ``-dirty`` when a
+    tracked file differs from it; "unavailable" when ``tree`` is not the
+    top of a git checkout."""
+    # The ceiling keeps git from reporting an enclosing repository.
+    env = dict(os.environ,
+               GIT_CEILING_DIRECTORIES=str(Path(tree).resolve().parent))
+    out = subprocess.run(["git", "describe", "--always", "--dirty",
+                          "--abbrev=40"], cwd=tree, env=env,
+                         capture_output=True, text=True, check=False)
+    return out.stdout.strip() or "unavailable"
+
+
 def bench_once(checkout: Path, workload: str, seed: int,
                seconds: int) -> dict:
     """One ``bench/run.py`` run in ``checkout``; its parsed output."""
@@ -216,10 +229,7 @@ def run_pairs(args, dirs: dict) -> None:
     doc = {
         "command": "python3 bench/run.py --workload W --seed "
                    f"{args.seed} --seconds {args.seconds} --trace 0",
-        "revisions": {side: subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=d, capture_output=True,
-            text=True, check=False).stdout.strip() or "unavailable"
-            for side, d in dirs.items()},
+        "revisions": {side: revision(d) for side, d in dirs.items()},
         "host": host(),
         "workloads": {},
     }

@@ -407,7 +407,7 @@ def main(argv=None) -> int:
                              f"applies only to --mechanism {kind}")
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         _log(f"error: {exc}")
         return 1
 

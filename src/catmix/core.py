@@ -99,9 +99,13 @@ def rescale_missing(psi: np.ndarray) -> np.ndarray:
     return psi[..., 1:] / mass
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+def _freeze(record, **dtypes) -> None:
+    """Store each named field of the frozen dataclass ``record`` as a
+    read-only array of the dtype given for it."""
+    for name, dtype in dtypes.items():
+        a = np.asarray(getattr(record, name), dtype)
+        a.setflags(write=False)
+        object.__setattr__(record, name, a)
 
 
 def _check_shape(a: np.ndarray, shape: tuple, name: str) -> None:
@@ -205,7 +209,8 @@ class Dataset:
     column_names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        cells = np.asarray(self.cells, dtype=np.int64)
+        _freeze(self, cells=np.int64)
+        cells = self.cells
         if cells.ndim != 2:
             raise ValueError(f"cells must be 2-dimensional, got shape {cells.shape}")
         p = self.schema.n_variables
@@ -223,7 +228,6 @@ class Dataset:
             raise ValueError(
                 f"{len(names)} column names supplied for {p} variables"
             )
-        object.__setattr__(self, "cells", _readonly(cells))
         object.__setattr__(self, "column_names", names)
 
     @property
@@ -271,15 +275,7 @@ class ModelState:
     psi: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "assignments", _readonly(np.asarray(self.assignments, np.int64))
-        )
-        object.__setattr__(
-            self, "counts", _readonly(np.asarray(self.counts, np.int64))
-        )
-        object.__setattr__(
-            self, "psi", _readonly(np.asarray(self.psi, np.float64))
-        )
+        _freeze(self, assignments=np.int64, counts=np.int64, psi=np.float64)
 
     @property
     def k(self) -> int:
@@ -333,12 +329,10 @@ class CollapsedModel:
     tilde_psi: np.ndarray
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=np.float64)
-        tilde = np.asarray(self.tilde_psi, dtype=np.float64)
-        _check_weights(theta, "theta", LOAD_TOL)
-        _check_tables(tilde, self.schema, theta.size, 0, "tilde_psi", LOAD_TOL)
-        object.__setattr__(self, "theta", _readonly(theta))
-        object.__setattr__(self, "tilde_psi", _readonly(tilde))
+        _freeze(self, theta=np.float64, tilde_psi=np.float64)
+        _check_weights(self.theta, "theta", LOAD_TOL)
+        _check_tables(self.tilde_psi, self.schema, self.k, 0, "tilde_psi",
+                      LOAD_TOL)
 
     @property
     def k(self) -> int:
@@ -370,10 +364,9 @@ class JointDistribution:
                 f"joint table would hold {n_cells} cells, "
                 f"limit is {DEFAULT_CELL_LIMIT}"
             )
-        table = np.asarray(self.table, dtype=np.float64)
-        _check_shape(table, tuple(self.schema.cardinalities), "table")
-        _check_weights(table.ravel(), "joint table", 1e-9)
-        object.__setattr__(self, "table", _readonly(table))
+        _freeze(self, table=np.float64)
+        _check_shape(self.table, tuple(self.schema.cardinalities), "table")
+        _check_weights(self.table.ravel(), "joint table", 1e-9)
 
 
 @dataclass(frozen=True)
@@ -389,16 +382,23 @@ class MissingnessTable:
     q: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=np.float64)
+        _freeze(self, q=np.float64)
+        q = self.q
         _check_shape(q, (self.schema.n_variables, *self.schema.cardinalities), "q")
         if not ((q >= 0) & (q <= 1)).all():
             raise ValueError("missingness probabilities must lie in [0, 1]")
-        object.__setattr__(self, "q", _readonly(q))
 
 
 # ---------------------------------------------------------------------------
 # CSV datasets
 # ---------------------------------------------------------------------------
+
+def _csv_records(text: str) -> list[tuple[int, str]]:
+    """``(number, line)`` for each nonblank line of ``text``, numbering
+    every line from 1, blank ones included, as an editor does."""
+    return [(i, ln) for i, ln in enumerate(text.splitlines(), start=1)
+            if ln.strip() != ""]
+
 
 def parse_dataset(text: str, schema: CategoricalSchema | None = None) -> Dataset:
     """Parse a CSV document into a :class:`Dataset`.
@@ -427,10 +427,10 @@ def parse_dataset(text: str, schema: CategoricalSchema | None = None) -> Dataset
         On structural problems, non integer fields, out of range codes,
         or columns whose cardinality cannot be inferred.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip() != ""]
-    if not lines:
+    records = _csv_records(text)
+    if not records:
         raise ParseError("document is empty")
-    names = [f.strip() for f in lines[0].split(",")]
+    names = [f.strip() for f in records[0][1].split(",")]
     p = len(names)
     if schema is not None and schema.n_variables != p:
         raise ParseError(
@@ -438,8 +438,8 @@ def parse_dataset(text: str, schema: CategoricalSchema | None = None) -> Dataset
             f"{schema.n_variables} variables"
         )
 
-    rows = np.zeros((len(lines) - 1, p), dtype=np.int64)
-    for i, ln in enumerate(lines[1:], start=2):
+    rows = np.zeros((len(records) - 1, p), dtype=np.int64)
+    for r, (i, ln) in enumerate(records[1:]):
         fields = [f.strip() for f in ln.split(",")]
         if len(fields) != p:
             raise ParseError(
@@ -459,7 +459,7 @@ def parse_dataset(text: str, schema: CategoricalSchema | None = None) -> Dataset
                     f"line {i}, column {names[j]!r}: codes must be positive, "
                     f"use {NA_TOKEN} for missing entries"
                 )
-            rows[i - 2, j] = code
+            rows[r, j] = code
 
     if schema is None:
         cards = rows.max(axis=0, initial=0)
@@ -474,10 +474,10 @@ def parse_dataset(text: str, schema: CategoricalSchema | None = None) -> Dataset
         limit = schema.codes_array()
         over = rows > limit[None, :]
         if rows.size and over.any():
-            i, j = np.argwhere(over)[0]
+            r, j = np.argwhere(over)[0]
             raise ParseError(
-                f"line {i + 2}, column {names[j]!r}: code {rows[i, j]} "
-                f"exceeds cardinality {limit[j]}"
+                f"line {records[r + 1][0]}, column {names[j]!r}: "
+                f"code {rows[r, j]} exceeds cardinality {limit[j]}"
             )
     return Dataset(schema, rows, tuple(names))
 

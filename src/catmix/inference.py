@@ -24,6 +24,7 @@ from catmix.core import (
     _check_tables,
     _check_weights,
     _draw_list,
+    _freeze,
     as_generator,
     rescale_missing,
 )
@@ -484,12 +485,9 @@ class AugmentedModel:
     psi: np.ndarray
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=np.float64)
-        psi = np.asarray(self.psi, dtype=np.float64)
-        _check_weights(theta, "theta", 1e-9)
-        _check_tables(psi, self.schema, theta.size, 1, "psi", 1e-9)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "psi", psi)
+        _freeze(self, theta=np.float64, psi=np.float64)
+        _check_weights(self.theta, "theta", 1e-9)
+        _check_tables(self.psi, self.schema, self.k, 1, "psi", 1e-9)
 
     @property
     def k(self) -> int:

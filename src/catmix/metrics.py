@@ -236,7 +236,7 @@ def run_replications(protocol: str, mechanism: MechanismSpec | None = None,
     gibbs : GibbsConfig, optional
     seed : int or SeedSequence, optional
     jobs : int
-        Worker processes; 1 runs in-process.
+        Worker processes, at most one per replication; 1 runs in-process.
     n, p, k, cardinality
         Dataset shape, passed to :func:`simulate`.
     on_result : callable, optional
@@ -267,6 +267,7 @@ def run_replications(protocol: str, mechanism: MechanismSpec | None = None,
         n=n, p=p, k=k, cardinality=cardinality,
     )
     results: list[dict] = []
+    jobs = min(jobs, reps)
     with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
         for i, rep in enumerate((pool.map if pool else map)(task, children)):
             results.append(rep)

@@ -12,6 +12,7 @@ variable), and missing not at random (driven by the value itself).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -24,6 +25,8 @@ from catmix.core import (
     JointDistribution,
     MISSING,
     ParseError,
+    _csv_records,
+    _freeze,
     as_generator,
     padded_dirichlet,
 )
@@ -103,16 +106,9 @@ class MaskResult:
     n_total_cells: int
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.int64)
-        cols = np.asarray(self.cols, dtype=np.int64)
-        values = np.asarray(self.values, dtype=np.int64)
-        if not rows.shape == cols.shape == values.shape:
+        _freeze(self, rows=np.int64, cols=np.int64, values=np.int64)
+        if not self.rows.shape == self.cols.shape == self.values.shape:
             raise ValueError("rows, cols and values must have equal length")
-        for a in (rows, cols, values):
-            a.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return self.rows.size
@@ -328,11 +324,11 @@ def parse_ratings_csv(text: str) -> list[tuple]:
     columns such as timestamps are ignored).  Identifiers are kept as
     integers when they look like integers.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip() != ""]
-    if len(lines) < 1:
+    records = _csv_records(text)
+    if not records:
         raise ParseError("ratings document is empty")
     triples = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in records[1:]:
         fields = [f.strip() for f in ln.split(",")]
         if len(fields) < 3:
             raise ParseError(
@@ -395,7 +391,6 @@ def preprocess_ratings(triples: Iterable[tuple], item_threshold: float = 0.25,
     five = coding != "binary"
 
     latest: dict[tuple, float] = {}
-    users_seen: dict = {}
     for user, item, rating in triples:
         if not (0.5 <= rating <= 5.0) or (2 * rating) % 1 != 0:
             raise ValueError(
@@ -403,17 +398,14 @@ def preprocess_ratings(triples: Iterable[tuple], item_threshold: float = 0.25,
                 "0.5 .. 5.0 half-star scale"
             )
         latest[(user, item)] = rating
-        users_seen[user] = None
     if not latest:
         raise ValueError("no ratings supplied")
 
-    n_users = len(users_seen)
-    raters_per_item: dict = {}
-    for (user, item) in latest:
-        raters_per_item.setdefault(item, set()).add(user)
+    n_users = len({user for user, _ in latest})
+    raters = Counter(item for _, item in latest)
     kept_items = sorted(
-        item for item, raters in raters_per_item.items()
-        if len(raters) > item_threshold * n_users
+        item for item, count in raters.items()
+        if count > item_threshold * n_users
     )
     if not kept_items:
         raise ValueError(
@@ -422,10 +414,7 @@ def preprocess_ratings(triples: Iterable[tuple], item_threshold: float = 0.25,
         )
     item_col = {item: j for j, item in enumerate(kept_items)}
 
-    rated_per_user: dict = {}
-    for (user, item) in latest:
-        if item in item_col:
-            rated_per_user[user] = rated_per_user.get(user, 0) + 1
+    rated_per_user = Counter(user for user, item in latest if item in item_col)
     min_rated = user_threshold * len(kept_items)
     kept_users = sorted(u for u, c in rated_per_user.items() if c > min_rated)
     if not kept_users:

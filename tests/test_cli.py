@@ -327,6 +327,17 @@ class TestSimulate:
         assert data.n_missing() == 0
         assert mask_out.read_text() == "row,column,value\n"
 
+    def test_unallocatable_table_is_one_error_line(self, tmp_path, capsys):
+        # 3 x 20 x 1e12 doubles exceed the 128 TiB user address space, so
+        # the allocation fails at once under any overcommit policy
+        out = tmp_path / "x.csv"
+        assert cli.main(["simulate", "--protocol", "mixture",
+                         "--cardinality", "1000000000000",
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind, flag, value, rates", [
         ("mcar", "--mcar-rate", "0", {"mcar_rate": 0.0}),
         ("mar", "--mar-rates", "0.9,0.2", {"mar_rates": (0.9, 0.2)}),

@@ -181,6 +181,32 @@ class TestMissingnessTable:
             MissingnessTable(schema, q)
 
 
+_ONE = CategoricalSchema([2])
+
+
+@pytest.mark.parametrize("make, fields", [
+    (lambda: Dataset(_ONE, [[1]]), ("cells",)),
+    (lambda: ModelState(_ONE, [0], [1], [[0.2, 0.3, 0.5]]),
+     ("assignments", "counts", "psi")),
+    (lambda: CollapsedModel(_ONE, [1.0], [[[0.4, 0.6]]]),
+     ("theta", "tilde_psi")),
+    (lambda: JointDistribution(_ONE, [0.3, 0.7]), ("table",)),
+    (lambda: MissingnessTable(_ONE, [[0.1, 0.2]]), ("q",)),
+    (lambda: inference.AugmentedModel(_ONE, [1.0], [[[0.1, 0.3, 0.6]]]),
+     ("theta", "psi")),
+    (lambda: synth.MaskResult([0], [0], [1], n_total_cells=1),
+     ("rows", "cols", "values")),
+], ids=["Dataset", "ModelState", "CollapsedModel", "JointDistribution",
+        "MissingnessTable", "AugmentedModel", "MaskResult"])
+def test_record_arrays_are_read_only(make, fields):
+    record = make()
+    for name in fields:
+        a = getattr(record, name)
+        assert not a.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1
+
+
 class TestParseDataset:
     def test_na_and_schema(self):
         d = parse_dataset("a,b\n1,NA\n2,1", CategoricalSchema([2, 2]))
@@ -207,18 +233,29 @@ class TestParseDataset:
     def test_rejects_ragged_row(self):
         with pytest.raises(ParseError, match="line 3"):
             parse_dataset("a,b\n1,1\n1")
+        # blank lines count, so the message names the file's own line
+        with pytest.raises(ParseError, match="line 5: expected 2 fields"):
+            parse_dataset("\na,b\n1,1\n\n1")
 
     def test_rejects_non_integer(self):
         with pytest.raises(ParseError, match="'x'"):
             parse_dataset("a\nx\n2")
+        with pytest.raises(ParseError,
+                           match="line 5, column 'a': 'x' is not an integer"):
+            parse_dataset("a,b\n1,2\n\n\nx,3\n")
 
     def test_rejects_code_above_cardinality(self):
         with pytest.raises(ParseError, match="exceeds"):
             parse_dataset("a\n1\n3", CategoricalSchema([2]))
+        with pytest.raises(ParseError, match="line 5, column 'a': code 3 "
+                                             "exceeds cardinality 2"):
+            parse_dataset("a\n\n1\n\n3\n1", CategoricalSchema([2]))
 
     def test_rejects_literal_zero(self):
         with pytest.raises(ParseError, match="NA"):
             parse_dataset("a\n0\n1")
+        with pytest.raises(ParseError, match="line 4, column 'a': codes"):
+            parse_dataset("a\n1\n\n0")
 
     def test_rejects_empty_document(self):
         with pytest.raises(ParseError, match="empty"):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from catmix import metrics
 from catmix.core import CategoricalSchema, Dataset
 from catmix.metrics import (
     ReplicationReport,
@@ -164,6 +165,32 @@ class TestRunReplications:
         parallel = run_replications("mixture", reps=2, gibbs=TINY, seed=3,
                                     n=12, p=4, k=2, jobs=2)
         assert serial.per_replication == parallel.per_replication
+
+    @pytest.mark.parametrize("reps, jobs, workers", [
+        (2, 5000, [2]), (3, 2, [2]), (1, 4, [])])
+    def test_pool_holds_at_most_one_worker_per_replication(
+            self, monkeypatch, reps, jobs, workers):
+        # the pool forks all its workers at its first task, so its size
+        # is the number of processes started; this fake starts none
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(metrics, "ProcessPoolExecutor", InProcessPool)
+        report = run_replications("mixture", reps=reps, gibbs=TINY, seed=3,
+                                  n=12, p=4, k=2, jobs=jobs)
+        assert sizes == workers
+        assert report.n_replications == reps
 
     def test_default_mechanism_is_mcar(self):
         report = run_replications("mixture", reps=1, gibbs=TINY, seed=4,

@@ -78,6 +78,20 @@ def test_neither_directory_nor_revision_is_refused(bench_pairs):
             module.checkout("no-such-revision", stack)
 
 
+def test_revisions_mark_a_dirty_tree_and_ignore_an_enclosing_one(
+        bench_pairs):
+    module, repo = bench_pairs
+    head = subprocess.run(["git", "-C", str(repo), "rev-parse", "HEAD"],
+                          capture_output=True, text=True,
+                          check=True).stdout.strip()
+    assert module.revision(repo) == head
+    (repo / "marker.txt").write_text("edited\n")
+    assert module.revision(repo) == head + "-dirty"
+    plain = repo / "plain"
+    plain.mkdir()
+    assert module.revision(plain) == "unavailable"
+
+
 def _pairs(parent, change):
     """Synthetic pair records of one metric, ``wall_s``."""
     out = []

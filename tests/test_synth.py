@@ -263,6 +263,12 @@ class TestParseRatingsCsv:
             parse_ratings_csv("u,i,r\n1,2\n")
         with pytest.raises(ParseError, match="not a number"):
             parse_ratings_csv("u,i,r\n1,2,good\n")
+        # blank lines count, so the message names the file's own line
+        with pytest.raises(ParseError, match="line 3: expected at least 3"):
+            parse_ratings_csv("u,i,r\n\n1,2\n")
+        with pytest.raises(ParseError,
+                           match="line 5: rating 'good' is not a number"):
+            parse_ratings_csv("\nu,i,r\n1,2,3\n\n1,2,good\n")
         with pytest.raises(ParseError, match="empty"):
             parse_ratings_csv("")
 
