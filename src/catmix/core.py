@@ -507,23 +507,10 @@ def dataset_to_csv(dataset: Dataset) -> str:
 # ---------------------------------------------------------------------------
 
 def model_to_dict(model: CollapsedModel) -> dict:
-    """Plain-JSON representation of a collapsed model.
-
-    ``tildePsi`` is stored ragged: ``tildePsi[h][j]`` has exactly
-    ``d_j`` entries, so the document never exposes the internal zero
-    padding.
-    """
-    cards = model.schema.cardinalities
-    tilde = [
-        [model.tilde_psi[h, j, :d].tolist() for j, d in enumerate(cards)]
-        for h in range(model.k)
-    ]
-    return {
-        "k": model.k,
-        "cardinalities": list(cards),
-        "theta": model.theta.tolist(),
-        "tildePsi": tilde,
-    }
+    """Plain-JSON representation of a collapsed model, parsed from
+    :func:`serialize_model`: ``tildePsi[h][j]`` has exactly ``d_j``
+    entries, so the document never exposes the internal zero padding."""
+    return json.loads(serialize_model(model))
 
 
 def _json_numbers(values, kind=(int, float)) -> bool:
@@ -585,9 +572,38 @@ def model_from_dict(obj) -> CollapsedModel:
         raise LoadError(str(exc)) from None
 
 
+def _json_list(items, pad: str) -> str:
+    """The JSON texts ``items`` in a list laid out as ``json.dumps(...,
+    indent=2)`` lays it out with its closing bracket at indent ``pad``."""
+    inner = ",\n" + pad + "  "
+    return "[" + inner[1:] + inner.join(items) + "\n" + pad + "]"
+
+
+def _model_texts(models: Sequence[CollapsedModel], pad: str):
+    """Yield each model's :func:`model_to_dict` document, laid out as
+    ``json.dumps(..., indent=2)`` lays it out at indent ``pad``.  One
+    ``%r`` template per distinct k takes theta, then tilde psi's real
+    entries: ``repr`` of a finite float is the text ``json`` writes."""
+    cards = models[0].schema.cardinalities
+    real = np.arange(max(cards)) < models[0].schema.codes_array()[:, None]
+    i = pad + "  "
+    head = (f'{{\n{i}"k": %d,\n{i}"cardinalities": '
+            f'{_json_list(map(str, cards), i)},\n{i}"theta": ')
+    comp = _json_list([_json_list(["%r"] * d, i + "    ") for d in cards],
+                      i + "  ")
+    templates = {}
+    for m in models:
+        if m.k not in templates:
+            templates[m.k] = (head + _json_list(["%r"] * m.k, i) +
+                              f',\n{i}"tildePsi": ' +
+                              _json_list([comp] * m.k, i) + f"\n{pad}}}")
+        yield templates[m.k] % (m.k, *m.theta.tolist(),
+                                *m.tilde_psi[:, real].ravel().tolist())
+
+
 def serialize_model(model: CollapsedModel) -> str:
     """Serialize one model as a JSON document (bit exact round trip)."""
-    return json.dumps(model_to_dict(model), indent=2) + "\n"
+    return next(_model_texts([model], "")) + "\n"
 
 
 def _draw_list(models: Iterable[CollapsedModel], error=ValueError) -> list:
@@ -602,25 +618,25 @@ def _draw_list(models: Iterable[CollapsedModel], error=ValueError) -> list:
     return models
 
 
-def _draws_document(models: Sequence[CollapsedModel]) -> dict:
-    """The JSON object of a list of posterior draws."""
+def _document(models: Sequence[CollapsedModel]):
+    """Yield :func:`serialize_models`'s document, one piece per draw."""
     models = _draw_list(models)
-    return {
-        "cardinalities": list(models[0].schema.cardinalities),
-        "draws": [model_to_dict(m) for m in models],
-    }
+    cards = _json_list(map(str, models[0].schema.cardinalities), "  ")
+    yield f'{{\n  "cardinalities": {cards},\n  "draws": ['
+    for i, text in enumerate(_model_texts(models, "    ")):
+        yield (",\n    " if i else "\n    ") + text
+    yield "\n  ]\n}\n"
 
 
 def serialize_models(models: Sequence[CollapsedModel]) -> str:
     """Serialize a list of posterior draws as one JSON document."""
-    return json.dumps(_draws_document(models), indent=2) + "\n"
+    return "".join(_document(models))
 
 
 def write_models(models: Sequence[CollapsedModel], fp: TextIO) -> None:
     """Write the document of :func:`serialize_models` to the text file
-    ``fp`` piece by piece, without holding it in memory."""
-    json.dump(_draws_document(models), fp, indent=2)
-    fp.write("\n")
+    ``fp`` draw by draw, without holding it in memory."""
+    fp.writelines(_document(models))
 
 
 def deserialize_models(text: str) -> list[CollapsedModel]:

@@ -48,24 +48,28 @@ count and no live order, so every row up to the first one that moves
 sees exactly the state at the start of its block, minus itself.  The
 sweep therefore settles a block of rows in one array pass: it computes
 the block's (rows, k + 1) weights with the same elementwise operations
-and reduction axes as one row's (they are one kernel), draws the
-block's uniforms with one ``rng.random(rows)`` and picks every row's
-index at once.  It accepts every row before the first one that moves
-(to another component or a new one), sets the bit generator's state
-back, replays exactly the uniforms a row-by-row sweep would have drawn
-up to and including the mover's, and commits the mover, birth draws
-and all.  Every float, every uniform and the order of every draw are
-those of the row-by-row sweep, so the draws are bit-identical to it.
-A singleton's departure changes the live order, so singletons end a
-block and go row by row.  A block pass costs a few single-row visits,
-so it pays only where most rows stay: the chain keeps a running mean
-of how many rows stay between two movers, and uses blocks of twice
-that length once they reach ``_BLOCK_MIN`` rows.  Otherwise rows go
-row by row, each visit paying its fixed numpy call overhead, about 9
-us on a 2-vCPU x86-64 host; a mover costs the block up to it, a state
-reset and a replay.  So a steady chain at small k settles most rows in
-blocks, while the first sweep from one component per row, all
-singletons, and chains in which many rows move run row by row.
+as one row's (they are one kernel), draws the block's uniforms with one
+``rng.random(rows)`` and picks every row's index at once.  The cells'
+flat positions are stored variables outermost, (p, n), so numpy sums
+the block's (p, rows, slots) gather of log psi one contiguous plane per
+variable: in one row's order, but in long inner loops.  At one slot it
+would sum a row pairwise, so the chain keeps at least two.  It accepts
+every row before the first one that moves (to another component or a
+new one), sets the bit generator's state back, replays exactly the
+uniforms a row-by-row sweep would have drawn up to and including the
+mover's, and commits the mover, birth draws and all.  Every float, every
+uniform and the order of every draw are those of the row-by-row sweep,
+so the draws are bit-identical to it.  A singleton's departure changes
+the live order, so singletons end a block and go row by row.  A block
+pass costs a few single-row visits, so it pays only where most rows
+stay: the chain keeps a running mean of how many rows stay between two
+movers, and uses blocks of twice that length once they reach
+``_BLOCK_MIN`` rows.  Otherwise rows go row by row, each visit paying
+its fixed numpy call overhead, about 9 us on a 2-vCPU x86-64 host; a
+mover costs the block up to it, a state reset and a replay.  So a steady
+chain at small k settles most rows in blocks, while the first sweep
+from one component per row, all singletons, and chains in which many
+rows move run row by row.
 
 Missing cells simply carry the code 0 and participate in the products
 above like any other category; no special casing happens inside the
@@ -217,8 +221,8 @@ class _Chain:
         self.n, self.p = data.cells.shape
         starts = data.schema.offsets()
         cards = data.schema.codes_array()
-        # position of cell (i, j) in the flat layout of the codes
-        self.offsets = starts[:-1] + data.cells
+        # offsets[j, i]: position of cell (i, j) in the flat layout
+        self.offsets = np.ascontiguousarray((starts[:-1] + data.cells).T)
         # one (variables, d + 1) block of flat positions per distinct
         # cardinality d, and the variable of every flat position
         self.groups = []
@@ -226,7 +230,7 @@ class _Chain:
             var = np.flatnonzero(cards == d)
             self.groups.append((var, starts[var, None] + np.arange(d + 1)))
         self.var_of = np.repeat(np.arange(self.p), cards + 1)
-        self.beta = np.full(starts[-1], config.beta)
+        self.beta = np.full(starts[-1], config.beta, dtype=np.float64)
         # log weight of opening a new component; flat priors give every
         # code the same log(beta / sum_c beta), so code 0 stands for x_ij
         self.new_logw = np.log(config.alpha) + (
@@ -243,14 +247,16 @@ class _Chain:
 
     def _adopt(self, z: np.ndarray, counts: np.ndarray) -> None:
         """Take components in label order, slot ``h`` holding component
-        ``h``, with room for their log psi."""
+        ``h``, with room for their log psi in at least two slots."""
+        k = counts.size
         self.z = z
-        self.counts = counts
+        # a spare slot at k = 1, so that rows and blocks sum alike
+        self.counts = np.pad(counts, (0, int(k == 1)))
         # log psi is kept transposed, shape (codes, slots), so that a
         # row's terms for every slot are one row gather
-        self.log_psi = np.empty((self.beta.size, counts.size))
-        self.order = np.arange(counts.size)
-        self.free = []
+        self.log_psi = np.zeros((self.beta.size, self.counts.size))
+        self.order = np.arange(k)
+        self.free = list(range(self.counts.size - 1, k - 1, -1))
 
     def _sums(self, a: np.ndarray) -> np.ndarray:
         """Each variable's sum of ``a`` over its flat codes (last axis),
@@ -311,9 +317,9 @@ class _Chain:
         would get detached.  Entry ``h < k`` targets the ``h``-th live
         component; the last entry opens a new component.
         """
-        # every slot's log likelihood, each summed over the variables in
-        # order; free slots keep finite or -inf logs and are dropped here
-        loglik = self.log_psi.take(self.offsets[rows], axis=0).sum(axis=-2)
+        # every slot's log likelihood, summed over the variables in order;
+        # free slots keep finite or -inf logs and are dropped here
+        loglik = self.log_psi.take(self.offsets[:, rows], axis=0).sum(axis=0)
         counts = self.counts[self.order]
         if loglik.ndim == 2:
             # attached rows leave their own component; a detached row
@@ -347,7 +353,7 @@ class _Chain:
             self.counts[s] += 1
             return
         conc = self.beta.copy()
-        conc[self.offsets[i]] += 1.0
+        conc[self.offsets[:, i]] += 1.0
         s = self._free_slot()
         self._draw(conc[None], slice(s, s + 1), rng)
         self.counts[s] = 1
@@ -381,10 +387,10 @@ class _Chain:
         # release the slot buffer before the draw allocates a new one
         self.log_psi = None
         k, size = counts.size, self.beta.size
-        conc = np.bincount((z[:, None] * size + self.offsets).ravel(),
+        conc = np.bincount((z * size + self.offsets).ravel(),
                            minlength=k * size).reshape(k, size) + self.beta
         self._adopt(z, counts)
-        return self._draw(conc, slice(None), rng)
+        return self._draw(conc, slice(k), rng)
 
     def settle(self, start: int, stop: int,
                rng: np.random.Generator) -> int:

@@ -353,6 +353,11 @@ def _is_int(s: str) -> bool:
     return True
 
 
+def _id_key(ident):
+    """Sort key that orders integer identifiers before string ones."""
+    return isinstance(ident, str), ident
+
+
 def preprocess_ratings(triples: Iterable[tuple], item_threshold: float = 0.25,
                        user_threshold: float = 0.95, coding: str = "binary",
                        cutoff: float = 3.0) -> Dataset:
@@ -362,7 +367,8 @@ def preprocess_ratings(triples: Iterable[tuple], item_threshold: float = 0.25,
     strictly more than ``item_threshold`` of all users, then keep the
     users who rated strictly more than ``user_threshold`` of the kept
     items.  Rows are the kept users and columns the kept items, both in
-    ascending identifier order.  Unrated cells become missing.
+    ascending identifier order, integer identifiers before string ones.
+    Unrated cells become missing.
 
     Parameters
     ----------
@@ -403,10 +409,8 @@ def preprocess_ratings(triples: Iterable[tuple], item_threshold: float = 0.25,
 
     n_users = len({user for user, _ in latest})
     raters = Counter(item for _, item in latest)
-    kept_items = sorted(
-        item for item, count in raters.items()
-        if count > item_threshold * n_users
-    )
+    kept_items = sorted((item for item, count in raters.items()
+                         if count > item_threshold * n_users), key=_id_key)
     if not kept_items:
         raise ValueError(
             f"no item was rated by more than {item_threshold:.0%} of "
@@ -416,7 +420,8 @@ def preprocess_ratings(triples: Iterable[tuple], item_threshold: float = 0.25,
 
     rated_per_user = Counter(user for user, item in latest if item in item_col)
     min_rated = user_threshold * len(kept_items)
-    kept_users = sorted(u for u, c in rated_per_user.items() if c > min_rated)
+    kept_users = sorted((u for u, c in rated_per_user.items()
+                         if c > min_rated), key=_id_key)
     if not kept_users:
         raise ValueError(
             f"no user rated more than {user_threshold:.0%} of the "

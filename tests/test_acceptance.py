@@ -2,7 +2,9 @@
 
 Each test prints one [PASS]/[FAIL] line (bypassing capture, so the
 verdicts are visible in any pytest run) and then asserts.  The first
-block of tests shares one 20-replication benchmark report.
+block of tests shares one 20-replication benchmark report.  Criteria 1-3
+run their replications in two worker processes; the reports do not
+depend on the number of workers (tests/test_metrics.py).
 """
 
 import math
@@ -48,7 +50,7 @@ def _announce(capsys, number, ok, detail):
 def mixture_mcar_report():
     start = time.perf_counter()
     report = run_replications("mixture", MechanismSpec.mcar(), reps=20,
-                              seed=101)
+                              seed=101, jobs=2)
     return report, time.perf_counter() - start
 
 
@@ -65,7 +67,7 @@ def test_criterion_02_mixture_mar_mnar_accuracy(capsys):
     means = {}
     for kind, seed in (("mar", 102), ("mnar", 103)):
         report = run_replications("mixture", MechanismSpec(kind=kind),
-                                  reps=20, seed=seed)
+                                  reps=20, seed=seed, jobs=2)
         means[kind] = report.means["accuracy"]
     ok = all(0.68 <= m <= 0.86 for m in means.values())
     _announce(capsys, 2, ok,
@@ -78,7 +80,7 @@ def test_criterion_03_xor_accuracy(capsys):
     means = {}
     for (kind, band), seed in zip(bands.items(), (104, 105)):
         report = run_replications("xor", MechanismSpec(kind=kind), reps=20,
-                                  seed=seed)
+                                  seed=seed, jobs=2)
         means[kind] = report.means["accuracy"]
     ok = all(bands[k][0] <= m <= bands[k][1] for k, m in means.items())
     _announce(capsys, 3, ok,

@@ -552,6 +552,23 @@ class TestPreprocessRatings:
         assert data.column_names == ("101", "102")
         assert data.cells.tolist() == [[2, 1], [2, 2], [1, 2]]
 
+    def test_mixed_integer_and_string_identifiers(self, tmp_path):
+        # integer identifiers sort before string ones, users and items
+        src = tmp_path / "ratings.csv"
+        src.write_text(
+            "user,item,rating\n"
+            "u3,m1,1.0\nu3,5,4.5\n"
+            "2,m1,3.0\n2,5,5.0\n"
+            "1,m1,4.0\n1,5,2.0\n"
+        )
+        out = tmp_path / "matrix.csv"
+        rc = cli.main(["preprocess-ratings", str(src), "--out", str(out),
+                       "--item-threshold", "0.5", "--user-threshold", "0.5"])
+        assert rc == 0
+        data = parse_dataset(out.read_text(), CategoricalSchema([2, 2]))
+        assert data.column_names == ("5", "m1")
+        assert data.cells.tolist() == [[1, 2], [2, 2], [2, 1]]
+
     def test_overfiltered_input_fails_cleanly(self, tmp_path, capsys):
         src = tmp_path / "ratings.csv"
         src.write_text("user,item,rating\n1,101,4.0\n2,102,4.0\n")

@@ -386,6 +386,58 @@ class TestModelSerialization:
             serialize_models([m1, m2])
 
 
+def _spiky_model(rng, k, cards):
+    """A model whose vectors hold exact zeros, ones and tiny entries."""
+    schema = CategoricalSchema(cards)
+    tilde = np.zeros((k, len(cards), schema.max_cardinality))
+    for j, d in enumerate(cards):
+        tilde[:, j, :d] = rng.dirichlet(np.full(d, 0.02), size=k)
+    tilde[0, 0, :2] = [1.0, 0.0]
+    return CollapsedModel(schema, rng.dirichlet(np.full(k, 0.5)), tilde)
+
+
+def _oracle_dict(m):
+    """The document of one model, built from its arrays for json.dumps."""
+    cards = m.schema.cardinalities
+    return {
+        "k": m.k,
+        "cardinalities": list(cards),
+        "theta": m.theta.tolist(),
+        "tildePsi": [[m.tilde_psi[h, j, :d].tolist()
+                      for j, d in enumerate(cards)] for h in range(m.k)],
+    }
+
+
+class TestModelJsonLayout:
+    """The model JSON is byte for byte what json.dumps(indent=2) writes."""
+
+    CARDS = (2, 100, 3, 17, 2, 5, 64)
+
+    def test_draws_of_several_k_match_json_dumps(self):
+        rng = np.random.default_rng(12)
+        # a repeated k reuses its template
+        models = [_spiky_model(rng, k, self.CARDS) for k in (3, 1, 3, 7, 1)]
+        oracle = json.dumps({"cardinalities": list(self.CARDS),
+                             "draws": [_oracle_dict(m) for m in models]},
+                            indent=2) + "\n"
+        assert serialize_models(models) == oracle
+        buf = io.StringIO()
+        write_models(models, buf)
+        assert buf.getvalue() == oracle
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_single_model_matches_json_dumps(self, k):
+        m = _spiky_model(np.random.default_rng(k), k, self.CARDS)
+        assert serialize_model(m) == json.dumps(_oracle_dict(m),
+                                                indent=2) + "\n"
+
+    def test_one_binary_variable(self):
+        m = _random_model(np.random.default_rng(2), k=1, cards=(2,))
+        assert serialize_models([m]) == json.dumps(
+            {"cardinalities": [2], "draws": [_oracle_dict(m)]},
+            indent=2) + "\n"
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_random_model_round_trips_bit_exactly(seed):

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from catmix import cli, sampler
 from catmix.core import (
-    CategoricalSchema, Dataset, ModelState, padded_dirichlet, parse_dataset)
+    CategoricalSchema, Dataset, ModelState, padded_dirichlet, parse_dataset,
+    serialize_models)
 from catmix.inference import impute
 from catmix.sampler import (
     GibbsConfig,
@@ -478,6 +479,37 @@ def test_steady_sweeps_match_the_reference_kernel_draw_for_draw(
         # a block's mover opened a component, drawing its psi after
         # the replayed uniforms
         assert seen["births"] > 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_block_weights_match_single_row_weights_bytewise(k):
+    # from p = 9 on a pairwise sum of a row's terms differs from an
+    # in-order one, and numpy sums pairwise only along a unit slot axis
+    rng = np.random.default_rng(k)
+    n, p = 60, 20
+    data = Dataset(CategoricalSchema([3] * p), rng.integers(0, 4, (n, p)))
+    ch = sampler._Chain(data, GibbsConfig())
+    z = np.arange(n) % k
+    ch._adopt(z, np.bincount(z))
+    ch.log_psi[...] = np.log(rng.random(ch.log_psi.shape))
+    block = ch.row_weights(slice(0, n))
+    for i in range(n):
+        s = int(ch.z[i])
+        ch.detach(i)
+        assert ch.row_weights(i).tobytes() == block[i].tobytes()
+        ch.commit(i, s, rng)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1, 1), (50, 3)])
+def test_integer_priors_draw_what_their_floats_draw(alpha, beta):
+    data = _mixed_missing_table(0)
+    fits = [run_gibbs(data, GibbsConfig(burnin=3, samples=2, thin=1,
+                                        alpha=a, beta=b), seed=0)
+            for a, b in ((alpha, beta), (float(alpha), float(beta)))]
+    assert (serialize_models(fits[0].draws)
+            == serialize_models(fits[1].draws))
+    assert (fits[0].final_state.psi.tobytes()
+            == fits[1].final_state.psi.tobytes())
 
 
 @pytest.mark.parametrize("bit_generator",
