@@ -586,17 +586,17 @@ def _model_texts(models: Sequence[CollapsedModel], pad: str):
     entries: ``repr`` of a finite float is the text ``json`` writes."""
     cards = models[0].schema.cardinalities
     real = np.arange(max(cards)) < models[0].schema.codes_array()[:, None]
-    i = pad + "  "
-    head = (f'{{\n{i}"k": %d,\n{i}"cardinalities": '
-            f'{_json_list(map(str, cards), i)},\n{i}"theta": ')
-    comp = _json_list([_json_list(["%r"] * d, i + "    ") for d in cards],
-                      i + "  ")
+    key = pad + "  "
+    head = (f'{{\n{key}"k": %d,\n{key}"cardinalities": '
+            f'{_json_list(map(str, cards), key)},\n{key}"theta": ')
+    comp = _json_list([_json_list(["%r"] * d, key + "    ") for d in cards],
+                      key + "  ")
     templates = {}
     for m in models:
         if m.k not in templates:
-            templates[m.k] = (head + _json_list(["%r"] * m.k, i) +
-                              f',\n{i}"tildePsi": ' +
-                              _json_list([comp] * m.k, i) + f"\n{pad}}}")
+            templates[m.k] = (head + _json_list(["%r"] * m.k, key) +
+                              f',\n{key}"tildePsi": ' +
+                              _json_list([comp] * m.k, key) + f"\n{pad}}}")
         yield templates[m.k] % (m.k, *m.theta.tolist(),
                                 *m.tilde_psi[:, real].ravel().tolist())
 

@@ -48,28 +48,29 @@ count and no live order, so every row up to the first one that moves
 sees exactly the state at the start of its block, minus itself.  The
 sweep therefore settles a block of rows in one array pass: it computes
 the block's (rows, k + 1) weights with the same elementwise operations
-as one row's (they are one kernel), draws the block's uniforms with one
-``rng.random(rows)`` and picks every row's index at once.  The cells'
-flat positions are stored variables outermost, (p, n), so numpy sums
-the block's (p, rows, slots) gather of log psi one contiguous plane per
-variable: in one row's order, but in long inner loops.  At one slot it
-would sum a row pairwise, so the chain keeps at least two.  It accepts
-every row before the first one that moves (to another component or a
-new one), sets the bit generator's state back, replays exactly the
-uniforms a row-by-row sweep would have drawn up to and including the
-mover's, and commits the mover, birth draws and all.  Every float, every
-uniform and the order of every draw are those of the row-by-row sweep,
-so the draws are bit-identical to it.  A singleton's departure changes
-the live order, so singletons end a block and go row by row.  A block
-pass costs a few single-row visits, so it pays only where most rows
-stay: the chain keeps a running mean of how many rows stay between two
-movers, and uses blocks of twice that length once they reach
-``_BLOCK_MIN`` rows.  Otherwise rows go row by row, each visit paying
-its fixed numpy call overhead, about 9 us on a 2-vCPU x86-64 host; a
-mover costs the block up to it, a state reset and a replay.  So a steady
-chain at small k settles most rows in blocks, while the first sweep
-from one component per row, all singletons, and chains in which many
-rows move run row by row.
+and summation order as one row's (they are one kernel), draws the
+block's uniforms with one ``rng.random(rows)`` and picks every row's
+index at once.  The cells' flat positions are stored variables
+outermost, (p, n), so numpy sums a block's (p, rows, slots) gather of
+log psi one contiguous plane per variable: in one row's order, but in
+long inner loops.  At one slot it would sum a row pairwise, so the
+chain keeps at least two slots.
+It accepts every row before the first one that moves
+(to another component or a new one), sets the bit generator's state
+back, replays exactly the uniforms a row-by-row sweep would have drawn
+up to and including the mover's, and commits the mover, birth draws
+and all.  Every float, every uniform and the order of every draw are
+those of the row-by-row sweep, so the draws are bit-identical to it.
+A singleton's departure changes the live order, so singletons end a
+block and go row by row.  A block pass costs a few single-row visits,
+so it pays only where most rows stay: the chain keeps a running mean
+of how many rows stay between two movers, and uses blocks of twice
+that length once they reach ``_BLOCK_MIN`` rows.  Otherwise rows go
+row by row, each visit paying its fixed numpy call overhead, about 9
+us on a 2-vCPU x86-64 host; a mover costs the block up to it, a state
+reset and a replay.  So a steady chain at small k settles most rows in
+blocks, while the first sweep from one component per row, all
+singletons, and chains in which many rows move run row by row.
 
 Missing cells simply carry the code 0 and participate in the products
 above like any other category; no special casing happens inside the
@@ -249,14 +250,16 @@ class _Chain:
         """Take components in label order, slot ``h`` holding component
         ``h``, with room for their log psi in at least two slots."""
         k = counts.size
-        self.z = z
         # a spare slot at k = 1, so that rows and blocks sum alike
-        self.counts = np.pad(counts, (0, int(k == 1)))
+        cap = max(k, 2)
+        self.z = z
+        self.counts = np.zeros(cap, dtype=np.int64)
+        self.counts[:k] = counts
         # log psi is kept transposed, shape (codes, slots), so that a
         # row's terms for every slot are one row gather
-        self.log_psi = np.zeros((self.beta.size, self.counts.size))
+        self.log_psi = np.zeros((self.beta.size, cap))
         self.order = np.arange(k)
-        self.free = list(range(self.counts.size - 1, k - 1, -1))
+        self.free = list(range(cap - 1, k - 1, -1))
 
     def _sums(self, a: np.ndarray) -> np.ndarray:
         """Each variable's sum of ``a`` over its flat codes (last axis),
