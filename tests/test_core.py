@@ -430,6 +430,7 @@ class TestModelJsonLayout:
         m = _spiky_model(np.random.default_rng(k), k, self.CARDS)
         assert serialize_model(m) == json.dumps(_oracle_dict(m),
                                                 indent=2) + "\n"
+        assert core.model_to_dict(m) == _oracle_dict(m)
 
     def test_one_binary_variable(self):
         m = _random_model(np.random.default_rng(2), k=1, cards=(2,))
