@@ -73,6 +73,14 @@ def as_generator(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Refuse all but integers (numpy's too, bools not) from ``least`` up."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def padded_dirichlet(conc: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Batched Dirichlet draws along the last axis of ``conc``.
 

@@ -17,7 +17,8 @@ from functools import partial
 
 import numpy as np
 
-from catmix.core import CollapsedModel, Dataset, _csv, as_generator
+from catmix.core import (
+    CollapsedModel, Dataset, _check_count, _csv, as_generator)
 from catmix.inference import (
     correlation_matrix,
     impute,
@@ -250,10 +251,8 @@ def run_replications(protocol: str, mechanism: MechanismSpec | None = None,
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    _check_count("reps", reps, 1)
+    _check_count("jobs", jobs, 1)
     if mechanism is None:
         mechanism = MechanismSpec.mcar()
     if gibbs is None:

@@ -28,9 +28,8 @@ A birth or a death costs O(k) bookkeeping (a birth also draws its own
 psi): components live in slots of buffers that only grow, an emptied
 component frees its slot and a new one takes a free slot, and no other
 component's probabilities are copied.  So the first sweep from one
-component per row, which sees about n deaths, no longer costs
-O(n^2 p D); what remains are the row likelihoods, O(k p) per row as in
-any sweep.
+component per row, which sees about n deaths, costs what any sweep
+costs, the row likelihoods, O(k p) per row.
 
 Psi and its log cover only the codes each variable really has,
 sum_j (d_j + 1) of them, laid flat as in :class:`ModelState`, not the
@@ -63,14 +62,15 @@ and all.  Every float, every uniform and the order of every draw are
 those of the row-by-row sweep, so the draws are bit-identical to it.
 A singleton's departure changes the live order, so singletons end a
 block and go row by row.  A block pass costs a few single-row visits,
-so it pays only where most rows stay: the chain keeps a running mean
-of how many rows stay between two movers, and uses blocks of twice
-that length once they reach ``_BLOCK_MIN`` rows.  Otherwise rows go
-row by row, each visit paying its fixed numpy call overhead, about 9
-us on a 2-vCPU x86-64 host; a mover costs the block up to it, a state
-reset and a replay.  So a steady chain at small k settles most rows in
-blocks, while the first sweep from one component per row, all
-singletons, and chains in which many rows move run row by row.
+so it pays only where most rows stay: the chain counts the rows that
+moved in a sweep, and the next sweep's blocks span twice the mean run
+between two movers, 2 n / (movers + 1) rows, once that reaches
+``_BLOCK_MIN``.  Otherwise rows go row by row, each visit paying its
+fixed numpy call overhead, about 9 us on a 2-vCPU x86-64 host; a mover
+costs the block up to it, a state reset and a replay.  So a steady
+chain at small k settles most rows in blocks.  The first sweep from
+one component per row, all singletons, runs row by row, and so does a
+sweep after one in which about a third of the rows or more moved.
 
 Missing cells simply carry the code 0 and participate in the products
 above like any other category; no special casing happens inside the
@@ -91,6 +91,7 @@ from catmix.core import (
     CollapsedModel,
     Dataset,
     ModelState,
+    _check_count,
     as_generator,
     rescale_missing,
 )
@@ -108,10 +109,9 @@ __all__ = [
 _BETA_MAX = 1e300
 
 # Block passes (see _Chain.sweep).  A block spans _GROW times the
-# running mean of how many rows stay between two movers (newest run
-# weighted _RUN_WEIGHT), or the current run if longer, and is tried only
-# when that reaches _BLOCK_MIN rows: a pass costs a few single-row
-# visits.  Its (rows, p, slots) gather of log psi holds at most
+# previous sweep's mean run of rows between two movers, and is tried
+# only when that reaches _BLOCK_MIN rows: a pass costs a few single-row
+# visits.  Its (p, rows, slots) gather of log psi holds at most
 # _BLOCK_CELLS floats, which also bounds the work a block wastes on the
 # rows after its first mover.  The prior psi of the n initial
 # components is drawn at most _BLOCK_CELLS floats (or one component) at
@@ -119,7 +119,6 @@ _BETA_MAX = 1e300
 _BLOCK_MIN = 6
 _BLOCK_CELLS = 1 << 15
 _GROW = 2
-_RUN_WEIGHT = 0.25
 
 
 @dataclass(frozen=True)
@@ -149,9 +148,7 @@ class GibbsConfig:
 
     def __post_init__(self):
         for name, least in (("burnin", 0), ("samples", 1), ("thin", 1)):
-            v = getattr(self, name)
-            if v < least:
-                raise ValueError(f"{name} must be >= {least}, got {v}")
+            _check_count(name, getattr(self, name), least)
         for name in ("alpha", "beta"):
             v = getattr(self, name)
             if not (v > 0 and math.isfinite(v)):
@@ -213,7 +210,7 @@ class PosteriorSample:
 class _Chain:
     __slots__ = (
         "n", "p", "offsets", "groups", "var_of", "beta", "new_logw",
-        "z", "counts", "log_psi", "order", "free", "run", "mean_run",
+        "z", "counts", "log_psi", "order", "free", "movers",
     )
 
     def __init__(self, data: Dataset, config: GibbsConfig):
@@ -236,8 +233,8 @@ class _Chain:
         # code the same log(beta / sum_c beta), so code 0 stands for x_ij
         self.new_logw = np.log(config.alpha) + (
             np.log(config.beta) - np.log(self._sums(self.beta))).sum()
-        self.run = 0
-        self.mean_run = 0.0
+        # as if every row had moved: the first sweep goes row by row
+        self.movers = self.n
 
     @property
     def k(self) -> int:
@@ -426,19 +423,20 @@ class _Chain:
     def sweep(self, rng: np.random.Generator) -> np.ndarray:
         """The row pass, one relabel, the psi redraw; returns that psi.
 
-        ``run`` counts the rows that stayed since the last mover and
-        ``mean_run`` is the running mean of such runs.  Once
-        ``_GROW * mean_run`` reaches ``_BLOCK_MIN``, rows go to
-        :meth:`settle` in blocks of that many rows, or of ``run`` rows
-        if more, ending before the first singleton; all other rows take
-        the row-by-row path.
+        ``movers`` counts the rows that left their slot in the last
+        sweep (``n`` before the first), and ``n / (movers + 1)`` is that
+        sweep's mean run between two movers.  Blocks span ``_GROW``
+        times that run; from ``_BLOCK_MIN`` rows on, rows go to
+        :meth:`settle` in such blocks, each ending before the first
+        singleton, and all other rows take the row-by-row path.
         """
+        span = _GROW * self.n // (self.movers + 1)
+        self.movers = 0
         i = 0
         while i < self.n:
             stop = i
-            if _GROW * self.mean_run >= _BLOCK_MIN:
-                stop += min(max(int(_GROW * self.mean_run), self.run),
-                            self.n - i,
+            if span >= _BLOCK_MIN:
+                stop += min(span, self.n - i,
                             _BLOCK_CELLS // (self.p * self.counts.size))
                 single = self.counts[self.z[i:stop]] == 1
                 if single.any():
@@ -449,11 +447,8 @@ class _Chain:
             else:
                 moved = self.reassign(i, rng)
                 stayed = int(not moved)
-            self.run += stayed
+            self.movers += moved
             i += stayed + moved
-            if moved:
-                self.mean_run += _RUN_WEIGHT * (self.run - self.mean_run)
-                self.run = 0
         return self.redraw_psi(*self.labels(), rng)
 
 
@@ -508,8 +503,7 @@ def iterate_states(data: Dataset, config: GibbsConfig = GibbsConfig(),
     ModelState
         An independent snapshot after each sweep.
     """
-    if sweeps < 1:
-        raise ValueError(f"sweeps must be >= 1, got {sweeps}")
+    _check_count("sweeps", sweeps, 1)
     rng = as_generator(seed)
     ch = _Chain(data, config)
     ch.init(rng)
@@ -544,8 +538,7 @@ def run_gibbs(data: Dataset, config: GibbsConfig | None = None, seed=None,
     """
     if config is None:
         config = GibbsConfig()
-    if progress_every < 1:
-        raise ValueError(f"progress_every must be >= 1, got {progress_every}")
+    _check_count("progress_every", progress_every, 1)
     started = time.perf_counter()
     draws: list[CollapsedModel] = []
     k_values: list[int] = []

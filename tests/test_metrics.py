@@ -131,6 +131,9 @@ class TestRunReplications:
             run_replications("mixture", reps=0)
         with pytest.raises(ValueError, match="jobs"):
             run_replications("mixture", jobs=0)
+        for name, value in (("reps", 2.5), ("jobs", 1.5), ("reps", True)):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                run_replications("mixture", **{name: value})
 
     def test_small_mixture_benchmark(self):
         report = run_replications("mixture", reps=3, gibbs=TINY, seed=1,

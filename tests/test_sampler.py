@@ -402,10 +402,18 @@ def _mixed_missing_table(seed, n=40):
     return Dataset(CategoricalSchema(cards), cells)
 
 
+# (seed, rows): 40 rows under each seed, and tables too short for a
+# block of _BLOCK_MIN rows or just long enough for one
+_SEED_ROWS = [(seed, 40) for seed in range(3)] + [
+    (seed, n) for n in (1, 2, 7) for seed in range(3)]
+
+
 @pytest.mark.parametrize("alpha, beta", [(0.25, 1.0), (50.0, 3.0)])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_sweeps_match_the_reference_kernel_draw_for_draw(seed, alpha, beta,
-                                                       monkeypatch):
+@pytest.mark.parametrize(
+    "seed, n", _SEED_ROWS,
+    ids=[str(s) if n == 40 else f"{s}-n{n}" for s, n in _SEED_ROWS])
+def test_sweeps_match_the_reference_kernel_draw_for_draw(seed, n, alpha,
+                                                       beta, monkeypatch):
     # record, for every birth, whether it had to grow the slot buffers
     grew = []
     free_slot = sampler._Chain._free_slot
@@ -415,15 +423,16 @@ def test_sweeps_match_the_reference_kernel_draw_for_draw(seed, alpha, beta,
         return free_slot(chain)
 
     monkeypatch.setattr(sampler._Chain, "_free_slot", recording)
-    data = _mixed_missing_table(seed)
+    data = _mixed_missing_table(seed, n)
     cfg = GibbsConfig(alpha=alpha, beta=beta)
-    pairs = zip(iterate_states(data, cfg, sweeps=3, seed=seed),
-                _reference_states(data, cfg, sweeps=3, seed=seed))
+    # later sweeps size their blocks from the previous sweep's movers
+    pairs = zip(iterate_states(data, cfg, sweeps=8, seed=seed),
+                _reference_states(data, cfg, sweeps=8, seed=seed))
     for state, (z, counts, psi) in pairs:
         assert state.assignments.tolist() == z.tolist()
         assert state.counts.tolist() == counts.tolist()
         assert state.psi.tobytes() == psi.tobytes()
-    if alpha > 1:
+    if alpha > 1 and n == 40:
         # births both reused freed slots and, after compaction, doubled
         # the buffers
         assert False in grew and True in grew
@@ -620,8 +629,12 @@ def test_first_sweep_memory_stays_near_the_initial_psi():
 
 def test_iterate_states_rejects_bad_arguments():
     data = _toy_data(0)
-    with pytest.raises(ValueError, match="sweeps"):
+    with pytest.raises(ValueError, match="sweeps must be >= 1"):
         list(iterate_states(data, sweeps=0))
+    for sweeps in (2.5, True):
+        with pytest.raises(ValueError, match="sweeps must be an integer"):
+            list(iterate_states(data, sweeps=sweeps))
+    assert len(list(iterate_states(data, sweeps=np.int64(2), seed=0))) == 2
 
 
 def test_run_gibbs_rejects_bad_progress_interval(monkeypatch):
@@ -629,9 +642,11 @@ def test_run_gibbs_rejects_bad_progress_interval(monkeypatch):
         raise AssertionError("a sweep ran")
 
     monkeypatch.setattr(sampler._Chain, "sweep", no_sweeps)
-    for every in (0, -1):
+    for every, match in ((0, ">= 1"), (-1, ">= 1"), (1.5, "an integer"),
+                         (True, "an integer")):
         # refused before the first sweep runs
-        with pytest.raises(ValueError, match="progress_every must be >= 1"):
+        with pytest.raises(ValueError,
+                           match=f"progress_every must be {match}"):
             run_gibbs(_toy_data(0), seed=0, progress=io.StringIO(),
                       progress_every=every)
 
@@ -655,6 +670,15 @@ class TestGibbsConfig:
             GibbsConfig(samples=0)
         with pytest.raises(ValueError):
             GibbsConfig(thin=0)
+        # a float or a bool would fail later in range() or fit one draw
+        for field, value in (("samples", 2.5), ("thin", 1.5),
+                             ("burnin", 0.5), ("samples", True),
+                             ("burnin", np.float64(3.0))):
+            with pytest.raises(ValueError,
+                               match=f"{field} must be an integer, got"):
+                GibbsConfig(**{field: value})
+        cfg = GibbsConfig(burnin=np.int64(1), samples=np.int32(2), thin=1)
+        assert cfg.total_sweeps == 3
 
     @pytest.mark.parametrize("field", ["alpha", "beta"])
     @pytest.mark.parametrize(
