@@ -2,9 +2,10 @@
 Command line entry points.
 
 Every subcommand honors ``--seed`` for end-to-end reproducibility,
-writes data files atomically (temp file plus rename), and logs only to
-standard error.  Exit codes: 0 on success, 1 on runtime or contract
-errors, 2 on usage errors.
+writes data files atomically (temp file plus rename) except the
+per-replication CSV of ``benchmark --out``, which grows as each
+replication finishes, and logs only to standard error.  Exit codes: 0
+on success, 1 on runtime or contract errors, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -105,14 +106,13 @@ def _add_gibbs_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_table_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=_positive_int, default=None,
-                     help="rows (default 50 mixture / 300 xor)")
-    sub.add_argument("--p", type=_positive_int, default=20,
-                     help="variables, mixture protocol (default 20)")
-    sub.add_argument("--k", type=_positive_int, default=3,
-                     help="components, mixture protocol (default 3)")
-    sub.add_argument("--cardinality", type=_positive_int, default=2,
-                     help="categories per variable, mixture protocol")
+    sub.add_argument("--protocol", choices=metrics.PROTOCOLS, required=True)
+    sub.add_argument("--n", type=_positive_int, help="rows")
+    sub.add_argument("--p", type=_positive_int, help="mixture variables")
+    sub.add_argument("--k", type=_positive_int, help="mixture components")
+    sub.add_argument("--cardinality",
+                     type=_bounded(int, lambda v: v >= 2, "must be >= 2"),
+                     help="categories per mixture variable")
     sub.add_argument("--seed", type=int, default=None)
 
 
@@ -122,23 +122,37 @@ def _add_mechanism_flags(sub: argparse.ArgumentParser, *, with_none: bool) -> No
                      default="none" if with_none else "mcar",
                      help="missingness mechanism")
     sub.add_argument("--mcar-rate", type=_rate,
-                     help="MCAR per-cell masking rate (default 0.2)")
+                     help="MCAR per-cell masking rate")
     sub.add_argument("--mar-rates", type=_rate_pair, metavar="R1,R2",
-                     help="MAR rates keyed on the first variable (default 0.1,0.3)")
+                     help="MAR rates keyed on the first variable")
     sub.add_argument("--mnar-rates", type=_rate_pair, metavar="R1,R2",
-                     help="MNAR rates keyed on the cell value (default 0.1,0.3)")
-    sub.set_defaults(usage_error=sub.error)
+                     help="MNAR rates keyed on the cell value")
 
 
-#: Each mechanism's rate flag, as the ``MechanismSpec`` field it sets.
-_RATES = {"mcar": "mcar_rate", "mar": "mar_rates", "mnar": "mnar_rates"}
+#: Flags read under one choice only: destination -> (choosing flag, choice).
+_READ_UNDER = {
+    "mcar_rate": ("mechanism", "mcar"),
+    "mar_rates": ("mechanism", "mar"),
+    "mnar_rates": ("mechanism", "mnar"),
+    "p": ("protocol", "mixture"),
+    "k": ("protocol", "mixture"),
+    "cardinality": ("protocol", "mixture"),
+    "cutoff": ("coding", "binary"),
+}
+#: The table flags, each passed to the protocol's generator when given.
+_TABLE = ("n", "p", "k", "cardinality")
+
+
+def _given(args, *dests) -> dict:
+    """The given flags among ``dests``, as keywords for the library."""
+    return {d: vars(args)[d] for d in dests if vars(args)[d] is not None}
 
 
 def _mechanism(args) -> synth.MechanismSpec | None:
     if args.mechanism == "none":
         return None
-    given = {f: vars(args)[f] for f in _RATES.values() if vars(args)[f] is not None}
-    return synth.MechanismSpec(kind=args.mechanism, **given)
+    rates = _given(args, "mcar_rate", "mar_rates", "mnar_rates")
+    return synth.MechanismSpec(kind=args.mechanism, **rates)
 
 
 def _gibbs_config(args) -> sampler.GibbsConfig:
@@ -158,8 +172,8 @@ def _cmd_fit(args) -> int:
     data = core.parse_dataset(text, schema)
     sample = sampler.run_gibbs(
         data, _gibbs_config(args), seed=args.seed,
-        progress=sys.stderr if args.progress_every > 0 else None,
-        progress_every=args.progress_every or 50,
+        progress=None if args.progress_every == 0 else sys.stderr,
+        **(_given(args, "progress_every") if args.progress_every else {}),
     )
     if args.summary:
         payload = core.serialize_model(inference.pool_draws(sample))
@@ -199,10 +213,8 @@ def _cmd_impute(args) -> int:
 
 def _cmd_simulate(args) -> int:
     rng = core.as_generator(args.seed)
-    data, truth_model = metrics.simulate(
-        args.protocol, n=args.n, p=args.p, k=args.k,
-        cardinality=args.cardinality, seed=rng,
-    )
+    data, truth_model = metrics.simulate(args.protocol, seed=rng,
+                                         **_given(args, *_TABLE))
 
     mechanism = _mechanism(args)
     if mechanism is None:
@@ -252,8 +264,8 @@ def _cmd_benchmark(args) -> int:
         try:
             metrics.run_replications(
                 args.protocol, mechanism, reps=args.reps, gibbs=gibbs,
-                seed=args.seed, jobs=args.jobs, n=args.n, p=args.p, k=args.k,
-                cardinality=args.cardinality, on_result=on_result,
+                seed=args.seed, jobs=args.jobs, on_result=on_result,
+                **_given(args, *_TABLE),
             )
         except Exception as exc:
             failed = True
@@ -284,13 +296,8 @@ def _cmd_test_independence(args) -> int:
 
 def _cmd_preprocess_ratings(args) -> int:
     triples = synth.parse_ratings_csv(Path(args.input).read_text())
-    data = synth.preprocess_ratings(
-        triples,
-        item_threshold=args.item_threshold,
-        user_threshold=args.user_threshold,
-        coding=args.coding,
-        cutoff=args.cutoff,
-    )
+    given = _given(args, "item_threshold", "user_threshold", "cutoff")
+    data = synth.preprocess_ratings(triples, coding=args.coding, **given)
     _write_atomic(args.out, core.dataset_to_csv(data))
     _log(
         f"preprocess-ratings: {data.n_rows} users x {data.n_variables} items, "
@@ -324,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="component-count histogram CSV (default OUT.khist.csv)")
     fit.add_argument("--seed", type=int, default=None)
     _add_gibbs_flags(fit)
-    fit.add_argument("--progress-every", type=_nonneg_int, default=50,
+    fit.add_argument("--progress-every", type=_nonneg_int,
                      help="progress line interval in sweeps; 0 silences")
     fit.set_defaults(func=_cmd_fit)
 
@@ -340,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     imp.set_defaults(func=_cmd_impute)
 
     sim = subs.add_parser("simulate", help="generate synthetic benchmark data")
-    sim.add_argument("--protocol", choices=["mixture", "xor"], required=True)
+    _add_table_flags(sim)
     sim.add_argument("--out", required=True, help="dataset CSV output path")
     sim.add_argument("--complete-out", default=None,
                      help="also write the unmasked data")
@@ -348,12 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write the generating mixture as model JSON")
     sim.add_argument("--mask-out", default=None,
                      help="write masked coordinates and true values as CSV")
-    _add_table_flags(sim)
     _add_mechanism_flags(sim, with_none=True)
     sim.set_defaults(func=_cmd_simulate)
 
     bench = subs.add_parser("benchmark", help="run replicated benchmarks")
-    bench.add_argument("--protocol", choices=["mixture", "xor"], required=True)
+    _add_table_flags(bench)
     bench.add_argument("--reps", type=_positive_int, default=20)
     bench.add_argument("--out", default=None,
                        help="per-replication CSV (written incrementally)")
@@ -362,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--jobs", type=_positive_int,
                        default=os.cpu_count() or 1,
                        help="worker processes (default: available cores)")
-    _add_table_flags(bench)
     _add_mechanism_flags(bench, with_none=False)
     _add_gibbs_flags(bench)
     bench.add_argument("--progress-every", type=_zero, default=0,
@@ -388,23 +393,25 @@ def build_parser() -> argparse.ArgumentParser:
     prep.add_argument("input", help="ratings CSV with a header row")
     prep.add_argument("--out", required=True, help="dataset CSV output path")
     prep.add_argument("--coding", choices=["binary", "five"], default="binary")
-    prep.add_argument("--cutoff", type=_positive_float, default=3.0,
-                      help="binary coding like-threshold (default 3.0)")
-    prep.add_argument("--item-threshold", type=_rate, default=0.25,
+    prep.add_argument("--cutoff", type=_positive_float,
+                      help="binary coding like-threshold")
+    prep.add_argument("--item-threshold", type=_rate,
                       help="keep items rated by > this fraction of users")
-    prep.add_argument("--user-threshold", type=_rate, default=0.95,
+    prep.add_argument("--user-threshold", type=_rate,
                       help="keep users rating > this fraction of kept items")
     prep.set_defaults(func=_cmd_preprocess_ratings)
 
+    for sub in subs.choices.values():
+        sub.set_defaults(usage_error=sub.error)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    for kind, field in _RATES.items():
-        if getattr(args, field, None) is not None and args.mechanism != kind:
-            args.usage_error(f"argument --{field.replace('_', '-')}: "
-                             f"applies only to --mechanism {kind}")
+    for dest, (chooser, choice) in _READ_UNDER.items():
+        if vars(args).get(dest) is not None and vars(args)[chooser] != choice:
+            args.usage_error(f"argument --{dest.replace('_', '-')}: "
+                             f"applies only to --{chooser} {choice}")
     try:
         return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:

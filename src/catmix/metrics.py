@@ -43,9 +43,6 @@ __all__ = [
 
 PROTOCOLS = ("mixture", "xor")
 
-#: Default row counts per protocol.
-_PROTOCOL_N = {"mixture": 50, "xor": 300}
-
 
 def imputation_accuracy(imputed: Dataset, truth: Dataset,
                         record: MaskResult) -> float:
@@ -160,8 +157,8 @@ class ReplicationReport:
         }
 
 
-def simulate(protocol: str, n: int | None = None, p: int = 20, k: int = 3,
-             cardinality=2, seed=None) -> tuple[Dataset, CollapsedModel]:
+def simulate(protocol: str, seed=None,
+             **table) -> tuple[Dataset, CollapsedModel]:
     """Draw one complete benchmark dataset and its generating mixture.
 
     Parameters
@@ -169,15 +166,12 @@ def simulate(protocol: str, n: int | None = None, p: int = 20, k: int = 3,
     protocol : {"mixture", "xor"}
         "mixture" draws from a random product-multinomial mixture (see
         :func:`~catmix.synth.sample_mixture_dataset`); "xor" draws the
-        exclusive-or data, whose truth is the point-mass mixture of its
-        joint table.
-    n : int, optional
-        Rows; defaults to 50 (mixture) or 300 (xor).
-    p, k : int
-        Mixture protocol dimensions (ignored by xor).
-    cardinality : int or sequence
-        Mixture protocol cardinalities (ignored by xor).
+        exclusive-or data (see :func:`~catmix.synth.sample_xor_dataset`),
+        whose truth is the point-mass mixture of its joint table.
     seed : int, SeedSequence or Generator, optional
+    **table
+        Keywords of the protocol's generator, whose defaults apply; xor
+        takes only ``n`` and refuses others with ``TypeError``.
 
     Returns
     -------
@@ -185,22 +179,17 @@ def simulate(protocol: str, n: int | None = None, p: int = 20, k: int = 3,
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
-    if n is None:
-        n = _PROTOCOL_N[protocol]
     if protocol == "mixture":
-        return sample_mixture_dataset(
-            n=n, p=p, k=k, cardinality=cardinality, seed=seed
-        )
-    data, joint = sample_xor_dataset(n=n, seed=seed)
+        return sample_mixture_dataset(seed=seed, **table)
+    data, joint = sample_xor_dataset(seed=seed, **table)
     return data, saturated_model(joint)
 
 
 def _replicate(seed_seq, protocol: str, mechanism: MechanismSpec,
-               gibbs: GibbsConfig, n: int | None, p: int, k: int,
-               cardinality) -> dict:
+               gibbs: GibbsConfig, **table) -> dict:
     """Run one benchmark replication on its own random stream."""
     rng = as_generator(seed_seq)
-    data, truth_model = simulate(protocol, n, p, k, cardinality, seed=rng)
+    data, truth_model = simulate(protocol, seed=rng, **table)
     masked, record = mask(data, mechanism, seed=rng)
     sample = run_gibbs(masked, config=gibbs, seed=rng)
     completed = impute(masked, sample, rule="argmax").completed
@@ -216,9 +205,8 @@ def _replicate(seed_seq, protocol: str, mechanism: MechanismSpec,
 
 def run_replications(protocol: str, mechanism: MechanismSpec | None = None,
                      reps: int = 20, gibbs: GibbsConfig | None = None,
-                     seed=None, jobs: int = 1, n: int | None = None,
-                     p: int = 20, k: int = 3, cardinality=2,
-                     on_result=None) -> ReplicationReport:
+                     seed=None, jobs: int = 1, on_result=None,
+                     **table) -> ReplicationReport:
     """Repeat a synthetic benchmark and aggregate its metrics.
 
     Each replication re-synthesizes the data, masks it with
@@ -238,12 +226,12 @@ def run_replications(protocol: str, mechanism: MechanismSpec | None = None,
     seed : int or SeedSequence, optional
     jobs : int
         Worker processes, at most one per replication; 1 runs in-process.
-    n, p, k, cardinality
-        Dataset shape, passed to :func:`simulate`.
     on_result : callable, optional
         Called as ``on_result(i, metrics)`` as each replication finishes,
         in replication order.  When a replication raises, the callback
         has seen exactly the replications before it.
+    **table
+        The dataset's shape, passed unchanged to :func:`simulate`.
 
     Returns
     -------
@@ -261,10 +249,8 @@ def run_replications(protocol: str, mechanism: MechanismSpec | None = None,
     master = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
     children = master.spawn(reps)
-    task = partial(
-        _replicate, protocol=protocol, mechanism=mechanism, gibbs=gibbs,
-        n=n, p=p, k=k, cardinality=cardinality,
-    )
+    task = partial(_replicate, protocol=protocol, mechanism=mechanism,
+                   gibbs=gibbs, **table)
     results: list[dict] = []
     jobs = min(jobs, reps)
     with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:

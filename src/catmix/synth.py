@@ -25,6 +25,7 @@ from catmix.core import (
     JointDistribution,
     MISSING,
     ParseError,
+    _check_count,
     _csv_records,
     _freeze,
     as_generator,
@@ -155,8 +156,8 @@ def sample_mixture_dataset(n: int = 50, p: int = 20, k: int = 3,
     (Dataset, CollapsedModel)
         The complete data and the generating mixture.
     """
-    if n < 1 or p < 1 or k < 1:
-        raise ValueError("n, p and k must be positive")
+    for name, size in (("n", n), ("p", p), ("k", k)):
+        _check_count(name, size, 1)
     if not (theta_dirichlet > 0 and psi_dirichlet > 0):
         raise ValueError("Dirichlet concentrations must be positive")
     if np.isscalar(cardinality):
@@ -199,8 +200,7 @@ def sample_xor_dataset(n: int = 300, seed=None) -> tuple[Dataset, JointDistribut
     (Dataset, JointDistribution)
         The complete data and the exact generating joint table.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_count("n", n, 1)
     rng = as_generator(seed)
     b1 = rng.random(n) < 0.3
     b2 = rng.random(n) < 0.5

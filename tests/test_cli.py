@@ -22,6 +22,11 @@ from catmix.sampler import GibbsConfig
 from catmix.synth import MechanismSpec, mask, sample_mixture_dataset
 
 FAST = ["--burnin", "20", "--samples", "10", "--thin", "1"]
+#: Each subcommand's required arguments, short of ``--out``.
+REQUIRED = {"simulate": ["--protocol", "mixture"],
+            "benchmark": ["--protocol", "mixture", "--reps", "1",
+                          "--jobs", "1", *FAST],
+            "preprocess-ratings": ["ratings.csv"]}
 
 
 def _toy_csv(tmp_path, name="data.csv", missing=True):
@@ -355,17 +360,29 @@ class TestSimulate:
         assert out.read_text() == dataset_to_csv(masked)
 
     @pytest.mark.parametrize("extra", [
-        ["--mechanism", "mcar", "--mar-rates", "0.9,0.9"],
-        ["--mechanism", "mcar", "--mnar-rates", "1,1"],
-        ["--mechanism", "mnar", "--mcar-rate", "0.5"],
-        ["--mcar-rate", "0.9"],  # --mechanism defaults to none
+        ["simulate", "--mechanism", "mcar", "--mar-rates", "0.9,0.9"],
+        ["simulate", "--mechanism", "mcar", "--mnar-rates", "1,1"],
+        ["simulate", "--mechanism", "mnar", "--mcar-rate", "0.5"],
+        ["simulate", "--mcar-rate", "0.9"],  # --mechanism defaults to none
+        ["simulate", "--protocol", "xor", "--p", "7"],
+        ["simulate", "--protocol", "xor", "--k", "9"],
+        ["simulate", "--protocol", "xor", "--cardinality", "5"],
+        ["benchmark", "--protocol", "xor", "--p", "7"],
+        ["benchmark", "--protocol", "xor", "--k", "9"],
+        ["benchmark", "--protocol", "xor", "--cardinality", "5"],
+        ["preprocess-ratings", "--coding", "five", "--cutoff", "4"],
+        ["simulate", "--cardinality", "1"],
+        ["benchmark", "--cardinality", "1"],
     ])
     def test_rate_flag_of_another_mechanism_is_a_usage_error(
             self, tmp_path, capsys, extra):
-        out = tmp_path / "masked.csv"
+        # every flag that one choice alone reads, given under another
+        # choice, and a cardinality no variable can have
+        command, *flags = extra
+        out = tmp_path / "out.csv"
         with pytest.raises(SystemExit) as err:
-            cli.main(["simulate", "--protocol", "mixture", "--n", "20",
-                      "--p", "3", "--seed", "1", "--out", str(out), *extra])
+            cli.main([command, *REQUIRED[command], "--out", str(out),
+                      *flags])
         assert err.value.code == 2
         errors = [line for line in capsys.readouterr().err.splitlines()
                   if "error:" in line]

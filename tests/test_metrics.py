@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from catmix import metrics
-from catmix.core import CategoricalSchema, Dataset
+from catmix.core import (
+    CategoricalSchema, Dataset, dataset_to_csv, serialize_model)
+from catmix.inference import saturated_model
 from catmix.metrics import (
     ReplicationReport,
     correlation_gap,
@@ -12,7 +14,8 @@ from catmix.metrics import (
     run_replications,
 )
 from catmix.sampler import GibbsConfig
-from catmix.synth import MaskResult, MechanismSpec
+from catmix.synth import (
+    MaskResult, MechanismSpec, sample_mixture_dataset, sample_xor_dataset)
 
 
 def _flat(cells):
@@ -123,6 +126,22 @@ class TestReplicationReport:
 TINY = GibbsConfig(burnin=10, samples=5, thin=1)
 
 
+class TestSimulate:
+    def test_defaults_are_the_generators(self):
+        data, truth = metrics.simulate("mixture", seed=6)
+        want, want_truth = sample_mixture_dataset(seed=6)
+        assert dataset_to_csv(data) == dataset_to_csv(want)
+        assert serialize_model(truth) == serialize_model(want_truth)
+        data, truth = metrics.simulate("xor", seed=6)
+        want, joint = sample_xor_dataset(seed=6)
+        assert dataset_to_csv(data) == dataset_to_csv(want)
+        assert serialize_model(truth) == serialize_model(saturated_model(joint))
+
+    def test_xor_refuses_the_mixture_shape(self):
+        with pytest.raises(TypeError):
+            metrics.simulate("xor", p=3)
+
+
 class TestRunReplications:
     def test_validates_arguments(self):
         with pytest.raises(ValueError, match="protocol"):
@@ -131,7 +150,8 @@ class TestRunReplications:
             run_replications("mixture", reps=0)
         with pytest.raises(ValueError, match="jobs"):
             run_replications("mixture", jobs=0)
-        for name, value in (("reps", 2.5), ("jobs", 1.5), ("reps", True)):
+        for name, value in (("reps", 2.5), ("jobs", 1.5), ("reps", True),
+                            ("n", 2.5)):
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 run_replications("mixture", **{name: value})
 

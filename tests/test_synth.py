@@ -91,6 +91,12 @@ class TestSampleMixtureDataset:
             sample_mixture_dataset(psi_dirichlet=0.0)
         with pytest.raises(ValueError, match="cardinalities"):
             sample_mixture_dataset(p=3, cardinality=[2, 2])
+        for name, value in (("n", 2.5), ("k", 1.5), ("p", True)):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                sample_mixture_dataset(**{name: value})
+        for n in (2.5, True):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                sample_xor_dataset(n=n)
 
 
 class TestSampleXorDataset:
