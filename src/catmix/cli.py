@@ -173,7 +173,7 @@ def _cmd_fit(args) -> int:
     sample = sampler.run_gibbs(
         data, _gibbs_config(args), seed=args.seed,
         progress=None if args.progress_every == 0 else sys.stderr,
-        **(_given(args, "progress_every") if args.progress_every else {}),
+        **({"progress_every": args.progress_every} if args.progress_every else {}),
     )
     if args.summary:
         payload = core.serialize_model(inference.pool_draws(sample))
