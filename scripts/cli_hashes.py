@@ -7,9 +7,11 @@ in a fresh interpreter, in one temporary directory: ``simulate`` (mixture
 MCAR with all four outputs, xor MNAR with ``--mask-out`` and
 ``--truth-out``), ``fit`` (with ``--progress-every 7``, with
 ``--summary``, and with ``--schema`` on a small inline table of
-cardinalities 2, 5, 9 and 12), ``impute`` (argmax, and ``--rule sample``,
-from the mixture fit, from the inline table's fit, and from the xor
-point-mass truth model), ``test-independence`` (to stdout and to
+cardinalities 2, 5, 9 and 12 and on a messy one with spaces, ``na``,
+empty fields and blank lines), ``impute`` (argmax, and ``--rule sample``,
+from the mixture fit, from the two inline tables' fits, and from the xor
+point-mass truth model), ``fit`` of a malformed inline table, which
+exits 1 with one error line, ``test-independence`` (to stdout and to
 ``--out``), ``benchmark --reps 3 --jobs 1`` with ``--out`` and
 ``--summary-out``, and ``preprocess-ratings`` (binary and five) on a
 small inline ratings table.  It prints one ``name sha1`` line for each
@@ -42,6 +44,16 @@ MIXED = "a,b,c,d\n" + "".join(
     ",".join("NA" if (r * 3 + j) % 4 == 0 else str((r * m + j) % d + 1)
              for j, (m, d) in enumerate(((1, 2), (3, 5), (7, 9), (5, 12))))
     + "\n" for r in range(40))
+# spaces around codes, NA in several cases, empty fields and blank lines,
+# cardinalities 3, 7, 12 and 2, read through an explicit schema
+MESSY = "x, y ,z,w\n" + "".join(
+    ("\n" if r % 7 == 3 else "") + ",".join(
+        ["na", " NA", "", " Na "][(r + j) % 4] if (r * 5 + j) % 6 == 0
+        else f" {(r * m + j) % d + 1}"
+        for j, (m, d) in enumerate(((1, 3), (5, 7), (7, 12), (1, 2))))
+    + "\n" for r in range(45))
+# a wrong field count on line 5 comes before the bad code on line 6
+MALFORMED = "a,b,c\n1,2,3\n\n2, na,\n1,2\n3,x,1\n"
 #: (name, argv) of each command, run in this order in one directory.
 COMMANDS = (
     ("simulate-mixture", ["simulate", "--protocol", "mixture", "--n", "40",
@@ -69,6 +81,15 @@ COMMANDS = (
     ("impute-mixed-sample", ["impute", "../mixed.csv", "mixed.json",
                              "--out", "mixed-sample.csv", "--rule", "sample",
                              "--seed", "10"]),
+    ("fit-messy", ["fit", "../messy.csv", "--out", "messy.json", "--seed",
+                   "12", *FAST, "--schema", "3,7,12,2"]),
+    ("impute-messy-argmax", ["impute", "../messy.csv", "messy.json",
+                             "--out", "messy-argmax.csv"]),
+    ("impute-messy-sample", ["impute", "../messy.csv", "messy.json",
+                             "--out", "messy-sample.csv", "--rule", "sample",
+                             "--seed", "13"]),
+    ("fit-malformed", ["fit", "../malformed.csv", "--out", "malformed.json",
+                       "--seed", "14", *FAST]),
     ("impute-xor-argmax", ["impute", "xor.csv", "xor-truth.json",
                            "--out", "xor-argmax.csv"]),
     ("impute-xor-sample", ["impute", "xor.csv", "xor-truth.json",
@@ -104,6 +125,8 @@ def lines(src: Path):
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "ratings.csv").write_text(RATINGS)
         (Path(tmp) / "mixed.csv").write_text(MIXED)
+        (Path(tmp) / "messy.csv").write_text(MESSY)
+        (Path(tmp) / "malformed.csv").write_text(MALFORMED)
         work = Path(tmp) / "work"
         work.mkdir()
         for name, argv in COMMANDS:

@@ -4,8 +4,10 @@ Command line entry points.
 Every subcommand honors ``--seed`` for end-to-end reproducibility,
 writes data files atomically (temp file plus rename) except the
 per-replication CSV of ``benchmark --out``, which grows as each
-replication finishes, and logs only to standard error.  Exit codes: 0
-on success, 1 on runtime or contract errors, 2 on usage errors.
+replication finishes and is removed if none does, and logs only to
+standard error.  ``impute`` writes its cell CSV a block of cells at a
+time.  Exit codes: 0 on success, 1 on runtime or contract errors, 2 on
+usage errors.
 """
 
 from __future__ import annotations
@@ -198,12 +200,9 @@ def _cmd_impute(args) -> int:
     result = inference.impute(data, draws, rule=args.rule, seed=args.seed)
     _write_atomic(args.out, core.dataset_to_csv(result.completed))
 
-    cells = ((i, data.column_names[j], c, prob)
-             for (i, j), vec in result.cell_posteriors.items()
-             for c, prob in enumerate(vec.tolist(), start=1))
-    cell_path = args.cell_posterior or f"{args.out}.cells.csv"
-    lines = core._csv_lines(("row", "column", "category", "probability"), cells)
-    _write_atomic(cell_path, lambda f: f.writelines(lines))
+    lines = core._cell_lines(data.column_names, result.cell_posteriors)
+    _write_atomic(args.cell_posterior or f"{args.out}.cells.csv",
+                  lambda f: f.writelines(lines))
     _log(
         f"impute: filled {len(result.cell_posteriors)} cells "
         f"({args.rule} rule) in {data.n_rows} rows"
@@ -272,6 +271,8 @@ def _cmd_benchmark(args) -> int:
             _log(f"replication {len(results) + 1} failed: {exc}")
 
     if not results:
+        if args.out:
+            Path(args.out).unlink(missing_ok=True)
         return 1
     final = report()
     if args.summary_out:

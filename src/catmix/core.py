@@ -19,6 +19,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import math
 import sys
@@ -56,6 +58,9 @@ DEFAULT_CELL_LIMIT = 10_000_000
 
 #: Tolerance applied to probability vectors read from external files.
 LOAD_TOL = 1e-8
+
+#: CSV lines parsed, or cells or table rows rendered, per block.
+_BLOCK = 256
 
 
 class ParseError(ValueError):
@@ -160,22 +165,20 @@ class CategoricalSchema:
     ----------
     cardinalities : sequence of int
         ``cardinalities[j]`` is the number of observable categories of
-        variable ``j``.  Every entry must be at least 2; a "variable"
-        with a single category carries no information.
+        variable ``j``.  Every entry must be an integer (numpy's too,
+        bools not) of at least 2; a "variable" with a single category
+        carries no information.
     """
 
     cardinalities: tuple[int, ...]
 
     def __init__(self, cardinalities: Iterable[int]):
-        cards = tuple(int(d) for d in cardinalities)
+        cards = tuple(cardinalities)
         if len(cards) == 0:
             raise ValueError("schema needs at least one variable")
         for j, d in enumerate(cards):
-            if d < 2:
-                raise ValueError(
-                    f"variable {j} has cardinality {d}, expected at least 2"
-                )
-        object.__setattr__(self, "cardinalities", cards)
+            _check_count(f"variable {j}'s cardinality", d, 2)
+        object.__setattr__(self, "cardinalities", tuple(map(int, cards)))
 
     @property
     def n_variables(self) -> int:
@@ -408,6 +411,23 @@ def _csv_records(text: str) -> list[tuple[int, str]]:
             if ln.strip() != ""]
 
 
+def _field_code(field: str) -> int:
+    """The code of one raw CSV field, 0 for ``NA`` in any case or empty;
+    raises ValueError unless the rest is an int64 above 0."""
+    f = field.strip()
+    if f == "" or f.upper() == NA_TOKEN:
+        return MISSING
+    try:
+        code = int(f)
+    except ValueError:
+        raise ValueError(f"{f!r} is not an integer") from None
+    if code <= 0:
+        raise ValueError(f"codes must be positive, use {NA_TOKEN} for missing entries")
+    if code > np.iinfo(np.int64).max:
+        raise ValueError(f"code {f} does not fit in 64 bits")
+    return code
+
+
 def parse_dataset(text: str, schema: CategoricalSchema | None = None) -> Dataset:
     """Parse a CSV document into a :class:`Dataset`.
 
@@ -415,6 +435,12 @@ def parse_dataset(text: str, schema: CategoricalSchema | None = None) -> Dataset
     holds one integer code per column; missing cells are written as
     ``NA`` (an empty field is accepted as well).  Codes must be
     positive: 0 is reserved for missing and may not appear literally.
+
+    All field counts are checked at once.  Blocks of lines are split
+    into raw fields, each distinct field is decided once into a table of
+    codes, and a block's fields are mapped through it into the array.
+    An error names the first bad cell or line in reading order, blank
+    lines counted.
 
     Parameters
     ----------
@@ -446,28 +472,33 @@ def parse_dataset(text: str, schema: CategoricalSchema | None = None) -> Dataset
             f"{schema.n_variables} variables"
         )
 
-    rows = np.zeros((len(records) - 1, p), dtype=np.int64)
-    for r, (i, ln) in enumerate(records[1:]):
-        fields = [f.strip() for f in ln.split(",")]
-        if len(fields) != p:
-            raise ParseError(
-                f"line {i}: expected {p} fields, found {len(fields)}"
-            )
-        for j, f in enumerate(fields):
-            if f == "" or f.upper() == NA_TOKEN:
-                continue
+    body = records[1:]
+    lines = [ln for _, ln in body]
+    # the lines before the first of a wrong width are parsed first, so
+    # that their cells' errors come before its own
+    good = next((r for r, ln in enumerate(lines) if ln.count(",") != p - 1),
+                len(lines))
+    rows = np.empty((len(lines), p), dtype=np.int64)
+    table = {}
+    for start in range(0, good, _BLOCK):
+        stop = min(start + _BLOCK, good)
+        fields = ",".join(lines[start:stop]).split(",")
+        bad = {}
+        for f in set(fields).difference(table):
             try:
-                code = int(f)
-            except ValueError:
-                raise ParseError(
-                    f"line {i}, column {names[j]!r}: {f!r} is not an integer"
-                ) from None
-            if code <= 0:
-                raise ParseError(
-                    f"line {i}, column {names[j]!r}: codes must be positive, "
-                    f"use {NA_TOKEN} for missing entries"
-                )
-            rows[r, j] = code
+                table[f] = _field_code(f)
+            except ValueError as exc:
+                bad[f] = str(exc)
+        if bad:
+            at = next(t for t, f in enumerate(fields) if f in bad)
+            r, j = divmod(at, p)
+            raise ParseError(f"line {body[start + r][0]}, column "
+                             f"{names[j]!r}: {bad[fields[at]]}")
+        rows[start:stop] = np.fromiter(map(table.__getitem__, fields),
+                                       np.int64, len(fields)).reshape(-1, p)
+    if good < len(lines):
+        raise ParseError(f"line {body[good][0]}: expected {p} fields, "
+                         f"found {lines[good].count(',') + 1}")
 
     if schema is None:
         cards = rows.max(axis=0, initial=0)
@@ -484,30 +515,47 @@ def parse_dataset(text: str, schema: CategoricalSchema | None = None) -> Dataset
         if rows.size and over.any():
             r, j = np.argwhere(over)[0]
             raise ParseError(
-                f"line {records[r + 1][0]}, column {names[j]!r}: "
+                f"line {body[r][0]}, column {names[j]!r}: "
                 f"code {rows[r, j]} exceeds cardinality {limit[j]}"
             )
     return Dataset(schema, rows, tuple(names))
 
 
-def _csv_lines(header, rows):
-    """Yield the lines of every CSV table catmix writes: the ``header``
-    tuple, then one line per row tuple, each value printed with ``str``."""
-    line = ",".join(["%s"] * len(header)) + "\n"
-    yield line % header
-    yield from (line % row for row in rows)
-
-
 def _csv(header, rows) -> str:
-    """The text of :func:`_csv_lines`."""
-    return "".join(_csv_lines(header, rows))
+    """The text of every CSV table catmix writes: the ``header`` tuple,
+    then one line per row tuple, each value printed with ``str``."""
+    line = ",".join(["%s"] * len(header)) + "\n"
+    return "".join([line % header, *(line % row for row in rows)])
 
 
 def dataset_to_csv(dataset: Dataset) -> str:
-    """Render a dataset in the CSV format understood by :func:`parse_dataset`."""
-    rows = (tuple(NA_TOKEN if c == MISSING else c for c in row)
-            for row in dataset.cells.tolist())
-    return _csv(dataset.column_names, rows)
+    """Render a dataset in the CSV format understood by :func:`parse_dataset`,
+    a block of rows at a time through a lookup of the block's distinct codes."""
+    parts = [_csv(dataset.column_names, ())]
+    for start in range(0, dataset.n_rows, _BLOCK):
+        codes, at = np.unique(dataset.cells[start:start + _BLOCK],
+                              return_inverse=True)
+        texts = np.array([NA_TOKEN if c == MISSING else str(c)
+                          for c in codes.tolist()], dtype=object)
+        rows = texts[at.reshape(-1, dataset.n_variables)].tolist()
+        parts.append("\n".join(map(",".join, rows)) + "\n")
+    return "".join(parts)
+
+
+def _cell_lines(names, posteriors: dict):
+    """Yield the cell-posterior CSV of ``impute``'s ``cell_posteriors`` a
+    block of cells at a time: each cell's ``row,column,`` prefix is built
+    once for its d lines, and one ``%`` pass prints every probability."""
+    yield "row,column,category,probability\n"
+    cells = iter(posteriors.items())
+    while block := list(itertools.islice(cells, _BLOCK)):
+        keys, vecs = zip(*block)
+        sizes = [vec.size for vec in vecs]
+        lines = {d: "".join(f"@{c},%r\n" for c in range(1, d + 1))
+                 for d in set(sizes)}  # "@" stands for a cell's prefix
+        form = "".join([lines[d].replace("@", f"{i},{names[j]},".replace("%", "%%"))
+                        for (i, j), d in zip(keys, sizes)])
+        yield form % tuple(np.concatenate(vecs).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -561,19 +609,35 @@ def model_from_dict(obj) -> CollapsedModel:
     if not isinstance(tilde, list) or len(tilde) != k:
         raise LoadError(f"tildePsi must be a list of length k={k}")
 
-    p = schema.n_variables
-    for h, comp in enumerate(tilde):
-        if not isinstance(comp, list) or len(comp) != p:
-            raise LoadError(f"tildePsi[{h}] must list {p} variables")
-        for j, (vec, d) in enumerate(zip(comp, schema.cardinalities)):
-            if not _json_numbers(vec) or len(vec) != d:
-                raise LoadError(
-                    f"tildePsi[{h}][{j}] must have {d} entries, all finite numbers"
-                )
+    # checked as whole arrays; the first failure in reading order is then
+    # located: a component short of p vectors, or a vector of the wrong
+    # length or with an entry that is not a finite JSON number
+    p, cards = schema.n_variables, schema.cardinalities
+    comps = next((h for h, comp in enumerate(tilde)
+                  if not isinstance(comp, list) or len(comp) != p), k)
+    vecs = [vec for comp in tilde[:comps] for vec in comp]
+    fits = [isinstance(vec, list) and len(vec) == d
+            for vec, d in zip(vecs, cards * comps)]
+    whole = fits.index(False) if False in fits else len(vecs)
+    flat = list(itertools.chain.from_iterable(vecs[:whole]))
+    values = None
+    if all(issubclass(t, (int, float)) and not issubclass(t, bool)
+           for t in set(map(type, flat))):
+        with contextlib.suppress(OverflowError):
+            values = np.array(flat, np.float64)
+    if values is None or not (np.abs(values) < sys.float_info.max).all():
+        whole = next((v for v, vec in enumerate(vecs[:whole])
+                      if not _json_numbers(vec)), whole)
+    if whole < len(vecs):
+        h, j = divmod(whole, p)
+        raise LoadError(f"tildePsi[{h}][{j}] must have {cards[j]} entries, "
+                        "all finite numbers")
+    if comps < k:
+        raise LoadError(f"tildePsi[{comps}] must list {p} variables")
     # allocated only now that every vector has its d_j entries
     valid = np.arange(schema.max_cardinality) < schema.codes_array()[:, None]
     packed = np.zeros((k,) + valid.shape)
-    packed[:, valid] = [[x for vec in comp for x in vec] for comp in tilde]
+    packed[:, valid] = values.reshape(k, -1)
     try:
         return CollapsedModel(schema, np.asarray(theta, dtype=np.float64), packed)
     except (TypeError, ValueError) as exc:

@@ -161,9 +161,9 @@ def sample_mixture_dataset(n: int = 50, p: int = 20, k: int = 3,
     if not (theta_dirichlet > 0 and psi_dirichlet > 0):
         raise ValueError("Dirichlet concentrations must be positive")
     if np.isscalar(cardinality):
-        cards = (int(cardinality),) * p
+        cards = (cardinality,) * p
     else:
-        cards = tuple(int(d) for d in cardinality)
+        cards = tuple(cardinality)
     schema = CategoricalSchema(cards)
     if schema.n_variables != p:
         raise ValueError(f"{len(cards)} cardinalities supplied for p={p}")

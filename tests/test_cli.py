@@ -127,6 +127,17 @@ class TestFit:
         assert err == "error: beta must be at most 1e+300, got 1e+308\n"
         assert not out.exists()
 
+    def test_code_beyond_int64_is_one_error_line(self, tmp_path, capsys):
+        inp = tmp_path / "big.csv"
+        inp.write_text("a,b\n1,2\n2,99999999999999999999\n1,1\n")
+        out = tmp_path / "x.json"
+        rc = cli.main(["fit", str(inp), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: line 3, column 'b': code 99999999999999999999 does not "
+            "fit in 64 bits"]
+        assert not out.exists()
+
     def test_missing_input_file(self, tmp_path, capsys):
         rc = cli.main(["fit", str(tmp_path / "nope.csv"), "--out", "x.json"])
         assert rc == 1
@@ -520,6 +531,24 @@ class TestBenchmark:
                        "--mechanism", "mnar", "--seed", "1", *FAST])
         assert rc == 1
         assert "failed" in capsys.readouterr().err
+
+    def test_out_is_removed_when_no_replication_finishes(self, tmp_path,
+                                                         capsys):
+        out = tmp_path / "reps.csv"
+        rc = cli.main(["benchmark", "--protocol", "mixture", "--reps", "2",
+                       "--n", "8", "--p", "3", "--cardinality", "3",
+                       "--mechanism", "mnar", "--seed", "1", "--jobs", "1",
+                       *FAST, "--out", str(out)])
+        assert rc == 1
+        assert "replication 1 failed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        # an unwritable --out is still refused before any fit
+        rc = cli.main(["benchmark", "--protocol", "mixture", "--reps", "1",
+                       "--jobs", "1", *FAST,
+                       "--out", str(tmp_path / "no" / "reps.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "replication" not in err
 
 
 class TestIndependence:

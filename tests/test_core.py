@@ -1,5 +1,8 @@
 import io
 import json
+import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,8 +43,19 @@ class TestCategoricalSchema:
         assert s.n_cells() == 12
 
     def test_rejects_cardinality_below_two(self):
-        with pytest.raises(ValueError, match="cardinality 1"):
+        with pytest.raises(ValueError, match="variable 1's cardinality must "
+                                             "be >= 2, got 1"):
             CategoricalSchema([2, 1])
+        for cards, bad in (([2.5, 3.9], "0's cardinality must be an integer, "
+                                        "got 2.5"),
+                           ([3, True], "1's cardinality must be an integer"),
+                           ([np.float64(3)], "0's cardinality must be an "
+                                             "integer")):
+            with pytest.raises(ValueError, match=f"variable {bad}"):
+                CategoricalSchema(cards)
+        # numpy's integers are integers, and are stored as Python ints
+        cards = CategoricalSchema(np.array([3, 2])).cardinalities
+        assert cards == (3, 2) and {type(d) for d in cards} == {int}
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -250,6 +264,16 @@ class TestParseDataset:
         with pytest.raises(ParseError, match="line 5, column 'a': code 3 "
                                              "exceeds cardinality 2"):
             parse_dataset("a\n\n1\n\n3\n1", CategoricalSchema([2]))
+
+    def test_rejects_a_code_beyond_int64(self):
+        with pytest.raises(ParseError, match="^line 3, column 'b': code "
+                                             "99999999999999999999 does not "
+                                             "fit in 64 bits$"):
+            parse_dataset("a,b\n1,2\n2, 99999999999999999999\n")
+        # the largest int64 is a code, if a useless one, and renders as
+        # one without a lookup table as long as the codes
+        text = f"a\n1\n{2 ** 63 - 1}\n"
+        assert dataset_to_csv(parse_dataset(text)) == text
 
     def test_rejects_literal_zero(self):
         with pytest.raises(ParseError, match="NA"):
@@ -490,3 +514,272 @@ def test_package_surface_is_the_union_of_the_module_lists():
             (core, "write_models"), (metrics, "PROTOCOLS"),
             (metrics, "simulate")]:
         assert name not in catmix.__all__ and hasattr(module, name)
+
+
+# ---------------------------------------------------------------------------
+# The array-level CSV and model readers and writers against the per-line,
+# per-vector and per-cell code they replaced, kept here as references
+# ---------------------------------------------------------------------------
+
+def _reference_parse(text, schema=None):
+    """parse_dataset as it read a document line by line and field by
+    field, with a code beyond int64 refused as the token table refuses it
+    (the line loop raised OverflowError there)."""
+    records = core._csv_records(text)
+    if not records:
+        raise ParseError("document is empty")
+    names = [f.strip() for f in records[0][1].split(",")]
+    p = len(names)
+    if schema is not None and schema.n_variables != p:
+        raise ParseError(
+            f"header has {p} columns but schema has "
+            f"{schema.n_variables} variables"
+        )
+    rows = np.zeros((len(records) - 1, p), dtype=np.int64)
+    for r, (i, ln) in enumerate(records[1:]):
+        fields = [f.strip() for f in ln.split(",")]
+        if len(fields) != p:
+            raise ParseError(
+                f"line {i}: expected {p} fields, found {len(fields)}"
+            )
+        for j, f in enumerate(fields):
+            if f == "" or f.upper() == "NA":
+                continue
+            try:
+                code = int(f)
+            except ValueError:
+                raise ParseError(
+                    f"line {i}, column {names[j]!r}: {f!r} is not an integer"
+                ) from None
+            if code <= 0:
+                raise ParseError(
+                    f"line {i}, column {names[j]!r}: codes must be positive, "
+                    f"use NA for missing entries"
+                )
+            if code > np.iinfo(np.int64).max:
+                raise ParseError(f"line {i}, column {names[j]!r}: code {f} "
+                                 "does not fit in 64 bits")
+            rows[r, j] = code
+    if schema is None:
+        cards = rows.max(axis=0, initial=0)
+        bad = [names[j] for j in np.nonzero(cards < 2)[0]]
+        if bad:
+            raise ParseError(
+                "cannot infer cardinalities for column(s) "
+                f"{', '.join(bad)}; supply a schema"
+            )
+        schema = CategoricalSchema(cards.tolist())
+    else:
+        limit = schema.codes_array()
+        over = rows > limit[None, :]
+        if rows.size and over.any():
+            r, j = np.argwhere(over)[0]
+            raise ParseError(
+                f"line {records[r + 1][0]}, column {names[j]!r}: "
+                f"code {rows[r, j]} exceeds cardinality {limit[j]}"
+            )
+    return Dataset(schema, rows, tuple(names))
+
+
+def _reference_csv(dataset):
+    """dataset_to_csv as it printed one tuple per row."""
+    rows = (tuple("NA" if c == 0 else c for c in row)
+            for row in dataset.cells.tolist())
+    return core._csv(dataset.column_names, rows)
+
+
+def _reference_model_from_dict(obj):
+    """model_from_dict as it checked one vector at a time."""
+    if not isinstance(obj, dict):
+        raise LoadError(f"model document must be an object, got {type(obj).__name__}")
+    for key in ("k", "cardinalities", "theta", "tildePsi"):
+        if key not in obj:
+            raise LoadError(f"model document lacks required key {key!r}")
+    if not core._json_numbers(obj["cardinalities"], int):
+        raise LoadError("cardinalities must be a list of integers")
+    try:
+        schema = CategoricalSchema(obj["cardinalities"])
+    except ValueError as exc:
+        raise LoadError(f"bad cardinalities: {exc}") from None
+    k, theta, tilde = obj["k"], obj["theta"], obj["tildePsi"]
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise LoadError(f"k must be a positive integer, got {k!r}")
+    if not core._json_numbers(theta) or len(theta) != k:
+        raise LoadError(f"theta must be a list of finite numbers of length k={k}")
+    if not isinstance(tilde, list) or len(tilde) != k:
+        raise LoadError(f"tildePsi must be a list of length k={k}")
+    p = schema.n_variables
+    for h, comp in enumerate(tilde):
+        if not isinstance(comp, list) or len(comp) != p:
+            raise LoadError(f"tildePsi[{h}] must list {p} variables")
+        for j, (vec, d) in enumerate(zip(comp, schema.cardinalities)):
+            if not core._json_numbers(vec) or len(vec) != d:
+                raise LoadError(
+                    f"tildePsi[{h}][{j}] must have {d} entries, all finite numbers"
+                )
+    valid = np.arange(schema.max_cardinality) < schema.codes_array()[:, None]
+    packed = np.zeros((k,) + valid.shape)
+    packed[:, valid] = [[x for vec in comp for x in vec] for comp in tilde]
+    try:
+        return CollapsedModel(schema, np.asarray(theta, dtype=np.float64), packed)
+    except (TypeError, ValueError) as exc:
+        raise LoadError(str(exc)) from None
+
+
+def _reference_cell_lines(names, posteriors):
+    """The cell-posterior CSV as impute wrote it, one tuple per code."""
+    cells = ((i, names[j], c, prob) for (i, j), vec in posteriors.items()
+             for c, prob in enumerate(vec.tolist(), start=1))
+    return core._csv(("row", "column", "category", "probability"), cells)
+
+
+def _outcome(read, *args):
+    """What ``read(*args)`` returns or the error it raises, comparably."""
+    try:
+        return read(*args)
+    except (ParseError, LoadError) as exc:
+        return type(exc), str(exc)
+
+
+#: Raw CSV fields, each meaning a code, a missing cell or an error.
+FIELDS = ["1", "2", "3", " 2 ", "\t1", "12", "007", "NA", "na", "Na", " nA ",
+          "", " ", "+2", "1_0", "0", " 0", "-1", "1.0", "x", " x ", "1e3",
+          "NaN",
+          "99999999999999999999", "-99999999999999999999",
+          str(2 ** 63 - 1), str(2 ** 63)]
+
+
+@st.composite
+def csv_documents(draw):
+    """A header of p names, then lines of p fields (now and then one more
+    or one fewer), with blank lines among them, and maybe a schema."""
+    p = draw(st.integers(1, 4))
+    lines = [",".join(f"c{j}" for j in range(p))]
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        width = p + draw(st.sampled_from([0] * 8 + [-1, 1]))
+        lines.append(",".join(draw(st.lists(st.sampled_from(FIELDS),
+                                            min_size=width, max_size=width))))
+    schema = None
+    if draw(st.booleans()):
+        schema = CategoricalSchema(draw(st.lists(st.integers(2, 12),
+                                                 min_size=p, max_size=p)))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"])), schema
+
+
+def _dataset_outcome(read, text, schema):
+    out = _outcome(read, text, schema)
+    if isinstance(out, Dataset):
+        return (out.cells.tolist(), out.schema.cardinalities,
+                out.column_names, dataset_to_csv(out), _reference_csv(out))
+    return out
+
+
+class TestReadersAgainstReferences:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(csv_documents())
+    def test_token_table_parses_as_the_line_loop(self, document):
+        text, schema = document
+        ours = _dataset_outcome(parse_dataset, text, schema)
+        assert ours == _dataset_outcome(_reference_parse, text, schema)
+        if not isinstance(ours[0], type):
+            # the block renderer writes what the tuple renderer wrote
+            assert ours[3] == ours[4]
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\nx,1\n1\n", "line 2, column 'a': 'x' is not an integer"),
+        ("a,b\n1\nx,1\n", "line 2: expected 2 fields, found 1"),
+        ("a,b\n1,1\n1,2,0\n\n-1,1\n", "line 3: expected 2 fields, found 3"),
+        ("a,b\n1,1\n\n1,-1\n1\n", "line 4, column 'b': codes must be positive"),
+        ("a\n1\n" * 1 + "1\n" * 300 + "1,1\n",
+         "line 303: expected 1 fields, found 2"),
+        ("a,b\n" + "1,2\n" * 300 + "2,NA\n1,x\n",
+         "line 303, column 'b': 'x' is not an integer"),
+    ])
+    def test_a_line_is_refused_after_the_cells_before_it(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_dataset(text)
+        assert str(err.value).startswith(message)
+        assert str(err.value) == str(_outcome(_reference_parse, text)[1])
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.data())
+    def test_array_validation_loads_as_the_vector_loop(self, data):
+        cards = data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+        draws = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            k = data.draw(st.integers(1, 3))
+            rng = np.random.default_rng(data.draw(st.integers(0, 99)))
+            draws.append({
+                "k": k, "cardinalities": list(cards),
+                "theta": rng.dirichlet(np.ones(k)).tolist(),
+                "tildePsi": [[rng.dirichlet(np.ones(d)).tolist() for d in cards]
+                             for _ in range(k)]})
+        bad = [True, False, math.nan, math.inf, "0.5", None, [0.5], {},
+               10 ** 400, -10 ** 400, int(sys.float_info.max) + 1,
+               sys.float_info.max, 1, 0, 0.5]
+        for _ in range(data.draw(st.integers(0, 2))):
+            doc = data.draw(st.sampled_from(draws))
+            h = data.draw(st.integers(0, doc["k"] - 1))
+            j = data.draw(st.integers(0, len(cards) - 1))
+            how = data.draw(st.sampled_from(["entry", "short", "long",
+                                             "vector", "component"]))
+            comp = doc["tildePsi"][h]
+            if not (isinstance(comp, list) and j < len(comp)
+                    and isinstance(comp[j], list) and comp[j]):
+                continue  # broken by an earlier change
+            vec = comp[j]
+            if how == "entry":
+                vec[data.draw(st.integers(0, len(vec) - 1))] = \
+                    data.draw(st.sampled_from(bad))
+            elif how == "short":
+                vec.pop()
+            elif how == "long":
+                vec.append(0.0)
+            elif how == "vector":
+                doc["tildePsi"][h][j] = data.draw(st.sampled_from(bad))
+            else:
+                doc["tildePsi"][h] = data.draw(st.sampled_from(
+                    [doc["tildePsi"][h][:-1], "ab", None, 3]))
+        text = json.dumps({"cardinalities": cards, "draws": draws})
+
+        def load(model_from_dict):
+            draws = json.loads(text)["draws"]
+            models = core._draw_list(map(model_from_dict, draws), LoadError)
+            return [(m.theta.tobytes(), m.tilde_psi.tobytes()) for m in models]
+
+        assert (_outcome(load, core.model_from_dict)
+                == _outcome(load, _reference_model_from_dict))
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 3),
+                              st.integers(2, 12), st.integers(0, 2 ** 32 - 1)),
+                    max_size=600),
+           st.lists(st.text("ab%@,é ", min_size=1, max_size=4), min_size=4,
+                    max_size=4))
+    def test_block_renderer_writes_the_tuple_lines(self, cells, names):
+        posteriors = {}
+        for i, j, d, seed in cells:
+            vec = np.random.default_rng(seed).dirichlet(np.full(d, 0.3))
+            vec[seed % d] = [0.0, 1.0, 1e-300, 0.1][seed % 4]
+            posteriors[(i, j)] = vec
+        assert ("".join(core._cell_lines(names, posteriors))
+                == _reference_cell_lines(names, posteriors))
+
+    def test_cell_renderer_holds_far_less_than_the_file(self):
+        rng = np.random.default_rng(0)
+        posteriors = {(i, j): rng.dirichlet(np.ones(4))
+                      for i in range(3000) for j in range(5)}
+        names = [f"V{j + 1}" for j in range(5)]
+        size = 0
+        tracemalloc.start()
+        try:
+            for text in core._cell_lines(names, posteriors):
+                size += len(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 1_500_000
+        assert peak < size / 8

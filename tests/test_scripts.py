@@ -242,10 +242,16 @@ def test_cli_hashes_print_one_line_per_stream_and_file(tmp_path, capsys,
     assert [line.split()[0] for line in lines[:streams]] == [
         f"{name}.{stream}" for name, _ in cli_hashes.COMMANDS
         for stream in ("stdout", "stderr")]
-    assert all(line.endswith(" exit=0") for line in lines[1:streams:2])
+    # every command succeeds but the fit of the malformed table
+    exits = dict(line.split()[::2] for line in lines[1:streams:2])
+    assert exits.pop("fit-malformed.stderr") == "exit=1"
+    assert set(exits.values()) == {"exit=0"}
     assert [line.split()[0] for line in lines[streams:]] == [
         "argmax.csv", "argmax.csv.cells.csv", "binary.csv", "complete.csv",
-        "five.csv", "mask.csv", "mixed-argmax.csv",
+        "five.csv", "mask.csv", "messy-argmax.csv",
+        "messy-argmax.csv.cells.csv", "messy-sample.csv",
+        "messy-sample.csv.cells.csv", "messy.json", "messy.json.khist.csv",
+        "mixed-argmax.csv",
         "mixed-argmax.csv.cells.csv", "mixed-sample.csv",
         "mixed-sample.csv.cells.csv", "mixed.json", "mixed.json.khist.csv",
         "mixture.csv", "model.json", "model.json.khist.csv", "pooled.json",

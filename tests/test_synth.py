@@ -94,6 +94,11 @@ class TestSampleMixtureDataset:
         for name, value in (("n", 2.5), ("k", 1.5), ("p", True)):
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 sample_mixture_dataset(**{name: value})
+        # non-integer cardinalities are refused, not truncated
+        for cards in (2.5, [3.9, 2], [2, True]):
+            with pytest.raises(ValueError, match="cardinality must be an "
+                                                 "integer"):
+                sample_mixture_dataset(n=5, p=2, cardinality=cards, seed=0)
         for n in (2.5, True):
             with pytest.raises(ValueError, match="n must be an integer"):
                 sample_xor_dataset(n=n)
