@@ -275,6 +275,22 @@ class TestParseDataset:
         text = f"a\n1\n{2 ** 63 - 1}\n"
         assert dataset_to_csv(parse_dataset(text)) == text
 
+    def test_a_wide_table_is_split_a_few_lines_at_a_time(self):
+        # 40 lines of 10,000 fields: the fields of all of them at once
+        # would take more than twice the memory of the code array
+        rng = np.random.default_rng(0)
+        rows = rng.integers(1, 4, (40, 10_000)).tolist()
+        text = ",".join(f"c{j}" for j in range(10_000)) + "\n" + "".join(
+            ",".join(map(str, row)) + "\n" for row in rows)
+        tracemalloc.start()
+        try:
+            data = parse_dataset(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.cells.tolist() == rows
+        assert peak < 2 * data.cells.nbytes
+
     def test_rejects_literal_zero(self):
         with pytest.raises(ParseError, match="NA"):
             parse_dataset("a\n0\n1")
