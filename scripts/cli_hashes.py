@@ -13,8 +13,10 @@ from the mixture fit, from the two inline tables' fits, and from the xor
 point-mass truth model), ``fit`` of a malformed inline table, which
 exits 1 with one error line, ``test-independence`` (to stdout and to
 ``--out``), ``benchmark --reps 3 --jobs 1`` with ``--out`` and
-``--summary-out``, and ``preprocess-ratings`` (binary and five) on a
-small inline ratings table.  It prints one ``name sha1`` line for each
+``--summary-out``, ``preprocess-ratings`` (binary and five) on a small
+inline ratings table, and two commands that exit 1: ``fit --out`` into a
+missing directory, and a ``benchmark --out`` whose every replication
+fails.  It prints one ``name sha1`` line for each
 command's stdout, one ``name sha1 exit=N`` line for its stderr and exit
 code, and then one ``name sha1`` line for each file the commands wrote.
 The elapsed seconds in ``fit``'s summary line are masked.
@@ -107,6 +109,13 @@ COMMANDS = (
     ("ratings-five", ["preprocess-ratings", "../ratings.csv",
                       "--user-threshold", "0.7", "--coding", "five",
                       "--out", "five.csv"]),
+    ("fit-missing-dir", ["fit", "mixture.csv", "--out", "nodir/x.json",
+                         "--seed", "3", *FAST, "--progress-every", "0"]),
+    # MNAR masking needs binary variables, so every replication fails
+    ("benchmark-failing", ["benchmark", "--protocol", "mixture", "--reps",
+                           "2", "--jobs", "1", "--n", "8", "--p", "3",
+                           "--cardinality", "3", "--mechanism", "mnar",
+                           "--seed", "1", *FAST, "--out", "r.csv"]),
 )
 
 

@@ -2,22 +2,19 @@
 Command line entry points.
 
 Every subcommand honors ``--seed`` for end-to-end reproducibility,
-writes data files atomically (temp file plus rename) except the
-per-replication CSV of ``benchmark --out``, which grows as each
-replication finishes and is removed if none does, and logs only to
-standard error.  ``impute`` writes its cell CSV a block of cells at a
-time.  Exit codes: 0 on success, 1 on runtime or contract errors, 2 on
-usage errors.
+writes every output file atomically (temp file plus rename), and logs
+only to standard error.  ``benchmark --out`` is claimed before any fit,
+rewritten after each replication, and removed if none finishes.
+``impute`` writes its cell CSV a block of cells at a time.  Exit codes:
+0 on success, 1 on runtime or contract errors, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
-from contextlib import nullcontext
 from pathlib import Path
 
 from catmix import core, inference, metrics, sampler, synth
@@ -70,21 +67,19 @@ def _int_list(text: str) -> tuple[int, ...]:
         ) from None
 
 
-def _write_atomic(path, content) -> None:
-    """Write ``content`` to ``path`` through a temporary file.
-
-    ``content`` is a string, or a function that writes to the open
-    temporary file, so that a large document need not be built first.
+def _write_atomic(path, pieces) -> None:
+    """Write the text ``pieces``, an iterable of strings, to ``path``
+    through a temporary file, so that a large document need not be
+    built first.  An ``OSError`` names ``path``, not the temporary file.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
     try:
         with open(tmp, "w") as f:
-            if callable(content):
-                content(f)
-            else:
-                f.write(content)
+            f.writelines(pieces)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
     finally:
         tmp.unlink(missing_ok=True)
 
@@ -178,13 +173,13 @@ def _cmd_fit(args) -> int:
         **({"progress_every": args.progress_every} if args.progress_every else {}),
     )
     if args.summary:
-        payload = core.serialize_model(inference.pool_draws(sample))
+        pieces = [core.serialize_model(inference.pool_draws(sample))]
     else:
-        payload = functools.partial(core.write_models, sample.draws)
-    _write_atomic(args.out, payload)
+        pieces = core._document(sample.draws)
+    _write_atomic(args.out, pieces)
     khist_path = args.k_histogram or f"{args.out}.khist.csv"
-    _write_atomic(khist_path, core._csv(("k", "count"),
-                                        sorted(sample.k_histogram.items())))
+    _write_atomic(khist_path, [core._csv(("k", "count"),
+                                         sorted(sample.k_histogram.items()))])
     _log(
         f"fit: {data.n_rows} rows, {data.n_variables} variables, "
         f"{len(sample.draws)} draws, modal k={sample.modal_k}, "
@@ -198,11 +193,9 @@ def _cmd_impute(args) -> int:
     schema = draws[0].schema
     data = core.parse_dataset(Path(args.input).read_text(), schema)
     result = inference.impute(data, draws, rule=args.rule, seed=args.seed)
-    _write_atomic(args.out, core.dataset_to_csv(result.completed))
-
-    lines = core._cell_lines(data.column_names, result.cell_posteriors)
+    _write_atomic(args.out, [core.dataset_to_csv(result.completed)])
     _write_atomic(args.cell_posterior or f"{args.out}.cells.csv",
-                  lambda f: f.writelines(lines))
+                  core._cell_lines(data.column_names, result.cell_posteriors))
     _log(
         f"impute: filled {len(result.cell_posteriors)} cells "
         f"({args.rule} rule) in {data.n_rows} rows"
@@ -221,15 +214,15 @@ def _cmd_simulate(args) -> int:
     else:
         out_data, record = synth.mask(data, mechanism, seed=rng)
 
-    _write_atomic(args.out, core.dataset_to_csv(out_data))
+    _write_atomic(args.out, [core.dataset_to_csv(out_data)])
     if args.complete_out:
-        _write_atomic(args.complete_out, core.dataset_to_csv(data))
+        _write_atomic(args.complete_out, [core.dataset_to_csv(data)])
     if args.truth_out:
-        _write_atomic(args.truth_out, core.serialize_model(truth_model))
+        _write_atomic(args.truth_out, [core.serialize_model(truth_model)])
     if args.mask_out:
         names = [data.column_names[j] for j in record.cols.tolist()]
         cells = zip(record.rows.tolist(), names, record.values.tolist())
-        _write_atomic(args.mask_out, core._csv(("row", "column", "value"), cells))
+        _write_atomic(args.mask_out, [core._csv(("row", "column", "value"), cells)])
     _log(
         f"simulate: {data.n_rows}x{data.n_variables} {args.protocol} data, "
         f"{len(record)} cells masked"
@@ -250,25 +243,23 @@ def _cmd_benchmark(args) -> int:
 
     def on_result(i: int, rep: dict) -> None:
         results.append(rep)
-        if out is not None:
-            # the CSV only grows, so rewriting it from the start is enough
-            out.seek(0)
-            out.write(report().to_csv())
-            out.flush()
+        if args.out:
+            _write_atomic(args.out, [report().to_csv()])
         shown = ", ".join(f"{k}={v:.4f}" for k, v in rep.items())
         _log(f"replication {i + 1}/{args.reps}: {shown}")
 
+    if args.out:
+        _write_atomic(args.out, [])  # an unwritable path fails before any fit
     failed = False
-    with open(args.out, "w") if args.out else nullcontext() as out:
-        try:
-            metrics.run_replications(
-                args.protocol, mechanism, reps=args.reps, gibbs=gibbs,
-                seed=args.seed, jobs=args.jobs, on_result=on_result,
-                **_given(args, *_TABLE),
-            )
-        except Exception as exc:
-            failed = True
-            _log(f"replication {len(results) + 1} failed: {exc}")
+    try:
+        metrics.run_replications(
+            args.protocol, mechanism, reps=args.reps, gibbs=gibbs,
+            seed=args.seed, jobs=args.jobs, on_result=on_result,
+            **_given(args, *_TABLE),
+        )
+    except Exception as exc:
+        failed = True
+        _log(f"replication {len(results) + 1} failed: {exc}")
 
     if not results:
         if args.out:
@@ -276,7 +267,7 @@ def _cmd_benchmark(args) -> int:
         return 1
     final = report()
     if args.summary_out:
-        _write_atomic(args.summary_out, json.dumps(final.summary(), indent=2) + "\n")
+        _write_atomic(args.summary_out, [json.dumps(final.summary(), indent=2) + "\n"])
     for name in final.metric_names:
         _log(f"{name}: mean={final.means[name]:.4f} sd={final.sds[name]:.4f}")
     return 1 if failed else 0
@@ -288,7 +279,7 @@ def _cmd_test_independence(args) -> int:
     pairs = inference.pairwise_independence(pooled, args.n)
     payload = core._csv(("j1", "j2", "p_value"), pairs)
     if args.out:
-        _write_atomic(args.out, payload)
+        _write_atomic(args.out, [payload])
     else:
         sys.stdout.write(payload)
     _log(f"test-independence: {len(pairs)} pairs at n={args.n}")
@@ -299,7 +290,7 @@ def _cmd_preprocess_ratings(args) -> int:
     triples = synth.parse_ratings_csv(Path(args.input).read_text())
     given = _given(args, "item_threshold", "user_threshold", "cutoff")
     data = synth.preprocess_ratings(triples, coding=args.coding, **given)
-    _write_atomic(args.out, core.dataset_to_csv(data))
+    _write_atomic(args.out, [core.dataset_to_csv(data)])
     _log(
         f"preprocess-ratings: {data.n_rows} users x {data.n_variables} items, "
         f"{data.n_missing() / data.cells.size:.2%} missing"
@@ -363,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_table_flags(bench)
     bench.add_argument("--reps", type=_positive_int, default=20)
     bench.add_argument("--out", default=None,
-                       help="per-replication CSV (written incrementally)")
+                       help="per-replication CSV (rewritten after each replication)")
     bench.add_argument("--summary-out", default=None,
                        help="summary JSON output path")
     bench.add_argument("--jobs", type=_positive_int,

@@ -25,7 +25,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -708,12 +708,6 @@ def _document(models: Sequence[CollapsedModel]):
 def serialize_models(models: Sequence[CollapsedModel]) -> str:
     """Serialize a list of posterior draws as one JSON document."""
     return "".join(_document(models))
-
-
-def write_models(models: Sequence[CollapsedModel], fp: TextIO) -> None:
-    """Write the document of :func:`serialize_models` to the text file
-    ``fp`` draw by draw, without holding it in memory."""
-    fp.writelines(_document(models))
 
 
 def deserialize_models(text: str) -> list[CollapsedModel]:

@@ -104,8 +104,10 @@ __all__ = [
     "run_gibbs",
 ]
 
-# Largest accepted ``beta``: a Dirichlet draw sums gammas of shape about
-# beta over a variable's codes, which overflows near 1e308.
+# Accepted ``beta`` range.  A Dirichlet draw sums gammas of shape about
+# beta over a variable's codes, which overflows near 1e308; far below
+# 0.01 every observable gamma of a vector can underflow to 0 together.
+_BETA_MIN = 0.01
 _BETA_MAX = 1e300
 
 # Block passes (see _Chain.sweep).  A block spans _GROW times the
@@ -137,7 +139,7 @@ class GibbsConfig:
         Concentration of the partition prior.
     beta : float
         Flat Dirichlet pseudo-count of every code of every variable,
-        the missing code included; at most 1e300.
+        the missing code included; from 0.01 to 1e300.
     """
 
     burnin: int = 200
@@ -156,6 +158,9 @@ class GibbsConfig:
         if self.beta > _BETA_MAX:
             raise ValueError(
                 f"beta must be at most {_BETA_MAX:g}, got {self.beta:g}")
+        if self.beta < _BETA_MIN:
+            raise ValueError(
+                f"beta must be at least {_BETA_MIN:g}, got {self.beta:g}")
 
     @property
     def total_sweeps(self) -> int:

@@ -334,6 +334,8 @@ def parse_ratings_csv(text: str) -> list[tuple]:
             raise ParseError(
                 f"line {lineno}: expected at least 3 fields, found {len(fields)}"
             )
+        if "" in fields[:2]:
+            raise ParseError(f"line {lineno}: empty user or item identifier")
         user, item = (int(f) if _is_int(f) else f for f in fields[:2])
         try:
             rating = float(fields[2])

@@ -111,7 +111,12 @@ class TestFit:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_huge_beta_is_refused_with_its_bound(self, tmp_path, capsys):
+    @pytest.mark.parametrize("beta, message", [
+        ("1e308", "beta must be at most 1e+300, got 1e+308"),
+        ("0.005", "beta must be at least 0.01, got 0.005"),
+    ], ids=["1e308", "0.005"])
+    def test_huge_beta_is_refused_with_its_bound(self, tmp_path, capsys,
+                                                 beta, message):
         inp = tmp_path / "sim.csv"
         rc = cli.main(["simulate", "--protocol", "mixture", "--n", "30",
                        "--p", "5", "--seed", "0", "--out", str(inp)])
@@ -121,11 +126,21 @@ class TestFit:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = cli.main(["fit", str(inp), "--out", str(out),
-                           "--beta", "1e308"])
+                           "--beta", beta])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err == "error: beta must be at most 1e+300, got 1e+308\n"
+        assert err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_unwritable_out_is_named_as_given(self, tmp_path, capsys):
+        inp = _toy_csv(tmp_path)
+        out = tmp_path / "nodir" / "x.json"
+        rc = cli.main(["fit", str(inp), "--out", str(out), *FAST,
+                       "--progress-every", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: No such file or directory\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
 
     def test_code_beyond_int64_is_one_error_line(self, tmp_path, capsys):
         inp = tmp_path / "big.csv"
@@ -483,6 +498,33 @@ class TestBenchmark:
         assert "replication 1/3: accuracy=" in err
         assert "replication 2 failed: replication broke" in err
 
+    def test_out_holds_the_finished_replications_after_each(
+            self, tmp_path, monkeypatch):
+        real = metrics.run_replications
+        out = tmp_path / "reps.csv"
+        seen = []
+
+        def watched(*args, on_result, **kwargs):
+            assert out.read_text() == ""  # claimed before any fit
+
+            def check(i, rep):
+                on_result(i, rep)
+                seen.append((out.read_text(),
+                             [p.name for p in tmp_path.iterdir()]))
+
+            return real(*args, on_result=check, **kwargs)
+
+        monkeypatch.setattr(metrics, "run_replications", watched)
+        rc = cli.main(["benchmark", "--protocol", "mixture", "--reps", "3",
+                       "--n", "12", "--p", "4", "--k", "2", "--seed", "9",
+                       "--jobs", "1", *FAST, "--out", str(out)])
+        assert rc == 0
+        final = out.read_text().splitlines(keepends=True)
+        assert len(seen) == 3 and len(final) == 4
+        for i, (text, names) in enumerate(seen):
+            assert text == "".join(final[:i + 2])
+            assert names == ["reps.csv"]  # no temporary file is left
+
     def test_unknown_mechanism_is_a_usage_error(self):
         with pytest.raises(SystemExit) as err:
             cli.main(["benchmark", "--protocol", "mixture",
@@ -547,8 +589,9 @@ class TestBenchmark:
                        "--jobs", "1", *FAST,
                        "--out", str(tmp_path / "no" / "reps.csv")])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "replication" not in err
+        assert capsys.readouterr().err == (
+            f"error: cannot write {tmp_path / 'no' / 'reps.csv'}: "
+            "No such file or directory\n")
 
 
 class TestIndependence:
@@ -626,8 +669,8 @@ class TestPreprocessRatings:
 
 def test_atomic_writes_leave_no_leftovers(tmp_path):
     target = tmp_path / "out.txt"
-    cli._write_atomic(target, "first\n")
-    cli._write_atomic(target, "second\n")
+    cli._write_atomic(target, ["first\n"])
+    cli._write_atomic(target, iter(["sec", "ond\n"]))
     assert target.read_text() == "second\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 

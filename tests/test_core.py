@@ -1,4 +1,3 @@
-import io
 import json
 import math
 import sys
@@ -10,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import catmix
-from catmix import core, inference, metrics, sampler, synth
+from catmix import cli, core, inference, metrics, sampler, synth
 from catmix.core import (
     DEFAULT_CELL_LIMIT,
     CategoricalSchema,
@@ -27,7 +26,6 @@ from catmix.core import (
     parse_dataset,
     serialize_model,
     serialize_models,
-    write_models,
 )
 
 
@@ -405,12 +403,22 @@ class TestModelSerialization:
             assert np.array_equal(a.theta, b.theta)
             assert np.array_equal(a.tilde_psi, b.tilde_psi)
 
-    def test_written_document_is_the_serialized_one(self):
+    def test_written_document_is_the_serialized_one(self, tmp_path):
+        # catmix fit streams the draws document into its model file
         rng = np.random.default_rng(4)
-        models = [_random_model(rng, k=3), _random_model(rng, k=1)]
-        buf = io.StringIO()
-        write_models(models, buf)
-        assert buf.getvalue() == serialize_models(models)
+        cells = rng.integers(1, 4, size=(30, 3))
+        cells[rng.random(cells.shape) < 0.2] = 0
+        table = tmp_path / "data.csv"
+        table.write_text(dataset_to_csv(Dataset(CategoricalSchema([3] * 3),
+                                                cells)))
+        out = tmp_path / "model.json"
+        assert cli.main(["fit", str(table), "--out", str(out), "--seed", "4",
+                         "--burnin", "5", "--samples", "6", "--thin", "1",
+                         "--progress-every", "0"]) == 0
+        fit = sampler.run_gibbs(
+            parse_dataset(table.read_text()),
+            sampler.GibbsConfig(burnin=5, samples=6, thin=1), seed=4)
+        assert out.read_text() == serialize_models(fit.draws)
 
     def test_single_model_document_loads_as_one_draw(self):
         m = _random_model(np.random.default_rng(5))
@@ -461,9 +469,6 @@ class TestModelJsonLayout:
                              "draws": [_oracle_dict(m) for m in models]},
                             indent=2) + "\n"
         assert serialize_models(models) == oracle
-        buf = io.StringIO()
-        write_models(models, buf)
-        assert buf.getvalue() == oracle
 
     @pytest.mark.parametrize("k", [1, 4])
     def test_single_model_matches_json_dumps(self, k):
@@ -527,7 +532,7 @@ def test_package_surface_is_the_union_of_the_module_lists():
             (core, "DEFAULT_CELL_LIMIT"), (core, "MISSING"),
             (core, "NA_TOKEN"), (core, "as_generator"),
             (core, "padded_dirichlet"), (core, "rescale_missing"),
-            (core, "write_models"), (metrics, "PROTOCOLS"),
+            (metrics, "PROTOCOLS"),
             (metrics, "simulate")]:
         assert name not in catmix.__all__ and hasattr(module, name)
 

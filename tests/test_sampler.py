@@ -679,6 +679,11 @@ class TestGibbsConfig:
                 GibbsConfig(**{field: value})
         cfg = GibbsConfig(burnin=np.int64(1), samples=np.int32(2), thin=1)
         assert cfg.total_sweeps == 3
+        # far below 0.01 a Dirichlet draw's observable gammas can all be 0
+        with pytest.raises(ValueError,
+                           match="beta must be at least 0.01, got 0.005"):
+            GibbsConfig(beta=0.005)
+        assert GibbsConfig(beta=0.01).beta == 0.01
 
     @pytest.mark.parametrize("field", ["alpha", "beta"])
     @pytest.mark.parametrize(

@@ -242,9 +242,12 @@ def test_cli_hashes_print_one_line_per_stream_and_file(tmp_path, capsys,
     assert [line.split()[0] for line in lines[:streams]] == [
         f"{name}.{stream}" for name, _ in cli_hashes.COMMANDS
         for stream in ("stdout", "stderr")]
-    # every command succeeds but the fit of the malformed table
+    # every command succeeds but the fit of the malformed table, the fit
+    # into a missing directory and the benchmark whose replications fail
     exits = dict(line.split()[::2] for line in lines[1:streams:2])
     assert exits.pop("fit-malformed.stderr") == "exit=1"
+    assert exits.pop("fit-missing-dir.stderr") == "exit=1"
+    assert exits.pop("benchmark-failing.stderr") == "exit=1"
     assert set(exits.values()) == {"exit=0"}
     assert [line.split()[0] for line in lines[streams:]] == [
         "argmax.csv", "argmax.csv.cells.csv", "binary.csv", "complete.csv",

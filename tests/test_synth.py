@@ -282,6 +282,10 @@ class TestParseRatingsCsv:
             parse_ratings_csv("\nu,i,r\n1,2,3\n\n1,2,good\n")
         with pytest.raises(ParseError, match="empty"):
             parse_ratings_csv("")
+        # an empty item would be an empty column name, a blank header line
+        with pytest.raises(ParseError,
+                           match="line 3: empty user or item identifier"):
+            parse_ratings_csv("u,i,r\n1,2,3\n0, ,0.5\n")
 
 
 class TestPreprocessRatings:
