@@ -1,12 +1,12 @@
 """Compare two catmix checkouts with the repository benchmark, in pairs.
 
-    python3 scripts/bench_pairs.py --parent DIR_OR_REV --change DIR \
+    python3 scripts/bench_pairs.py --parent DIR_OR_REV --change DIR_OR_REV \
         --run levels:10 --run wide:1 --seed 1 --seconds 25 --out BENCH.json
 
-``--change`` names a checkout directory.  ``--parent`` names one too,
-or a git revision of the repository holding this script, which is then
-checked out with ``git worktree add --detach`` into a temporary
-directory that is removed when the script ends.
+``--parent`` and ``--change`` each name a checkout directory or a git
+revision of the repository holding this script.  A revision is checked
+out with ``git worktree add --detach`` into a temporary directory that
+is removed when the script ends, so both sides can be clean trees.
 
 Each ``--run WORKLOAD:PAIRS`` makes PAIRS pairs of
 ``python3 bench/run.py --workload WORKLOAD --seed SEED --seconds S``,
@@ -207,19 +207,18 @@ def host() -> dict:
             "cpu_count": os.cpu_count(), "system": platform.system()}
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, metavar="DIR_OR_REV")
-    ap.add_argument("--change", required=True, type=Path)
+    ap.add_argument("--change", required=True, metavar="DIR_OR_REV")
     ap.add_argument("--run", action="append", required=True,
                     metavar="WORKLOAD:PAIRS")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=int, default=25)
     ap.add_argument("--out", required=True, type=Path)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     with contextlib.ExitStack() as stack:
-        dirs = {"parent": checkout(args.parent, stack),
-                "change": args.change}
+        dirs = {side: checkout(getattr(args, side), stack) for side in SIDES}
         run_pairs(args, dirs)
     return 0
 

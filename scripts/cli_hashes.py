@@ -14,11 +14,12 @@ point-mass truth model), ``fit`` of a malformed inline table, which
 exits 1 with one error line, ``test-independence`` (to stdout and to
 ``--out``), ``benchmark --reps 3 --jobs 1`` with ``--out`` and
 ``--summary-out``, ``preprocess-ratings`` (binary and five) on a small
-inline ratings table, and two commands that exit 1: ``fit --out`` into a
-missing directory, and a ``benchmark --out`` whose every replication
-fails.  It prints one ``name sha1`` line for each
-command's stdout, one ``name sha1 exit=N`` line for its stderr and exit
-code, and then one ``name sha1`` line for each file the commands wrote.
+inline ratings table, and three commands that exit 1: ``fit --out``
+into a missing directory, ``fit --k-histogram`` into a missing
+directory, and a ``benchmark --out`` whose every replication fails.  It
+prints one ``name sha1`` line for each command's stdout, one ``name
+sha1 exit=N`` line for its stderr and exit code, and then one ``name
+sha1`` line for each file the commands wrote.
 The elapsed seconds in ``fit``'s summary line are masked.
 
 ``--src`` names the directory that holds the ``catmix`` package
@@ -111,6 +112,9 @@ COMMANDS = (
                       "--out", "five.csv"]),
     ("fit-missing-dir", ["fit", "mixture.csv", "--out", "nodir/x.json",
                          "--seed", "3", *FAST, "--progress-every", "0"]),
+    ("fit-missing-khist", ["fit", "mixture.csv", "--out", "unkept.json",
+                           "--k-histogram", "nodir/k.csv", "--seed", "3",
+                           *FAST, "--progress-every", "0"]),
     # MNAR masking needs binary variables, so every replication fails
     ("benchmark-failing", ["benchmark", "--protocol", "mixture", "--reps",
                            "2", "--jobs", "1", "--n", "8", "--p", "3",

@@ -2,19 +2,24 @@
 Command line entry points.
 
 Every subcommand honors ``--seed`` for end-to-end reproducibility,
-writes every output file atomically (temp file plus rename), and logs
-only to standard error.  ``benchmark --out`` is claimed before any fit,
-rewritten after each replication, and removed if none finishes.
-``impute`` writes its cell CSV a block of cells at a time.  Exit codes:
-0 on success, 1 on runtime or contract errors, 2 on usage errors.
+writes its output files atomically (temp files, all opened before any
+work and renamed once all are written), and logs only to standard
+error.  ``fit`` writes each retained draw as the chain keeps it, so its
+memory does not grow with ``--samples`` unless ``--summary`` pools the
+draws.  ``benchmark --out`` is claimed before any fit, rewritten after
+each replication, and removed if none is written.  ``impute`` writes its
+cell CSV a block of cells at a time.  Exit codes: 0 on success, 1 on
+runtime or contract errors, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 from catmix import core, inference, metrics, sampler, synth
@@ -67,21 +72,26 @@ def _int_list(text: str) -> tuple[int, ...]:
         ) from None
 
 
-def _write_atomic(path, pieces) -> None:
-    """Write the text ``pieces``, an iterable of strings, to ``path``
-    through a temporary file, so that a large document need not be
-    built first.  An ``OSError`` names ``path``, not the temporary file.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
-    try:
-        with open(tmp, "w") as f:
-            f.writelines(pieces)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
-    finally:
-        tmp.unlink(missing_ok=True)
+def _write_atomic(*outputs) -> None:
+    """Write each ``(path, pieces)`` of ``outputs``, ``pieces`` an iterable
+    of strings, through a temporary file opened before any piece is read
+    and renamed once every file is written, so that an unwritable path is
+    refused before any work and a failure while writing leaves no file.
+    An ``OSError`` names the path as given, not the temporary file."""
+    with contextlib.ExitStack() as stack:
+        try:
+            files = []
+            for i, (path, _) in enumerate(outputs):
+                tmp = Path(path).with_name(f".{Path(path).name}.tmp{os.getpid()}.{i}")
+                stack.callback(tmp.unlink, missing_ok=True)
+                files.append((tmp, stack.enter_context(open(tmp, "w"))))
+            for (path, pieces), (_, f) in zip(outputs, files):
+                with f:
+                    f.writelines(pieces)
+            for (path, _), (tmp, _) in zip(outputs, files):
+                os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _log(message: str) -> None:
@@ -167,23 +177,31 @@ def _cmd_fit(args) -> int:
     text = Path(args.input).read_text()
     schema = core.CategoricalSchema(args.schema) if args.schema else None
     data = core.parse_dataset(text, schema)
-    sample = sampler.run_gibbs(
-        data, _gibbs_config(args), seed=args.seed,
-        progress=None if args.progress_every == 0 else sys.stderr,
-        **({"progress_every": args.progress_every} if args.progress_every else {}),
-    )
-    if args.summary:
-        pieces = [core.serialize_model(inference.pool_draws(sample))]
-    else:
-        pieces = core._document(sample.draws)
-    _write_atomic(args.out, pieces)
-    khist_path = args.k_histogram or f"{args.out}.khist.csv"
-    _write_atomic(khist_path, [core._csv(("k", "count"),
-                                         sorted(sample.k_histogram.items()))])
+    config = _gibbs_config(args)
+    started = time.perf_counter()
+    k_values: list[int] = []
+
+    def draws():
+        for state, model in sampler._retained(data, config, args.seed,
+                                              args.progress_every):
+            k_values.append(state.k)
+            yield model
+
+    def pooled():
+        yield core.serialize_model(inference.pool_draws(draws()))
+
+    def histogram():
+        hist = sampler._k_histogram(k_values)
+        yield core._csv(("k", "count"), sorted(hist.items()))
+
+    # the chain runs as the model file is written, once both are open
+    _write_atomic((args.out, pooled() if args.summary
+                   else core._document(draws())),
+                  (args.k_histogram or f"{args.out}.khist.csv", histogram()))
     _log(
         f"fit: {data.n_rows} rows, {data.n_variables} variables, "
-        f"{len(sample.draws)} draws, modal k={sample.modal_k}, "
-        f"{sample.elapsed_seconds:.1f}s"
+        f"{len(k_values)} draws, modal k={sampler._modal_k(k_values)}, "
+        f"{time.perf_counter() - started:.1f}s"
     )
     return 0
 
@@ -193,9 +211,9 @@ def _cmd_impute(args) -> int:
     schema = draws[0].schema
     data = core.parse_dataset(Path(args.input).read_text(), schema)
     result = inference.impute(data, draws, rule=args.rule, seed=args.seed)
-    _write_atomic(args.out, [core.dataset_to_csv(result.completed)])
-    _write_atomic(args.cell_posterior or f"{args.out}.cells.csv",
-                  core._cell_lines(data.column_names, result.cell_posteriors))
+    _write_atomic((args.out, [core.dataset_to_csv(result.completed)]),
+                  (args.cell_posterior or f"{args.out}.cells.csv",
+                   core._cell_lines(data.column_names, result.cell_posteriors)))
     _log(
         f"impute: filled {len(result.cell_posteriors)} cells "
         f"({args.rule} rule) in {data.n_rows} rows"
@@ -214,15 +232,15 @@ def _cmd_simulate(args) -> int:
     else:
         out_data, record = synth.mask(data, mechanism, seed=rng)
 
-    _write_atomic(args.out, [core.dataset_to_csv(out_data)])
+    _write_atomic((args.out, [core.dataset_to_csv(out_data)]))
     if args.complete_out:
-        _write_atomic(args.complete_out, [core.dataset_to_csv(data)])
+        _write_atomic((args.complete_out, [core.dataset_to_csv(data)]))
     if args.truth_out:
-        _write_atomic(args.truth_out, [core.serialize_model(truth_model)])
+        _write_atomic((args.truth_out, [core.serialize_model(truth_model)]))
     if args.mask_out:
         names = [data.column_names[j] for j in record.cols.tolist()]
         cells = zip(record.rows.tolist(), names, record.values.tolist())
-        _write_atomic(args.mask_out, [core._csv(("row", "column", "value"), cells)])
+        _write_atomic((args.mask_out, [core._csv(("row", "column", "value"), cells)]))
     _log(
         f"simulate: {data.n_rows}x{data.n_variables} {args.protocol} data, "
         f"{len(record)} cells masked"
@@ -235,21 +253,21 @@ def _cmd_benchmark(args) -> int:
     gibbs = _gibbs_config(args)
     results: list[dict] = []
 
-    def report() -> metrics.ReplicationReport:
+    def report(reps) -> metrics.ReplicationReport:
         return metrics.ReplicationReport(
             protocol=args.protocol, mechanism=mechanism,
-            per_replication=tuple(results), seed=args.seed,
+            per_replication=tuple(reps), seed=args.seed,
         )
 
     def on_result(i: int, rep: dict) -> None:
-        results.append(rep)
-        if args.out:
-            _write_atomic(args.out, [report().to_csv()])
         shown = ", ".join(f"{k}={v:.4f}" for k, v in rep.items())
         _log(f"replication {i + 1}/{args.reps}: {shown}")
+        if args.out:
+            _write_atomic((args.out, [report(results + [rep]).to_csv()]))
+        results.append(rep)
 
     if args.out:
-        _write_atomic(args.out, [])  # an unwritable path fails before any fit
+        _write_atomic((args.out, []))  # an unwritable path fails before any fit
     failed = False
     try:
         metrics.run_replications(
@@ -257,17 +275,20 @@ def _cmd_benchmark(args) -> int:
             seed=args.seed, jobs=args.jobs, on_result=on_result,
             **_given(args, *_TABLE),
         )
+    except OSError:
+        raise  # writing --out failed (or the system did); main names it
     except Exception as exc:
         failed = True
         _log(f"replication {len(results) + 1} failed: {exc}")
+    finally:
+        if args.out and not results:
+            Path(args.out).unlink(missing_ok=True)
 
     if not results:
-        if args.out:
-            Path(args.out).unlink(missing_ok=True)
         return 1
-    final = report()
+    final = report(results)
     if args.summary_out:
-        _write_atomic(args.summary_out, [json.dumps(final.summary(), indent=2) + "\n"])
+        _write_atomic((args.summary_out, [json.dumps(final.summary(), indent=2) + "\n"]))
     for name in final.metric_names:
         _log(f"{name}: mean={final.means[name]:.4f} sd={final.sds[name]:.4f}")
     return 1 if failed else 0
@@ -279,7 +300,7 @@ def _cmd_test_independence(args) -> int:
     pairs = inference.pairwise_independence(pooled, args.n)
     payload = core._csv(("j1", "j2", "p_value"), pairs)
     if args.out:
-        _write_atomic(args.out, [payload])
+        _write_atomic((args.out, [payload]))
     else:
         sys.stdout.write(payload)
     _log(f"test-independence: {len(pairs)} pairs at n={args.n}")
@@ -290,7 +311,7 @@ def _cmd_preprocess_ratings(args) -> int:
     triples = synth.parse_ratings_csv(Path(args.input).read_text())
     given = _given(args, "item_threshold", "user_threshold", "cutoff")
     data = synth.preprocess_ratings(triples, coding=args.coding, **given)
-    _write_atomic(args.out, [core.dataset_to_csv(data)])
+    _write_atomic((args.out, [core.dataset_to_csv(data)]))
     _log(
         f"preprocess-ratings: {data.n_rows} users x {data.n_variables} items, "
         f"{data.n_missing() / data.cells.size:.2%} missing"
@@ -323,8 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="component-count histogram CSV (default OUT.khist.csv)")
     fit.add_argument("--seed", type=int, default=None)
     _add_gibbs_flags(fit)
-    fit.add_argument("--progress-every", type=_nonneg_int,
-                     help="progress line interval in sweeps; 0 silences")
+    fit.add_argument("--progress-every", type=_nonneg_int, default=50,
+                     help="progress line interval in sweeps; 0 silences "
+                          "(default %(default)s)")
     fit.set_defaults(func=_cmd_fit)
 
     imp = subs.add_parser("impute", help="fill missing cells from a fitted model")

@@ -25,7 +25,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -656,13 +656,13 @@ def _json_list(items, pad: str) -> str:
     return "[" + inner[1:] + inner.join(items) + "\n" + pad + "]"
 
 
-def _model_texts(models: Sequence[CollapsedModel], pad: str):
-    """Yield each model's :func:`model_to_dict` document, laid out as
-    ``json.dumps(..., indent=2)`` lays it out at indent ``pad``.  One
+def _model_texts(models: Iterable[CollapsedModel], schema, pad: str):
+    """Yield the :func:`model_to_dict` document of each model of ``schema``
+    as ``json.dumps(..., indent=2)`` lays it out at indent ``pad``.  One
     ``%r`` template per distinct k takes theta, then tilde psi's real
     entries: ``repr`` of a finite float is the text ``json`` writes."""
-    cards = models[0].schema.cardinalities
-    real = np.arange(max(cards)) < models[0].schema.codes_array()[:, None]
+    cards = schema.cardinalities
+    real = np.arange(max(cards)) < schema.codes_array()[:, None]
     key = pad + "  "
     head = (f'{{\n{key}"k": %d,\n{key}"cardinalities": '
             f'{_json_list(map(str, cards), key)},\n{key}"theta": ')
@@ -680,32 +680,36 @@ def _model_texts(models: Sequence[CollapsedModel], pad: str):
 
 def serialize_model(model: CollapsedModel) -> str:
     """Serialize one model as a JSON document (bit exact round trip)."""
-    return next(_model_texts([model], "")) + "\n"
+    return next(_model_texts([model], model.schema, "")) + "\n"
 
 
-def _draw_list(models: Iterable[CollapsedModel], error=ValueError) -> list:
-    """``models`` as a list; raises ``error`` unless it is nonempty and
-    its draws share one schema."""
-    models = list(models)
-    if not models:
+def _checked(models: Iterable[CollapsedModel], error=ValueError):
+    """Yield ``models`` as they arrive; raises ``error`` unless they are
+    at least one and share one schema."""
+    cards = None
+    for m in models:
+        cards = cards or m.schema.cardinalities
+        if m.schema.cardinalities != cards:
+            raise error("draws disagree on cardinalities")
+        yield m
+    if cards is None:
         raise error("need at least one posterior draw")
-    cards = models[0].schema.cardinalities
-    if any(m.schema.cardinalities != cards for m in models):
-        raise error("draws disagree on cardinalities")
-    return models
 
 
-def _document(models: Sequence[CollapsedModel]):
-    """Yield :func:`serialize_models`'s document, one piece per draw."""
-    models = _draw_list(models)
-    cards = _json_list(map(str, models[0].schema.cardinalities), "  ")
+def _document(models: Iterable[CollapsedModel]):
+    """Yield :func:`serialize_models`'s document, one piece per draw as
+    the draws arrive."""
+    draws = _checked(models)
+    first = next(draws)
+    cards = _json_list(map(str, first.schema.cardinalities), "  ")
     yield f'{{\n  "cardinalities": {cards},\n  "draws": ['
-    for i, text in enumerate(_model_texts(models, "    ")):
+    texts = _model_texts(itertools.chain([first], draws), first.schema, "    ")
+    for i, text in enumerate(texts):
         yield (",\n    " if i else "\n    ") + text
     yield "\n  ]\n}\n"
 
 
-def serialize_models(models: Sequence[CollapsedModel]) -> str:
+def serialize_models(models: Iterable[CollapsedModel]) -> str:
     """Serialize a list of posterior draws as one JSON document."""
     return "".join(_document(models))
 
@@ -724,5 +728,5 @@ def deserialize_models(text: str) -> list[CollapsedModel]:
         draws = obj["draws"]
         if not isinstance(draws, list):
             raise LoadError("'draws' must be a list")
-        return _draw_list(map(model_from_dict, draws), LoadError)
+        return list(_checked(map(model_from_dict, draws), LoadError))
     return [model_from_dict(obj)]

@@ -23,7 +23,7 @@ from catmix.core import (
     _check_shape,
     _check_tables,
     _check_weights,
-    _draw_list,
+    _checked,
     _freeze,
     as_generator,
     rescale_missing,
@@ -76,7 +76,7 @@ def _as_draws(posterior) -> list[CollapsedModel]:
     for m in draws:
         if not isinstance(m, CollapsedModel):
             raise ValueError(f"expected CollapsedModel draws, got {type(m).__name__}")
-    return _draw_list(draws)
+    return list(_checked(draws))
 
 
 def pool_draws(posterior) -> CollapsedModel:

@@ -144,14 +144,15 @@ class ReplicationReport:
         return _csv(("replication", *self.metric_names), rows)
 
     def summary(self) -> dict:
-        """JSON-friendly summary block."""
+        """JSON-friendly summary block; an undefined spread is ``None``."""
+        sds = {m: None if math.isnan(sd) else sd for m, sd in self.sds.items()}
         return {
             "protocol": self.protocol,
             "mechanism": self.mechanism.kind,
             "replications": self.n_replications,
             "seed": self.seed if isinstance(self.seed, (int, type(None))) else repr(self.seed),
             "metrics": {
-                m: {"mean": self.means[m], "sd": self.sds[m]}
+                m: {"mean": self.means[m], "sd": sds[m]}
                 for m in self.metric_names
             },
         }

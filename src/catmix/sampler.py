@@ -75,15 +75,18 @@ sweep after one in which about a third of the rows or more moved.
 Missing cells simply carry the code 0 and participate in the products
 above like any other category; no special casing happens inside the
 sampler.  The division by the missing mass is deferred to
-:func:`collapse_state`.
+:func:`collapse_state`, which one loop applies to each retained state:
+:func:`run_gibbs` collects the draws, and ``catmix fit`` writes each one
+to its model file as the loop keeps it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
-from typing import Iterator, TextIO
+from typing import Iterator
 
 import numpy as np
 
@@ -194,14 +197,22 @@ class PosteriorSample:
     @property
     def k_histogram(self) -> dict[int, int]:
         """Map from component count to how many retained draws had it."""
-        ks, freq = np.unique(self.k_values, return_counts=True)
-        return {int(a): int(b) for a, b in zip(ks, freq)}
+        return _k_histogram(self.k_values)
 
     @property
     def modal_k(self) -> int:
         """Most frequent component count; ties go to the smaller count."""
-        hist = self.k_histogram
-        return min(hist, key=lambda k: (-hist[k], k))
+        return _modal_k(self.k_values)
+
+
+def _k_histogram(k_values) -> dict[int, int]:
+    ks, freq = np.unique(k_values, return_counts=True)
+    return {int(a): int(b) for a, b in zip(ks, freq)}
+
+
+def _modal_k(k_values) -> int:
+    hist = _k_histogram(k_values)
+    return min(hist, key=lambda k: (-hist[k], k))
 
 
 # ---------------------------------------------------------------------------
@@ -517,9 +528,22 @@ def iterate_states(data: Dataset, config: GibbsConfig = GibbsConfig(),
         yield ModelState(data.schema, *ch.labels(), psi)
 
 
-def run_gibbs(data: Dataset, config: GibbsConfig | None = None, seed=None,
-              progress: TextIO | None = None,
-              progress_every: int = 50) -> PosteriorSample:
+def _retained(data: Dataset, config: GibbsConfig, seed=None,
+              every: int = 0) -> Iterator[tuple[ModelState, CollapsedModel]]:
+    """Yield each retained sweep's state and its collapse, the last sweep
+    among them; unless ``every`` is 0, print ``sweep <t>/<T> k=<k>`` to
+    standard error every ``every`` sweeps and after the last one."""
+    sweeps = config.total_sweeps
+    states = iterate_states(data, config, sweeps=sweeps, seed=seed)
+    for t, state in enumerate(states, start=1):
+        if every and (t % every == 0 or t == sweeps):
+            print(f"sweep {t}/{sweeps} k={state.k}", file=sys.stderr)
+        if config.retained(t):
+            yield state, collapse_state(state)
+
+
+def run_gibbs(data: Dataset, config: GibbsConfig | None = None,
+              seed=None) -> PosteriorSample:
     """Fit the mixture by collapsed Gibbs sampling.
 
     Runs ``burnin + samples * thin`` sweeps and keeps every ``thin``-th
@@ -531,11 +555,6 @@ def run_gibbs(data: Dataset, config: GibbsConfig | None = None, seed=None,
     config : GibbsConfig, optional
         Schedule and priors; defaults to ``GibbsConfig()``.
     seed : int, SeedSequence or Generator, optional
-    progress : text stream, optional
-        When given, a line ``sweep <t>/<T> k=<k>`` is written every
-        ``progress_every`` sweeps and after the final one.
-    progress_every : int
-        At least 1, with or without ``progress``.
 
     Returns
     -------
@@ -543,23 +562,15 @@ def run_gibbs(data: Dataset, config: GibbsConfig | None = None, seed=None,
     """
     if config is None:
         config = GibbsConfig()
-    _check_count("progress_every", progress_every, 1)
     started = time.perf_counter()
     draws: list[CollapsedModel] = []
     k_values: list[int] = []
-    state = None
-    sweeps = config.total_sweeps
-    states = iterate_states(data, config, sweeps=sweeps, seed=seed)
-    for t, state in enumerate(states, start=1):
-        if progress is not None and (t % progress_every == 0 or t == sweeps):
-            print(f"sweep {t}/{sweeps} k={state.k}", file=progress)
-        if config.retained(t):
-            draws.append(collapse_state(state))
-            k_values.append(state.k)
+    for state, model in _retained(data, config, seed):
+        draws.append(model)
+        k_values.append(state.k)
     return PosteriorSample(
         draws=tuple(draws),
         k_values=np.asarray(k_values, dtype=np.int64),
         final_state=state,
         elapsed_seconds=time.perf_counter() - started,
     )
-

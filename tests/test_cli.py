@@ -1,13 +1,15 @@
 import json
 import math
+import re
 import shutil
 import subprocess
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from catmix import cli, metrics
+from catmix import cli, metrics, sampler
 from catmix.core import (
     CategoricalSchema,
     CollapsedModel,
@@ -18,7 +20,7 @@ from catmix.core import (
     serialize_model,
 )
 from catmix.metrics import run_replications
-from catmix.sampler import GibbsConfig
+from catmix.sampler import GibbsConfig, run_gibbs
 from catmix.synth import MechanismSpec, mask, sample_mixture_dataset
 
 FAST = ["--burnin", "20", "--samples", "10", "--thin", "1"]
@@ -141,6 +143,104 @@ class TestFit:
         assert capsys.readouterr().err == (
             f"error: cannot write {out}: No such file or directory\n")
         assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
+
+    @pytest.mark.parametrize("summary", [[], ["--summary"]],
+                             ids=["draws", "summary"])
+    @pytest.mark.parametrize("flag", ["--out", "--k-histogram"])
+    def test_unwritable_output_is_refused_before_any_sweep(
+            self, tmp_path, capsys, monkeypatch, flag, summary):
+        def no_sweeps(*args, **kwargs):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(sampler._Chain, "sweep", no_sweeps)
+        inp = _toy_csv(tmp_path)
+        missing = tmp_path / "nodir" / "x.csv"
+        outputs = {"--out": str(tmp_path / "m.json"),
+                   "--k-histogram": str(tmp_path / "k.csv"), flag: str(missing)}
+        rc = cli.main(["fit", str(inp), *FAST, *summary,
+                       *[a for pair in outputs.items() for a in pair]])
+        assert rc == 1
+        # no model is left beside a histogram that could not be written
+        assert capsys.readouterr().err == (
+            f"error: cannot write {missing}: No such file or directory\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
+
+    def test_memory_does_not_grow_with_samples(self, tmp_path):
+        # a held draw is (k, 2, 100) floats, so holding the 360 more
+        # draws would add about 1 MB here
+        cards = [2, 100]
+        rng = np.random.default_rng(1)
+        cells = rng.integers(1, np.array(cards) + 1, size=(40, 2))
+        cells[rng.random(cells.shape) < 0.2] = 0
+        inp = tmp_path / "wide.csv"
+        inp.write_text(dataset_to_csv(Dataset(CategoricalSchema(cards), cells)))
+
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                assert cli.main([
+                    "fit", str(inp), "--out", str(tmp_path / "m.json"),
+                    "--schema", "2,100", "--burnin", "5", "--thin", "1",
+                    "--samples", str(samples), "--seed", "0",
+                    "--progress-every", "0"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        few, many = peak(40), peak(400)
+        assert len(deserialize_models((tmp_path / "m.json").read_text())) == 400
+        assert many < few + 100_000
+
+    def test_progress_lines(self, tmp_path, capsys):
+        inp = _toy_csv(tmp_path)
+        rc = cli.main(["fit", str(inp), "--out", str(tmp_path / "m.json"),
+                       "--seed", "0", "--burnin", "1", "--samples", "2",
+                       "--thin", "2", "--progress-every", "2"])
+        assert rc == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[-1].startswith("fit: ")
+        lines = lines[:-1]
+        assert len(lines) == 3  # sweeps 2, 4 and the final 5
+        assert all(re.fullmatch(r"sweep \d+/5 k=\d+", s) for s in lines)
+        assert lines[-1].startswith("sweep 5/5")
+
+    def test_progress_lines_report_the_live_component_count(self, tmp_path,
+                                                            capsys):
+        inp = _toy_csv(tmp_path)
+        rc = cli.main(["fit", str(inp), "--out", str(tmp_path / "m.json"),
+                       "--seed", "2", "--burnin", "0", "--samples", "6",
+                       "--thin", "1", "--alpha", "5", "--progress-every", "1"])
+        assert rc == 0
+        fit = run_gibbs(parse_dataset(inp.read_text()),
+                        GibbsConfig(burnin=0, samples=6, thin=1, alpha=5.0),
+                        seed=2)
+        assert capsys.readouterr().err.splitlines()[:-1] == [
+            f"sweep {t}/6 k={k}" for t, k in enumerate(fit.k_values, start=1)]
+
+    def test_rejects_bad_progress_interval(self, tmp_path, capsys,
+                                           monkeypatch):
+        def no_sweeps(*args, **kwargs):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(sampler._Chain, "sweep", no_sweeps)
+        inp = _toy_csv(tmp_path)
+        for every, message in (("-1", "must be >= 0, got -1"),
+                               ("1.5", "'1.5' is not an integer"),
+                               ("True", "'True' is not an integer")):
+            # refused before the first sweep runs
+            with pytest.raises(SystemExit) as err:
+                cli.main(["fit", str(inp), "--out", str(tmp_path / "m.json"),
+                          "--progress-every", every])
+            assert err.value.code == 2
+            assert capsys.readouterr().err.splitlines()[-1].endswith(
+                f"argument --progress-every: {message}")
+        assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
+
+    def test_help_states_the_progress_interval_default(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["fit", "--help"])
+        assert re.search(r"0 silences\s+\(default\s+50\)",
+                         capsys.readouterr().out)
 
     def test_code_beyond_int64_is_one_error_line(self, tmp_path, capsys):
         inp = tmp_path / "big.csv"
@@ -525,6 +625,43 @@ class TestBenchmark:
             assert text == "".join(final[:i + 2])
             assert names == ["reps.csv"]  # no temporary file is left
 
+    def test_failed_rewrite_is_one_error_naming_the_file(
+            self, tmp_path, capsys, monkeypatch):
+        real = cli._write_atomic
+        out = tmp_path / "r.csv"
+        calls = []
+
+        def second_fails(*outputs):
+            calls.append(outputs)
+            if len(calls) == 2:  # the rewrite after replication 1
+                raise OSError(f"cannot write {out}: No space left on device")
+            return real(*outputs)
+
+        monkeypatch.setattr(cli, "_write_atomic", second_fails)
+        rc = cli.main(["benchmark", "--protocol", "mixture", "--reps", "3",
+                       "--n", "12", "--p", "4", "--k", "2", "--seed", "9",
+                       "--jobs", "1", *FAST, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert err[0].startswith("replication 1/3: accuracy=")
+        assert err[1] == f"error: cannot write {out}: No space left on device"
+        # no replication was written, so --out goes
+        assert list(tmp_path.iterdir()) == []
+
+    def test_summary_of_one_replication_is_strict_json(self, tmp_path):
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        summary = tmp_path / "summary.json"
+        rc = cli.main(["benchmark", "--protocol", "mixture", "--reps", "1",
+                       "--n", "12", "--p", "4", "--seed", "9", "--jobs", "1",
+                       *FAST, "--summary-out", str(summary)])
+        assert rc == 0
+        blob = json.loads(summary.read_text(), parse_constant=refuse)
+        for stats in blob["metrics"].values():
+            assert stats["sd"] is None and math.isfinite(stats["mean"])
+
     def test_unknown_mechanism_is_a_usage_error(self):
         with pytest.raises(SystemExit) as err:
             cli.main(["benchmark", "--protocol", "mixture",
@@ -669,8 +806,19 @@ class TestPreprocessRatings:
 
 def test_atomic_writes_leave_no_leftovers(tmp_path):
     target = tmp_path / "out.txt"
-    cli._write_atomic(target, ["first\n"])
-    cli._write_atomic(target, iter(["sec", "ond\n"]))
+    cli._write_atomic((target, ["first\n"]))
+    cli._write_atomic((target, iter(["sec", "ond\n"])))
+    assert target.read_text() == "second\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def broken():
+        yield "partial\n"
+        raise ValueError("broken")
+
+    # a failure in a later file leaves every file of the write as it was
+    with pytest.raises(ValueError, match="broken"):
+        cli._write_atomic((target, ["third\n"]),
+                          (tmp_path / "other.txt", broken()))
     assert target.read_text() == "second\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 

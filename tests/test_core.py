@@ -768,7 +768,8 @@ class TestReadersAgainstReferences:
 
         def load(model_from_dict):
             draws = json.loads(text)["draws"]
-            models = core._draw_list(map(model_from_dict, draws), LoadError)
+            models = list(core._checked(map(model_from_dict, draws),
+                                        LoadError))
             return [(m.theta.tobytes(), m.tilde_psi.tobytes()) for m in models]
 
         assert (_outcome(load, core.model_from_dict)

@@ -1,5 +1,3 @@
-import io
-import re
 import tracemalloc
 import warnings
 
@@ -291,26 +289,6 @@ def test_iterate_states_yields_valid_sorted_states():
         assert counts.sum() == data.n_rows
         assert (counts >= 1).all()
         assert (np.diff(counts) <= 0).all()
-
-
-def test_run_gibbs_progress_lines():
-    data = _toy_data(3, n=5)
-    buf = io.StringIO()
-    run_gibbs(data, GibbsConfig(burnin=1, samples=2, thin=2), seed=0,
-              progress=buf, progress_every=2)
-    lines = buf.getvalue().splitlines()
-    assert len(lines) == 3  # sweeps 2, 4 and the final 5
-    assert all(re.fullmatch(r"sweep \d+/5 k=\d+", s) for s in lines)
-    assert lines[-1].startswith("sweep 5/5")
-
-
-def test_progress_lines_report_the_live_component_count():
-    data = _toy_data(3, n=12)
-    buf = io.StringIO()
-    fit = run_gibbs(data, GibbsConfig(burnin=0, samples=6, thin=1, alpha=5.0),
-                    seed=2, progress=buf, progress_every=1)
-    assert buf.getvalue().splitlines() == [
-        f"sweep {t}/6 k={k}" for t, k in enumerate(fit.k_values, start=1)]
 
 
 def _per_variable_dirichlet(cards):
@@ -635,20 +613,6 @@ def test_iterate_states_rejects_bad_arguments():
         with pytest.raises(ValueError, match="sweeps must be an integer"):
             list(iterate_states(data, sweeps=sweeps))
     assert len(list(iterate_states(data, sweeps=np.int64(2), seed=0))) == 2
-
-
-def test_run_gibbs_rejects_bad_progress_interval(monkeypatch):
-    def no_sweeps(*args, **kwargs):
-        raise AssertionError("a sweep ran")
-
-    monkeypatch.setattr(sampler._Chain, "sweep", no_sweeps)
-    for every, match in ((0, ">= 1"), (-1, ">= 1"), (1.5, "an integer"),
-                         (True, "an integer")):
-        # refused before the first sweep runs
-        with pytest.raises(ValueError,
-                           match=f"progress_every must be {match}"):
-            run_gibbs(_toy_data(0), seed=0, progress=io.StringIO(),
-                      progress_every=every)
 
 
 class TestGibbsConfig:

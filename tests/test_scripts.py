@@ -60,7 +60,8 @@ def test_a_directory_is_used_as_it_is(bench_pairs, tmp_path):
     assert tmp_path.is_dir()
 
 
-def test_a_revision_is_checked_out_and_removed_afterwards(bench_pairs):
+def test_a_revision_is_checked_out_and_removed_afterwards(
+        bench_pairs, tmp_path, monkeypatch):
     module, repo = bench_pairs
     with contextlib.ExitStack() as stack:
         tree = module.checkout("HEAD~1", stack)
@@ -68,6 +69,24 @@ def test_a_revision_is_checked_out_and_removed_afterwards(bench_pairs):
         assert len(_worktrees(repo)) == 2
     assert not tree.exists()
     assert not tree.parent.exists()
+    assert len(_worktrees(repo)) == 1
+
+    # --parent and --change alike take a revision
+    seen = {}
+
+    def record(args, dirs):
+        seen.update({side: (d, (d / "marker.txt").read_text())
+                     for side, d in dirs.items()})
+        seen["worktrees"] = len(_worktrees(repo))
+
+    monkeypatch.setattr(module, "run_pairs", record)
+    assert module.main(["--parent", "HEAD~1", "--change", "HEAD",
+                        "--run", "wide:1", "--out",
+                        str(tmp_path / "pairs.json")]) == 0
+    assert seen["parent"][1] == "first\n"
+    assert seen["change"][1] == "second\n"
+    assert seen["worktrees"] == 3
+    assert not seen["parent"][0].exists() and not seen["change"][0].exists()
     assert len(_worktrees(repo)) == 1
 
 
@@ -242,11 +261,13 @@ def test_cli_hashes_print_one_line_per_stream_and_file(tmp_path, capsys,
     assert [line.split()[0] for line in lines[:streams]] == [
         f"{name}.{stream}" for name, _ in cli_hashes.COMMANDS
         for stream in ("stdout", "stderr")]
-    # every command succeeds but the fit of the malformed table, the fit
-    # into a missing directory and the benchmark whose replications fail
+    # every command succeeds but the fit of the malformed table, the fits
+    # into a missing directory and the benchmark whose replications fail;
+    # the fit whose histogram cannot be written leaves no model behind
     exits = dict(line.split()[::2] for line in lines[1:streams:2])
     assert exits.pop("fit-malformed.stderr") == "exit=1"
     assert exits.pop("fit-missing-dir.stderr") == "exit=1"
+    assert exits.pop("fit-missing-khist.stderr") == "exit=1"
     assert exits.pop("benchmark-failing.stderr") == "exit=1"
     assert set(exits.values()) == {"exit=0"}
     assert [line.split()[0] for line in lines[streams:]] == [
