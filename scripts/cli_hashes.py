@@ -14,9 +14,12 @@ point-mass truth model), ``fit`` of a malformed inline table, which
 exits 1 with one error line, ``test-independence`` (to stdout and to
 ``--out``), ``benchmark --reps 3 --jobs 1`` with ``--out`` and
 ``--summary-out``, ``preprocess-ratings`` (binary and five) on a small
-inline ratings table, and three commands that exit 1: ``fit --out``
+inline ratings table, and six commands that exit 1: ``fit --out``
 into a missing directory, ``fit --k-histogram`` into a missing
-directory, and a ``benchmark --out`` whose every replication fails.  It
+directory, a ``benchmark --out`` whose every replication fails,
+``simulate --mask-out`` into a missing directory, ``fit`` with one path
+for ``--out`` and ``--k-histogram``, and ``benchmark --summary-out`` into
+a missing directory; none of the last three leaves a file.  It
 prints one ``name sha1`` line for each command's stdout, one ``name
 sha1 exit=N`` line for its stderr and exit code, and then one ``name
 sha1`` line for each file the commands wrote.
@@ -120,6 +123,18 @@ COMMANDS = (
                            "2", "--jobs", "1", "--n", "8", "--p", "3",
                            "--cardinality", "3", "--mechanism", "mnar",
                            "--seed", "1", *FAST, "--out", "r.csv"]),
+    ("simulate-missing-mask-dir", ["simulate", "--protocol", "mixture",
+                                   "--n", "10", "--seed", "1", "--mechanism",
+                                   "mcar", "--out", "s.csv", "--mask-out",
+                                   "nodir/m.csv"]),
+    ("fit-same-path", ["fit", "mixture.csv", "--out", "same.json",
+                       "--k-histogram", "same.json", "--seed", "3", *FAST,
+                       "--progress-every", "0"]),
+    ("benchmark-summary-missing-dir", ["benchmark", "--protocol", "mixture",
+                                       "--reps", "2", "--jobs", "1", "--n",
+                                       "8", "--seed", "1", *FAST, "--out",
+                                       "b.csv", "--summary-out",
+                                       "nodir/s.json"]),
 )
 
 

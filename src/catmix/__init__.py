@@ -13,7 +13,7 @@ Layout
 ------
 ``catmix.core``
     Schemas, datasets, model containers, JSON serialization, and the
-    one CSV writer behind every CSV that catmix writes.
+    CSV renderers of datasets, cell posteriors and the small tables.
 ``catmix.sampler``
     The collapsed Gibbs sampler: ``run_gibbs`` and the raw sweep loop
     ``iterate_states``.

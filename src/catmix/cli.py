@@ -1,15 +1,16 @@
 """
 Command line entry points.
 
-Every subcommand honors ``--seed`` for end-to-end reproducibility,
-writes its output files atomically (temp files, all opened before any
-work and renamed once all are written), and logs only to standard
-error.  ``fit`` writes each retained draw as the chain keeps it, so its
-memory does not grow with ``--samples`` unless ``--summary`` pools the
-draws.  ``benchmark --out`` is claimed before any fit, rewritten after
-each replication, and removed if none is written.  ``impute`` writes its
-cell CSV a block of cells at a time.  Exit codes: 0 on success, 1 on
-runtime or contract errors, 2 on usage errors.
+Every subcommand honors ``--seed`` for end-to-end reproducibility, logs
+only to standard error, and hands all its output files to one atomic
+write (temp files, opened before any work and renamed once all are
+written): a failed command leaves none of them, and a path named twice
+is refused.  ``fit`` writes each retained draw as the chain keeps it, so
+its memory does not grow with ``--samples`` unless ``--summary`` pools
+the draws.  ``benchmark`` claims ``--out`` and ``--summary-out`` before
+any fit, rewrites both after each replication, and removes them if none
+is written.  ``impute`` writes its cell CSV a block of cells at a time.
+Exit codes: 0 on success, 1 on runtime or contract errors, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import os
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from catmix import core, inference, metrics, sampler, synth
 
@@ -73,11 +76,15 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _write_atomic(*outputs) -> None:
-    """Write each ``(path, pieces)`` of ``outputs``, ``pieces`` an iterable
-    of strings, through a temporary file opened before any piece is read
-    and renamed once every file is written, so that an unwritable path is
-    refused before any work and a failure while writing leaves no file.
-    An ``OSError`` names the path as given, not the temporary file."""
+    """Write each ``(path, pieces)`` of ``outputs`` whose path is not None,
+    ``pieces`` an iterable of strings, through temporary files opened before
+    any piece is read and renamed once all are written.  An unwritable path,
+    or two naming one file, fails before any work; a failed write leaves no
+    file.  An ``OSError`` names the path as given, not the temporary file."""
+    outputs = [(path, pieces) for path, pieces in outputs if path is not None]
+    real = [os.path.realpath(path) for path, _ in outputs]
+    if twice := [path for (path, _), r in zip(outputs, real) if real.count(r) > 1]:
+        raise ValueError(f"one file named as two outputs: {', '.join(map(str, twice))}")
     with contextlib.ExitStack() as stack:
         try:
             files = []
@@ -222,7 +229,7 @@ def _cmd_impute(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    rng = core.as_generator(args.seed)
+    rng = np.random.default_rng(args.seed)
     data, truth_model = metrics.simulate(args.protocol, seed=rng,
                                          **_given(args, *_TABLE))
 
@@ -232,15 +239,13 @@ def _cmd_simulate(args) -> int:
     else:
         out_data, record = synth.mask(data, mechanism, seed=rng)
 
-    _write_atomic((args.out, [core.dataset_to_csv(out_data)]))
-    if args.complete_out:
-        _write_atomic((args.complete_out, [core.dataset_to_csv(data)]))
-    if args.truth_out:
-        _write_atomic((args.truth_out, [core.serialize_model(truth_model)]))
-    if args.mask_out:
-        names = [data.column_names[j] for j in record.cols.tolist()]
-        cells = zip(record.rows.tolist(), names, record.values.tolist())
-        _write_atomic((args.mask_out, [core._csv(("row", "column", "value"), cells)]))
+    names = (data.column_names[j] for j in record.cols.tolist())
+    rows = zip(record.rows.tolist(), names, record.values.tolist())
+    # each map renders only if its path is given, once every file is open
+    _write_atomic((args.out, map(core.dataset_to_csv, [out_data])),
+                  (args.complete_out, map(core.dataset_to_csv, [data])),
+                  (args.truth_out, map(core.serialize_model, [truth_model])),
+                  (args.mask_out, map(core._csv, [("row", "column", "value")], [rows])))
     _log(
         f"simulate: {data.n_rows}x{data.n_variables} {args.protocol} data, "
         f"{len(record)} cells masked"
@@ -262,12 +267,12 @@ def _cmd_benchmark(args) -> int:
     def on_result(i: int, rep: dict) -> None:
         shown = ", ".join(f"{k}={v:.4f}" for k, v in rep.items())
         _log(f"replication {i + 1}/{args.reps}: {shown}")
-        if args.out:
-            _write_atomic((args.out, [report(results + [rep]).to_csv()]))
+        final = report(results + [rep])
+        summary = json.dumps(final.summary(), indent=2) + "\n"
+        _write_atomic((args.out, [final.to_csv()]), (args.summary_out, [summary]))
         results.append(rep)
 
-    if args.out:
-        _write_atomic((args.out, []))  # an unwritable path fails before any fit
+    _write_atomic((args.out, []), (args.summary_out, []))  # claimed before any fit
     failed = False
     try:
         metrics.run_replications(
@@ -281,14 +286,13 @@ def _cmd_benchmark(args) -> int:
         failed = True
         _log(f"replication {len(results) + 1} failed: {exc}")
     finally:
-        if args.out and not results:
-            Path(args.out).unlink(missing_ok=True)
+        if not results:  # the claimed files hold no replication
+            for path in filter(None, (args.out, args.summary_out)):
+                Path(path).unlink(missing_ok=True)
 
     if not results:
         return 1
     final = report(results)
-    if args.summary_out:
-        _write_atomic((args.summary_out, [json.dumps(final.summary(), indent=2) + "\n"]))
     for name in final.metric_names:
         _log(f"{name}: mean={final.means[name]:.4f} sd={final.sds[name]:.4f}")
     return 1 if failed else 0
@@ -376,9 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_table_flags(bench)
     bench.add_argument("--reps", type=_positive_int, default=20)
     bench.add_argument("--out", default=None,
-                       help="per-replication CSV (rewritten after each replication)")
+                       help="per-replication CSV (claimed before any fit, "
+                            "rewritten after each replication)")
     bench.add_argument("--summary-out", default=None,
-                       help="summary JSON output path")
+                       help="summary JSON, claimed and rewritten together with --out")
     bench.add_argument("--jobs", type=_positive_int,
                        default=os.cpu_count() or 1,
                        help="worker processes (default: available cores)")

@@ -74,13 +74,6 @@ class LoadError(ValueError):
     """Raised when a model document is malformed or inconsistent."""
 
 
-def as_generator(seed) -> np.random.Generator:
-    """Coerce ``seed`` (int, SeedSequence, Generator or None) to a Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _check_count(name: str, value, least: int) -> None:
     """Refuse all but integers (numpy's too, bools not) from ``least`` up."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -526,8 +519,8 @@ def parse_dataset(text: str, schema: CategoricalSchema | None = None) -> Dataset
 
 
 def _csv(header, rows) -> str:
-    """The text of every CSV table catmix writes: the ``header`` tuple,
-    then one line per row tuple, each value printed with ``str``."""
+    """A CSV table: the ``header`` tuple, then a line per row tuple printed
+    with ``str``; dataset rows and cell posteriors have their own templates."""
     line = ",".join(["%s"] * len(header)) + "\n"
     return "".join([line % header, *(line % row for row in rows)])
 

@@ -25,7 +25,6 @@ from catmix.core import (
     _check_weights,
     _checked,
     _freeze,
-    as_generator,
     rescale_missing,
 )
 
@@ -198,7 +197,7 @@ def impute(data: Dataset, posterior, rule: str = "argmax",
     local, cols = np.nonzero(miss[hit_rows])
     rows = hit_rows[local]
     cards = data.schema.codes_array()[cols]
-    u = as_generator(seed).random(cols.size) if rule == "sample" else None
+    u = np.random.default_rng(seed).random(cols.size) if rule == "sample" else None
     probs = np.zeros((cols.size, width))
     completed = cells.copy()
     for d in set(data.schema.cardinalities):

@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from catmix.core import (
-    CollapsedModel, Dataset, _check_count, _csv, as_generator)
+    CollapsedModel, Dataset, _check_count, _csv)
 from catmix.inference import (
     correlation_matrix,
     impute,
@@ -189,7 +189,7 @@ def simulate(protocol: str, seed=None,
 def _replicate(seed_seq, protocol: str, mechanism: MechanismSpec,
                gibbs: GibbsConfig, **table) -> dict:
     """Run one benchmark replication on its own random stream."""
-    rng = as_generator(seed_seq)
+    rng = np.random.default_rng(seed_seq)
     data, truth_model = simulate(protocol, seed=rng, **table)
     masked, record = mask(data, mechanism, seed=rng)
     sample = run_gibbs(masked, config=gibbs, seed=rng)

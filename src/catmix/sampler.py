@@ -95,7 +95,6 @@ from catmix.core import (
     Dataset,
     ModelState,
     _check_count,
-    as_generator,
     rescale_missing,
 )
 
@@ -520,7 +519,7 @@ def iterate_states(data: Dataset, config: GibbsConfig = GibbsConfig(),
         An independent snapshot after each sweep.
     """
     _check_count("sweeps", sweeps, 1)
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     ch = _Chain(data, config)
     ch.init(rng)
     for _ in range(sweeps):

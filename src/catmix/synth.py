@@ -28,7 +28,6 @@ from catmix.core import (
     _check_count,
     _csv_records,
     _freeze,
-    as_generator,
     padded_dirichlet,
 )
 
@@ -168,7 +167,7 @@ def sample_mixture_dataset(n: int = 50, p: int = 20, k: int = 3,
     if schema.n_variables != p:
         raise ValueError(f"{len(cards)} cardinalities supplied for p={p}")
 
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     theta = rng.dirichlet(np.full(k, float(theta_dirichlet)))
     width = schema.max_cardinality
     conc = np.zeros((k, p, width))
@@ -201,7 +200,7 @@ def sample_xor_dataset(n: int = 300, seed=None) -> tuple[Dataset, JointDistribut
         The complete data and the exact generating joint table.
     """
     _check_count("n", n, 1)
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     b1 = rng.random(n) < 0.3
     b2 = rng.random(n) < 0.5
     faithful = rng.random(n) < 0.95
@@ -270,7 +269,7 @@ def mask(data: Dataset, spec: MechanismSpec, seed=None) -> tuple[Dataset, MaskRe
         low, high = spec.mnar_rates
         prob = np.where(cells == 1, low, high)
 
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     hit = rng.random((n, p)) < prob
     rows, cols = np.nonzero(hit)
     masked = cells.copy()
@@ -302,7 +301,7 @@ def mask_fraction(data: Dataset, fraction: float,
     cells = np.asarray(data.cells)
     flat_observed = np.nonzero(cells.ravel() != MISSING)[0]
     count = int(round(fraction * flat_observed.size))
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     chosen = rng.choice(flat_observed, size=count, replace=False)
     chosen.sort()
     rows, cols = np.unravel_index(chosen, cells.shape)

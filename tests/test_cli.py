@@ -165,6 +165,23 @@ class TestFit:
             f"error: cannot write {missing}: No such file or directory\n")
         assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
 
+    @pytest.mark.parametrize("spelling", ["same", "dotted"])
+    def test_one_path_for_two_outputs_is_refused_before_any_sweep(
+            self, tmp_path, capsys, monkeypatch, spelling):
+        def no_sweeps(*args, **kwargs):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(sampler._Chain, "sweep", no_sweeps)
+        inp = _toy_csv(tmp_path)
+        out = str(tmp_path / "m.json")
+        again = out if spelling == "same" else f"{tmp_path}/./m.json"
+        rc = cli.main(["fit", str(inp), *FAST, "--out", out,
+                       "--k-histogram", again])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: one file named as two outputs: {out}, {again}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
+
     def test_memory_does_not_grow_with_samples(self, tmp_path):
         # a held draw is (k, 2, 100) floats, so holding the 360 more
         # draws would add about 1 MB here
@@ -436,6 +453,22 @@ class TestSimulate:
         truth = deserialize_models((tmp_path / "truth.json").read_text())[0]
         assert truth.k == 3
 
+    @pytest.mark.parametrize("failing", ["--out", "--complete-out",
+                                         "--truth-out", "--mask-out"])
+    def test_one_unwritable_output_leaves_none(self, tmp_path, capsys,
+                                               failing):
+        outputs = {flag: str(tmp_path / f"{flag[2:]}.txt")
+                   for flag in ("--out", "--complete-out", "--truth-out",
+                                "--mask-out")}
+        outputs[failing] = str(tmp_path / "nodir" / "x.csv")
+        rc = cli.main(["simulate", "--protocol", "mixture", "--n", "15",
+                       "--seed", "5", "--mechanism", "mcar",
+                       *[a for pair in outputs.items() for a in pair]])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write {outputs[failing]}: No such file or directory\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_xor_truth_is_a_point_mass_mixture(self, tmp_path):
         args = ["simulate", "--protocol", "xor", "--n", "30", "--seed", "1",
                 "--out", str(tmp_path / "xor.csv"),
@@ -601,29 +634,38 @@ class TestBenchmark:
     def test_out_holds_the_finished_replications_after_each(
             self, tmp_path, monkeypatch):
         real = metrics.run_replications
-        out = tmp_path / "reps.csv"
+        out, summary = tmp_path / "reps.csv", tmp_path / "summary.json"
         seen = []
 
         def watched(*args, on_result, **kwargs):
-            assert out.read_text() == ""  # claimed before any fit
+            # both files are claimed before any fit
+            assert out.read_text() == summary.read_text() == ""
 
             def check(i, rep):
                 on_result(i, rep)
-                seen.append((out.read_text(),
-                             [p.name for p in tmp_path.iterdir()]))
+                seen.append((out.read_text(), json.loads(summary.read_text()),
+                             sorted(p.name for p in tmp_path.iterdir())))
 
             return real(*args, on_result=check, **kwargs)
 
         monkeypatch.setattr(metrics, "run_replications", watched)
         rc = cli.main(["benchmark", "--protocol", "mixture", "--reps", "3",
                        "--n", "12", "--p", "4", "--k", "2", "--seed", "9",
-                       "--jobs", "1", *FAST, "--out", str(out)])
+                       "--jobs", "1", *FAST, "--out", str(out),
+                       "--summary-out", str(summary)])
         assert rc == 0
         final = out.read_text().splitlines(keepends=True)
         assert len(seen) == 3 and len(final) == 4
-        for i, (text, names) in enumerate(seen):
+        for i, (text, blob, names) in enumerate(seen):
             assert text == "".join(final[:i + 2])
-            assert names == ["reps.csv"]  # no temporary file is left
+            # the summary describes exactly the replications in the CSV
+            rows = np.array([line.split(",")[1:] for line in final[1:i + 2]],
+                            dtype=float)
+            assert blob["replications"] == i + 1
+            assert [m["mean"] for m in blob["metrics"].values()] == \
+                rows.mean(axis=0).tolist()
+            # no temporary file is left
+            assert names == ["reps.csv", "summary.json"]
 
     def test_failed_rewrite_is_one_error_naming_the_file(
             self, tmp_path, capsys, monkeypatch):
@@ -713,11 +755,11 @@ class TestBenchmark:
 
     def test_out_is_removed_when_no_replication_finishes(self, tmp_path,
                                                          capsys):
-        out = tmp_path / "reps.csv"
         rc = cli.main(["benchmark", "--protocol", "mixture", "--reps", "2",
                        "--n", "8", "--p", "3", "--cardinality", "3",
                        "--mechanism", "mnar", "--seed", "1", "--jobs", "1",
-                       *FAST, "--out", str(out)])
+                       *FAST, "--out", str(tmp_path / "reps.csv"),
+                       "--summary-out", str(tmp_path / "summary.json")])
         assert rc == 1
         assert "replication 1 failed" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
@@ -729,6 +771,23 @@ class TestBenchmark:
         assert capsys.readouterr().err == (
             f"error: cannot write {tmp_path / 'no' / 'reps.csv'}: "
             "No such file or directory\n")
+
+
+    @pytest.mark.parametrize("summary", ["nodir/s.json", "reps.csv"],
+                             ids=["missing-dir", "same-path"])
+    def test_summary_path_is_refused_before_any_fit(
+            self, tmp_path, capsys, monkeypatch, summary):
+        def no_replications(*args, **kwargs):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(metrics, "run_replications", no_replications)
+        out, summary = tmp_path / "reps.csv", str(tmp_path / summary)
+        rc = cli.main(["benchmark", *REQUIRED["benchmark"], "--out", str(out),
+                       "--summary-out", summary])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and summary in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestIndependence:
@@ -820,6 +879,15 @@ def test_atomic_writes_leave_no_leftovers(tmp_path):
         cli._write_atomic((target, ["third\n"]),
                           (tmp_path / "other.txt", broken()))
     assert target.read_text() == "second\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    # two spellings of one file are refused before anything is opened,
+    # and an output without a path is skipped
+    with pytest.raises(ValueError, match="one file named as two outputs"):
+        cli._write_atomic((tmp_path / "new.txt", ["x"]), (None, ["y"]),
+                          (f"{tmp_path}/./new.txt", ["z"]))
+    cli._write_atomic((target, ["fourth\n"]), (None, broken()))
+    assert target.read_text() == "fourth\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 

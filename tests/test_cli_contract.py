@@ -4,7 +4,8 @@ fails with one clean line.
 Each example runs whole commands through ``cli.main`` with warnings
 raised as errors, and accepts one of two outcomes: exit 0 with valid
 outputs, or exit 1 or 2 with exactly one ``error:`` line on standard
-error and no output file.
+error and no output file.  Outputs are drawn unwritable or named twice
+now and then, so a command that fails must leave none of its outputs.
 """
 
 import contextlib
@@ -19,6 +20,9 @@ from hypothesis import strategies as st
 
 from catmix import cli
 from catmix.core import CategoricalSchema, deserialize_models, parse_dataset
+
+#: Stands for the command's own ``--out`` path in drawn flags.
+OUT = "<out>"
 
 CONTRACT = settings(max_examples=130, deadline=None, derandomize=True,
                     database=None,
@@ -79,9 +83,16 @@ def fits(draw):
         fit += ["--schema", ",".join(map(str, cards))]
     if draw(st.booleans()):
         fit.append("--summary")
+    # about one fit in six names its model file twice
+    fit += draw(st.sampled_from([[]] * 5 + [["--k-histogram", OUT]]))
     impute = ["--rule", draw(st.sampled_from(["argmax", "sample"])),
               "--seed", draw(st.integers(0, 99))]
+    impute += draw(st.sampled_from([[]] * 5 + [["--cell-posterior", OUT]]))
     return cards, table, fit, impute
+
+
+def _named(flags, out):
+    return [out if flag == OUT else flag for flag in flags]
 
 
 @CONTRACT
@@ -92,7 +103,7 @@ def test_fit_then_impute_completes_or_fails_cleanly(case):
         tmp = Path(tmp)
         data, model = tmp / "data.csv", tmp / "model.json"
         data.write_text(table)
-        rc, err = _run(["fit", data, "--out", model, *fit_flags])
+        rc, err = _run(["fit", data, "--out", model, *_named(fit_flags, model)])
         khist = tmp / "model.json.khist.csv"
         if rc != 0:
             _check_failure(rc, err, model, khist)
@@ -105,7 +116,8 @@ def test_fit_then_impute_completes_or_fails_cleanly(case):
         assert khist.exists()
 
         out, cells = tmp / "filled.csv", tmp / "filled.csv.cells.csv"
-        rc, err = _run(["impute", data, model, "--out", out, *impute_flags])
+        rc, err = _run(["impute", data, model, "--out", out,
+                        *_named(impute_flags, out)])
         if rc != 0:
             _check_failure(rc, err, out, cells)
             return
@@ -114,6 +126,76 @@ def test_fit_then_impute_completes_or_fails_cleanly(case):
         assert (filled[observed] == given_data.cells[observed]).all()
         assert ((filled >= 1) & (filled <= schema.codes_array())).all()
         assert cells.exists()
+
+
+@st.composite
+def simulations(draw):
+    """Flags of one ``simulate``, short of ``--out``, and its other outputs:
+    each absent, fresh, the name of an earlier output, or in a missing
+    directory, as a name within the directory of ``--out``."""
+    protocol = draw(st.sampled_from(["mixture", "xor"]))
+    flags = ["--protocol", protocol, "--seed", draw(st.integers(0, 99)),
+             "--n", draw(st.integers(1, 30))]
+    if protocol == "mixture":
+        for flag, low, high in (("--p", 1, 6), ("--k", 1, 4),
+                                ("--cardinality", 2, 4)):
+            if draw(st.booleans()):
+                flags += [flag, draw(st.integers(low, high))]
+    mechanism = draw(st.sampled_from(["none", "mcar", "mar", "mnar"]))
+    flags += ["--mechanism", mechanism]
+    rate = st.floats(0, 1).map(repr)
+    rates = {"mcar": ("--mcar-rate", rate),
+             "mar": ("--mar-rates", st.tuples(rate, rate).map(",".join)),
+             "mnar": ("--mnar-rates", st.tuples(rate, rate).map(",".join))}
+    if mechanism in rates and draw(st.booleans()):
+        flag, value = rates[mechanism]
+        flags += [flag, draw(value)]
+    names = ["data.csv"]
+    outputs = {}
+    for flag in ("--complete-out", "--truth-out", "--mask-out"):
+        kind = draw(st.sampled_from(["absent", "fresh", "taken", "missing"]))
+        if kind != "absent":
+            outputs[flag] = {"fresh": f"{flag[2:]}.txt",
+                             "taken": draw(st.sampled_from(names)),
+                             "missing": f"nodir/{flag[2:]}.txt"}[kind]
+            names.append(outputs[flag])
+    return flags, outputs
+
+
+@CONTRACT
+@given(simulations())
+def test_simulate_writes_every_output_or_none(case):
+    flags, outputs = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        out = tmp / "data.csv"
+        named = {flag: tmp / name for flag, name in outputs.items()}
+        rc, err = _run(["simulate", *flags, "--out", out,
+                        *[a for pair in named.items() for a in pair]])
+        if rc != 0:
+            _check_failure(rc, err, out, *named.values())
+            return
+        assert "error:" not in err
+        # every output is its own file and nothing else is left
+        written = sorted(p.name for p in tmp.iterdir())
+        assert written == sorted(["data.csv", *outputs.values()])
+        d = flags[flags.index("--cardinality") + 1] \
+            if "--cardinality" in flags else 2
+        width = len(out.read_text().split("\n", 1)[0].split(","))
+        schema = CategoricalSchema([d] * width)
+        data = parse_dataset(out.read_text(), schema)
+        if "--complete-out" in named:
+            complete = parse_dataset(named["--complete-out"].read_text(), schema)
+            assert complete.n_missing() == 0
+            seen = data.cells != 0
+            assert (complete.cells[seen] == data.cells[seen]).all()
+        if "--truth-out" in named:
+            truth = deserialize_models(named["--truth-out"].read_text())[0]
+            assert truth.schema.cardinalities == schema.cardinalities
+        if "--mask-out" in named:
+            mask = named["--mask-out"].read_text().splitlines()
+            assert mask[0] == "row,column,value"
+            assert len(mask) - 1 == data.n_missing()
 
 
 #: Ratings on the half-star scale, and fields that are not such ratings.

@@ -261,14 +261,18 @@ def test_cli_hashes_print_one_line_per_stream_and_file(tmp_path, capsys,
     assert [line.split()[0] for line in lines[:streams]] == [
         f"{name}.{stream}" for name, _ in cli_hashes.COMMANDS
         for stream in ("stdout", "stderr")]
-    # every command succeeds but the fit of the malformed table, the fits
-    # into a missing directory and the benchmark whose replications fail;
-    # the fit whose histogram cannot be written leaves no model behind
+    # every command succeeds but the fit of the malformed table, the
+    # commands with an output in a missing directory, the fit that names
+    # one path twice and the benchmark whose replications fail; none of
+    # these leaves a file behind
     exits = dict(line.split()[::2] for line in lines[1:streams:2])
     assert exits.pop("fit-malformed.stderr") == "exit=1"
     assert exits.pop("fit-missing-dir.stderr") == "exit=1"
     assert exits.pop("fit-missing-khist.stderr") == "exit=1"
     assert exits.pop("benchmark-failing.stderr") == "exit=1"
+    assert exits.pop("simulate-missing-mask-dir.stderr") == "exit=1"
+    assert exits.pop("fit-same-path.stderr") == "exit=1"
+    assert exits.pop("benchmark-summary-missing-dir.stderr") == "exit=1"
     assert set(exits.values()) == {"exit=0"}
     assert [line.split()[0] for line in lines[streams:]] == [
         "argmax.csv", "argmax.csv.cells.csv", "binary.csv", "complete.csv",
