@@ -14,12 +14,15 @@ point-mass truth model), ``fit`` of a malformed inline table, which
 exits 1 with one error line, ``test-independence`` (to stdout and to
 ``--out``), ``benchmark --reps 3 --jobs 1`` with ``--out`` and
 ``--summary-out``, ``preprocess-ratings`` (binary and five) on a small
-inline ratings table, and six commands that exit 1: ``fit --out``
+inline ratings table, and nine commands that exit 1: ``fit --out``
 into a missing directory, ``fit --k-histogram`` into a missing
 directory, a ``benchmark --out`` whose every replication fails,
 ``simulate --mask-out`` into a missing directory, ``fit`` with one path
-for ``--out`` and ``--k-histogram``, and ``benchmark --summary-out`` into
-a missing directory; none of the last three leaves a file.  It
+for ``--out`` and ``--k-histogram``, ``benchmark --summary-out`` into
+a missing directory, ``fit --out`` naming an existing directory,
+``simulate --out`` ending in a separator, and ``impute`` from a draws
+document whose own cardinalities disagree with its draw's; none of
+them leaves a file.  It
 prints one ``name sha1`` line for each command's stdout, one ``name
 sha1 exit=N`` line for its stderr and exit code, and then one ``name
 sha1`` line for each file the commands wrote.
@@ -32,6 +35,7 @@ and compare the outputs with ``diff``.
 
 import argparse
 import hashlib
+import json
 import os
 import re
 import subprocess
@@ -60,6 +64,11 @@ MESSY = "x, y ,z,w\n" + "".join(
     + "\n" for r in range(45))
 # a wrong field count on line 5 comes before the bad code on line 6
 MALFORMED = "a,b,c\n1,2,3\n\n2, na,\n1,2\n3,x,1\n"
+# one uniform draw over MIXED's cardinalities, under a document that
+# lists one variable fewer
+CLAIMED = json.dumps({"cardinalities": [2, 5, 9], "draws": [{
+    "k": 1, "cardinalities": [2, 5, 9, 12], "theta": [1.0],
+    "tildePsi": [[[1 / d] * d for d in (2, 5, 9, 12)]]}]})
 #: (name, argv) of each command, run in this order in one directory.
 COMMANDS = (
     ("simulate-mixture", ["simulate", "--protocol", "mixture", "--n", "40",
@@ -135,6 +144,12 @@ COMMANDS = (
                                        "8", "--seed", "1", *FAST, "--out",
                                        "b.csv", "--summary-out",
                                        "nodir/s.json"]),
+    ("fit-out-dir", ["fit", "mixture.csv", "--out", "../dir", "--seed", "3",
+                     *FAST, "--progress-every", "1"]),
+    ("simulate-out-slash", ["simulate", "--protocol", "mixture", "--n", "10",
+                            "--seed", "1", "--out", "d/"]),
+    ("impute-doc-cardinalities", ["impute", "../mixed.csv", "../claimed.json",
+                                  "--out", "claimed.csv"]),
 )
 
 
@@ -155,6 +170,8 @@ def lines(src: Path):
         (Path(tmp) / "mixed.csv").write_text(MIXED)
         (Path(tmp) / "messy.csv").write_text(MESSY)
         (Path(tmp) / "malformed.csv").write_text(MALFORMED)
+        (Path(tmp) / "claimed.json").write_text(CLAIMED)
+        (Path(tmp) / "dir").mkdir()
         work = Path(tmp) / "work"
         work.mkdir()
         for name, argv in COMMANDS:

@@ -78,10 +78,15 @@ def _int_list(text: str) -> tuple[int, ...]:
 def _write_atomic(*outputs) -> None:
     """Write each ``(path, pieces)`` of ``outputs`` whose path is not None,
     ``pieces`` an iterable of strings, through temporary files opened before
-    any piece is read and renamed once all are written.  An unwritable path,
-    or two naming one file, fails before any work; a failed write leaves no
-    file.  An ``OSError`` names the path as given, not the temporary file."""
+    any piece is read and renamed once all are written.  A path that is
+    unwritable, empty, ends in a separator, is a directory or names one file
+    with another fails before any work; a failed write leaves no file.  An
+    ``OSError`` names the path as given, not the temporary file."""
     outputs = [(path, pieces) for path, pieces in outputs if path is not None]
+    for path, _ in outputs:
+        if os.path.isdir(path) or not os.path.basename(path):
+            why = "Is a directory" if os.path.isdir(path) else "no file name"
+            raise OSError(f"cannot write {path or repr(path)}: {why}")
     real = [os.path.realpath(path) for path, _ in outputs]
     if twice := [path for (path, _), r in zip(outputs, real) if real.count(r) > 1]:
         raise ValueError(f"one file named as two outputs: {', '.join(map(str, twice))}")

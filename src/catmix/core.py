@@ -676,16 +676,17 @@ def serialize_model(model: CollapsedModel) -> str:
     return next(_model_texts([model], model.schema, "")) + "\n"
 
 
-def _checked(models: Iterable[CollapsedModel], error=ValueError):
+def _checked(models: Iterable[CollapsedModel], error=ValueError, cards=None):
     """Yield ``models`` as they arrive; raises ``error`` unless they are
-    at least one and share one schema."""
-    cards = None
+    at least one and share one schema, of the cardinalities listed in
+    ``cards`` if that is given."""
+    m = None
     for m in models:
-        cards = cards or m.schema.cardinalities
-        if m.schema.cardinalities != cards:
+        cards = list(m.schema.cardinalities) if cards is None else cards
+        if list(m.schema.cardinalities) != cards:
             raise error("draws disagree on cardinalities")
         yield m
-    if cards is None:
+    if m is None:
         raise error("need at least one posterior draw")
 
 
@@ -721,5 +722,6 @@ def deserialize_models(text: str) -> list[CollapsedModel]:
         draws = obj["draws"]
         if not isinstance(draws, list):
             raise LoadError("'draws' must be a list")
-        return list(_checked(map(model_from_dict, draws), LoadError))
+        return list(_checked(map(model_from_dict, draws), LoadError,
+                             obj.get("cardinalities")))
     return [model_from_dict(obj)]

@@ -84,7 +84,6 @@ from __future__ import annotations
 
 import math
 import sys
-import time
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -181,17 +180,17 @@ class PosteriorSample:
     ----------
     draws : tuple of CollapsedModel
         Retained posterior draws, already rescaled to observable codes.
-    k_values : ndarray of int
-        Number of occupied components in each retained draw.
     final_state : ModelState
         Chain state after the last sweep.
-    elapsed_seconds : float
     """
 
     draws: tuple[CollapsedModel, ...]
-    k_values: np.ndarray
     final_state: ModelState
-    elapsed_seconds: float
+
+    @property
+    def k_values(self) -> np.ndarray:
+        """Number of occupied components in each retained draw."""
+        return np.array([m.k for m in self.draws], dtype=np.int64)
 
     @property
     def k_histogram(self) -> dict[int, int]:
@@ -496,21 +495,18 @@ def collapse_state(state: ModelState) -> CollapsedModel:
 
 
 def iterate_states(data: Dataset, config: GibbsConfig = GibbsConfig(),
-                   sweeps: int = 1, seed=None) -> Iterator[ModelState]:
-    """Run the chain, yielding the state after each sweep.
+                   seed=None) -> Iterator[ModelState]:
+    """Run ``config.total_sweeps`` sweeps, yielding every sweep's state.
 
     This is the raw loop underneath :func:`run_gibbs`; it is useful
     when per-sweep quantities such as the partition itself are wanted.
-    It prints nothing.
+    It prints nothing, and ``itertools.islice`` stops it early.
 
     Parameters
     ----------
     data : Dataset
     config : GibbsConfig, optional
-        Only ``alpha`` and ``beta`` are read; the schedule comes from
-        ``sweeps``.
-    sweeps : int
-        Number of sweeps to run.
+        Schedule and priors.
     seed : int, SeedSequence or Generator, optional
 
     Yields
@@ -518,11 +514,10 @@ def iterate_states(data: Dataset, config: GibbsConfig = GibbsConfig(),
     ModelState
         An independent snapshot after each sweep.
     """
-    _check_count("sweeps", sweeps, 1)
     rng = np.random.default_rng(seed)
     ch = _Chain(data, config)
     ch.init(rng)
-    for _ in range(sweeps):
+    for _ in range(config.total_sweeps):
         psi = ch.sweep(rng)
         yield ModelState(data.schema, *ch.labels(), psi)
 
@@ -533,7 +528,7 @@ def _retained(data: Dataset, config: GibbsConfig, seed=None,
     among them; unless ``every`` is 0, print ``sweep <t>/<T> k=<k>`` to
     standard error every ``every`` sweeps and after the last one."""
     sweeps = config.total_sweeps
-    states = iterate_states(data, config, sweeps=sweeps, seed=seed)
+    states = iterate_states(data, config, seed)
     for t, state in enumerate(states, start=1):
         if every and (t % every == 0 or t == sweeps):
             print(f"sweep {t}/{sweeps} k={state.k}", file=sys.stderr)
@@ -561,15 +556,10 @@ def run_gibbs(data: Dataset, config: GibbsConfig | None = None,
     """
     if config is None:
         config = GibbsConfig()
-    started = time.perf_counter()
     draws: list[CollapsedModel] = []
-    k_values: list[int] = []
     for state, model in _retained(data, config, seed):
         draws.append(model)
-        k_values.append(state.k)
     return PosteriorSample(
         draws=tuple(draws),
-        k_values=np.asarray(k_values, dtype=np.int64),
         final_state=state,
-        elapsed_seconds=time.perf_counter() - started,
     )

@@ -182,6 +182,21 @@ class TestFit:
             f"error: one file named as two outputs: {out}, {again}\n")
         assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
 
+    @pytest.mark.parametrize("slash", ["", "/"], ids=["dir", "dir-slash"])
+    def test_directory_out_is_refused_before_any_sweep(self, tmp_path,
+                                                       capsys, slash):
+        inp = _toy_csv(tmp_path)
+        (tmp_path / "m").mkdir()
+        out = f"{tmp_path / 'm'}{slash}"
+        rc = cli.main(["fit", str(inp), "--out", out, *FAST,
+                       "--progress-every", "1"])
+        assert rc == 1
+        # one error line, and no sweep ran before it
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: Is a directory\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "m"]
+        assert not list((tmp_path / "m").iterdir())
+
     def test_memory_does_not_grow_with_samples(self, tmp_path):
         # a held draw is (k, 2, 100) floats, so holding the 360 more
         # draws would add about 1 MB here
@@ -401,15 +416,18 @@ class TestImpute:
         other = {"k": 1, "cardinalities": [2, 3], "theta": [1.0],
                  "tildePsi": [[[0.5, 0.5], [0.2, 0.3, 0.5]]]}
         model = tmp_path / "mixed.json"
-        model.write_text(json.dumps({"cardinalities": [2, 2, 2],
-                                     "draws": [one, other]}))
-        capsys.readouterr()
         out = tmp_path / "x.csv"
-        rc = cli.main(["impute", str(inp), str(model), "--out", str(out)])
-        assert rc == 1
-        assert capsys.readouterr().err == \
-            "error: draws disagree on cardinalities\n"
-        assert not out.exists()
+        # two schemas among the draws, or draws of one schema under a
+        # document that lists another
+        for doc in ({"cardinalities": [2, 2, 2], "draws": [one, other]},
+                    {"cardinalities": [9, 9, 9], "draws": [one, one]}):
+            model.write_text(json.dumps(doc))
+            capsys.readouterr()
+            rc = cli.main(["impute", str(inp), str(model), "--out", str(out)])
+            assert rc == 1
+            assert capsys.readouterr().err == \
+                "error: draws disagree on cardinalities\n"
+            assert not out.exists()
 
     def test_impossible_row_is_named_by_its_dataset_index(self, tmp_path,
                                                           capsys):
@@ -889,6 +907,21 @@ def test_atomic_writes_leave_no_leftovers(tmp_path):
     cli._write_atomic((target, ["fourth\n"]), (None, broken()))
     assert target.read_text() == "fourth\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    # a path that names no file is refused before anything is opened,
+    # under the name it was given
+    (tmp_path / "dir").mkdir()
+    for path, why in (("", "no file name"),
+                      (f"{tmp_path}/new/", "no file name"),
+                      (f"{tmp_path}/dir/", "Is a directory"),
+                      (tmp_path / "dir", "Is a directory")):
+        shown = path or "''"
+        with pytest.raises(OSError,
+                           match=f"^{re.escape(f'cannot write {shown}: {why}')}$"):
+            cli._write_atomic((tmp_path / "first.txt", ["x"]),
+                              (path, broken()))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "out.txt"]
+        assert not list((tmp_path / "dir").iterdir())
 
 
 def test_console_script_is_installed():
