@@ -14,6 +14,7 @@ from catmix import (
     GibbsConfig,
     dataset_to_csv,
     impute,
+    k_histogram,
     parse_dataset,
     run_gibbs,
 )
@@ -37,12 +38,12 @@ print(f"{data.n_rows} rows, {data.n_variables} variables, "
       f"{data.n_missing()} missing cells")
 
 # A short chain is plenty for ten rows.
-fit = run_gibbs(data, config=GibbsConfig(burnin=100, samples=50, thin=1),
-                seed=0)
-print(f"retained {len(fit.draws)} draws, "
-      f"component count histogram: {fit.k_histogram}")
+draws = run_gibbs(data, config=GibbsConfig(burnin=100, samples=50, thin=1),
+                  seed=0)
+print(f"retained {len(draws)} draws, "
+      f"component count histogram: {k_histogram([m.k for m in draws])}")
 
-result = impute(data, fit)
+result = impute(data, draws)
 print("\ncompleted table:")
 print(dataset_to_csv(result.completed))
 

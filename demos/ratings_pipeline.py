@@ -15,6 +15,7 @@ from catmix import (
     imputation_accuracy,
     impute,
     mask_fraction,
+    modal_k,
     preprocess_ratings,
     run_gibbs,
 )
@@ -41,10 +42,11 @@ masked, record = mask_fraction(data, 0.4, seed=13)
 print(f"hid {len(record)} observed cells "
       f"({record.fraction:.1%} of the matrix)")
 
-fit = run_gibbs(masked, seed=14)
-print(f"modal component count: {fit.modal_k} "
-      f"(the two taste groups{' found' if fit.modal_k == 2 else ''})")
+draws = run_gibbs(masked, seed=14)
+k = modal_k([m.k for m in draws])
+print(f"modal component count: {k} "
+      f"(the two taste groups{' found' if k == 2 else ''})")
 
-completed = impute(masked, fit).completed
+completed = impute(masked, draws).completed
 acc = imputation_accuracy(completed, data, record)
 print(f"recovered {acc:.1%} of the hidden like/dislike codes")

@@ -13,6 +13,8 @@ import numpy as np
 
 from catmix import (
     correlation_matrix,
+    k_histogram,
+    modal_k,
     pairwise_independence,
     pool_draws,
     predictive_cell,
@@ -29,10 +31,11 @@ print(np.round(correlation_matrix(truth), 3))
 # V1 is uncorrelated with both others; only V2-V3 shows a moderate
 # 0.38 (a side effect of V1 being Bernoulli(0.3) rather than fair).
 
-fit = run_gibbs(data, seed=8)
-pooled = pool_draws(fit)
-print(f"\nfitted with modal component count {fit.modal_k} "
-      f"(histogram {fit.k_histogram})")
+draws = run_gibbs(data, seed=8)
+pooled = pool_draws(draws)
+ks = [m.k for m in draws]
+print(f"\nfitted with modal component count {modal_k(ks)} "
+      f"(histogram {k_histogram(ks)})")
 
 print("\npairwise independence tests on the fitted model (n=300):")
 for j1, j2, p in pairwise_independence(pooled, data.n_rows):

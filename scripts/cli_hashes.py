@@ -14,15 +14,16 @@ point-mass truth model), ``fit`` of a malformed inline table, which
 exits 1 with one error line, ``test-independence`` (to stdout and to
 ``--out``), ``benchmark --reps 3 --jobs 1`` with ``--out`` and
 ``--summary-out``, ``preprocess-ratings`` (binary and five) on a small
-inline ratings table, and nine commands that exit 1: ``fit --out``
+inline ratings table, and twelve commands that exit 1: ``fit --out``
 into a missing directory, ``fit --k-histogram`` into a missing
 directory, a ``benchmark --out`` whose every replication fails,
 ``simulate --mask-out`` into a missing directory, ``fit`` with one path
 for ``--out`` and ``--k-histogram``, ``benchmark --summary-out`` into
 a missing directory, ``fit --out`` naming an existing directory,
-``simulate --out`` ending in a separator, and ``impute`` from a draws
-document whose own cardinalities disagree with its draw's; none of
-them leaves a file.  It
+``simulate --out`` ending in a separator, ``impute`` from a draws
+document whose own cardinalities disagree with its draw's, and an empty
+``fit --k-histogram``, ``impute --cell-posterior`` and
+``test-independence --out``; none of them leaves a file.  It
 prints one ``name sha1`` line for each command's stdout, one ``name
 sha1 exit=N`` line for its stderr and exit code, and then one ``name
 sha1`` line for each file the commands wrote.
@@ -150,6 +151,13 @@ COMMANDS = (
                             "--seed", "1", "--out", "d/"]),
     ("impute-doc-cardinalities", ["impute", "../mixed.csv", "../claimed.json",
                                   "--out", "claimed.csv"]),
+    ("fit-empty-khist", ["fit", "mixture.csv", "--out", "unnamed.json",
+                         "--k-histogram", "", "--seed", "3", *FAST,
+                         "--progress-every", "1"]),
+    ("impute-empty-cells", ["impute", "mixture.csv", "model.json", "--out",
+                            "uncelled.csv", "--cell-posterior", ""]),
+    ("independence-empty-out", ["test-independence", "model.json", "--n",
+                                "40", "--out", ""]),
 )
 
 

@@ -9,6 +9,9 @@ d = 3, 200x12 with d from 2 to 40, 120x6 with d = 5), each under four
 fit it prints one line: the fit's name, then the sha1 of the final
 state's assignments and counts, the sha1 of its psi at the real codes
 ``0 .. d_j`` of every variable, and the sha1 of the draws' model JSON.
+The final state is the last one ``iterate_states`` yields under the
+fit's config and seed.  The draws are ``run_gibbs``'s, whether it
+returns them as a tuple or, as older trees do, as a record's ``draws``.
 The psi hash reads the real codes only, so a state that stores psi
 padded to the widest variable and one that stores it flat hash alike.
 
@@ -24,6 +27,7 @@ import argparse
 import hashlib
 import importlib
 import sys
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -74,15 +78,17 @@ def fits(src: Path):
         for f, (alpha, beta) in enumerate(PRIORS):
             cfg = sampler.GibbsConfig(burnin=10, samples=5, thin=2,
                                       alpha=alpha, beta=beta)
-            out = sampler.run_gibbs(data, cfg, seed=10 * t + f)
-            state = out.final_state
+            draws = sampler.run_gibbs(data, cfg, seed=10 * t + f)
+            draws = getattr(draws, "draws", draws)
+            state = deque(sampler.iterate_states(data, cfg, 10 * t + f),
+                          maxlen=1)[0]
             psi = real_codes(state.psi, cards)
             name = f"t{t}-{n}x{len(cards)}-a{alpha:g}-b{beta:g}"
             yield name, psi, " ".join((
                 name,
                 sha1(state.assignments.tobytes(), state.counts.tobytes()),
                 sha1(psi.tobytes()),
-                sha1(core.serialize_models(out.draws).encode())))
+                sha1(core.serialize_models(draws).encode())))
 
 
 def main(argv=None) -> None:

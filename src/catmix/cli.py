@@ -194,25 +194,26 @@ def _cmd_fit(args) -> int:
     k_values: list[int] = []
 
     def draws():
-        for state, model in sampler._retained(data, config, args.seed,
-                                              args.progress_every):
-            k_values.append(state.k)
+        for model in sampler._retained(data, config, args.seed,
+                                       args.progress_every):
+            k_values.append(model.k)
             yield model
 
     def pooled():
         yield core.serialize_model(inference.pool_draws(draws()))
 
     def histogram():
-        hist = sampler._k_histogram(k_values)
+        hist = sampler.k_histogram(k_values)
         yield core._csv(("k", "count"), sorted(hist.items()))
 
     # the chain runs as the model file is written, once both are open
     _write_atomic((args.out, pooled() if args.summary
                    else core._document(draws())),
-                  (args.k_histogram or f"{args.out}.khist.csv", histogram()))
+                  (f"{args.out}.khist.csv" if args.k_histogram is None
+                   else args.k_histogram, histogram()))
     _log(
         f"fit: {data.n_rows} rows, {data.n_variables} variables, "
-        f"{len(k_values)} draws, modal k={sampler._modal_k(k_values)}, "
+        f"{len(k_values)} draws, modal k={sampler.modal_k(k_values)}, "
         f"{time.perf_counter() - started:.1f}s"
     )
     return 0
@@ -224,7 +225,8 @@ def _cmd_impute(args) -> int:
     data = core.parse_dataset(Path(args.input).read_text(), schema)
     result = inference.impute(data, draws, rule=args.rule, seed=args.seed)
     _write_atomic((args.out, [core.dataset_to_csv(result.completed)]),
-                  (args.cell_posterior or f"{args.out}.cells.csv",
+                  (f"{args.out}.cells.csv" if args.cell_posterior is None
+                   else args.cell_posterior,
                    core._cell_lines(data.column_names, result.cell_posteriors)))
     _log(
         f"impute: filled {len(result.cell_posteriors)} cells "
@@ -261,24 +263,18 @@ def _cmd_simulate(args) -> int:
 def _cmd_benchmark(args) -> int:
     mechanism = _mechanism(args)
     gibbs = _gibbs_config(args)
-    results: list[dict] = []
+    final = None  # the report of the replications written so far
 
-    def report(reps) -> metrics.ReplicationReport:
-        return metrics.ReplicationReport(
-            protocol=args.protocol, mechanism=mechanism,
-            per_replication=tuple(reps), seed=args.seed,
-        )
-
-    def on_result(i: int, rep: dict) -> None:
+    def on_result(report: metrics.ReplicationReport) -> None:
+        nonlocal final
+        rep = report.per_replication[-1]
         shown = ", ".join(f"{k}={v:.4f}" for k, v in rep.items())
-        _log(f"replication {i + 1}/{args.reps}: {shown}")
-        final = report(results + [rep])
-        summary = json.dumps(final.summary(), indent=2) + "\n"
-        _write_atomic((args.out, [final.to_csv()]), (args.summary_out, [summary]))
-        results.append(rep)
+        _log(f"replication {report.n_replications}/{args.reps}: {shown}")
+        summary = json.dumps(report.summary(), indent=2) + "\n"
+        _write_atomic((args.out, [report.to_csv()]), (args.summary_out, [summary]))
+        final = report
 
     _write_atomic((args.out, []), (args.summary_out, []))  # claimed before any fit
-    failed = False
     try:
         metrics.run_replications(
             args.protocol, mechanism, reps=args.reps, gibbs=gibbs,
@@ -288,19 +284,18 @@ def _cmd_benchmark(args) -> int:
     except OSError:
         raise  # writing --out failed (or the system did); main names it
     except Exception as exc:
-        failed = True
-        _log(f"replication {len(results) + 1} failed: {exc}")
+        done = final.n_replications if final else 0
+        _log(f"replication {done + 1} failed: {exc}")
     finally:
-        if not results:  # the claimed files hold no replication
+        if final is None:  # the claimed files hold no replication
             for path in filter(None, (args.out, args.summary_out)):
                 Path(path).unlink(missing_ok=True)
 
-    if not results:
+    if final is None:
         return 1
-    final = report(results)
     for name in final.metric_names:
         _log(f"{name}: mean={final.means[name]:.4f} sd={final.sds[name]:.4f}")
-    return 1 if failed else 0
+    return 1 if final.n_replications < args.reps else 0
 
 
 def _cmd_test_independence(args) -> int:
@@ -308,7 +303,7 @@ def _cmd_test_independence(args) -> int:
     pooled = inference.pool_draws(models)
     pairs = inference.pairwise_independence(pooled, args.n)
     payload = core._csv(("j1", "j2", "p_value"), pairs)
-    if args.out:
+    if args.out is not None:
         _write_atomic((args.out, [payload]))
     else:
         sys.stdout.write(payload)

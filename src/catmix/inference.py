@@ -68,10 +68,10 @@ class ImputationResult:
 
 
 def _as_draws(posterior) -> list[CollapsedModel]:
-    """Accept a PosteriorSample, a model list, or a single model."""
+    """Accept a sequence of models or a single model."""
     if isinstance(posterior, CollapsedModel):
         return [posterior]
-    draws = list(getattr(posterior, "draws", posterior))
+    draws = list(posterior)
     for m in draws:
         if not isinstance(m, CollapsedModel):
             raise ValueError(f"expected CollapsedModel draws, got {type(m).__name__}")
@@ -161,7 +161,7 @@ def impute(data: Dataset, posterior, rule: str = "argmax",
     Parameters
     ----------
     data : Dataset
-    posterior : PosteriorSample, sequence of CollapsedModel, or CollapsedModel
+    posterior : sequence of CollapsedModel, or CollapsedModel
     rule : {"argmax", "sample"}
     seed : int, SeedSequence or Generator, optional
         Only used by the "sample" rule, which draws one uniform per

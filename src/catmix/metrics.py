@@ -25,7 +25,7 @@ from catmix.inference import (
     pool_draws,
     saturated_model,
 )
-from catmix.sampler import GibbsConfig, run_gibbs
+from catmix.sampler import GibbsConfig, modal_k, run_gibbs
 from catmix.synth import (
     MaskResult,
     MechanismSpec,
@@ -192,20 +192,20 @@ def _replicate(seed_seq, protocol: str, mechanism: MechanismSpec,
     rng = np.random.default_rng(seed_seq)
     data, truth_model = simulate(protocol, seed=rng, **table)
     masked, record = mask(data, mechanism, seed=rng)
-    sample = run_gibbs(masked, config=gibbs, seed=rng)
-    completed = impute(masked, sample, rule="argmax").completed
-    pooled = pool_draws(sample)
+    draws = run_gibbs(masked, config=gibbs, seed=rng)
+    completed = impute(masked, draws, rule="argmax").completed
+    pooled = pool_draws(draws)
     return {
         "accuracy": imputation_accuracy(completed, data, record),
         "correlation_gap": correlation_gap(
             correlation_matrix(pooled), correlation_matrix(truth_model)
         ),
-        "estimated_k": float(sample.modal_k),
+        "estimated_k": float(modal_k([m.k for m in draws])),
     }
 
 
 def run_replications(protocol: str, mechanism: MechanismSpec | None = None,
-                     reps: int = 20, gibbs: GibbsConfig | None = None,
+                     reps: int = 20, gibbs: GibbsConfig = GibbsConfig(),
                      seed=None, jobs: int = 1, on_result=None,
                      **table) -> ReplicationReport:
     """Repeat a synthetic benchmark and aggregate its metrics.
@@ -228,9 +228,10 @@ def run_replications(protocol: str, mechanism: MechanismSpec | None = None,
     jobs : int
         Worker processes, at most one per replication; 1 runs in-process.
     on_result : callable, optional
-        Called as ``on_result(i, metrics)`` as each replication finishes,
-        in replication order.  When a replication raises, the callback
-        has seen exactly the replications before it.
+        Called as ``on_result(report)`` as each replication finishes, in
+        replication order, with the report of the replications so far.
+        When a replication raises, the callback has seen exactly the
+        replications before it.
     **table
         The dataset's shape, passed unchanged to :func:`simulate`.
 
@@ -244,8 +245,6 @@ def run_replications(protocol: str, mechanism: MechanismSpec | None = None,
     _check_count("jobs", jobs, 1)
     if mechanism is None:
         mechanism = MechanismSpec.mcar()
-    if gibbs is None:
-        gibbs = GibbsConfig()
 
     master = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
@@ -255,13 +254,9 @@ def run_replications(protocol: str, mechanism: MechanismSpec | None = None,
     results: list[dict] = []
     jobs = min(jobs, reps)
     with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
-        for i, rep in enumerate((pool.map if pool else map)(task, children)):
+        for rep in (pool.map if pool else map)(task, children):
             results.append(rep)
+            report = ReplicationReport(protocol, mechanism, tuple(results), seed)
             if on_result is not None:
-                on_result(i, rep)
-    return ReplicationReport(
-        protocol=protocol,
-        mechanism=mechanism,
-        per_replication=tuple(results),
-        seed=seed,
-    )
+                on_result(report)
+    return report

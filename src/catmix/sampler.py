@@ -99,9 +99,10 @@ from catmix.core import (
 
 __all__ = [
     "GibbsConfig",
-    "PosteriorSample",
     "collapse_state",
     "iterate_states",
+    "k_histogram",
+    "modal_k",
     "run_gibbs",
 ]
 
@@ -172,44 +173,15 @@ class GibbsConfig:
         return sweep > self.burnin and (sweep - self.burnin) % self.thin == 0
 
 
-@dataclass(frozen=True)
-class PosteriorSample:
-    """Output of :func:`run_gibbs`.
-
-    Attributes
-    ----------
-    draws : tuple of CollapsedModel
-        Retained posterior draws, already rescaled to observable codes.
-    final_state : ModelState
-        Chain state after the last sweep.
-    """
-
-    draws: tuple[CollapsedModel, ...]
-    final_state: ModelState
-
-    @property
-    def k_values(self) -> np.ndarray:
-        """Number of occupied components in each retained draw."""
-        return np.array([m.k for m in self.draws], dtype=np.int64)
-
-    @property
-    def k_histogram(self) -> dict[int, int]:
-        """Map from component count to how many retained draws had it."""
-        return _k_histogram(self.k_values)
-
-    @property
-    def modal_k(self) -> int:
-        """Most frequent component count; ties go to the smaller count."""
-        return _modal_k(self.k_values)
+def k_histogram(ks) -> dict[int, int]:
+    """Map from component count to how many of ``ks`` have it."""
+    values, freq = np.unique(ks, return_counts=True)
+    return {int(a): int(b) for a, b in zip(values, freq)}
 
 
-def _k_histogram(k_values) -> dict[int, int]:
-    ks, freq = np.unique(k_values, return_counts=True)
-    return {int(a): int(b) for a, b in zip(ks, freq)}
-
-
-def _modal_k(k_values) -> int:
-    hist = _k_histogram(k_values)
+def modal_k(ks) -> int:
+    """Most frequent component count in ``ks``; ties go to the smaller."""
+    hist = k_histogram(ks)
     return min(hist, key=lambda k: (-hist[k], k))
 
 
@@ -523,9 +495,9 @@ def iterate_states(data: Dataset, config: GibbsConfig = GibbsConfig(),
 
 
 def _retained(data: Dataset, config: GibbsConfig, seed=None,
-              every: int = 0) -> Iterator[tuple[ModelState, CollapsedModel]]:
-    """Yield each retained sweep's state and its collapse, the last sweep
-    among them; unless ``every`` is 0, print ``sweep <t>/<T> k=<k>`` to
+              every: int = 0) -> Iterator[CollapsedModel]:
+    """Yield each retained sweep's state, collapsed, the last sweep among
+    them; unless ``every`` is 0, print ``sweep <t>/<T> k=<k>`` to
     standard error every ``every`` sweeps and after the last one."""
     sweeps = config.total_sweeps
     states = iterate_states(data, config, seed)
@@ -533,33 +505,29 @@ def _retained(data: Dataset, config: GibbsConfig, seed=None,
         if every and (t % every == 0 or t == sweeps):
             print(f"sweep {t}/{sweeps} k={state.k}", file=sys.stderr)
         if config.retained(t):
-            yield state, collapse_state(state)
+            yield collapse_state(state)
 
 
-def run_gibbs(data: Dataset, config: GibbsConfig | None = None,
-              seed=None) -> PosteriorSample:
+def run_gibbs(data: Dataset, config: GibbsConfig = GibbsConfig(),
+              seed=None) -> tuple[CollapsedModel, ...]:
     """Fit the mixture by collapsed Gibbs sampling.
 
     Runs ``burnin + samples * thin`` sweeps and keeps every ``thin``-th
-    state after burn-in, already rescaled to observable codes.
+    state after burn-in, already rescaled to observable codes.  The
+    posterior over k is read off the draws by :func:`k_histogram` and
+    :func:`modal_k`; the chain's last state is the last one
+    :func:`iterate_states` yields.
 
     Parameters
     ----------
     data : Dataset
     config : GibbsConfig, optional
-        Schedule and priors; defaults to ``GibbsConfig()``.
+        Schedule and priors.
     seed : int, SeedSequence or Generator, optional
 
     Returns
     -------
-    PosteriorSample
+    tuple of CollapsedModel
+        The retained draws, in chain order.
     """
-    if config is None:
-        config = GibbsConfig()
-    draws: list[CollapsedModel] = []
-    for state, model in _retained(data, config, seed):
-        draws.append(model)
-    return PosteriorSample(
-        draws=tuple(draws),
-        final_state=state,
-    )
+    return tuple(_retained(data, config, seed))

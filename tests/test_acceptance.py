@@ -250,8 +250,8 @@ def test_criterion_09_invariant_battery(capsys):
     # probability vectors
     data, _ = sample_mixture_dataset(n=25, p=6, seed=109)
     masked, _ = mask(data, MechanismSpec.mcar(), seed=110)
-    fit = run_gibbs(masked, seed=111)
-    for m in fit.draws[::20]:
+    draws = run_gibbs(masked, seed=111)
+    for m in draws[::20]:
         if abs(m.theta.sum() - 1.0) > 1e-9 or (m.theta < 0).any():
             failures.append("draw weights are not a distribution")
         rows = m.tilde_psi[:, :, :2]
@@ -286,12 +286,12 @@ def test_criterion_09_invariant_battery(capsys):
     # determinism
     again = run_gibbs(masked, seed=111)
     if not all(np.array_equal(a.tilde_psi, b.tilde_psi)
-               for a, b in zip(fit.draws, again.draws)):
+               for a, b in zip(draws, again)):
         failures.append("fits with equal seeds differ")
 
     # label invariance of imputation
-    perm = np.random.default_rng(0).permutation(fit.draws[0].k)
-    first = fit.draws[0]
+    perm = np.random.default_rng(0).permutation(draws[0].k)
+    first = draws[0]
     shuffled = type(first)(first.schema, first.theta[perm],
                            first.tilde_psi[perm])
     a = impute(masked, [first], rule="argmax")
@@ -329,8 +329,8 @@ def test_criterion_10_ratings_pipeline(capsys):
     # Recovery on a masked synthetic binary matrix
     complete, _ = sample_mixture_dataset(n=200, p=15, k=3, seed=301)
     masked, record = mask_fraction(complete, 0.4, seed=302)
-    fit = run_gibbs(masked, seed=303)
-    completed = impute(masked, fit).completed
+    draws = run_gibbs(masked, seed=303)
+    completed = impute(masked, draws).completed
     acc = imputation_accuracy(completed, complete, record)
     ok = filter_ok and acc >= 0.70
     _announce(capsys, 10, ok,

@@ -243,11 +243,11 @@ class TestFit:
                        "--seed", "2", "--burnin", "0", "--samples", "6",
                        "--thin", "1", "--alpha", "5", "--progress-every", "1"])
         assert rc == 0
-        fit = run_gibbs(parse_dataset(inp.read_text()),
-                        GibbsConfig(burnin=0, samples=6, thin=1, alpha=5.0),
-                        seed=2)
+        draws = run_gibbs(parse_dataset(inp.read_text()),
+                          GibbsConfig(burnin=0, samples=6, thin=1, alpha=5.0),
+                          seed=2)
         assert capsys.readouterr().err.splitlines()[:-1] == [
-            f"sweep {t}/6 k={k}" for t, k in enumerate(fit.k_values, start=1)]
+            f"sweep {t}/6 k={m.k}" for t, m in enumerate(draws, start=1)]
 
     def test_rejects_bad_progress_interval(self, tmp_path, capsys,
                                            monkeypatch):
@@ -659,8 +659,8 @@ class TestBenchmark:
             # both files are claimed before any fit
             assert out.read_text() == summary.read_text() == ""
 
-            def check(i, rep):
-                on_result(i, rep)
+            def check(report):
+                on_result(report)
                 seen.append((out.read_text(), json.loads(summary.read_text()),
                              sorted(p.name for p in tmp_path.iterdir())))
 
@@ -922,6 +922,29 @@ def test_atomic_writes_leave_no_leftovers(tmp_path):
                               (path, broken()))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "out.txt"]
         assert not list((tmp_path / "dir").iterdir())
+
+
+@pytest.mark.parametrize("command", ["fit", "impute", "test-independence"])
+def test_empty_output_flag_is_refused(tmp_path, capsys, monkeypatch,
+                                      command):
+    # an empty path is not taken to mean the default file or stdout
+    def no_sweeps(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    inp = _toy_csv(tmp_path)
+    model = _fit(tmp_path, inp)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    monkeypatch.setattr(sampler._Chain, "sweep", no_sweeps)
+    argv = {"fit": ["fit", str(inp), "--out", str(tmp_path / "again.json"),
+                    "--k-histogram", ""],
+            "impute": ["impute", str(inp), str(model), "--out",
+                       str(tmp_path / "filled.csv"), "--cell-posterior", ""],
+            "test-independence": ["test-independence", str(model),
+                                  "--n", "12", "--out", ""]}[command]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", "error: cannot write '': no file name\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 def test_console_script_is_installed():

@@ -415,10 +415,10 @@ class TestModelSerialization:
         assert cli.main(["fit", str(table), "--out", str(out), "--seed", "4",
                          "--burnin", "5", "--samples", "6", "--thin", "1",
                          "--progress-every", "0"]) == 0
-        fit = sampler.run_gibbs(
+        draws = sampler.run_gibbs(
             parse_dataset(table.read_text()),
             sampler.GibbsConfig(burnin=5, samples=6, thin=1), seed=4)
-        assert out.read_text() == serialize_models(fit.draws)
+        assert out.read_text() == serialize_models(draws)
 
     def test_single_model_document_loads_as_one_draw(self):
         m = _random_model(np.random.default_rng(5))
@@ -506,13 +506,13 @@ PACKAGE_NAMES = {
     "AugmentedModel", "CategoricalSchema", "CollapsedModel",
     "ConstructionReport", "Dataset", "GibbsConfig", "ImputationResult",
     "JointDistribution", "LoadError", "MaskResult", "MechanismSpec",
-    "MissingnessTable", "ModelState", "ParseError", "PosteriorSample",
-    "ReplicationReport", "class_posterior", "collapse_state",
-    "construct_saturated_model", "correlation_gap", "correlation_matrix",
-    "dataset_to_csv", "deserialize_models", "fisher_exact_2x2", "impute",
+    "MissingnessTable", "ModelState", "ParseError", "ReplicationReport",
+    "class_posterior", "collapse_state", "construct_saturated_model",
+    "correlation_gap", "correlation_matrix", "dataset_to_csv",
+    "deserialize_models", "fisher_exact_2x2", "impute",
     "imputation_accuracy", "iterate_states", "joint_distribution",
-    "largest_remainder_counts", "mask", "mask_fraction", "model_from_dict",
-    "model_to_dict", "pair_marginal", "pairwise_independence",
+    "k_histogram", "largest_remainder_counts", "mask", "mask_fraction",
+    "modal_k", "model_from_dict", "model_to_dict", "pair_marginal", "pairwise_independence",
     "parse_dataset", "parse_ratings_csv", "predictive_cell",
     "preprocess_ratings", "pool_draws", "run_gibbs", "run_replications",
     "sample_mixture_dataset", "sample_xor_dataset", "saturated_model",
@@ -522,7 +522,7 @@ PACKAGE_NAMES = {
 
 def test_package_surface_is_the_union_of_the_module_lists():
     modules = (core, sampler, inference, synth, metrics)
-    assert len(PACKAGE_NAMES) == 48
+    assert len(PACKAGE_NAMES) == 49
     assert sorted(catmix.__all__) == sorted(PACKAGE_NAMES)
     for module in modules:
         for name in module.__all__:

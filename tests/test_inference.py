@@ -624,10 +624,10 @@ def test_xor_fit_recovers_the_third_bit():
     """After fitting complete XOR data, the model predicts a missing V3
     from (V1, V2) with most of its mass on the XOR-consistent code."""
     data, _ = sample_xor_dataset(n=300, seed=21)
-    fit = run_gibbs(data, seed=22)
+    draws = run_gibbs(data, seed=22)
     probe = np.array([1, 2, 0])  # bits (0, 1): V3 should be bit 1 = code 2
-    per_draw = np.mean([predictive_cell(probe, 2, m) for m in fit.draws],
+    per_draw = np.mean([predictive_cell(probe, 2, m) for m in draws],
                        axis=0)
     assert per_draw[1] >= 0.9
-    pooled = predictive_cell(probe, 2, pool_draws(fit))
+    pooled = predictive_cell(probe, 2, pool_draws(draws))
     assert pooled[1] >= 0.9

@@ -226,9 +226,15 @@ class TestRunReplications:
         seen = []
         report = run_replications(
             "mixture", reps=3, gibbs=TINY, seed=5, n=12, p=4, k=2,
-            jobs=jobs, on_result=lambda i, rep: seen.append((i, rep)),
+            jobs=jobs, on_result=seen.append,
         )
-        assert [i for i, _ in seen] == [0, 1, 2]
-        assert all(rep is kept for (_, rep), kept
-                   in zip(seen, report.per_replication, strict=True))
+        # each call gets the running report of the replications so far
+        assert [r.n_replications for r in seen] == [1, 2, 3]
+        assert seen[-1] is report
+        for i, running in enumerate(seen):
+            assert (running.protocol, running.mechanism, running.seed) == (
+                report.protocol, report.mechanism, report.seed)
+            assert all(rep is kept for rep, kept in zip(
+                running.per_replication, report.per_replication[:i + 1],
+                strict=True))
 

@@ -16,6 +16,8 @@ from catmix.sampler import (
     GibbsConfig,
     collapse_state,
     iterate_states,
+    k_histogram,
+    modal_k,
     run_gibbs,
 )
 
@@ -491,13 +493,12 @@ def test_block_weights_match_single_row_weights_bytewise(k):
 @pytest.mark.parametrize("alpha, beta", [(1, 1), (50, 3)])
 def test_integer_priors_draw_what_their_floats_draw(alpha, beta):
     data = _mixed_missing_table(0)
-    fits = [run_gibbs(data, GibbsConfig(burnin=3, samples=2, thin=1,
-                                        alpha=a, beta=b), seed=0)
+    cfgs = [GibbsConfig(burnin=3, samples=2, thin=1, alpha=a, beta=b)
             for a, b in ((alpha, beta), (float(alpha), float(beta)))]
-    assert (serialize_models(fits[0].draws)
-            == serialize_models(fits[1].draws))
-    assert (fits[0].final_state.psi.tobytes()
-            == fits[1].final_state.psi.tobytes())
+    fits = [run_gibbs(data, cfg, seed=0) for cfg in cfgs]
+    assert serialize_models(fits[0]) == serialize_models(fits[1])
+    last = [list(iterate_states(data, cfg, seed=0))[-1] for cfg in cfgs]
+    assert last[0].psi.tobytes() == last[1].psi.tobytes()
 
 
 @pytest.mark.parametrize("bit_generator",
@@ -615,20 +616,22 @@ def test_iterate_states_rejects_bad_arguments():
 
 def test_iterate_states_runs_the_whole_schedule():
     # every sweep of the config, retained or not; the retained states,
-    # collapsed, are run_gibbs's draws byte for byte
+    # collapsed, are run_gibbs's draws byte for byte, the last sweep's
+    # state among them
     data = _mixed_missing_table(1)
     cfg = GibbsConfig(burnin=3, samples=4, thin=2)
     states = list(iterate_states(data, cfg, seed=5))
     assert len(states) == cfg.total_sweeps == 11
-    kept = [collapse_state(state) for t, state in enumerate(states, start=1)
+    kept = [state for t, state in enumerate(states, start=1)
             if cfg.retained(t)]
-    fit = run_gibbs(data, cfg, seed=5)
-    assert len(kept) == len(fit.draws) == 4
-    for ours, theirs in zip(kept, fit.draws):
+    draws = run_gibbs(data, cfg, seed=5)
+    assert type(draws) is tuple
+    assert len(kept) == len(draws) == 4 and kept[-1] is states[-1]
+    for state, theirs in zip(kept, draws, strict=True):
+        ours = collapse_state(state)
         assert ours.theta.tobytes() == theirs.theta.tobytes()
         assert ours.tilde_psi.tobytes() == theirs.tilde_psi.tobytes()
-    assert fit.k_values.tolist() == [model.k for model in kept]
-    assert fit.final_state.psi.tobytes() == states[-1].psi.tobytes()
+        assert theirs.k == state.k
 
 
 class TestGibbsConfig:
@@ -680,18 +683,21 @@ class TestGibbsConfig:
         cfg = GibbsConfig(burnin=3, samples=2, thin=1, beta=1e300)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = run_gibbs(data, config=cfg, seed=0)
-        assert len(out.draws) == 2
+            draws = run_gibbs(data, config=cfg, seed=0)
+        assert len(draws) == 2
 
     def test_priors_reach_the_chain(self):
         # with these priors every row opens its own component
         data = _toy_data(4)
         cfg = GibbsConfig(burnin=0, samples=1, thin=1, alpha=1e12, beta=2.0)
-        out = run_gibbs(data, config=cfg, seed=0)
+        (draw,) = run_gibbs(data, config=cfg, seed=0)
+        (state,) = iterate_states(data, cfg, seed=0)
         manual = next(iterate_states(
             data, GibbsConfig(alpha=1e12, beta=2.0), seed=0))
-        assert np.array_equal(out.final_state.psi, manual.psi)
-        assert out.final_state.k == data.n_rows
+        assert np.array_equal(state.psi, manual.psi)
+        assert state.k == draw.k == data.n_rows
+        assert np.array_equal(draw.tilde_psi,
+                              collapse_state(manual).tilde_psi)
 
 
 @pytest.mark.parametrize("beta", [0.2, 0.1, 0.01])
@@ -708,9 +714,9 @@ def test_small_beta_fits_collapse_and_impute(beta, tmp_path):
     for seed in range(6):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fit = run_gibbs(data, cfg, seed=seed)
-            cells = impute(data, fit).completed.cells
-        assert len(fit.draws) == 50
+            draws = run_gibbs(data, cfg, seed=seed)
+            cells = impute(data, draws).completed.cells
+        assert len(draws) == 50
         assert (cells[observed] == data.cells[observed]).all()
         assert ((cells >= 1) & (cells <= data.schema.codes_array())).all()
 
@@ -718,35 +724,54 @@ def test_small_beta_fits_collapse_and_impute(beta, tmp_path):
 class TestRunGibbs:
     def test_single_draw(self):
         data = _toy_data(4)
-        out = run_gibbs(data, config=GibbsConfig(burnin=0, samples=1,
-                                                 thin=1), seed=0)
-        assert len(out.draws) == 1
-        assert out.k_values.shape == (1,)
-        assert out.k_values[0] == out.final_state.k
+        cfg = GibbsConfig(burnin=0, samples=1, thin=1)
+        (draw,) = run_gibbs(data, config=cfg, seed=0)
+        (state,) = iterate_states(data, cfg, seed=0)
+        assert draw.k == state.k
 
     def test_histogram_accounts_for_every_draw(self):
         data = _toy_data(5)
         cfg = GibbsConfig(burnin=10, samples=25, thin=2)
-        out = run_gibbs(data, config=cfg, seed=3)
-        assert sum(out.k_histogram.values()) == 25
-        assert out.modal_k in out.k_histogram
-        assert len(out.draws) == 25
+        draws = run_gibbs(data, config=cfg, seed=3)
+        hist = k_histogram([m.k for m in draws])
+        assert sum(hist.values()) == len(draws) == 25
+        assert modal_k([m.k for m in draws]) in hist
 
     def test_deterministic_given_seed(self):
         data = _toy_data(6)
         cfg = GibbsConfig(burnin=5, samples=5, thin=1)
         a = run_gibbs(data, config=cfg, seed=99)
         b = run_gibbs(data, config=cfg, seed=99)
-        assert np.array_equal(a.k_values, b.k_values)
-        for da, db in zip(a.draws, b.draws):
+        assert [m.k for m in a] == [m.k for m in b]
+        for da, db in zip(a, b, strict=True):
             assert np.array_equal(da.theta, db.theta)
             assert np.array_equal(da.tilde_psi, db.tilde_psi)
 
     def test_constant_dataset_concentrates_on_one_component(self):
         data = Dataset(CategoricalSchema([2, 2]), [[1, 2]] * 20)
-        out = run_gibbs(data, config=GibbsConfig(burnin=50, samples=50,
-                                                 thin=1), seed=5)
-        assert out.modal_k == 1
+        draws = run_gibbs(data, config=GibbsConfig(burnin=50, samples=50,
+                                                   thin=1), seed=5)
+        assert modal_k([m.k for m in draws]) == 1
+
+
+class TestKSummaries:
+    def test_histogram_counts_every_draw(self):
+        ks = [3, 1, 3, 7, 1, 3]
+        assert k_histogram(ks) == {1: 2, 3: 3, 7: 1}
+        assert k_histogram(np.array(ks)) == k_histogram(ks)
+        assert all(type(k) is int and type(c) is int
+                   for k, c in k_histogram(np.array(ks)).items())
+
+    @pytest.mark.parametrize("ks, mode", [
+        ([4, 2, 4, 2], 2),
+        ([5, 9, 9, 5, 1], 5),
+        ([3, 3, 1, 2, 1, 2], 1),
+        ([6], 6),
+        ([2, 7, 7], 7),
+    ])
+    def test_modal_k_breaks_ties_toward_the_smaller_count(self, ks, mode):
+        assert modal_k(ks) == mode
+        assert modal_k(ks[::-1]) == mode
 
 
 @settings(max_examples=15, deadline=None)

@@ -262,9 +262,10 @@ def test_cli_hashes_print_one_line_per_stream_and_file(tmp_path, capsys,
         f"{name}.{stream}" for name, _ in cli_hashes.COMMANDS
         for stream in ("stdout", "stderr")]
     # every command succeeds but the fit of the malformed table, the
-    # commands with an output in a missing directory or naming no file,
-    # the fit that names one path twice, the benchmark whose replications
-    # fail and the impute from a document that disagrees with its draws;
+    # commands with an output in a missing directory, naming no file or
+    # given as an empty flag, the fit that names one path twice, the
+    # benchmark whose replications fail and the impute from a document
+    # that disagrees with its draws;
     # none of these leaves a file behind
     exits = dict(line.split()[::2] for line in lines[1:streams:2])
     assert exits.pop("fit-malformed.stderr") == "exit=1"
@@ -277,6 +278,9 @@ def test_cli_hashes_print_one_line_per_stream_and_file(tmp_path, capsys,
     assert exits.pop("fit-out-dir.stderr") == "exit=1"
     assert exits.pop("simulate-out-slash.stderr") == "exit=1"
     assert exits.pop("impute-doc-cardinalities.stderr") == "exit=1"
+    assert exits.pop("fit-empty-khist.stderr") == "exit=1"
+    assert exits.pop("impute-empty-cells.stderr") == "exit=1"
+    assert exits.pop("independence-empty-out.stderr") == "exit=1"
     assert set(exits.values()) == {"exit=0"}
     assert [line.split()[0] for line in lines[streams:]] == [
         "argmax.csv", "argmax.csv.cells.csv", "binary.csv", "complete.csv",
