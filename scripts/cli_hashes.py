@@ -2,32 +2,35 @@
 
     python3 scripts/cli_hashes.py [--src DIR]
 
-Runs a fixed list of ``catmix`` commands, each as ``python -m catmix.cli``
-in a fresh interpreter, in one temporary directory: ``simulate`` (mixture
-MCAR with all four outputs, xor MNAR with ``--mask-out`` and
-``--truth-out``), ``fit`` (with ``--progress-every 7``, with
-``--summary``, and with ``--schema`` on a small inline table of
+Runs a fixed list of ``catmix`` commands, each as
+``python -m catmix.cli`` in a fresh interpreter, in one temporary
+directory: ``simulate`` (mixture MCAR with all four outputs, xor MNAR
+with ``--mask-out`` and ``--truth-out``, and one run under each mechanism
+with explicit rates: ``--mcar-rate``, ``--mar-rates`` with
+``--mask-out``, ``--mnar-rates``, and one with no mechanism), ``fit`` (with ``--progress-every 7``,
+with ``--summary``, and with ``--schema`` on a small inline table of
 cardinalities 2, 5, 9 and 12 and on a messy one with spaces, ``na``,
 empty fields and blank lines), ``impute`` (argmax, and ``--rule sample``,
 from the mixture fit, from the two inline tables' fits, and from the xor
-point-mass truth model), ``fit`` of a malformed inline table, which
-exits 1 with one error line, ``test-independence`` (to stdout and to
-``--out``), ``benchmark --reps 3 --jobs 1`` with ``--out`` and
+point-mass truth model), ``fit`` of a malformed inline table, which exits
+1 with one error line, ``test-independence`` (to stdout, to ``--out`` and
+at ``--n 5000``), ``benchmark --reps 3 --jobs 1`` with ``--out`` and
 ``--summary-out``, ``preprocess-ratings`` (binary and five) on a small
-inline ratings table, and twelve commands that exit 1: ``fit --out``
-into a missing directory, ``fit --k-histogram`` into a missing
+inline ratings table, and fourteen commands that exit 1: ``fit --out``
+into a missing directory, ``fit --k-histogram`` into a missing directory,
+``impute --out`` and ``test-independence --out`` into a missing
 directory, a ``benchmark --out`` whose every replication fails,
 ``simulate --mask-out`` into a missing directory, ``fit`` with one path
-for ``--out`` and ``--k-histogram``, ``benchmark --summary-out`` into
-a missing directory, ``fit --out`` naming an existing directory,
+for ``--out`` and ``--k-histogram``, ``benchmark --summary-out`` into a
+missing directory, ``fit --out`` naming an existing directory,
 ``simulate --out`` ending in a separator, ``impute`` from a draws
 document whose own cardinalities disagree with its draw's, and an empty
 ``fit --k-histogram``, ``impute --cell-posterior`` and
-``test-independence --out``; none of them leaves a file.  It
-prints one ``name sha1`` line for each command's stdout, one ``name
-sha1 exit=N`` line for its stderr and exit code, and then one ``name
-sha1`` line for each file the commands wrote.
-The elapsed seconds in ``fit``'s summary line are masked.
+``test-independence --out``; none of them leaves a file. It prints one
+``name sha1`` line for each command's stdout, one ``name sha1 exit=N``
+line for its stderr and exit code, and then one ``name sha1`` line for
+each file the commands wrote. The elapsed seconds in ``fit``'s summary
+line are masked.
 
 ``--src`` names the directory that holds the ``catmix`` package
 (default: this repository's ``src``); run the script once per checkout
@@ -81,6 +84,19 @@ COMMANDS = (
                       "--seed", "2", "--mechanism", "mnar", "--out", "xor.csv",
                       "--mask-out", "xor-mask.csv", "--truth-out",
                       "xor-truth.json"]),
+    ("simulate-mcar-rate", ["simulate", "--protocol", "mixture", "--n", "30",
+                            "--p", "4", "--seed", "21", "--mechanism", "mcar",
+                            "--mcar-rate", "0.35", "--out", "mcar-rate.csv"]),
+    ("simulate-mar-rates", ["simulate", "--protocol", "mixture", "--n", "40",
+                            "--p", "4", "--seed", "22", "--mechanism", "mar",
+                            "--mar-rates", "0.05,0.6", "--out", "mar.csv",
+                            "--mask-out", "mar-mask.csv"]),
+    ("simulate-mnar-rates", ["simulate", "--protocol", "xor", "--n", "50",
+                             "--seed", "23", "--mechanism", "mnar",
+                             "--mnar-rates", "0.4,0.15", "--out", "mnar.csv"]),
+    ("simulate-none", ["simulate", "--protocol", "mixture", "--n", "20", "--p",
+                       "3", "--seed", "24", "--out", "unmasked.csv",
+                       "--mask-out", "unmasked-mask.csv"]),
     ("fit", ["fit", "mixture.csv", "--out", "model.json", "--seed", "3",
              *FAST, "--progress-every", "7"]),
     ("fit-summary", ["fit", "xor.csv", "--out", "pooled.json", "--seed", "4",
@@ -114,6 +130,8 @@ COMMANDS = (
     ("independence-stdout", ["test-independence", "model.json", "--n", "40"]),
     ("independence-out", ["test-independence", "pooled.json", "--n", "60",
                           "--out", "pvalues.csv"]),
+    ("independence-large-n", ["test-independence", "model.json", "--n",
+                              "5000"]),
     ("benchmark", ["benchmark", "--protocol", "mixture", "--reps", "3",
                    "--jobs", "1", "--n", "20", "--p", "4", "--seed", "5",
                    *FAST, "--out", "reps.csv", "--summary-out",
@@ -158,6 +176,10 @@ COMMANDS = (
                             "uncelled.csv", "--cell-posterior", ""]),
     ("independence-empty-out", ["test-independence", "model.json", "--n",
                                 "40", "--out", ""]),
+    ("impute-missing-dir", ["impute", "mixture.csv", "model.json", "--out",
+                            "nodir/x.csv"]),
+    ("independence-missing-dir", ["test-independence", "model.json", "--n",
+                                  "40", "--out", "nodir/x.csv"]),
 )
 
 

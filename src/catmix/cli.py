@@ -140,7 +140,7 @@ def _add_mechanism_flags(sub: argparse.ArgumentParser, *, with_none: bool) -> No
     sub.add_argument("--mechanism", choices=choices,
                      default="none" if with_none else "mcar",
                      help="missingness mechanism")
-    sub.add_argument("--mcar-rate", type=_rate,
+    sub.add_argument("--mcar-rate", type=lambda text: (_rate(text),),
                      help="MCAR per-cell masking rate")
     sub.add_argument("--mar-rates", type=_rate_pair, metavar="R1,R2",
                      help="MAR rates keyed on the first variable")
@@ -167,11 +167,12 @@ def _given(args, *dests) -> dict:
     return {d: vars(args)[d] for d in dests if vars(args)[d] is not None}
 
 
-def _mechanism(args) -> synth.MechanismSpec | None:
-    if args.mechanism == "none":
-        return None
-    rates = _given(args, "mcar_rate", "mar_rates", "mnar_rates")
-    return synth.MechanismSpec(kind=args.mechanism, **rates)
+def _mechanism(args) -> synth.MechanismSpec:
+    if args.mechanism == "none":  # a rate that masks no cell
+        return synth.MechanismSpec.mcar(0.0)
+    # _READ_UNDER leaves at most one rate flag, the chosen mechanism's own
+    rates = _given(args, "mcar_rate", "mar_rates", "mnar_rates").values()
+    return synth.MechanismSpec(args.mechanism, *rates)
 
 
 def _gibbs_config(args) -> sampler.GibbsConfig:
@@ -223,11 +224,20 @@ def _cmd_impute(args) -> int:
     draws = core.deserialize_models(Path(args.model).read_text())
     schema = draws[0].schema
     data = core.parse_dataset(Path(args.input).read_text(), schema)
-    result = inference.impute(data, draws, rule=args.rule, seed=args.seed)
-    _write_atomic((args.out, [core.dataset_to_csv(result.completed)]),
+    result = None
+
+    def completed():
+        nonlocal result
+        result = inference.impute(data, draws, rule=args.rule, seed=args.seed)
+        yield core.dataset_to_csv(result.completed)
+
+    def cells():
+        yield from core._cell_lines(data.column_names, result.cell_posteriors)
+
+    # the imputation runs as the first file is written, once both are open
+    _write_atomic((args.out, completed()),
                   (f"{args.out}.cells.csv" if args.cell_posterior is None
-                   else args.cell_posterior,
-                   core._cell_lines(data.column_names, result.cell_posteriors)))
+                   else args.cell_posterior, cells()))
     _log(
         f"impute: filled {len(result.cell_posteriors)} cells "
         f"({args.rule} rule) in {data.n_rows} rows"
@@ -240,11 +250,7 @@ def _cmd_simulate(args) -> int:
     data, truth_model = metrics.simulate(args.protocol, seed=rng,
                                          **_given(args, *_TABLE))
 
-    mechanism = _mechanism(args)
-    if mechanism is None:
-        out_data, record = data, synth.MaskResult([], [], [], data.cells.size)
-    else:
-        out_data, record = synth.mask(data, mechanism, seed=rng)
+    out_data, record = synth.mask(data, _mechanism(args), seed=rng)
 
     names = (data.column_names[j] for j in record.cols.tolist())
     rows = zip(record.rows.tolist(), names, record.values.tolist())
@@ -301,12 +307,15 @@ def _cmd_benchmark(args) -> int:
 def _cmd_test_independence(args) -> int:
     models = core.deserialize_models(Path(args.model).read_text())
     pooled = inference.pool_draws(models)
-    pairs = inference.pairwise_independence(pooled, args.n)
-    payload = core._csv(("j1", "j2", "p_value"), pairs)
-    if args.out is not None:
-        _write_atomic((args.out, [payload]))
-    else:
-        sys.stdout.write(payload)
+    pairs = []
+
+    def payload():  # the tests run once --out is open
+        pairs.extend(inference.pairwise_independence(pooled, args.n))
+        yield core._csv(("j1", "j2", "p_value"), pairs)
+
+    _write_atomic((args.out, payload()))  # skipped without --out
+    if args.out is None:
+        sys.stdout.writelines(payload())
     _log(f"test-independence: {len(pairs)} pairs at n={args.n}")
     return 0
 

@@ -41,7 +41,6 @@ __all__ = [
     "dataset_to_csv",
     "deserialize_models",
     "model_from_dict",
-    "model_to_dict",
     "parse_dataset",
     "serialize_model",
     "serialize_models",
@@ -244,11 +243,6 @@ class Dataset:
     @property
     def n_variables(self) -> int:
         return self.cells.shape[1]
-
-    @property
-    def observed_mask(self) -> np.ndarray:
-        """Boolean mask of observed (non missing) cells."""
-        return self.cells != MISSING
 
     def n_missing(self) -> int:
         return int((self.cells == MISSING).sum())
@@ -560,13 +554,6 @@ def _cell_lines(names, posteriors: dict):
 # Model JSON documents
 # ---------------------------------------------------------------------------
 
-def model_to_dict(model: CollapsedModel) -> dict:
-    """Plain-JSON representation of a collapsed model, parsed from
-    :func:`serialize_model`: ``tildePsi[h][j]`` has exactly ``d_j``
-    entries, so the document never exposes the internal zero padding."""
-    return json.loads(serialize_model(model))
-
-
 def _json_numbers(values, kind=(int, float)) -> bool:
     """Whether ``values`` is a list of finite JSON numbers of ``kind``:
     no bools, and no integer beyond the float range."""
@@ -576,7 +563,7 @@ def _json_numbers(values, kind=(int, float)) -> bool:
 
 
 def model_from_dict(obj) -> CollapsedModel:
-    """Inverse of :func:`model_to_dict`, validating as it goes.
+    """The model of a parsed :func:`serialize_model` document, validated.
 
     Raises
     ------
@@ -650,8 +637,8 @@ def _json_list(items, pad: str) -> str:
 
 
 def _model_texts(models: Iterable[CollapsedModel], schema, pad: str):
-    """Yield the :func:`model_to_dict` document of each model of ``schema``
-    as ``json.dumps(..., indent=2)`` lays it out at indent ``pad``.  One
+    """Yield the JSON document of each model of ``schema`` as
+    ``json.dumps(..., indent=2)`` lays it out at indent ``pad``.  One
     ``%r`` template per distinct k takes theta, then tilde psi's real
     entries: ``repr`` of a finite float is the text ``json`` writes."""
     cards = schema.cardinalities

@@ -362,8 +362,8 @@ def fisher_exact_2x2(table) -> float:
     Returns
     -------
     float
-        p-value in (0, 1].  A table with a zero margin carries no
-        evidence either way and returns 1.0 by convention.
+        p-value in (0, 1].  A table with a zero margin is the only
+        table with its margins, so it carries no evidence and gives 1.0.
     """
     t = np.asarray(table)
     if t.shape != (2, 2):
@@ -381,16 +381,16 @@ def fisher_exact_2x2(table) -> float:
     n = r1 + r2
     if n < 1:
         raise ValueError("table total must be at least 1")
-    if min(r1, r2, c1, b + d) == 0:
-        return 1.0
     lo = max(0, c1 - r2)
     hi = min(r1, c1)
     observed = comb(r1, a) * comb(r2, c1 - a)
+    # w(x) = C(r1, x) C(r2, c1 - x), stepped by its exact integer ratio
+    weight = comb(r1, lo) * comb(r2, c1 - lo)
     acc = 0
     for x in range(lo, hi + 1):
-        weight = comb(r1, x) * comb(r2, c1 - x)
         if weight <= observed:
             acc += weight
+        weight = weight * (r1 - x) * (c1 - x) // ((x + 1) * (r2 - c1 + x + 1))
     return acc / comb(n, c1)
 
 
@@ -399,7 +399,8 @@ def largest_remainder_counts(probs, n: int) -> np.ndarray:
 
     Every cell gets the floor of its scaled value; the leftover units
     go to the cells with the largest fractional parts, ties broken by
-    position (row-major first).
+    position (row-major first).  ``n`` is at most 2**53, beyond which
+    float64 does not count by ones.
     """
     probs = np.asarray(probs, dtype=np.float64)
     # a non-finite sum refuses NaN, infinite and overflowing entries alike
@@ -407,8 +408,8 @@ def largest_remainder_counts(probs, n: int) -> np.ndarray:
         total = probs.sum()
     if not np.isfinite(total) or (probs < 0).any() or total <= 0:
         raise ValueError("probs must be nonnegative with positive sum")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    if not 0 <= n <= 2 ** 53:
+        raise ValueError(f"n must lie in 0 .. 2**53, got {n}")
     scaled = probs / total * n
     base = np.floor(scaled).astype(np.int64)
     short = int(n - base.sum())

@@ -204,7 +204,7 @@ def _replicate(seed_seq, protocol: str, mechanism: MechanismSpec,
     }
 
 
-def run_replications(protocol: str, mechanism: MechanismSpec | None = None,
+def run_replications(protocol: str, mechanism: MechanismSpec = MechanismSpec(),
                      reps: int = 20, gibbs: GibbsConfig = GibbsConfig(),
                      seed=None, jobs: int = 1, on_result=None,
                      **table) -> ReplicationReport:
@@ -221,7 +221,7 @@ def run_replications(protocol: str, mechanism: MechanismSpec | None = None,
     ----------
     protocol : {"mixture", "xor"}
     mechanism : MechanismSpec, optional
-        Defaults to MCAR at rate 0.2.
+        The kind and rates of the masking; MCAR at rate 0.2 by default.
     reps : int
     gibbs : GibbsConfig, optional
     seed : int or SeedSequence, optional
@@ -243,8 +243,6 @@ def run_replications(protocol: str, mechanism: MechanismSpec | None = None,
         raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
     _check_count("reps", reps, 1)
     _check_count("jobs", jobs, 1)
-    if mechanism is None:
-        mechanism = MechanismSpec.mcar()
 
     master = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)

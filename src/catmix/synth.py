@@ -43,6 +43,9 @@ __all__ = [
 ]
 
 
+_DEFAULT_RATES = {"MCAR": (0.2,), "MAR": (0.1, 0.3), "MNAR": (0.1, 0.3)}
+
+
 @dataclass(frozen=True)
 class MechanismSpec:
     """Which missingness mechanism to apply, and at which rates.
@@ -50,45 +53,43 @@ class MechanismSpec:
     Attributes
     ----------
     kind : {"MCAR", "MAR", "MNAR"}
-    mcar_rate : float
-        Independent per-cell masking probability under MCAR.
-    mar_rates : (float, float)
-        Masking rates of columns 2..p under MAR, keyed on whether the
-        row's first (never masked) variable equals 1 or 2.
-    mnar_rates : (float, float)
-        Masking rates under MNAR, keyed on the cell's own value 1 or 2.
+    rates : tuple of float
+        One for MCAR, the per-cell masking probability (default 0.2).
+        Two for MAR and MNAR (default 0.1 and 0.3), keyed on whether the
+        row's first, never masked variable (MAR) or the cell's own value
+        (MNAR) is 1 or 2.  Empty means the kind's defaults.
     """
 
     kind: str = "MCAR"
-    mcar_rate: float = 0.2
-    mar_rates: tuple[float, float] = (0.1, 0.3)
-    mnar_rates: tuple[float, float] = (0.1, 0.3)
+    rates: tuple[float, ...] = ()
 
     def __post_init__(self):
         kind = str(self.kind).upper()
-        if kind not in ("MCAR", "MAR", "MNAR"):
+        if kind not in _DEFAULT_RATES:
             raise ValueError(
                 f"kind must be MCAR, MAR or MNAR, got {self.kind!r}"
             )
-        object.__setattr__(self, "kind", kind)
-        rates = (self.mcar_rate,) + tuple(self.mar_rates) + tuple(self.mnar_rates)
+        rates = tuple(self.rates) or _DEFAULT_RATES[kind]
+        if len(rates) != len(_DEFAULT_RATES[kind]):
+            raise ValueError(f"{kind} takes {len(_DEFAULT_RATES[kind])} "
+                             f"masking rate(s), got {len(rates)}")
         for r in rates:
             if not 0.0 <= r <= 1.0:
                 raise ValueError(f"masking rates must lie in [0, 1], got {r}")
-        object.__setattr__(self, "mar_rates", tuple(float(r) for r in self.mar_rates))
-        object.__setattr__(self, "mnar_rates", tuple(float(r) for r in self.mnar_rates))
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "rates", tuple(float(r) for r in rates))
 
     @classmethod
     def mcar(cls, rate: float = 0.2) -> "MechanismSpec":
-        return cls(kind="MCAR", mcar_rate=rate)
+        return cls("MCAR", (rate,))
 
     @classmethod
     def mar(cls, rate_given_1: float = 0.1, rate_given_2: float = 0.3) -> "MechanismSpec":
-        return cls(kind="MAR", mar_rates=(rate_given_1, rate_given_2))
+        return cls("MAR", (rate_given_1, rate_given_2))
 
     @classmethod
     def mnar(cls, rate_if_1: float = 0.1, rate_if_2: float = 0.3) -> "MechanismSpec":
-        return cls(kind="MNAR", mnar_rates=(rate_if_1, rate_if_2))
+        return cls("MNAR", (rate_if_1, rate_if_2))
 
 
 @dataclass(frozen=True)
@@ -118,27 +119,21 @@ class MaskResult:
         """Masked share of all cells."""
         return self.rows.size / self.n_total_cells
 
-    def pairs(self) -> set[tuple[int, int]]:
-        """Masked coordinates as a set of (row, column) tuples."""
-        return {(int(i), int(j)) for i, j in zip(self.rows, self.cols)}
-
 
 # ---------------------------------------------------------------------------
 # Generators
 # ---------------------------------------------------------------------------
 
 def sample_mixture_dataset(n: int = 50, p: int = 20, k: int = 3,
-                           cardinality=2, theta_dirichlet: float = 10.0,
-                           psi_dirichlet: float = 0.5,
+                           cardinality=2,
                            seed=None) -> tuple[Dataset, CollapsedModel]:
     """Draw a complete dataset from a random product-multinomial mixture.
 
     The mixture itself is random: weights from a symmetric Dirichlet
-    with concentration ``theta_dirichlet``, each component's category
-    probabilities from a symmetric Dirichlet with concentration
-    ``psi_dirichlet`` (small values give spiky, well separated
-    components).  Rows then sample a component and draw every variable
-    independently from it.
+    with concentration 10, each component's category probabilities
+    from a symmetric Dirichlet with concentration 0.5, which gives
+    spiky, well separated components.  Rows then sample a component and
+    draw every variable independently from it.
 
     Parameters
     ----------
@@ -146,8 +141,6 @@ def sample_mixture_dataset(n: int = 50, p: int = 20, k: int = 3,
         Rows, variables, mixture components.
     cardinality : int or sequence of int
         Number of categories, shared or per variable.
-    theta_dirichlet, psi_dirichlet : float
-        Dirichlet concentrations for weights and category probabilities.
     seed : int, SeedSequence or Generator, optional
 
     Returns
@@ -157,8 +150,6 @@ def sample_mixture_dataset(n: int = 50, p: int = 20, k: int = 3,
     """
     for name, size in (("n", n), ("p", p), ("k", k)):
         _check_count(name, size, 1)
-    if not (theta_dirichlet > 0 and psi_dirichlet > 0):
-        raise ValueError("Dirichlet concentrations must be positive")
     if np.isscalar(cardinality):
         cards = (cardinality,) * p
     else:
@@ -168,11 +159,11 @@ def sample_mixture_dataset(n: int = 50, p: int = 20, k: int = 3,
         raise ValueError(f"{len(cards)} cardinalities supplied for p={p}")
 
     rng = np.random.default_rng(seed)
-    theta = rng.dirichlet(np.full(k, float(theta_dirichlet)))
+    theta = rng.dirichlet(np.full(k, 10.0))
     width = schema.max_cardinality
     conc = np.zeros((k, p, width))
     for j, d in enumerate(cards):
-        conc[:, j, :d] = psi_dirichlet
+        conc[:, j, :d] = 0.5
     tilde = padded_dirichlet(conc, rng)
     truth = CollapsedModel(schema, theta, tilde)
 
@@ -231,11 +222,11 @@ def mask(data: Dataset, spec: MechanismSpec, seed=None) -> tuple[Dataset, MaskRe
     data : Dataset
         Must be complete (no code-0 cells).
     spec : MechanismSpec
-        MCAR masks every cell independently at ``mcar_rate``.  MAR
-        masks columns 2..p at ``mar_rates`` keyed on the first
+        MCAR masks every cell independently at its one rate.  MAR
+        masks columns 2..p at its two rates keyed on the first
         variable, which must be binary and is never masked itself.
-        MNAR masks every cell at ``mnar_rates`` keyed on its own value
-        and requires all variables binary.
+        MNAR masks every cell at its two rates keyed on the cell's own
+        value and requires all variables binary.
     seed : int, SeedSequence or Generator, optional
 
     Returns
@@ -249,15 +240,14 @@ def mask(data: Dataset, spec: MechanismSpec, seed=None) -> tuple[Dataset, MaskRe
     cards = data.schema.cardinalities
 
     if spec.kind == "MCAR":
-        prob = np.full((n, p), spec.mcar_rate)
+        prob = np.full((n, p), spec.rates[0])
     elif spec.kind == "MAR":
         if cards[0] != 2:
             raise ValueError(
                 "MAR requires the first variable to be binary, "
                 f"got cardinality {cards[0]}"
             )
-        low, high = spec.mar_rates
-        prob = np.where(cells[:, :1] == 1, low, high) * np.ones((1, p))
+        prob = np.where(cells[:, :1] == 1, *spec.rates) * np.ones((1, p))
         prob[:, 0] = 0.0
     else:  # MNAR
         bad = [j for j, d in enumerate(cards) if d != 2]
@@ -266,8 +256,7 @@ def mask(data: Dataset, spec: MechanismSpec, seed=None) -> tuple[Dataset, MaskRe
                 f"MNAR requires binary variables; variable {bad[0]} has "
                 f"cardinality {cards[bad[0]]}"
             )
-        low, high = spec.mnar_rates
-        prob = np.where(cells == 1, low, high)
+        prob = np.where(cells == 1, *spec.rates)
 
     rng = np.random.default_rng(seed)
     hit = rng.random((n, p)) < prob

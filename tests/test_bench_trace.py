@@ -5,6 +5,8 @@ function or a changed signature would otherwise break only
 ``bench/run.py --trace 1``.  The tracer is installed in a fresh
 process, as the benchmark's worker installs it.  ``catmix fit`` runs
 the chain without ``run_gibbs``; a benchmark replication still calls it.
+``catmix impute`` is traced too: the benchmark counts the imputed cells
+from the result that ``inference.impute`` returns.
 """
 
 import json
@@ -27,13 +29,21 @@ status = tracer.call("cli.main", cli.main, [
     "--burnin", "3", "--samples", "2", "--thin", "1", "--progress-every", "0"])
 names = [span[0] for span in tracer.spans]
 metrics = tracer.layer_metrics()
+impute_status = tracer.call("cli.main", cli.main, [
+    "impute", "data.csv", "model.json", "--out", "filled.csv"])
+impute_names = [span[0] for span in tracer.spans[len(names):]]
+imputed_cells = tracer.layer_metrics()["inference.imputed_cells"]
+done = len(tracer.spans)
 bench_status = tracer.call("cli.main", cli.main, [
     "benchmark", "--protocol", "mixture", "--reps", "1", "--jobs", "1",
     "--n", "10", "--p", "3", "--seed", "0",
     "--burnin", "1", "--samples", "1", "--thin", "1"])
 print(json.dumps({"status": status, "names": names, "metrics": metrics,
+                  "impute_status": impute_status,
+                  "impute_names": impute_names,
+                  "imputed_cells": imputed_cells,
                   "bench_status": bench_status,
-                  "bench_names": [span[0] for span in tracer.spans[len(names):]]}))
+                  "bench_names": [span[0] for span in tracer.spans[done:]]}))
 """
 
 
@@ -56,6 +66,10 @@ def test_trace_sees_every_sweep_and_draw(tmp_path):
     assert names.count("sampler.sweep") == 5
     assert names.count("sampler.collapse_state") == 2
     assert out["metrics"]["sampler.sweeps"] == 5.0
+    # one imputation span, whose value is the table's three missing cells
+    assert out["impute_status"] == 0
+    assert out["impute_names"].count("inference.impute") == 1
+    assert out["imputed_cells"] == 3.0
     # a replication still fits through run_gibbs
     assert out["bench_status"] == 0
     bench = out["bench_names"]

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from catmix import cli, metrics, sampler
+from catmix import cli, inference, metrics, sampler
 from catmix.core import (
     CategoricalSchema,
     CollapsedModel,
@@ -521,9 +521,9 @@ class TestSimulate:
         assert not out.exists()
 
     @pytest.mark.parametrize("kind, flag, value, rates", [
-        ("mcar", "--mcar-rate", "0", {"mcar_rate": 0.0}),
-        ("mar", "--mar-rates", "0.9,0.2", {"mar_rates": (0.9, 0.2)}),
-        ("mnar", "--mnar-rates", "0.6,0", {"mnar_rates": (0.6, 0.0)}),
+        ("mcar", "--mcar-rate", "0", (0.0,)),
+        ("mar", "--mar-rates", "0.9,0.2", (0.9, 0.2)),
+        ("mnar", "--mnar-rates", "0.6,0", (0.6, 0.0)),
     ])
     def test_rate_flag_reaches_its_mechanism(self, tmp_path, kind, flag,
                                              value, rates):
@@ -533,7 +533,7 @@ class TestSimulate:
                          flag, value, "--out", str(out)]) == 0
         rng = np.random.default_rng(3)
         data, _ = metrics.simulate("mixture", n=30, p=3, seed=rng)
-        masked, _ = mask(data, MechanismSpec(kind, **rates), seed=rng)
+        masked, _ = mask(data, MechanismSpec(kind, rates), seed=rng)
         assert out.read_text() == dataset_to_csv(masked)
 
     @pytest.mark.parametrize("extra", [
@@ -837,6 +837,14 @@ class TestIndependence:
         assert capsys.readouterr().out == ""
         assert table.read_text().startswith("j1,j2,p_value\n0,1,")
 
+    def test_uncountable_n_is_one_error_line(self, tmp_path, capsys):
+        path = self._coupled_model(tmp_path)
+        n = "100000000000000000000"
+        rc = cli.main(["test-independence", str(path), "--n", n])
+        assert rc == 1
+        assert capsys.readouterr() == (
+            "", f"error: n must lie in 0 .. 2**53, got {n}\n")
+
 
 class TestPreprocessRatings:
     def test_pipeline(self, tmp_path):
@@ -944,6 +952,30 @@ def test_empty_output_flag_is_refused(tmp_path, capsys, monkeypatch,
                                   "--n", "12", "--out", ""]}[command]
     assert cli.main(argv) == 1
     assert capsys.readouterr() == ("", "error: cannot write '': no file name\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["impute", "test-independence"])
+def test_unwritable_out_is_refused_before_the_work(tmp_path, capsys,
+                                                   monkeypatch, command):
+    # the inputs are read first, then the outputs are claimed, and only
+    # then would the imputation or the tests run
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran")
+
+    inp = _toy_csv(tmp_path)
+    model = _fit(tmp_path, inp)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    monkeypatch.setattr(inference, "impute", no_work)
+    monkeypatch.setattr(inference, "pairwise_independence", no_work)
+    missing = tmp_path / "nodir" / "x.csv"
+    argv = {"impute": ["impute", str(inp), str(model), "--out", str(missing)],
+            "test-independence": ["test-independence", str(model), "--n",
+                                  "12", "--out", str(missing)]}[command]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == (
+        "", f"error: cannot write {missing}: No such file or directory\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 

@@ -66,7 +66,8 @@ class TestDataset:
         assert d.column_names == ("V1", "V2")
         assert d.n_rows == 2
         assert d.n_missing() == 1
-        assert d.observed_mask.tolist() == [[True, True], [False, True]]
+        assert (d.cells != core.MISSING).tolist() == [[True, True],
+                                                      [False, True]]
 
     def test_rejects_out_of_range_codes(self):
         with pytest.raises(ValueError, match="0 .. d_j"):
@@ -475,7 +476,6 @@ class TestModelJsonLayout:
         m = _spiky_model(np.random.default_rng(k), k, self.CARDS)
         assert serialize_model(m) == json.dumps(_oracle_dict(m),
                                                 indent=2) + "\n"
-        assert core.model_to_dict(m) == _oracle_dict(m)
 
     def test_one_binary_variable(self):
         m = _random_model(np.random.default_rng(2), k=1, cards=(2,))
@@ -512,7 +512,7 @@ PACKAGE_NAMES = {
     "deserialize_models", "fisher_exact_2x2", "impute",
     "imputation_accuracy", "iterate_states", "joint_distribution",
     "k_histogram", "largest_remainder_counts", "mask", "mask_fraction",
-    "modal_k", "model_from_dict", "model_to_dict", "pair_marginal", "pairwise_independence",
+    "modal_k", "model_from_dict", "pair_marginal", "pairwise_independence",
     "parse_dataset", "parse_ratings_csv", "predictive_cell",
     "preprocess_ratings", "pool_draws", "run_gibbs", "run_replications",
     "sample_mixture_dataset", "sample_xor_dataset", "saturated_model",
@@ -522,7 +522,7 @@ PACKAGE_NAMES = {
 
 def test_package_surface_is_the_union_of_the_module_lists():
     modules = (core, sampler, inference, synth, metrics)
-    assert len(PACKAGE_NAMES) == 49
+    assert len(PACKAGE_NAMES) == 48
     assert sorted(catmix.__all__) == sorted(PACKAGE_NAMES)
     for module in modules:
         for name in module.__all__:

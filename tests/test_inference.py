@@ -430,6 +430,17 @@ class TestCorrelationMatrix:
         assert (np.diag(rho) == 1.0).all()
 
 
+def _fisher_by_direct_sum(table):
+    """The two-sided p-value with every term built from fresh binomials:
+    the reference for the exact-ratio walk of ``fisher_exact_2x2``."""
+    (a, b), (c, d) = table
+    r1, r2, c1 = a + b, c + d, a + c
+    observed = math.comb(r1, a) * math.comb(r2, c1 - a)
+    weights = (math.comb(r1, x) * math.comb(r2, c1 - x)
+               for x in range(max(0, c1 - r2), min(r1, c1) + 1))
+    return sum(w for w in weights if w <= observed) / math.comb(r1 + r2, c1)
+
+
 class TestFisherExact:
     def test_hand_values(self):
         assert fisher_exact_2x2([[3, 1], [1, 3]]) == 34 / 70
@@ -462,6 +473,20 @@ class TestFisherExact:
         ours = fisher_exact_2x2(table)
         theirs = scipy.stats.fisher_exact(table, alternative="two-sided")[1]
         assert ours == pytest.approx(theirs, rel=1e-10, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=400), min_size=4,
+                    max_size=4))
+    def test_matches_the_direct_sum_bit_for_bit(self, entries):
+        table = np.array(entries).reshape(2, 2)
+        assume(table.sum() > 0)
+        assert fisher_exact_2x2(table) == _fisher_by_direct_sum(table.tolist())
+
+    @pytest.mark.parametrize("table", [
+        [[1200, 800], [900, 1100]], [[0, 1500], [1700, 3]],
+        [[2500, 1], [2, 2500]], [[333, 3000], [1, 40]]])
+    def test_large_tables_match_the_direct_sum(self, table):
+        assert fisher_exact_2x2(table) == _fisher_by_direct_sum(table)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=20), min_size=4,
@@ -497,6 +522,14 @@ class TestLargestRemainder:
             largest_remainder_counts([0.0, 0.0], 5)
         with pytest.raises(ValueError):
             largest_remainder_counts([0.5, 0.5], -1)
+
+    def test_n_is_at_most_two_to_the_53(self):
+        # beyond 2**53 float64 cannot hold every count
+        assert largest_remainder_counts([0.5, 0.5], 2 ** 53).tolist() == [
+            2 ** 52, 2 ** 52]
+        for n in (2 ** 53 + 1, 10 ** 20):
+            with pytest.raises(ValueError, match=r"n must lie in 0 \.\. 2\*\*53"):
+                largest_remainder_counts([0.5, 0.5], n)
 
     @pytest.mark.parametrize(
         "probs", [[math.nan, 1.0], [math.inf, 1.0], [1e308, 1e308]],

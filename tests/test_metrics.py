@@ -160,6 +160,7 @@ class TestRunReplications:
                                   n=12, p=4, k=2)
         assert report.n_replications == 3
         assert report.protocol == "mixture"
+        assert report.mechanism == MechanismSpec.mcar(0.2)
         acc = report.values("accuracy")
         assert ((0 <= acc) & (acc <= 1)).all()
         assert (report.values("estimated_k") >= 1).all()

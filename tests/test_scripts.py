@@ -281,18 +281,23 @@ def test_cli_hashes_print_one_line_per_stream_and_file(tmp_path, capsys,
     assert exits.pop("fit-empty-khist.stderr") == "exit=1"
     assert exits.pop("impute-empty-cells.stderr") == "exit=1"
     assert exits.pop("independence-empty-out.stderr") == "exit=1"
+    assert exits.pop("impute-missing-dir.stderr") == "exit=1"
+    assert exits.pop("independence-missing-dir.stderr") == "exit=1"
     assert set(exits.values()) == {"exit=0"}
     assert [line.split()[0] for line in lines[streams:]] == [
         "argmax.csv", "argmax.csv.cells.csv", "binary.csv", "complete.csv",
-        "five.csv", "mask.csv", "messy-argmax.csv",
+        "five.csv", "mar-mask.csv", "mar.csv", "mask.csv", "mcar-rate.csv",
+        "messy-argmax.csv",
         "messy-argmax.csv.cells.csv", "messy-sample.csv",
         "messy-sample.csv.cells.csv", "messy.json", "messy.json.khist.csv",
         "mixed-argmax.csv",
         "mixed-argmax.csv.cells.csv", "mixed-sample.csv",
         "mixed-sample.csv.cells.csv", "mixed.json", "mixed.json.khist.csv",
-        "mixture.csv", "model.json", "model.json.khist.csv", "pooled.json",
+        "mixture.csv", "mnar.csv", "model.json", "model.json.khist.csv",
+        "pooled.json",
         "pooled.json.khist.csv", "pvalues.csv", "reps.csv", "sample.csv",
         "sample.csv.cells.csv", "summary.json", "truth.json",
+        "unmasked-mask.csv", "unmasked.csv",
         "xor-argmax.csv", "xor-argmax.csv.cells.csv", "xor-mask.csv",
         "xor-sample.csv", "xor-sample.csv.cells.csv", "xor-truth.json",
         "xor.csv"]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -28,11 +30,36 @@ class TestMechanismSpec:
             MechanismSpec.mcar(1.2)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             MechanismSpec.mnar(-0.1, 0.3)
+        with pytest.raises(ValueError, match=r"\[0, 1\], got 1.5"):
+            MechanismSpec("MNAR", (0.1, 1.5))
+
+    @pytest.mark.parametrize("kind, rates, count", [
+        ("MAR", (0.1,), 2), ("MCAR", (0.1, 0.2), 1),
+        ("mnar", (0.1, 0.2, 0.3), 2),
+    ])
+    def test_rejects_a_wrong_number_of_rates(self, kind, rates, count):
+        message = (rf"^{kind.upper()} takes {count} masking rate\(s\), "
+                   rf"got {len(rates)}$")
+        with pytest.raises(ValueError, match=message):
+            MechanismSpec(kind, rates)
+
+    def test_fields_are_the_kind_and_its_rates(self):
+        assert [f.name for f in dataclasses.fields(MechanismSpec)] == [
+            "kind", "rates"]
+
+    def test_defaults(self):
+        assert MechanismSpec() == MechanismSpec.mcar()
+        assert MechanismSpec().rates == (0.2,)
+        assert MechanismSpec("mar").rates == MechanismSpec.mar().rates
+        assert MechanismSpec.mar().rates == (0.1, 0.3)
+        assert MechanismSpec("MNAR", ()).rates == (0.1, 0.3)
 
     def test_factories(self):
-        assert MechanismSpec.mcar().mcar_rate == 0.2
-        assert MechanismSpec.mar().mar_rates == (0.1, 0.3)
-        assert MechanismSpec.mnar(0.05, 0.4).mnar_rates == (0.05, 0.4)
+        assert MechanismSpec.mcar(0.35) == MechanismSpec("MCAR", (0.35,))
+        assert MechanismSpec.mar(0.05, 0.6).rates == (0.05, 0.6)
+        assert MechanismSpec.mnar(0.05, 0.4) == MechanismSpec("mnar",
+                                                              [0.05, 0.4])
+        assert MechanismSpec.mcar(1).rates == (1.0,)
 
 
 class TestSampleMixtureDataset:
@@ -87,8 +114,6 @@ class TestSampleMixtureDataset:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             sample_mixture_dataset(n=0)
-        with pytest.raises(ValueError):
-            sample_mixture_dataset(psi_dirichlet=0.0)
         with pytest.raises(ValueError, match="cardinalities"):
             sample_mixture_dataset(p=3, cardinality=[2, 2])
         for name, value in (("n", 2.5), ("k", 1.5), ("p", True)):
@@ -161,7 +186,8 @@ class TestMask:
         untouched = masked.cells.copy()
         untouched[rec.rows, rec.cols] = rec.values
         assert np.array_equal(untouched, data.cells)
-        assert rec.pairs() == set(map(tuple, np.argwhere(masked.cells == 0)))
+        assert set(zip(rec.rows.tolist(), rec.cols.tolist())) == set(
+            map(tuple, np.argwhere(masked.cells == 0).tolist()))
 
     def test_mar_spares_the_driver_and_hits_conditionally(self):
         data = self._complete(n=20_000, p=4, seed=4)
@@ -255,9 +281,10 @@ class TestMaskResult:
 
     def test_fraction_and_pairs(self):
         rec = MaskResult([0, 1], [2, 3], [1, 2], n_total_cells=8)
+        assert set(zip(rec.rows.tolist(), rec.cols.tolist())) == {(0, 2),
+                                                                  (1, 3)}
         assert len(rec) == 2
         assert rec.fraction == 0.25
-        assert rec.pairs() == {(0, 2), (1, 3)}
 
 
 class TestParseRatingsCsv:
