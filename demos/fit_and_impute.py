@@ -7,8 +7,6 @@ mixture by Gibbs sampling, and fill the holes from the posterior
 predictive.
 """
 
-import numpy as np
-
 from catmix import (
     CategoricalSchema,
     GibbsConfig,
@@ -48,14 +46,16 @@ print("\ncompleted table:")
 print(dataset_to_csv(result.completed))
 
 print("predictive probabilities of the filled cells:")
-for (i, j), vec in sorted(result.cell_posteriors.items()):
+# filled lists each cell's (row, column) in row-major order, and row c
+# of cell_posteriors its vector over codes 1..d_j, zero padded after d_j
+cards = data.schema.cardinalities
+for (i, j), vec in zip(result.filled.tolist(), result.cell_posteriors):
     name = data.column_names[j]
     shown = ", ".join(f"P({name}={c})={p:.2f}"
-                      for c, p in enumerate(vec, start=1))
+                      for c, p in enumerate(vec[:cards[j]], start=1))
     print(f"  row {i}: {shown}")
 
 # The rows with strong within-row agreement get confident fills; the
 # probabilities above come from averaging each retained draw's own
 # predictive, so they carry posterior uncertainty as well.
-best = max(result.cell_posteriors.values(), key=np.max)
-print(f"\nmost confident fill: {np.max(best):.2f}")
+print(f"\nmost confident fill: {result.cell_posteriors.max():.2f}")

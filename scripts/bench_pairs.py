@@ -6,7 +6,10 @@
 ``--parent`` and ``--change`` each name a checkout directory or a git
 revision of the repository holding this script.  A revision is checked
 out with ``git worktree add --detach`` into a temporary directory that
-is removed when the script ends, so both sides can be clean trees.
+is removed when the script ends, so both sides can be clean trees.  A
+directory exported from a revision (``git archive``) has no ``.git`` to
+name it, so it may be given as ``DIR=REV``; REV is then recorded, as
+given, for that side.
 
 Each ``--run WORKLOAD:PAIRS`` makes PAIRS pairs of
 ``python3 bench/run.py --workload WORKLOAD --seed SEED --seconds S``,
@@ -54,6 +57,15 @@ COVERAGE = 0.95
 REPO = Path(__file__).resolve().parent.parent
 
 
+def exported(spec: str) -> tuple[str, str | None]:
+    """``(DIR, REV)`` of a ``DIR=REV`` spec whose DIR is a directory,
+    else ``(spec, None)``."""
+    tree, sep, rev = spec.rpartition("=")
+    if sep and rev and not Path(spec).is_dir() and Path(tree).is_dir():
+        return tree, rev
+    return spec, None
+
+
 def checkout(spec: str, stack: contextlib.ExitStack) -> Path:
     """``spec`` itself if it is a directory, else a temporary worktree
     of the git revision ``spec``, removed when ``stack`` closes."""
@@ -78,17 +90,18 @@ def checkout(spec: str, stack: contextlib.ExitStack) -> Path:
     return tree
 
 
-def revision(tree: Path) -> str:
+def revision(tree: Path, rev: str | None = None) -> str:
     """The commit checked out in ``tree``, ending in ``-dirty`` when a
-    tracked file differs from it; "unavailable" when ``tree`` is not the
-    top of a git checkout."""
+    tracked file differs from it.  When ``tree`` is not the top of a git
+    checkout, the revision ``rev`` it was exported from, or
+    "unavailable" without one."""
     # The ceiling keeps git from reporting an enclosing repository.
     env = dict(os.environ,
                GIT_CEILING_DIRECTORIES=str(Path(tree).resolve().parent))
     out = subprocess.run(["git", "describe", "--always", "--dirty",
                           "--abbrev=40"], cwd=tree, env=env,
                          capture_output=True, text=True, check=False)
-    return out.stdout.strip() or "unavailable"
+    return out.stdout.strip() or rev or "unavailable"
 
 
 def bench_once(checkout: Path, workload: str, seed: int,
@@ -209,8 +222,10 @@ def host() -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--parent", required=True, metavar="DIR_OR_REV")
-    ap.add_argument("--change", required=True, metavar="DIR_OR_REV")
+    for side in SIDES:
+        ap.add_argument(f"--{side}", required=True, metavar="DIR_OR_REV",
+                        help="checkout directory, DIR=REV for a tree "
+                             "exported from REV, or git revision")
     ap.add_argument("--run", action="append", required=True,
                     metavar="WORKLOAD:PAIRS")
     ap.add_argument("--seed", type=int, default=1)
@@ -218,7 +233,8 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True, type=Path)
     args = ap.parse_args(argv)
     with contextlib.ExitStack() as stack:
-        dirs = {side: checkout(getattr(args, side), stack) for side in SIDES}
+        dirs = {side: checkout(exported(getattr(args, side))[0], stack)
+                for side in SIDES}
         run_pairs(args, dirs)
     return 0
 
@@ -228,7 +244,8 @@ def run_pairs(args, dirs: dict) -> None:
     doc = {
         "command": "python3 bench/run.py --workload W --seed "
                    f"{args.seed} --seconds {args.seconds} --trace 0",
-        "revisions": {side: revision(d) for side, d in dirs.items()},
+        "revisions": {side: revision(d, exported(getattr(args, side))[1])
+                      for side, d in dirs.items()},
         "host": host(),
         "workloads": {},
     }

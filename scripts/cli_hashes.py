@@ -10,9 +10,9 @@ with explicit rates: ``--mcar-rate``, ``--mar-rates`` with
 ``--mask-out``, ``--mnar-rates``, and one with no mechanism), ``fit`` (with ``--progress-every 7``,
 with ``--summary``, and with ``--schema`` on a small inline table of
 cardinalities 2, 5, 9 and 12 and on a messy one with spaces, ``na``,
-empty fields and blank lines), ``impute`` (argmax, and ``--rule sample``,
-from the mixture fit, from the two inline tables' fits, and from the xor
-point-mass truth model), ``fit`` of a malformed inline table, which exits
+empty fields and blank lines, and on one of cardinalities 2, 4 and 100),
+``impute`` (argmax, and ``--rule sample``, from the mixture fit, from the
+three inline tables' fits, and from the xor point-mass truth model), ``fit`` of a malformed inline table, which exits
 1 with one error line, ``test-independence`` (to stdout, to ``--out`` and
 at ``--n 5000``), ``benchmark --reps 3 --jobs 1`` with ``--out`` and
 ``--summary-out``, ``preprocess-ratings`` (binary and five) on a small
@@ -66,6 +66,12 @@ MESSY = "x, y ,z,w\n" + "".join(
         else f" {(r * m + j) % d + 1}"
         for j, (m, d) in enumerate(((1, 3), (5, 7), (7, 12), (1, 2))))
     + "\n" for r in range(45))
+# cardinalities 2, 4 and 100, about one cell in four missing, so that
+# imputing it pads the two narrow variables to a hundred codes
+HUNDRED = "p,q,r\n" + "".join(
+    ",".join("NA" if (r * 5 + j) % 4 == 1 else str((r * m + j) % d + 1)
+             for j, (m, d) in enumerate(((1, 2), (3, 4), (7, 100))))
+    + "\n" for r in range(60))
 # a wrong field count on line 5 comes before the bad code on line 6
 MALFORMED = "a,b,c\n1,2,3\n\n2, na,\n1,2\n3,x,1\n"
 # one uniform draw over MIXED's cardinalities, under a document that
@@ -120,6 +126,13 @@ COMMANDS = (
     ("impute-messy-sample", ["impute", "../messy.csv", "messy.json",
                              "--out", "messy-sample.csv", "--rule", "sample",
                              "--seed", "13"]),
+    ("fit-hundred", ["fit", "../hundred.csv", "--out", "hundred.json",
+                     "--seed", "15", *FAST, "--schema", "2,4,100"]),
+    ("impute-hundred-argmax", ["impute", "../hundred.csv", "hundred.json",
+                               "--out", "hundred-argmax.csv"]),
+    ("impute-hundred-sample", ["impute", "../hundred.csv", "hundred.json",
+                               "--out", "hundred-sample.csv", "--rule",
+                               "sample", "--seed", "16"]),
     ("fit-malformed", ["fit", "../malformed.csv", "--out", "malformed.json",
                        "--seed", "14", *FAST]),
     ("impute-xor-argmax", ["impute", "xor.csv", "xor-truth.json",
@@ -199,6 +212,7 @@ def lines(src: Path):
         (Path(tmp) / "ratings.csv").write_text(RATINGS)
         (Path(tmp) / "mixed.csv").write_text(MIXED)
         (Path(tmp) / "messy.csv").write_text(MESSY)
+        (Path(tmp) / "hundred.csv").write_text(HUNDRED)
         (Path(tmp) / "malformed.csv").write_text(MALFORMED)
         (Path(tmp) / "claimed.json").write_text(CLAIMED)
         (Path(tmp) / "dir").mkdir()

@@ -232,7 +232,8 @@ def _cmd_impute(args) -> int:
         yield core.dataset_to_csv(result.completed)
 
     def cells():
-        yield from core._cell_lines(data.column_names, result.cell_posteriors)
+        yield from core._cell_lines(data.column_names, schema, result.filled,
+                                    result.cell_posteriors)
 
     # the imputation runs as the first file is written, once both are open
     _write_atomic((args.out, completed()),

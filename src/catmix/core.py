@@ -533,21 +533,22 @@ def dataset_to_csv(dataset: Dataset) -> str:
     return "".join(parts)
 
 
-def _cell_lines(names, posteriors: dict):
-    """Yield the cell-posterior CSV of ``impute``'s ``cell_posteriors`` a
-    block of cells at a time: each cell's ``row,column,`` prefix is built
-    once for its d lines, and one ``%`` pass prints every probability."""
+def _cell_lines(names, schema: CategoricalSchema, filled: np.ndarray,
+                posteriors: np.ndarray):
+    """Yield the cell-posterior CSV of ``impute``'s ``filled`` cells and
+    their zero padded ``cell_posteriors`` a block of cells at a time: each
+    cell's ``row,column,`` prefix is built once for its d lines, and one
+    ``%`` pass prints every probability."""
     yield "row,column,category,probability\n"
     names = [str(name).replace("%", "%%") for name in names]
-    cells = iter(posteriors.items())
-    while block := list(itertools.islice(cells, _BLOCK)):
-        keys, vecs = zip(*block)
-        sizes = [vec.size for vec in vecs]
-        lines = {d: "".join(f"@{c},%r\n" for c in range(1, d + 1))
-                 for d in set(sizes)}  # "@" stands for a cell's prefix
-        form = "".join([lines[d].replace("@", f"{i},{names[j]},")
-                        for (i, j), d in zip(keys, sizes)])
-        yield form % tuple(np.concatenate(vecs).tolist())
+    lines = ["".join(f"@{c},%r\n" for c in range(1, d + 1))
+             for d in schema.cardinalities]  # "@" stands for a cell's prefix
+    real = np.arange(posteriors.shape[1]) < schema.codes_array()[:, None]
+    for start in range(0, len(filled), _BLOCK):
+        rows, cols = filled[start:start + _BLOCK].T.tolist()
+        form = "".join([lines[j].replace("@", f"{i},{names[j]},")
+                        for i, j in zip(rows, cols)])
+        yield form % tuple(posteriors[start:start + _BLOCK][real[cols]].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +573,11 @@ def model_from_dict(obj) -> CollapsedModel:
         are not JSON numbers, negative or not finite, or a probability
         vector deviates from sum 1 by more than 1e-8.
     """
+    return _model_from_dict(obj, {})
+
+
+def _model_from_dict(obj, schemas: dict) -> CollapsedModel:
+    """:func:`model_from_dict`, keeping each checked schema in ``schemas``."""
     if not isinstance(obj, dict):
         raise LoadError(f"model document must be an object, got {type(obj).__name__}")
     for key in ("k", "cardinalities", "theta", "tildePsi"):
@@ -579,10 +585,13 @@ def model_from_dict(obj) -> CollapsedModel:
             raise LoadError(f"model document lacks required key {key!r}")
     if not _json_numbers(obj["cardinalities"], int):
         raise LoadError("cardinalities must be a list of integers")
-    try:
-        schema = CategoricalSchema(obj["cardinalities"])
-    except ValueError as exc:
-        raise LoadError(f"bad cardinalities: {exc}") from None
+    cards = tuple(obj["cardinalities"])
+    if cards not in schemas:
+        try:
+            schemas[cards] = CategoricalSchema(cards)
+        except ValueError as exc:
+            raise LoadError(f"bad cardinalities: {exc}") from None
+    schema = schemas[cards]
 
     k = obj["k"]
     theta = obj["theta"]
@@ -709,6 +718,7 @@ def deserialize_models(text: str) -> list[CollapsedModel]:
         draws = obj["draws"]
         if not isinstance(draws, list):
             raise LoadError("'draws' must be a list")
-        return list(_checked(map(model_from_dict, draws), LoadError,
-                             obj.get("cardinalities")))
+        schemas = {}
+        return list(_checked((_model_from_dict(d, schemas) for d in draws),
+                             LoadError, obj.get("cardinalities")))
     return [model_from_dict(obj)]

@@ -57,14 +57,19 @@ class ImputationResult:
     completed : Dataset
         The input dataset with every missing cell replaced by a code in
         ``1 .. d_j``.
-    cell_posteriors : dict
-        Maps ``(row, column)`` of each originally missing cell to its
-        averaged predictive probability vector over the codes
-        ``1 .. d_j``.
+    filled : ndarray of int, shape (m, 2)
+        Read-only ``(row, column)`` of each missing cell, row-major.
+    cell_posteriors : ndarray, shape (m, D)
+        Read-only; row ``c`` is cell ``filled[c]``'s averaged predictive
+        vector over codes ``1 .. d_j`` at ``code - 1``, zero padded.
     """
 
     completed: Dataset
-    cell_posteriors: dict[tuple[int, int], np.ndarray]
+    filled: np.ndarray
+    cell_posteriors: np.ndarray
+
+    def __post_init__(self):
+        _freeze(self, filled=np.int64, cell_posteriors=np.float64)
 
 
 def _as_draws(posterior) -> list[CollapsedModel]:
@@ -117,7 +122,7 @@ def class_posterior(row, model: CollapsedModel) -> np.ndarray:
         If the row has probability zero under every component.
     """
     row = _check_row(row, model)
-    return next(_class_posteriors([model], row[None, :], [0]))[0]
+    return next(_class_posteriors([model], row[None, :], [0]))[0][0]
 
 
 def predictive_cell(row, j: int, model: CollapsedModel) -> np.ndarray:
@@ -181,16 +186,12 @@ def impute(data: Dataset, posterior, rule: str = "argmax",
         )
     cells = np.asarray(data.cells)
     miss = cells == 0
-    if not miss.any():
-        return ImputationResult(data, {})
-
     hit_rows = np.nonzero(miss.any(axis=1))[0]
-    width = data.schema.max_cardinality
-    acc = np.zeros((hit_rows.size, data.n_variables, width))
-    for m, post in zip(draws, _class_posteriors(draws, cells[hit_rows],
-                                                hit_rows)):
-        acc += np.einsum("mk,kjc->mjc", post, m.tilde_psi)
+    acc = np.zeros((hit_rows.size, sum(data.schema.cardinalities)))
+    for post, real in _class_posteriors(draws, cells[hit_rows], hit_rows):
+        acc += np.einsum("mk,kc->mc", post, real)
     acc /= len(draws)
+    starts = np.cumsum([0, *data.schema.cardinalities[:-1]])
 
     # one uniform per cell in row-major order, as Generator.choice(d, p=vec)
     # spends it: the code is the count of cdf / cdf[-1] that are <= u
@@ -198,11 +199,11 @@ def impute(data: Dataset, posterior, rule: str = "argmax",
     rows = hit_rows[local]
     cards = data.schema.codes_array()[cols]
     u = np.random.default_rng(seed).random(cols.size) if rule == "sample" else None
-    probs = np.zeros((cols.size, width))
+    probs = np.zeros((cols.size, data.schema.max_cardinality))
     completed = cells.copy()
     for d in set(data.schema.cardinalities):
         at = np.nonzero(cards == d)[0]
-        vec = acc[local[at], cols[at], :d]
+        vec = acc[local[at, None], starts[cols[at], None] + np.arange(d)]
         vec = vec / vec.sum(axis=1, keepdims=True)
         probs[at, :d] = vec
         if rule == "argmax":
@@ -211,32 +212,37 @@ def impute(data: Dataset, posterior, rule: str = "argmax",
             cdf = vec.cumsum(axis=1)
             completed[rows[at], cols[at]] = (
                 cdf / cdf[:, -1:] <= u[at, None]).sum(axis=1) + 1
-    probs.setflags(write=False)
-    cell_posteriors = {(i, j): probs[c, :d] for c, (i, j, d) in enumerate(
-        zip(rows.tolist(), cols.tolist(), cards.tolist()))}
-    return ImputationResult(data.replace_cells(completed), cell_posteriors)
+    return ImputationResult(data.replace_cells(completed),
+                            np.stack([rows, cols], axis=1), probs)
 
 
 def _class_posteriors(draws, cells: np.ndarray, rows):
-    """Yield each draw's (m, k) component posteriors for a batch of rows.
+    """Yield each draw's (m, k) component posteriors for a batch of rows,
+    with the draw's (k, sum_j d_j) C-contiguous table of real codes.
 
     ``cells`` is (m, p) with zeros marking unobserved entries, and
     ``rows[i]`` is the dataset index that error messages give for
     ``cells[i]``.  Draws are taken in groups whose evidence and log
     table hold about 2**15 floats.  A group's evidence is summed one
-    variable at a time from a table with one row per variable and code
-    ``0 .. D``, whose code-0 rows are zero, so a missing cell adds 0.0.
+    variable at a time from a table in the chain's flat layout, one row
+    per variable and code ``0 .. d_j``, whose code-0 rows are zero, so a
+    missing cell adds 0.0.
     """
     m, p = cells.shape
-    width = draws[0].schema.max_cardinality + 1
-    idx = cells + width * np.arange(p)
-    step = max(1, 2 ** 15 // ((m + p * width) * max(g.k for g in draws)))
+    schema = draws[0].schema
+    offsets = schema.offsets()
+    idx = cells + offsets[:-1]
+    mask = np.arange(schema.max_cardinality) < schema.codes_array()[:, None]
+    step = max(1, 2 ** 15 // ((m + offsets[-1]) * max(g.k for g in draws)))
     for start in range(0, len(draws), step):
         group = draws[start:start + step]
+        # mask gathers come out in Fortran order, over which einsum sums
+        # in another order: C order keeps the bytes of the padded draws
+        real = np.ascontiguousarray(
+            np.concatenate([g.tilde_psi[:, mask] for g in group]))
         with np.errstate(divide="ignore"):
-            log_tilde = np.log(np.concatenate([g.tilde_psi for g in group]))
-        table = np.zeros((p * width, log_tilde.shape[0]))
-        table.reshape(p, width, -1)[:, 1:] = log_tilde.transpose(1, 2, 0)
+            log_real = np.log(real)
+        table = np.insert(log_real.T, offsets[:-1] - np.arange(p), 0.0, axis=0)
         evidence = table[idx[:, 0]]
         for j in range(1, p):
             evidence += table[idx[:, j]]
@@ -252,7 +258,7 @@ def _class_posteriors(draws, cells: np.ndarray, rows):
                 )
             shifted = logpost - top
             norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-            yield np.exp(shifted - norm)
+            yield np.exp(shifted - norm), real[end - model.k:end]
 
 
 def _check_row(row, model: CollapsedModel) -> np.ndarray:

@@ -10,7 +10,6 @@ and reports per-replication values plus their mean and spread.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -251,6 +250,8 @@ def run_replications(protocol: str, mechanism: MechanismSpec = MechanismSpec(),
                    gibbs=gibbs, **table)
     results: list[dict] = []
     jobs = min(jobs, reps)
+    if jobs > 1:  # imported here: it loads multiprocessing, about 2 MB
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
         for rep in (pool.map if pool else map)(task, children):
             results.append(rep)

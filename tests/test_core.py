@@ -647,10 +647,12 @@ def _reference_model_from_dict(obj):
         raise LoadError(str(exc)) from None
 
 
-def _reference_cell_lines(names, posteriors):
+def _reference_cell_lines(names, schema, filled, posteriors):
     """The cell-posterior CSV as impute wrote it, one tuple per code."""
-    cells = ((i, names[j], c, prob) for (i, j), vec in posteriors.items()
-             for c, prob in enumerate(vec.tolist(), start=1))
+    cards = schema.cardinalities
+    cells = ((i, names[j], c, prob)
+             for (i, j), vec in zip(filled.tolist(), posteriors)
+             for c, prob in enumerate(vec[:cards[j]].tolist(), start=1))
     return core._csv(("row", "column", "category", "probability"), cells)
 
 
@@ -777,28 +779,32 @@ class TestReadersAgainstReferences:
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 3),
-                              st.integers(2, 12), st.integers(0, 2 ** 32 - 1)),
-                    max_size=600),
+                              st.integers(0, 2 ** 32 - 1)), max_size=600),
+           st.lists(st.integers(2, 12), min_size=4, max_size=4),
            st.lists(st.text("ab%@,é ", min_size=1, max_size=4), min_size=4,
                     max_size=4))
-    def test_block_renderer_writes_the_tuple_lines(self, cells, names):
-        posteriors = {}
-        for i, j, d, seed in cells:
-            vec = np.random.default_rng(seed).dirichlet(np.full(d, 0.3))
+    def test_block_renderer_writes_the_tuple_lines(self, cells, cards, names):
+        schema = CategoricalSchema(cards)
+        filled = np.array([(i, j) for i, j, _ in cells],
+                          np.int64).reshape(-1, 2)
+        posteriors = np.zeros((len(cells), schema.max_cardinality))
+        for vec, (_, j, seed) in zip(posteriors, cells):
+            d = cards[j]
+            vec[:d] = np.random.default_rng(seed).dirichlet(np.full(d, 0.3))
             vec[seed % d] = [0.0, 1.0, 1e-300, 0.1][seed % 4]
-            posteriors[(i, j)] = vec
-        assert ("".join(core._cell_lines(names, posteriors))
-                == _reference_cell_lines(names, posteriors))
+        assert ("".join(core._cell_lines(names, schema, filled, posteriors))
+                == _reference_cell_lines(names, schema, filled, posteriors))
 
     def test_cell_renderer_holds_far_less_than_the_file(self):
         rng = np.random.default_rng(0)
-        posteriors = {(i, j): rng.dirichlet(np.ones(4))
-                      for i in range(3000) for j in range(5)}
+        schema = CategoricalSchema([4] * 5)
+        filled = np.argwhere(np.ones((3000, 5), bool))
+        posteriors = rng.dirichlet(np.ones(4), size=len(filled))
         names = [f"V{j + 1}" for j in range(5)]
         size = 0
         tracemalloc.start()
         try:
-            for text in core._cell_lines(names, posteriors):
+            for text in core._cell_lines(names, schema, filled, posteriors):
                 size += len(text)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

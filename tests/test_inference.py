@@ -183,20 +183,29 @@ def _reference_impute(data, draws, rule, rng):
     return completed, posteriors
 
 
+def _by_cell(out):
+    """Each filled cell's posterior over its own codes, by (row, column)."""
+    cards = out.completed.schema.cardinalities
+    return {(i, j): vec[:cards[j]] for (i, j), vec in
+            zip(out.filled.tolist(), out.cell_posteriors)}
+
+
 class TestImpute:
     def test_tie_prefers_the_lowest_code(self):
         m = _single_component([[0.5, 0.5]])
         data = Dataset(CategoricalSchema([2]), [[0], [2]])
         out = impute(data, m)
         assert out.completed.cells.tolist() == [[1], [2]]
-        np.testing.assert_allclose(out.cell_posteriors[(0, 0)], [0.5, 0.5])
+        assert out.filled.tolist() == [[0, 0]]
+        np.testing.assert_allclose(out.cell_posteriors, [[0.5, 0.5]])
 
     def test_complete_data_is_returned_unchanged(self):
         m = _single_component([[0.5, 0.5]])
         data = Dataset(CategoricalSchema([2]), [[1], [2]])
         out = impute(data, m)
         assert np.array_equal(out.completed.cells, data.cells)
-        assert out.cell_posteriors == {}
+        assert out.filled.shape == (0, 2)
+        assert out.cell_posteriors.shape == (0, 2)
 
     def test_observed_cells_survive_and_fills_are_in_range(self):
         m = _random_model(2)
@@ -211,10 +220,8 @@ class TestImpute:
         assert np.array_equal(filled[obs], cells[obs])
         assert (filled >= 1).all()
         assert (filled <= m.schema.codes_array()[None, :]).all()
-        assert set(out.cell_posteriors) == {
-            (int(i), int(j)) for i, j in np.argwhere(cells == 0)
-        }
-        for vec in out.cell_posteriors.values():
+        assert out.filled.tolist() == np.argwhere(cells == 0).tolist()
+        for vec in _by_cell(out).values():
             assert vec.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_averages_per_draw_predictives(self):
@@ -225,7 +232,7 @@ class TestImpute:
         b = _single_component([[0.1, 0.9], [0.1, 0.9]])
         data = Dataset(CategoricalSchema([2, 2]), [[1, 0]])
         out = impute(data, [a, b])
-        np.testing.assert_allclose(out.cell_posteriors[(0, 1)], [0.5, 0.5],
+        np.testing.assert_allclose(_by_cell(out)[(0, 1)], [0.5, 0.5],
                                    rtol=1e-12)
 
     def test_invariant_to_component_relabelling(self):
@@ -236,9 +243,9 @@ class TestImpute:
         out_a = impute(data, [m, m])
         out_b = impute(data, [shuffled, m])
         assert np.array_equal(out_a.completed.cells, out_b.completed.cells)
-        for key, vec in out_a.cell_posteriors.items():
-            np.testing.assert_allclose(vec, out_b.cell_posteriors[key],
-                                       atol=1e-12)
+        assert np.array_equal(out_a.filled, out_b.filled)
+        np.testing.assert_allclose(out_a.cell_posteriors,
+                                   out_b.cell_posteriors, atol=1e-12)
 
     def test_sample_rule_is_reproducible(self):
         m = _random_model(5)
@@ -283,10 +290,14 @@ class TestImpute:
         out = impute(data, draws, rule=rule, seed=ours)
         completed, posteriors = _reference_impute(data, draws, rule, ref)
         assert np.array_equal(out.completed.cells, completed)
-        assert list(out.cell_posteriors) == list(posteriors)
-        for key, vec in out.cell_posteriors.items():
+        assert out.filled.tolist() == [list(key) for key in posteriors]
+        for key, vec in _by_cell(out).items():
             assert vec.tobytes() == posteriors[key].tobytes()
-            assert not vec.flags.writeable
+        cards = data.schema.codes_array()[out.filled[:, 1]]
+        assert (out.cell_posteriors[np.arange(data.schema.max_cardinality)
+                                    >= cards[:, None]] == 0).all()
+        assert not out.filled.flags.writeable
+        assert not out.cell_posteriors.flags.writeable
         if not isinstance(seed, int):
             assert np.array_equal(ours.random(8), ref.random(8))
 
@@ -305,6 +316,26 @@ class TestImpute:
         finally:
             tracemalloc.stop()
         assert peak < uncapped / 2
+
+
+    def test_a_wide_column_costs_its_own_codes_only(self):
+        # 29 binary variables and one of 100 levels: a (rows, p, D)
+        # accumulator padded to the widest variable would alone take
+        # 500 * 30 * 100 * 8 B = 12 MB
+        cards = (2,) * 29 + (100,)
+        draws = [_random_model(s, k=5, cards=cards) for s in range(20)]
+        rng = np.random.default_rng(4)
+        cells = np.stack([rng.integers(1, d + 1, 500) for d in cards], axis=1)
+        cells[rng.random(cells.shape) < 0.1] = 0
+        data = Dataset(draws[0].schema, cells)
+        tracemalloc.start()
+        try:
+            out = impute(data, draws, rule="sample", seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out.cell_posteriors) == data.n_missing() > 1000
+        assert peak < 4_000_000
 
 
 class TestPoolDraws:

@@ -1,4 +1,9 @@
+import concurrent.futures
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,11 +215,25 @@ class TestRunReplications:
 
             map = staticmethod(map)
 
-        monkeypatch.setattr(metrics, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InProcessPool)
         report = run_replications("mixture", reps=reps, gibbs=TINY, seed=3,
                                   n=12, p=4, k=2, jobs=jobs)
         assert sizes == workers
         assert report.n_replications == reps
+
+    def test_importing_catmix_loads_no_process_pool(self):
+        # only run_replications(jobs > 1) needs one, so a fresh interpreter
+        # that imports catmix holds no multiprocessing module
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = ("import sys, catmix; print(sorted(m for m in sys.modules if "
+                 "m == 'multiprocessing' or m == 'concurrent.futures.process'))")
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_default_mechanism_is_mcar(self):
         report = run_replications("mixture", reps=1, gibbs=TINY, seed=4,

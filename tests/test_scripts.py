@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import importlib.util
+import json
 import shutil
 import subprocess
 import sys
@@ -109,6 +110,29 @@ def test_revisions_mark_a_dirty_tree_and_ignore_an_enclosing_one(
     plain = repo / "plain"
     plain.mkdir()
     assert module.revision(plain) == "unavailable"
+
+
+def test_an_exported_tree_records_the_revision_it_came_from(
+        bench_pairs, tmp_path, monkeypatch):
+    module, repo = bench_pairs
+    export = tmp_path / "export"
+    export.mkdir()
+    (tmp_path / "a=b").mkdir()
+    assert module.exported(str(tmp_path / "a=b")) == (str(tmp_path / "a=b"),
+                                                      None)
+    assert module.exported("HEAD~1") == ("HEAD~1", None)
+    monkeypatch.setattr(module, "bench_once", lambda *args: {
+        "correct": True, "failed": 0, "metrics": {"wall_s": 1.0}})
+    out = tmp_path / "pairs.json"
+    assert module.main(["--parent", f"{export}=abc123", "--change",
+                        f"{repo}=abc123", "--run", "wide:1", "--out",
+                        str(out)]) == 0
+    head = subprocess.run(["git", "-C", str(repo), "rev-parse", "HEAD"],
+                          capture_output=True, text=True,
+                          check=True).stdout.strip()
+    # a git checkout still names its own commit
+    assert json.loads(out.read_text())["revisions"] == {
+        "parent": "abc123", "change": head}
 
 
 def _pairs(parent, change):
@@ -286,7 +310,9 @@ def test_cli_hashes_print_one_line_per_stream_and_file(tmp_path, capsys,
     assert set(exits.values()) == {"exit=0"}
     assert [line.split()[0] for line in lines[streams:]] == [
         "argmax.csv", "argmax.csv.cells.csv", "binary.csv", "complete.csv",
-        "five.csv", "mar-mask.csv", "mar.csv", "mask.csv", "mcar-rate.csv",
+        "five.csv", "hundred-argmax.csv", "hundred-argmax.csv.cells.csv",
+        "hundred-sample.csv", "hundred-sample.csv.cells.csv", "hundred.json",
+        "hundred.json.khist.csv", "mar-mask.csv", "mar.csv", "mask.csv", "mcar-rate.csv",
         "messy-argmax.csv",
         "messy-argmax.csv.cells.csv", "messy-sample.csv",
         "messy-sample.csv.cells.csv", "messy.json", "messy.json.khist.csv",
