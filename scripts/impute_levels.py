@@ -12,7 +12,7 @@ pairs runs ``catmix impute --rule sample --seed 1`` from that model once
 in each checkout, the parent first in even pairs and the change first in
 odd ones.  Every command runs in a fresh interpreter.  A run's wall time
 is taken around its process, and its peak RSS is the process's own
-``ru_maxrss``.
+``ru_maxrss``, which is never below this script's own peak.
 
 ``--parent`` and ``--change`` take what ``scripts/bench_pairs.py``
 takes: a directory, ``DIR=REV`` for a tree exported from REV, or a git
@@ -46,7 +46,10 @@ SCHEMA = ",".join(map(str, workloads.LEVELS["cards"]))
 
 
 def sha1(path: Path) -> str:
-    return hashlib.sha1(path.read_bytes()).hexdigest()
+    """The file's sha1, read a block at a time: on Linux a child's
+    ``ru_maxrss`` starts from the peak of the process that spawned it."""
+    with open(path, "rb") as f:
+        return hashlib.file_digest(f, "sha1").hexdigest()
 
 
 def catmix(tree: Path, argv: list[str], cwd: Path) -> dict:

@@ -748,7 +748,13 @@ class TestReadersAgainstReferences:
             h = data.draw(st.integers(0, doc["k"] - 1))
             j = data.draw(st.integers(0, len(cards) - 1))
             how = data.draw(st.sampled_from(["entry", "short", "long",
-                                             "vector", "component"]))
+                                             "vector", "component",
+                                             "cardinalities"]))
+            if how == "cardinalities":
+                doc["cardinalities"] = data.draw(st.sampled_from([
+                    cards + [3], [1] + cards[1:], [2.5] + cards[1:],
+                    [True] + cards[1:], "22", [max(cards) + 1] * len(cards)]))
+                continue
             comp = doc["tildePsi"][h]
             if not (isinstance(comp, list) and j < len(comp)
                     and isinstance(comp[j], list) and comp[j]):
@@ -771,11 +777,17 @@ class TestReadersAgainstReferences:
         def load(model_from_dict):
             draws = json.loads(text)["draws"]
             models = list(core._checked(map(model_from_dict, draws),
-                                        LoadError))
+                                        LoadError, cards))
             return [(m.theta.tobytes(), m.tilde_psi.tobytes()) for m in models]
 
-        assert (_outcome(load, core.model_from_dict)
-                == _outcome(load, _reference_model_from_dict))
+        def read():
+            return [(m.theta.tobytes(), m.tilde_psi.tobytes())
+                    for m in core.deserialize_models(text)]
+
+        ours = _outcome(load, core.model_from_dict)
+        assert ours == _outcome(load, _reference_model_from_dict)
+        # the document reader, which checks each list of cardinalities once
+        assert _outcome(read) == ours
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 3),

@@ -317,7 +317,6 @@ class TestImpute:
             tracemalloc.stop()
         assert peak < uncapped / 2
 
-
     def test_a_wide_column_costs_its_own_codes_only(self):
         # 29 binary variables and one of 100 levels: a (rows, p, D)
         # accumulator padded to the widest variable would alone take
