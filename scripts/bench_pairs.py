@@ -8,8 +8,8 @@ revision of the repository holding this script.  A revision is checked
 out with ``git worktree add --detach`` into a temporary directory that
 is removed when the script ends, so both sides can be clean trees.  A
 directory exported from a revision (``git archive``) has no ``.git`` to
-name it, so it may be given as ``DIR=REV``; REV is then recorded, as
-given, for that side.
+name it, so it may be given as ``DIR=REV``: REV, as given, is then
+recorded for that side unless DIR is a git checkout after all.
 
 Each ``--run WORKLOAD:PAIRS`` makes PAIRS pairs of
 ``python3 bench/run.py --workload WORKLOAD --seed SEED --seconds S``,
