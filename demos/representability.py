@@ -42,8 +42,10 @@ print(f"joint table error:  {report.pi_error}")
 print(f"missingness error:  {report.q_error}")
 
 # The rescaled components are exact point masses, so rebuilding the
-# joint recovers pi bit for bit.
-tilde = rescale_missing(augmented.psi)
+# joint recovers pi bit for bit.  Each component's psi lays the codes
+# 0 .. d_j of every variable end to end; rescaling drops the missing
+# code 0 of each and leaves one flat table over the observable codes.
+probs = rescale_missing(augmented.psi, schema)
 implied = joint_distribution(
-    CollapsedModel(schema, augmented.theta, tilde))
+    CollapsedModel(schema, augmented.theta, probs))
 print(f"tables identical: {np.array_equal(implied.table, pi.table)}")

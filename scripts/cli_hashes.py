@@ -16,7 +16,7 @@ three inline tables' fits, and from the xor point-mass truth model), ``fit`` of 
 1 with one error line, ``test-independence`` (to stdout, to ``--out`` and
 at ``--n 5000``), ``benchmark --reps 3 --jobs 1`` with ``--out`` and
 ``--summary-out``, ``preprocess-ratings`` (binary and five) on a small
-inline ratings table, and fourteen commands that exit 1: ``fit --out``
+inline ratings table, and fifteen commands that exit 1: ``fit --out``
 into a missing directory, ``fit --k-histogram`` into a missing directory,
 ``impute --out`` and ``test-independence --out`` into a missing
 directory, a ``benchmark --out`` whose every replication fails,
@@ -26,7 +26,8 @@ missing directory, ``fit --out`` naming an existing directory,
 ``simulate --out`` ending in a separator, ``impute`` from a draws
 document whose own cardinalities disagree with its draw's, and an empty
 ``fit --k-histogram``, ``impute --cell-posterior`` and
-``test-independence --out``; none of them leaves a file. It prints one
+``test-independence --out``, and, last, a ``fit`` whose ``--out`` names
+its own input table; none of them leaves a file. It prints one
 ``name sha1`` line for each command's stdout, one ``name sha1 exit=N``
 line for its stderr and exit code, and then one ``name sha1`` line for
 each file the commands wrote. The elapsed seconds in ``fit``'s summary
@@ -193,6 +194,10 @@ COMMANDS = (
                             "nodir/x.csv"]),
     ("independence-missing-dir", ["test-independence", "model.json", "--n",
                                   "40", "--out", "nodir/x.csv"]),
+    # last, so that a tree which lets it replace the table hashes every
+    # other command's files alike
+    ("fit-out-is-input", ["fit", "mixture.csv", "--out", "mixture.csv",
+                          "--seed", "3", *FAST, "--progress-every", "0"]),
 )
 
 

@@ -19,13 +19,18 @@ padded to the widest variable and one that stores it flat hash alike.
 (default: this repository's ``src``), so the same script hashes another
 checkout; run it once per checkout and compare the outputs with
 ``diff``.  ``--save`` also writes every fit's real-code psi to an
-``.npz`` file, keyed by the fit's name, to measure how far two
-checkouts' psi differ where their hashes do not match.
+``.npz`` file, keyed by the fit's name, and its draws as their model
+JSON lists them, whatever layout the checkout keeps in memory: under
+``NAME.theta`` every draw's weights end to end, and under
+``NAME.probs`` one row per component of every draw, its vectors laid
+flat.  Where two checkouts' hashes do not match, the two files show how
+far their psi and their draws differ.
 """
 
 import argparse
 import hashlib
 import importlib
+import json
 import sys
 from collections import deque
 from pathlib import Path
@@ -69,7 +74,8 @@ def sha1(*parts: bytes) -> str:
 
 
 def fits(src: Path):
-    """Yield each fit's name, real-code psi and output line."""
+    """Yield each fit's name, its arrays for ``--save`` and its output
+    line."""
     sys.path.insert(0, str(src))
     core = importlib.import_module("catmix.core")
     sampler = importlib.import_module("catmix.sampler")
@@ -83,12 +89,20 @@ def fits(src: Path):
             state = deque(sampler.iterate_states(data, cfg, 10 * t + f),
                           maxlen=1)[0]
             psi = real_codes(state.psi, cards)
+            text = core.serialize_models(draws)
+            doc = json.loads(text)["draws"]
             name = f"t{t}-{n}x{len(cards)}-a{alpha:g}-b{beta:g}"
-            yield name, psi, " ".join((
+            arrays = {name: psi,
+                      f"{name}.theta": np.array(
+                          [x for d in doc for x in d["theta"]]),
+                      f"{name}.probs": np.array(
+                          [[x for vec in comp for x in vec]
+                           for d in doc for comp in d["tildePsi"]])}
+            yield name, arrays, " ".join((
                 name,
                 sha1(state.assignments.tobytes(), state.counts.tobytes()),
                 sha1(psi.tobytes()),
-                sha1(core.serialize_models(draws).encode())))
+                sha1(text.encode())))
 
 
 def main(argv=None) -> None:
@@ -96,12 +110,13 @@ def main(argv=None) -> None:
     ap.add_argument("--src", type=Path, default=SRC,
                     help="directory holding the catmix package")
     ap.add_argument("--save", type=Path,
-                    help="also write every fit's real-code psi here (.npz)")
+                    help="also write every fit's real-code psi and draws "
+                         "here (.npz)")
     args = ap.parse_args(argv)
     saved = {}
-    for name, psi, line in fits(args.src.resolve()):
+    for _, arrays, line in fits(args.src.resolve()):
         print(line, flush=True)
-        saved[name] = psi
+        saved.update(arrays)
     if args.save is not None:
         np.savez(args.save, **saved)
 

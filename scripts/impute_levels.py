@@ -10,7 +10,9 @@ each checkout fits it with its own ``catmix fit --burnin 10 --samples N
 --thin 1 --seed 3`` and the table's schema.  Then each of ``--pairs``
 pairs runs ``catmix impute --rule sample --seed 1`` from that model once
 in each checkout, the parent first in even pairs and the change first in
-odd ones.  Every command runs in a fresh interpreter.  A run's wall time
+odd ones.  Every command runs in a fresh interpreter, each side's with
+its own fresh ``PYTHONPYCACHEPREFIX`` and bytecode writing on, as
+``bench_pairs.py`` runs them.  A run's wall time
 is taken around its process, and its peak RSS is the process's own
 ``ru_maxrss``, which is never below this script's own peak.
 
@@ -52,10 +54,11 @@ def sha1(path: Path) -> str:
         return hashlib.file_digest(f, "sha1").hexdigest()
 
 
-def catmix(tree: Path, argv: list[str], cwd: Path) -> dict:
-    """Run ``catmix argv`` on ``tree``'s package in a fresh interpreter;
-    its wall seconds and peak RSS in MB."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+def catmix(tree: Path, argv: list[str], cwd: Path, cache: str) -> dict:
+    """Run ``catmix argv`` on ``tree``'s package in a fresh interpreter
+    with ``cache`` as its ``PYTHONPYCACHEPREFIX``; its wall seconds and
+    peak RSS in MB."""
+    env = bench_pairs.side_env(cache, PYTHONPATH=str(tree / "src"))
     with open(cwd / "stderr.txt", "wb") as err:
         started = time.perf_counter()
         proc = subprocess.Popen([sys.executable, "-m", "catmix.cli", *argv],
@@ -70,8 +73,10 @@ def catmix(tree: Path, argv: list[str], cwd: Path) -> dict:
     return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024}
 
 
-def compare(trees: dict, table: Path, draws: int, pairs: int) -> dict:
-    """Fit ``draws`` draws on each side, then ``pairs`` pairs of imputes."""
+def compare(trees: dict, caches: dict, table: Path, draws: int,
+            pairs: int) -> dict:
+    """Fit ``draws`` draws on each side, then ``pairs`` pairs of imputes,
+    each side with its own ``PYTHONPYCACHEPREFIX`` from ``caches``."""
     out = {"model_sha1": {}, "fit": {}, "runs": []}
     for side, tree in trees.items():
         work = table.parent / f"{side}-{draws}"
@@ -79,7 +84,7 @@ def compare(trees: dict, table: Path, draws: int, pairs: int) -> dict:
         out["fit"][side] = catmix(tree, [
             "fit", str(table), "--out", "model.json", "--samples", str(draws),
             "--burnin", "10", "--thin", "1", "--seed", "3",
-            "--progress-every", "0", "--schema", SCHEMA], work)
+            "--progress-every", "0", "--schema", SCHEMA], work, caches[side])
         out["model_sha1"][side] = sha1(work / "model.json")
     for i in range(pairs):
         pair = {}
@@ -87,7 +92,7 @@ def compare(trees: dict, table: Path, draws: int, pairs: int) -> dict:
             work = table.parent / f"{side}-{draws}"
             run = catmix(trees[side], [
                 "impute", str(table), "model.json", "--out", "completed.csv",
-                "--rule", "sample", "--seed", "1"], work)
+                "--rule", "sample", "--seed", "1"], work, caches[side])
             run["sha1"] = [sha1(work / "completed.csv"),
                            sha1(work / "completed.csv.cells.csv")]
             pair[side] = run
@@ -126,6 +131,7 @@ def main(argv=None) -> int:
                  for side, (spec, _) in specs.items()}
         doc["revisions"] = {side: bench_pairs.revision(trees[side], rev)
                             for side, (_, rev) in specs.items()}
+        caches = {side: bench_pairs.pycache(stack, side) for side in SIDES}
         tmp = Path(stack.enter_context(tempfile.TemporaryDirectory()))
         subprocess.run([sys.executable, str(REPO / "bench" / "inputs.py"),
                         "--workload", "levels", "--seed", "0", "--dir",
@@ -133,8 +139,9 @@ def main(argv=None) -> int:
                        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                                 PYTHONPATH=str(trees["parent"] / "src")))
         for draws in args.draws:
-            doc["draws"][str(draws)] = compare(trees, tmp / "masked.csv",
-                                               draws, args.pairs)
+            doc["draws"][str(draws)] = compare(trees, caches,
+                                               tmp / "masked.csv", draws,
+                                               args.pairs)
             args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 

@@ -75,13 +75,14 @@ def _int_list(text: str) -> tuple[int, ...]:
         ) from None
 
 
-def _write_atomic(*outputs) -> None:
+def _write_atomic(*outputs, inputs=()) -> None:
     """Write each ``(path, pieces)`` of ``outputs`` whose path is not None,
     ``pieces`` an iterable of strings, through temporary files opened before
     any piece is read and renamed once all are written.  A path that is
     unwritable, empty, ends in a separator, is a directory or names one file
-    with another fails before any work; a failed write leaves no file.  An
-    ``OSError`` names the path as given, not the temporary file."""
+    with another or with one of the command's ``inputs`` fails before any
+    work; a failed write leaves no file.  An ``OSError`` names the path as
+    given, not the temporary file."""
     outputs = [(path, pieces) for path, pieces in outputs if path is not None]
     for path, _ in outputs:
         if os.path.isdir(path) or not os.path.basename(path):
@@ -90,6 +91,9 @@ def _write_atomic(*outputs) -> None:
     real = [os.path.realpath(path) for path, _ in outputs]
     if twice := [path for (path, _), r in zip(outputs, real) if real.count(r) > 1]:
         raise ValueError(f"one file named as two outputs: {', '.join(map(str, twice))}")
+    read = {os.path.realpath(path) for path in inputs}
+    if clash := [path for (path, _), r in zip(outputs, real) if r in read]:
+        raise ValueError(f"output names an input file: {', '.join(map(str, clash))}")
     with contextlib.ExitStack() as stack:
         try:
             files = []
@@ -132,7 +136,7 @@ def _add_table_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--cardinality",
                      type=_bounded(int, lambda v: v >= 2, "must be >= 2"),
                      help="categories per mixture variable")
-    sub.add_argument("--seed", type=int, default=None)
+    sub.add_argument("--seed", type=_nonneg_int, default=None)
 
 
 def _add_mechanism_flags(sub: argparse.ArgumentParser, *, with_none: bool) -> None:
@@ -211,7 +215,7 @@ def _cmd_fit(args) -> int:
     _write_atomic((args.out, pooled() if args.summary
                    else core._document(draws())),
                   (f"{args.out}.khist.csv" if args.k_histogram is None
-                   else args.k_histogram, histogram()))
+                   else args.k_histogram, histogram()), inputs=[args.input])
     _log(
         f"fit: {data.n_rows} rows, {data.n_variables} variables, "
         f"{len(k_values)} draws, modal k={sampler.modal_k(k_values)}, "
@@ -238,7 +242,8 @@ def _cmd_impute(args) -> int:
     # the imputation runs as the first file is written, once both are open
     _write_atomic((args.out, completed()),
                   (f"{args.out}.cells.csv" if args.cell_posterior is None
-                   else args.cell_posterior, cells()))
+                   else args.cell_posterior, cells()),
+                  inputs=[args.input, args.model])
     _log(
         f"impute: filled {len(result.cell_posteriors)} cells "
         f"({args.rule} rule) in {data.n_rows} rows"
@@ -314,7 +319,7 @@ def _cmd_test_independence(args) -> int:
         pairs.extend(inference.pairwise_independence(pooled, args.n))
         yield core._csv(("j1", "j2", "p_value"), pairs)
 
-    _write_atomic((args.out, payload()))  # skipped without --out
+    _write_atomic((args.out, payload()), inputs=[args.model])  # none without --out
     if args.out is None:
         sys.stdout.writelines(payload())
     _log(f"test-independence: {len(pairs)} pairs at n={args.n}")
@@ -325,7 +330,7 @@ def _cmd_preprocess_ratings(args) -> int:
     triples = synth.parse_ratings_csv(Path(args.input).read_text())
     given = _given(args, "item_threshold", "user_threshold", "cutoff")
     data = synth.preprocess_ratings(triples, coding=args.coding, **given)
-    _write_atomic((args.out, [core.dataset_to_csv(data)]))
+    _write_atomic((args.out, [core.dataset_to_csv(data)]), inputs=[args.input])
     _log(
         f"preprocess-ratings: {data.n_rows} users x {data.n_variables} items, "
         f"{data.n_missing() / data.cells.size:.2%} missing"
@@ -356,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write one pooled model instead of all draws")
     fit.add_argument("--k-histogram", default=None,
                      help="component-count histogram CSV (default OUT.khist.csv)")
-    fit.add_argument("--seed", type=int, default=None)
+    fit.add_argument("--seed", type=_nonneg_int, default=None)
     _add_gibbs_flags(fit)
     fit.add_argument("--progress-every", type=_nonneg_int, default=50,
                      help="progress line interval in sweeps; 0 silences "
@@ -370,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     imp.add_argument("--cell-posterior", default=None,
                      help="per-cell predictive CSV (default OUT.cells.csv)")
     imp.add_argument("--rule", choices=["argmax", "sample"], default="argmax")
-    imp.add_argument("--seed", type=int, default=None,
+    imp.add_argument("--seed", type=_nonneg_int, default=None,
                      help="seed for the sample rule")
     imp.set_defaults(func=_cmd_impute)
 

@@ -10,16 +10,17 @@ Conventions used throughout the package:
   flavours.  Vectors that include the missing code have length
   ``d_j + 1`` and are indexed by ``0 .. d_j``.  Vectors over observable
   codes only have length ``d_j`` and are indexed by ``code - 1``.
-* Arrays that stack per-variable vectors are padded with zeros up to
-  the largest cardinality so that everything fits in one rectangular
-  ndarray.  A chain state's psi (:class:`ModelState`) is the exception:
-  it lays every variable's codes ``0 .. d_j`` end to end in one flat
-  row, variable ``j`` from its :meth:`CategoricalSchema.offsets` entry.
+* Tables of per-variable vectors lay every variable's codes end to end
+  in one flat row per component, from its :meth:`CategoricalSchema.offsets`
+  entry, unpadded: ``d_j + 1`` codes with the missing code (a chain
+  state's psi), ``d_j`` without it (a :class:`CollapsedModel`).
+  :func:`segment_sums` sums each variable's segment of such a row.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -91,27 +92,48 @@ def padded_dirichlet(conc: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return g / g.sum(axis=-1, keepdims=True)
 
 
-def rescale_missing(psi: np.ndarray) -> np.ndarray:
-    """Divide the missing mass out: ``psi[..., 1:] / psi[..., 1:].sum(-1)``.
+@functools.lru_cache(maxsize=64)
+def _layout(cards: tuple, extra: int) -> tuple:
+    """The flat layout of ``d_j + extra`` codes per variable: the segment
+    starts and the row's width, then the variables of each distinct
+    cardinality d with their (variables, d + extra) block of positions."""
+    starts = np.cumsum([0, *(d + extra for d in cards)])
+    var = {d: np.flatnonzero(np.asarray(cards) == d) for d in set(cards)}
+    return starts, tuple((v, starts[v, None] + np.arange(d + extra))
+                         for d, v in var.items())
 
-    Turns vectors over the codes ``0 .. d`` into vectors over the
-    observable codes, indexed by ``code - 1``, with no cancellation near
-    ``psi[..., 0] = 1``.  Raises ValueError on zero observable mass.
-    """
-    mass = psi[..., 1:].sum(axis=-1, keepdims=True)
+
+def segment_sums(a: np.ndarray, schema: CategoricalSchema,
+                 extra: int) -> np.ndarray:
+    """Each variable's sum over its ``d_j + extra`` flat codes on the last
+    axis of ``a``: a C-ordered ``take`` per distinct cardinality, whose rows
+    numpy sums pairwise as it sums a padded table's rows of that width."""
+    out = np.empty(a.shape[:-1] + (schema.n_variables,))
+    for var, idx in _layout(schema.cardinalities, extra)[1]:
+        out[..., var] = a.take(idx, axis=-1).sum(axis=-1)
+    return out
+
+
+def rescale_missing(psi: np.ndarray, schema: CategoricalSchema) -> np.ndarray:
+    """Divide the missing mass out of a flat ``psi`` over the codes
+    ``0 .. d_j``: each vector's codes ``1 .. d_j`` over their own sum, with
+    no cancellation near ``psi_j[0] = 1``.  Raises ValueError on zero mass."""
+    # np.delete gathers in Fortran order, and mixed layouts grew the heap
+    real = np.ascontiguousarray(np.delete(psi, schema.offsets(1)[:-1], axis=-1))
+    mass = segment_sums(real, schema, 0)
     if (mass == 0).any():
         raise ValueError(
             "a component assigns probability 1 to the missing code, so it "
             "cannot be rescaled to the observable codes"
         )
-    return psi[..., 1:] / mass
+    return real / np.repeat(mass, schema.cardinalities, axis=-1)
 
 
 def _freeze(record, **dtypes) -> None:
     """Store each named field of the frozen dataclass ``record`` as a
-    read-only array of the dtype given for it."""
+    read-only C-ordered array of the dtype given for it."""
     for name, dtype in dtypes.items():
-        a = np.asarray(getattr(record, name), dtype)
+        a = np.asarray(getattr(record, name), dtype, order="C")
         a.setflags(write=False)
         object.__setattr__(record, name, a)
 
@@ -134,20 +156,14 @@ def _check_weights(w: np.ndarray, name: str, tol: float) -> None:
 
 
 def _check_tables(a: np.ndarray, schema: CategoricalSchema, k: int,
-                  offset: int, name: str, tol: float) -> None:
-    """Raise ValueError unless ``a`` is a ``(k, p, D + offset)`` stack of
-    zero padded probability vectors, finite, nonnegative and summing to 1
-    within ``tol``; ``offset`` is 1 with the missing code and 0 without."""
-    width = schema.max_cardinality + offset
-    _check_shape(a, (k, schema.n_variables, width), name)
+                  extra: int, name: str, tol: float) -> None:
+    """Raise ValueError unless ``a`` is a ``(k, sum_j (d_j + extra))`` flat
+    table of finite, nonnegative vectors summing to 1 within ``tol``;
+    ``extra`` is 1 with the missing code and 0 without."""
+    _check_shape(a, (k, int(schema.offsets(extra)[-1])), name)
     if not np.isfinite(a).all() or (a < 0).any():
         raise ValueError(f"{name} entries must be finite and nonnegative")
-    padding = np.arange(width) >= schema.codes_array()[:, None] + offset
-    stray = (a * padding).any(axis=(0, 2))
-    if stray.any():
-        raise ValueError(f"{name} padding of variable {stray.argmax()} is not zero")
-    # with the padding zero, summing the full width sums each vector
-    off = (np.abs(a.sum(axis=2) - 1.0) > tol).any(axis=0)
+    off = (np.abs(segment_sums(a, schema, extra) - 1.0) > tol).any(axis=0)
     if off.any():
         raise ValueError(f"{name} rows of variable {off.argmax()} do not sum to 1")
 
@@ -191,10 +207,11 @@ class CategoricalSchema:
         """Cardinalities as an int array, handy for vectorized checks."""
         return np.asarray(self.cardinalities, dtype=np.int64)
 
-    def offsets(self) -> np.ndarray:
-        """Start of each variable's codes ``0 .. d_j`` in the flat layout
-        of :class:`ModelState`, then its width ``sum_j (d_j + 1)``."""
-        return np.cumsum([0, *(d + 1 for d in self.cardinalities)])
+    def offsets(self, extra: int) -> np.ndarray:
+        """Start of each variable's segment in a flat row of ``d_j +
+        extra`` codes per variable, then the row's width: ``extra`` is 1
+        for the codes ``0 .. d_j`` and 0 for the observable codes."""
+        return _layout(self.cardinalities, extra)[0].copy()
 
 
 @dataclass(frozen=True)
@@ -267,7 +284,7 @@ class ModelState:
         Per component category probabilities over the codes
         ``0 .. d_j`` (missing included) of every variable, laid flat:
         variable ``j``'s code ``c`` sits at column
-        ``schema.offsets()[j] + c``, and nothing pads a variable.
+        ``schema.offsets(1)[j] + c``, and nothing pads a variable.
     """
 
     schema: CategoricalSchema
@@ -290,14 +307,7 @@ class ModelState:
     def validate(self) -> None:
         """Check the structural invariants, raising ValueError on failure."""
         k = self.k
-        starts = self.schema.offsets()
-        _check_shape(self.psi, (k, int(starts[-1])), "psi")
-        if not np.isfinite(self.psi).all() or (self.psi < 0).any():
-            raise ValueError("psi entries must be finite and nonnegative")
-        sums = np.add.reduceat(self.psi, starts[:-1], axis=1)
-        off = (np.abs(sums - 1.0) > 1e-10).any(axis=0)
-        if off.any():
-            raise ValueError(f"psi rows of variable {off.argmax()} do not sum to 1")
+        _check_tables(self.psi, self.schema, k, 1, "psi", 1e-10)
         if (self.counts <= 0).any():
             raise ValueError("every retained component must be occupied")
         if self.counts.sum() != self.n_rows:
@@ -318,22 +328,21 @@ class CollapsedModel:
     schema : CategoricalSchema
     theta : ndarray, shape (k,)
         Mixture weights, summing to 1.
-    tilde_psi : ndarray, shape (k, p, D)
-        Per component probabilities over the observable codes
-        ``1 .. d_j`` of each variable, stored at index ``code - 1`` and
-        zero padded beyond ``d_j``.  The missing code has been divided
-        out, so each row sums to 1.
+    probs : ndarray, shape (k, sum_j d_j)
+        Per component probabilities over the observable codes ``1 ..
+        d_j`` of every variable, laid flat: variable ``j``'s code ``c``
+        sits at column ``schema.offsets(0)[j] + c - 1``.  The missing
+        code has been divided out, so each vector sums to 1.
     """
 
     schema: CategoricalSchema
     theta: np.ndarray
-    tilde_psi: np.ndarray
+    probs: np.ndarray
 
     def __post_init__(self):
-        _freeze(self, theta=np.float64, tilde_psi=np.float64)
+        _freeze(self, theta=np.float64, probs=np.float64)
         _check_weights(self.theta, "theta", LOAD_TOL)
-        _check_tables(self.tilde_psi, self.schema, self.k, 0, "tilde_psi",
-                      LOAD_TOL)
+        _check_tables(self.probs, self.schema, self.k, 0, "probs", LOAD_TOL)
 
     @property
     def k(self) -> int:
@@ -342,6 +351,17 @@ class CollapsedModel:
     @property
     def n_variables(self) -> int:
         return self.schema.n_variables
+
+    @property
+    def tilde_psi(self) -> np.ndarray:
+        """``probs`` padded with zeros to a read-only (k, p, D) copy, for the
+        benchmark's set-up alone until it reads the widths from the schema."""
+        cards = self.schema.codes_array()
+        real = np.arange(self.schema.max_cardinality) < cards[:, None]
+        padded = np.zeros((self.k,) + real.shape)
+        padded[:, real] = self.probs
+        padded.setflags(write=False)
+        return padded
 
 
 @dataclass(frozen=True)
@@ -628,12 +648,9 @@ def _model_from_dict(obj, schemas: dict) -> CollapsedModel:
                         "all finite numbers")
     if comps < k:
         raise LoadError(f"tildePsi[{comps}] must list {p} variables")
-    # allocated only now that every vector has its d_j entries
-    valid = np.arange(schema.max_cardinality) < schema.codes_array()[:, None]
-    packed = np.zeros((k,) + valid.shape)
-    packed[:, valid] = values.reshape(k, -1)
     try:
-        return CollapsedModel(schema, np.asarray(theta, dtype=np.float64), packed)
+        return CollapsedModel(schema, np.asarray(theta, dtype=np.float64),
+                              values.reshape(k, -1))
     except (TypeError, ValueError) as exc:
         raise LoadError(str(exc)) from None
 
@@ -648,10 +665,9 @@ def _json_list(items, pad: str) -> str:
 def _model_texts(models: Iterable[CollapsedModel], schema, pad: str):
     """Yield the JSON document of each model of ``schema`` as
     ``json.dumps(..., indent=2)`` lays it out at indent ``pad``.  One
-    ``%r`` template per distinct k takes theta, then tilde psi's real
-    entries: ``repr`` of a finite float is the text ``json`` writes."""
+    ``%r`` template per distinct k takes theta, then the flat table:
+    ``repr`` of a finite float is the text ``json`` writes."""
     cards = schema.cardinalities
-    real = np.arange(max(cards)) < schema.codes_array()[:, None]
     key = pad + "  "
     head = (f'{{\n{key}"k": %d,\n{key}"cardinalities": '
             f'{_json_list(map(str, cards), key)},\n{key}"theta": ')
@@ -664,7 +680,7 @@ def _model_texts(models: Iterable[CollapsedModel], schema, pad: str):
                               f',\n{key}"tildePsi": ' +
                               _json_list([comp] * m.k, key) + f"\n{pad}}}")
         yield templates[m.k] % (m.k, *m.theta.tolist(),
-                                *m.tilde_psi[:, real].ravel().tolist())
+                                *m.probs.ravel().tolist())
 
 
 def serialize_model(model: CollapsedModel) -> str:

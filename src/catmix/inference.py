@@ -25,6 +25,7 @@ from catmix.core import (
     _check_weights,
     _checked,
     _freeze,
+    _layout,
     rescale_missing,
 )
 
@@ -93,8 +94,8 @@ def pool_draws(posterior) -> CollapsedModel:
     """
     draws = _as_draws(posterior)
     theta = np.concatenate([m.theta for m in draws]) / len(draws)
-    tilde = np.concatenate([m.tilde_psi for m in draws], axis=0)
-    return CollapsedModel(draws[0].schema, theta, tilde)
+    probs = np.concatenate([m.probs for m in draws], axis=0)
+    return CollapsedModel(draws[0].schema, theta, probs)
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +150,8 @@ def predictive_cell(row, j: int, model: CollapsedModel) -> np.ndarray:
             "is only defined for missing cells"
         )
     post = class_posterior(row, model)
-    d = model.schema.cardinalities[j]
-    return post @ model.tilde_psi[:, j, :d]
+    start, stop = model.schema.offsets(0)[j:j + 2]
+    return post @ model.probs[:, start:stop]
 
 
 def impute(data: Dataset, posterior, rule: str = "argmax",
@@ -187,11 +188,11 @@ def impute(data: Dataset, posterior, rule: str = "argmax",
     cells = np.asarray(data.cells)
     miss = cells == 0
     hit_rows = np.nonzero(miss.any(axis=1))[0]
-    acc = np.zeros((hit_rows.size, sum(data.schema.cardinalities)))
-    for post, real in _class_posteriors(draws, cells[hit_rows], hit_rows):
-        acc += np.einsum("mk,kc->mc", post, real)
+    starts = data.schema.offsets(0)
+    acc = np.zeros((hit_rows.size, starts[-1]))
+    for post, table in _class_posteriors(draws, cells[hit_rows], hit_rows):
+        acc += np.einsum("mk,kc->mc", post, table)
     acc /= len(draws)
-    starts = np.cumsum([0, *data.schema.cardinalities[:-1]])
 
     # one uniform per cell in row-major order, as Generator.choice(d, p=vec)
     # spends it: the code is the count of cdf / cdf[-1] that are <= u
@@ -218,7 +219,7 @@ def impute(data: Dataset, posterior, rule: str = "argmax",
 
 def _class_posteriors(draws, cells: np.ndarray, rows):
     """Yield each draw's (m, k) component posteriors for a batch of rows,
-    with the draw's (k, sum_j d_j) C-contiguous table of real codes.
+    with the draw's flat (k, sum_j d_j) table.
 
     ``cells`` is (m, p) with zeros marking unobserved entries, and
     ``rows[i]`` is the dataset index that error messages give for
@@ -229,20 +230,15 @@ def _class_posteriors(draws, cells: np.ndarray, rows):
     missing cell adds 0.0.
     """
     m, p = cells.shape
-    schema = draws[0].schema
-    offsets = schema.offsets()
+    offsets = draws[0].schema.offsets(1)
     idx = cells + offsets[:-1]
-    mask = np.arange(schema.max_cardinality) < schema.codes_array()[:, None]
     step = max(1, 2 ** 15 // ((m + offsets[-1]) * max(g.k for g in draws)))
     for start in range(0, len(draws), step):
         group = draws[start:start + step]
-        # mask gathers come out in Fortran order, over which einsum sums
-        # in another order: C order keeps the bytes of the padded draws
-        real = np.ascontiguousarray(
-            np.concatenate([g.tilde_psi[:, mask] for g in group]))
+        probs = np.concatenate([g.probs for g in group])
         with np.errstate(divide="ignore"):
-            log_real = np.log(real)
-        table = np.insert(log_real.T, offsets[:-1] - np.arange(p), 0.0, axis=0)
+            log_probs = np.log(probs)
+        table = np.insert(log_probs.T, offsets[:-1] - np.arange(p), 0.0, axis=0)
         evidence = table[idx[:, 0]]
         for j in range(1, p):
             evidence += table[idx[:, j]]
@@ -258,7 +254,7 @@ def _class_posteriors(draws, cells: np.ndarray, rows):
                 )
             shifted = logpost - top
             norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-            yield np.exp(shifted - norm), real[end - model.k:end]
+            yield np.exp(shifted - norm), probs[end - model.k:end]
 
 
 def _check_row(row, model: CollapsedModel) -> np.ndarray:
@@ -277,7 +273,7 @@ def _check_row(row, model: CollapsedModel) -> np.ndarray:
 def joint_distribution(model: CollapsedModel) -> JointDistribution:
     """Dense joint probability table implied by the mixture.
 
-    ``table[c1 - 1, ..., cp - 1] = sum_h theta_h prod_j tilde_psi[h, j, cj - 1]``.
+    ``table[c1 - 1, ..., cp - 1] = sum_h theta_h prod_j P_h(x_j = cj)``.
 
     Raises
     ------
@@ -291,12 +287,12 @@ def joint_distribution(model: CollapsedModel) -> JointDistribution:
             f"joint table would hold {schema.n_cells()} cells "
             f"(limit {DEFAULT_CELL_LIMIT}); query pair_marginal instead"
         )
-    cards = schema.cardinalities
-    table = np.zeros(cards)
+    starts = schema.offsets(0)
+    table = np.zeros(schema.cardinalities)
     for h in range(model.k):
         block = np.asarray(model.theta[h])
-        for j, d in enumerate(cards):
-            block = np.multiply.outer(block, model.tilde_psi[h, j, :d])
+        for start, stop in zip(starts[:-1], starts[1:]):
+            block = np.multiply.outer(block, model.probs[h, start:stop])
         table += block
     return JointDistribution(schema, table)
 
@@ -312,14 +308,9 @@ def pair_marginal(model: CollapsedModel, j1: int, j2: int) -> np.ndarray:
         raise ValueError(f"variable indices ({j1}, {j2}) out of range")
     if j1 == j2:
         raise ValueError("pair_marginal needs two distinct variables")
-    d1 = model.schema.cardinalities[j1]
-    d2 = model.schema.cardinalities[j2]
-    return np.einsum(
-        "h,hc,hd->cd",
-        model.theta,
-        model.tilde_psi[:, j1, :d1],
-        model.tilde_psi[:, j2, :d2],
-    )
+    starts = model.schema.offsets(0)
+    a, b = (model.probs[:, starts[j]:starts[j + 1]] for j in (j1, j2))
+    return np.einsum("h,hc,hd->cd", model.theta, a, b)
 
 
 def correlation_matrix(model: CollapsedModel) -> np.ndarray:
@@ -330,11 +321,14 @@ def correlation_matrix(model: CollapsedModel) -> np.ndarray:
     variance gets correlation 0 with everything (its diagonal entry
     stays 1), which keeps downstream gap sums finite.
     """
-    cards = model.schema.codes_array()
-    width = model.schema.max_cardinality
-    codes = np.arange(1, width + 1, dtype=np.float64)
-    comp_mean = model.tilde_psi @ codes          # (k, p)
-    comp_sq = model.tilde_psi @ codes ** 2       # (k, p)
+    comp_mean = np.empty((model.k, model.n_variables))
+    comp_sq = np.empty_like(comp_mean)
+    # one (k, variables, d) block per distinct cardinality d
+    for cols, idx in _layout(model.schema.cardinalities, 0)[1]:
+        block = model.probs.take(idx, axis=-1)
+        codes = np.arange(1, idx.shape[1] + 1, dtype=np.float64)
+        comp_mean[:, cols] = block @ codes
+        comp_sq[:, cols] = block @ codes ** 2
     m1 = model.theta @ comp_mean                 # E[X_j]
     m2 = model.theta @ comp_sq                   # E[X_j^2]
     cross = comp_mean.T @ (model.theta[:, None] * comp_mean)
@@ -482,8 +476,9 @@ class AugmentedModel:
     ----------
     schema : CategoricalSchema
     theta : ndarray, shape (k,)
-    psi : ndarray, shape (k, p, D + 1)
-        Probabilities over codes ``0 .. d_j``, zero padded.
+    psi : ndarray, shape (k, sum_j (d_j + 1))
+        Probabilities over the codes ``0 .. d_j`` of every variable, laid
+        flat as in :class:`~catmix.core.ModelState`.
     """
 
     schema: CategoricalSchema
@@ -519,15 +514,15 @@ def _point_masses(pi: JointDistribution, q: MissingnessTable | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Weights and psi of :func:`construct_saturated_model`, with the
     positive cells in C order; without ``q`` code 0 gets no mass."""
-    schema = pi.schema
     positive = np.nonzero(pi.table > 0)
     theta = pi.table[positive]
-    k, p = theta.size, schema.n_variables
+    k, p = theta.size, pi.schema.n_variables
     rate = np.zeros((k, p)) if q is None else q.q[(slice(None),) + positive].T
-    psi = np.zeros((k, p, schema.max_cardinality + 1))
-    comp, var = np.arange(k)[:, None], np.arange(p)[None, :]
-    psi[comp, var, 0] = rate
-    psi[comp, var, np.stack(positive, axis=1) + 1] = 1.0 - rate
+    starts = pi.schema.offsets(1)
+    psi = np.zeros((k, starts[-1]))
+    comp = np.arange(k)[:, None]
+    psi[comp, starts[:-1]] = rate
+    psi[comp, starts[:-1] + np.stack(positive, axis=1) + 1] = 1.0 - rate
     return theta, psi
 
 
@@ -539,7 +534,7 @@ def saturated_model(pi: JointDistribution) -> CollapsedModel:
     as :func:`correlation_matrix`.
     """
     theta, psi = _point_masses(pi)
-    return CollapsedModel(pi.schema, theta, rescale_missing(psi))
+    return CollapsedModel(pi.schema, theta, rescale_missing(psi, pi.schema))
 
 
 def construct_saturated_model(pi: JointDistribution,
@@ -576,12 +571,15 @@ def verify_construction(augmented: AugmentedModel, pi: JointDistribution,
     """
     if pi.schema.cardinalities != q.schema.cardinalities:
         raise ValueError("joint table and missingness table schemas differ")
-    tilde = rescale_missing(augmented.psi)
-    model = CollapsedModel(augmented.schema, augmented.theta, tilde)
+    schema = augmented.schema
+    probs = rescale_missing(augmented.psi, schema)
+    model = CollapsedModel(schema, augmented.theta, probs)
     implied = joint_distribution(model)
     pi_error = float(np.abs(implied.table - pi.table).max())
 
-    cells = tuple(tilde.argmax(axis=2).T)
+    cells = tuple(vec.argmax(axis=1) for vec in
+                  np.split(probs, schema.offsets(0)[1:-1], axis=1))
     target = q.q[(slice(None),) + cells].T
-    q_error = float(np.abs(augmented.psi[:, :, 0] - target).max())
+    missing = augmented.psi[:, schema.offsets(1)[:-1]]
+    q_error = float(np.abs(missing - target).max())
     return ConstructionReport(pi_error=pi_error, q_error=q_error)

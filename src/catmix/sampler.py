@@ -36,8 +36,8 @@ sum_j (d_j + 1) of them, laid flat as in :class:`ModelState`, not the
 p (D + 1) codes of a table padded to the widest variable; one 100-level
 column among 2- to 5-level ones would otherwise make nine entries in
 ten padding.  Every Dirichlet draw is one ``standard_gamma`` over the
-flat concentrations, normalised by one rectangular sum per distinct
-cardinality.  Starting from one component per row, the log table takes
+flat concentrations, normalised by :func:`~catmix.core.segment_sums`.
+Starting from one component per row, the log table takes
 O(n sum_j (d_j + 1)) floats, and its prior draw is made at most
 ``_BLOCK_CELLS`` floats (256 KiB) at a time.
 
@@ -95,6 +95,7 @@ from catmix.core import (
     ModelState,
     _check_count,
     rescale_missing,
+    segment_sums,
 )
 
 __all__ = [
@@ -195,7 +196,7 @@ def modal_k(ks) -> int:
 
 class _Chain:
     __slots__ = (
-        "n", "p", "offsets", "groups", "var_of", "beta", "new_logw",
+        "n", "p", "schema", "offsets", "widths", "beta", "new_logw",
         "z", "counts", "log_psi", "order", "free", "movers",
     )
 
@@ -203,22 +204,16 @@ class _Chain:
         if data.n_rows == 0:
             raise ValueError("cannot run the sampler on an empty dataset")
         self.n, self.p = data.cells.shape
-        starts = data.schema.offsets()
-        cards = data.schema.codes_array()
+        self.schema = data.schema
+        starts = data.schema.offsets(1)
         # offsets[j, i]: position of cell (i, j) in the flat layout
         self.offsets = np.ascontiguousarray((starts[:-1] + data.cells).T)
-        # one (variables, d + 1) block of flat positions per distinct
-        # cardinality d, and the variable of every flat position
-        self.groups = []
-        for d in sorted(set(data.schema.cardinalities)):
-            var = np.flatnonzero(cards == d)
-            self.groups.append((var, starts[var, None] + np.arange(d + 1)))
-        self.var_of = np.repeat(np.arange(self.p), cards + 1)
+        self.widths = data.schema.codes_array() + 1
         self.beta = np.full(starts[-1], config.beta, dtype=np.float64)
         # log weight of opening a new component; flat priors give every
         # code the same log(beta / sum_c beta), so code 0 stands for x_ij
-        self.new_logw = np.log(config.alpha) + (
-            np.log(config.beta) - np.log(self._sums(self.beta))).sum()
+        self.new_logw = np.log(config.alpha) + (np.log(config.beta) - np.log(
+            segment_sums(self.beta, self.schema, 1))).sum()
         # as if every row had moved: the first sweep goes row by row
         self.movers = self.n
 
@@ -244,23 +239,13 @@ class _Chain:
         self.order = np.arange(k)
         self.free = list(range(cap - 1, k - 1, -1))
 
-    def _sums(self, a: np.ndarray) -> np.ndarray:
-        """Each variable's sum of ``a`` over its flat codes (last axis),
-        one sum per distinct cardinality over a C-ordered ``take``: numpy
-        sums its rows pairwise, as it sums a padded table's rows of that
-        width, but a fancy-indexed gather is laid out transposed."""
-        out = np.empty(a.shape[:-1] + (self.p,))
-        for var, idx in self.groups:
-            out[..., var] = a.take(idx, axis=-1).sum(axis=-1)
-        return out
-
     def _draw(self, conc: np.ndarray, slots: slice,
               rng: np.random.Generator) -> np.ndarray:
         """Draw the psi of ``slots`` from the Dirichlet distributions with
         flat concentrations ``conc``, one row per slot; keep its log and
         return it."""
         psi = rng.standard_gamma(conc)
-        psi /= self._sums(psi)[:, self.var_of]
+        psi /= np.repeat(segment_sums(psi, self.schema, 1), self.widths, axis=1)
         with np.errstate(divide="ignore"):
             np.log(psi.T, out=self.log_psi[:, slots])
         return psi
@@ -442,10 +427,9 @@ def collapse_state(state: ModelState) -> CollapsedModel:
     """Rescale a chain state into a mixture over observable codes.
 
     Component weights are the occupancy fractions ``n_h / n``.  Within
-    each component the missing mass is divided out:
-    ``tilde_psi[h, j, c - 1] = psi_hj[c] / sum_{c' >= 1} psi_hj[c']``,
-    where ``psi_hj`` is variable ``j``'s segment of the flat ``psi[h]``.
-    The result is padded with zeros to the widest variable.
+    each component the missing mass is divided out of every variable's
+    segment ``psi_hj`` of the flat ``psi[h]``: the model's code ``c`` of
+    variable ``j`` gets ``psi_hj[c] / sum_{c' >= 1} psi_hj[c']``.
 
     Parameters
     ----------
@@ -459,11 +443,8 @@ def collapse_state(state: ModelState) -> CollapsedModel:
         :func:`~catmix.core.rescale_missing`).
     """
     theta = state.counts / state.counts.sum()
-    cards = state.schema.codes_array()
-    real = np.arange(state.schema.max_cardinality + 1) <= cards[:, None]
-    psi = np.zeros((state.k,) + real.shape)
-    psi[:, real] = state.psi
-    return CollapsedModel(state.schema, theta, rescale_missing(psi))
+    return CollapsedModel(state.schema, theta,
+                          rescale_missing(state.psi, state.schema))
 
 
 def iterate_states(data: Dataset, config: GibbsConfig = GibbsConfig(),

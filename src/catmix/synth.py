@@ -160,12 +160,11 @@ def sample_mixture_dataset(n: int = 50, p: int = 20, k: int = 3,
 
     rng = np.random.default_rng(seed)
     theta = rng.dirichlet(np.full(k, 10.0))
-    width = schema.max_cardinality
-    conc = np.zeros((k, p, width))
-    for j, d in enumerate(cards):
-        conc[:, j, :d] = 0.5
+    # the truth keeps the real entries of a draw padded to the widest variable
+    real = np.arange(schema.max_cardinality) < schema.codes_array()[:, None]
+    conc = np.broadcast_to(np.where(real, 0.5, 0.0), (k,) + real.shape)
     tilde = padded_dirichlet(conc, rng)
-    truth = CollapsedModel(schema, theta, tilde)
+    truth = CollapsedModel(schema, theta, tilde[:, real])
 
     z = rng.choice(k, size=n, p=theta)
     u = rng.random((n, p))

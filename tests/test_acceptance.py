@@ -254,7 +254,7 @@ def test_criterion_09_invariant_battery(capsys):
     for m in draws[::20]:
         if abs(m.theta.sum() - 1.0) > 1e-9 or (m.theta < 0).any():
             failures.append("draw weights are not a distribution")
-        rows = m.tilde_psi[:, :, :2]
+        rows = m.probs.reshape(m.k, -1, 2)
         if np.abs(rows.sum(axis=2) - 1.0).max() > 1e-8 or (rows < 0).any():
             failures.append("draw vectors are not distributions")
     cfg = GibbsConfig()
@@ -285,7 +285,7 @@ def test_criterion_09_invariant_battery(capsys):
 
     # determinism
     again = run_gibbs(masked, seed=111)
-    if not all(np.array_equal(a.tilde_psi, b.tilde_psi)
+    if not all(np.array_equal(a.probs, b.probs)
                for a, b in zip(draws, again)):
         failures.append("fits with equal seeds differ")
 
@@ -293,7 +293,7 @@ def test_criterion_09_invariant_battery(capsys):
     perm = np.random.default_rng(0).permutation(draws[0].k)
     first = draws[0]
     shuffled = type(first)(first.schema, first.theta[perm],
-                           first.tilde_psi[perm])
+                           first.probs[perm])
     a = impute(masked, [first], rule="argmax")
     b = impute(masked, [shuffled], rule="argmax")
     if not np.array_equal(a.completed.cells, b.completed.cells):

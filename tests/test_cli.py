@@ -431,12 +431,10 @@ class TestImpute:
 
     def test_impossible_row_is_named_by_its_dataset_index(self, tmp_path,
                                                           capsys):
-        tilde = np.zeros((2, 3, 2))
-        tilde[0, :, 0] = 1.0
-        tilde[1, :, 1] = 1.0
+        probs = [[1.0, 0.0] * 3, [0.0, 1.0] * 3]
         model = tmp_path / "model.json"
         model.write_text(serialize_model(
-            CollapsedModel(CategoricalSchema([2, 2, 2]), [0.5, 0.5], tilde)))
+            CollapsedModel(CategoricalSchema([2, 2, 2]), [0.5, 0.5], probs)))
         inp = tmp_path / "data.csv"
         inp.write_text("a,b,c\n1,1,NA\n1,1,1\n1,2,NA\n")
         rc = cli.main(["impute", str(inp), str(model), "--out",
@@ -497,7 +495,7 @@ class TestSimulate:
         assert data.cells.shape == (30, 3)
         truth = deserialize_models((tmp_path / "truth.json").read_text())[0]
         assert truth.k == 8
-        assert set(np.unique(truth.tilde_psi)) == {0.0, 1.0}
+        assert set(np.unique(truth.probs)) == {0.0, 1.0}
 
     def test_no_mechanism_keeps_data_complete(self, tmp_path):
         out = tmp_path / "plain.csv"
@@ -810,10 +808,8 @@ class TestBenchmark:
 
 class TestIndependence:
     def _coupled_model(self, tmp_path):
-        tilde = np.zeros((2, 2, 2))
-        tilde[0, :, 0] = 1.0
-        tilde[1, :, 1] = 1.0
-        model = CollapsedModel(CategoricalSchema([2, 2]), [0.5, 0.5], tilde)
+        probs = [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]]
+        model = CollapsedModel(CategoricalSchema([2, 2]), [0.5, 0.5], probs)
         path = tmp_path / "model.json"
         path.write_text(serialize_model(model))
         return path
@@ -977,6 +973,62 @@ def test_unwritable_out_is_refused_before_the_work(tmp_path, capsys,
     assert capsys.readouterr() == (
         "", f"error: cannot write {missing}: No such file or directory\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", [
+    "fit", "impute", "test-independence", "preprocess-ratings"])
+def test_output_naming_an_input_is_refused_before_the_work(
+        tmp_path, capsys, monkeypatch, command):
+    # an output that is one of the command's own inputs, under another
+    # spelling, would replace that input
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran")
+
+    inp = _toy_csv(tmp_path)
+    model = _fit(tmp_path, inp)
+    ratings = tmp_path / "ratings.csv"
+    ratings.write_text("user,item,rating\n1,101,4.0\n2,101,3.0\n")
+    files = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    monkeypatch.setattr(sampler._Chain, "sweep", no_work)
+    monkeypatch.setattr(inference, "impute", no_work)
+    monkeypatch.setattr(inference, "pairwise_independence", no_work)
+    argv, clash = {
+        "fit": (["fit", str(inp), *FAST, "--out", str(tmp_path / "m.json")],
+                inp),
+        "impute": (["impute", str(inp), str(model), "--out",
+                    str(tmp_path / "f.csv"), "--cell-posterior"], model),
+        "test-independence": (["test-independence", str(model), "--n", "12",
+                               "--out"], model),
+        "preprocess-ratings": (["preprocess-ratings", str(ratings),
+                                "--out"], ratings)}[command]
+    again = f"{tmp_path}/./{clash.name}"
+    if command == "fit":
+        argv += ["--k-histogram", again]
+    else:
+        argv.append(again)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == (
+        "", f"error: output names an input file: {again}\n")
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+
+@pytest.mark.parametrize("command", ["fit", "impute", "simulate", "benchmark"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                        command):
+    # refused at the flag, before any output is claimed or any work runs
+    monkeypatch.chdir(tmp_path)
+    argv = {"fit": ["fit", "data.csv", "--out", "m.json"],
+            "impute": ["impute", "data.csv", "m.json", "--out", "f.csv"],
+            "simulate": ["simulate", *REQUIRED["simulate"], "--out", "s.csv"],
+            "benchmark": ["benchmark", *REQUIRED["benchmark"]]}[command]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--seed", "-2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (f"catmix {command}: error: argument "
+                                    "--seed: must be >= 0, got -2")
+    assert not list(tmp_path.iterdir())
 
 
 def test_console_script_is_installed():

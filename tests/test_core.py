@@ -32,7 +32,23 @@ from catmix.core import (
 class TestCategoricalSchema:
     def test_offsets_lay_the_codes_flat(self):
         s = CategoricalSchema([3, 2, 5])
-        assert s.offsets().tolist() == [0, 4, 7, 13]
+        assert s.offsets(1).tolist() == [0, 4, 7, 13]
+        assert s.offsets(0).tolist() == [0, 3, 5, 10]
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_segment_sums_sum_each_variable_in_order(self, extra):
+        s = CategoricalSchema([3, 9, 3, 12, 2])
+        a = np.random.default_rng(0).random((4, int(s.offsets(extra)[-1])))
+        starts = s.offsets(extra)
+        want = np.stack([a[:, i:j].sum(axis=1)
+                         for i, j in zip(starts[:-1], starts[1:])], axis=1)
+        got = core.segment_sums(a, s, extra)
+        np.testing.assert_allclose(got, want, rtol=1e-15)
+        # a variable's row sums as a padded table's row of its own width
+        for j, d in enumerate(s.cardinalities):
+            row = np.zeros((4, d + extra))
+            row[:] = a[:, starts[j]:starts[j + 1]]
+            assert got[:, j].tobytes() == row.sum(axis=1).tobytes()
 
     def test_basic(self):
         s = CategoricalSchema([2, 3, 2])
@@ -142,22 +158,36 @@ class TestCollapsedModel:
         schema = CategoricalSchema([2])
         for theta in ([0.6, 0.6], [np.nan, 1.0]):
             with pytest.raises(ValueError, match="theta"):
-                CollapsedModel(schema, theta, np.full((2, 1, 2), 0.5))
+                CollapsedModel(schema, theta, np.full((2, 2), 0.5))
 
     def test_rejects_bad_row_sum(self):
         schema = CategoricalSchema([2])
         with pytest.raises(ValueError, match="sum to 1"):
-            CollapsedModel(schema, [1.0], np.array([[[0.7, 0.7]]]))
+            CollapsedModel(schema, [1.0], np.array([[0.7, 0.7]]))
         with pytest.raises(ValueError, match="finite"):
-            CollapsedModel(schema, [1.0], np.array([[[np.nan, 1.0]]]))
+            CollapsedModel(schema, [1.0], np.array([[np.nan, 1.0]]))
 
-    def test_rejects_nonzero_padding(self):
+    def test_rejects_the_padded_layout(self):
         schema = CategoricalSchema([2, 3])
         tilde = np.full((1, 2, 3), 1 / 3)
-        tilde[0, 0, :2] = 0.5
-        tilde[0, 0, 2] = 0.2  # stray mass beyond d_0
-        with pytest.raises(ValueError, match="padding"):
+        tilde[0, 0] = [0.5, 0.5, 0.0]
+        with pytest.raises(ValueError, match=r"probs has shape \(1, 2, 3\), "
+                                             r"expected \(1, 5\)"):
             CollapsedModel(schema, [1.0], tilde)
+        # the right width, but mass moved from variable 1 to variable 0
+        with pytest.raises(ValueError, match="variable 0 do not sum to 1"):
+            CollapsedModel(schema, [1.0], [[0.5, 0.6, 0.3, 0.3, 0.3]])
+
+    def test_tilde_psi_pads_a_read_only_copy(self):
+        schema = CategoricalSchema([2, 3])
+        probs = np.asfortranarray([[0.5, 0.5, 0.2, 0.3, 0.5],
+                                   [1.0, 0.0, 0.0, 0.0, 1.0]])
+        m = CollapsedModel(schema, [0.5, 0.5], probs)
+        assert m.tilde_psi.tolist() == [[[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]],
+                                        [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]]
+        assert not m.tilde_psi.flags.writeable
+        # the table is stored in C order whatever order it came in
+        assert m.probs.flags.c_contiguous
 
 
 class TestJointDistribution:
@@ -201,11 +231,11 @@ _ONE = CategoricalSchema([2])
     (lambda: Dataset(_ONE, [[1]]), ("cells",)),
     (lambda: ModelState(_ONE, [0], [1], [[0.2, 0.3, 0.5]]),
      ("assignments", "counts", "psi")),
-    (lambda: CollapsedModel(_ONE, [1.0], [[[0.4, 0.6]]]),
-     ("theta", "tilde_psi")),
+    (lambda: CollapsedModel(_ONE, [1.0], [[0.4, 0.6]]),
+     ("theta", "probs")),
     (lambda: JointDistribution(_ONE, [0.3, 0.7]), ("table",)),
     (lambda: MissingnessTable(_ONE, [[0.1, 0.2]]), ("q",)),
-    (lambda: inference.AugmentedModel(_ONE, [1.0], [[[0.1, 0.3, 0.6]]]),
+    (lambda: inference.AugmentedModel(_ONE, [1.0], [[0.1, 0.3, 0.6]]),
      ("theta", "psi")),
     (lambda: synth.MaskResult([0], [0], [1], n_total_cells=1),
      ("rows", "cols", "values")),
@@ -316,26 +346,23 @@ class TestParseDataset:
 def _random_model(rng, k=3, cards=(2, 3)):
     schema = CategoricalSchema(cards)
     theta = rng.dirichlet(np.ones(k))
-    width = schema.max_cardinality
-    tilde = np.zeros((k, len(cards), width))
-    for j, d in enumerate(cards):
-        tilde[:, j, :d] = rng.dirichlet(np.ones(d), size=k)
-    return CollapsedModel(schema, theta, tilde)
+    probs = [rng.dirichlet(np.ones(d), size=k) for d in cards]
+    return CollapsedModel(schema, theta, np.concatenate(probs, axis=1))
 
 
 class TestModelSerialization:
     def test_minimal_round_trip(self):
-        m = CollapsedModel(CategoricalSchema([2]), [1.0], np.array([[[0.5, 0.5]]]))
+        m = CollapsedModel(CategoricalSchema([2]), [1.0], np.array([[0.5, 0.5]]))
         again = deserialize_models(serialize_model(m))[0]
         assert np.array_equal(again.theta, m.theta)
-        assert np.array_equal(again.tilde_psi, m.tilde_psi)
+        assert np.array_equal(again.probs, m.probs)
 
     def test_round_trip_is_bit_exact(self):
         m = _random_model(np.random.default_rng(7))
         again = deserialize_models(serialize_model(m))[0]
         assert again.schema.cardinalities == m.schema.cardinalities
         assert np.array_equal(again.theta, m.theta)
-        assert np.array_equal(again.tilde_psi, m.tilde_psi)
+        assert np.array_equal(again.probs, m.probs)
 
     def test_ragged_document_hides_padding(self):
         m = _random_model(np.random.default_rng(1), cards=(2, 3))
@@ -402,7 +429,7 @@ class TestModelSerialization:
         assert len(again) == 2
         for a, b in zip(again, models):
             assert np.array_equal(a.theta, b.theta)
-            assert np.array_equal(a.tilde_psi, b.tilde_psi)
+            assert np.array_equal(a.probs, b.probs)
 
     def test_written_document_is_the_serialized_one(self, tmp_path):
         # catmix fit streams the draws document into its model file
@@ -438,22 +465,22 @@ class TestModelSerialization:
 def _spiky_model(rng, k, cards):
     """A model whose vectors hold exact zeros, ones and tiny entries."""
     schema = CategoricalSchema(cards)
-    tilde = np.zeros((k, len(cards), schema.max_cardinality))
-    for j, d in enumerate(cards):
-        tilde[:, j, :d] = rng.dirichlet(np.full(d, 0.02), size=k)
-    tilde[0, 0, :2] = [1.0, 0.0]
-    return CollapsedModel(schema, rng.dirichlet(np.full(k, 0.5)), tilde)
+    probs = np.concatenate([rng.dirichlet(np.full(d, 0.02), size=k)
+                            for d in cards], axis=1)
+    probs[0, :2] = [1.0, 0.0]
+    return CollapsedModel(schema, rng.dirichlet(np.full(k, 0.5)), probs)
 
 
 def _oracle_dict(m):
     """The document of one model, built from its arrays for json.dumps."""
-    cards = m.schema.cardinalities
+    starts = m.schema.offsets(0)
     return {
         "k": m.k,
-        "cardinalities": list(cards),
+        "cardinalities": list(m.schema.cardinalities),
         "theta": m.theta.tolist(),
-        "tildePsi": [[m.tilde_psi[h, j, :d].tolist()
-                      for j, d in enumerate(cards)] for h in range(m.k)],
+        "tildePsi": [[m.probs[h, i:j].tolist()
+                      for i, j in zip(starts[:-1], starts[1:])]
+                     for h in range(m.k)],
     }
 
 
@@ -490,7 +517,7 @@ def test_random_model_round_trips_bit_exactly(seed):
     m = _random_model(np.random.default_rng(seed), k=1 + seed % 4)
     again = deserialize_models(serialize_model(m))[0]
     assert np.array_equal(again.theta, m.theta)
-    assert np.array_equal(again.tilde_psi, m.tilde_psi)
+    assert np.array_equal(again.probs, m.probs)
 
 
 def test_padded_dirichlet_keeps_zero_concentrations_at_zero():
@@ -531,7 +558,7 @@ def test_package_surface_is_the_union_of_the_module_lists():
     for module, name in [
             (core, "DEFAULT_CELL_LIMIT"), (core, "MISSING"),
             (core, "NA_TOKEN"), (core, "padded_dirichlet"),
-            (core, "rescale_missing"),
+            (core, "rescale_missing"), (core, "segment_sums"),
             (metrics, "PROTOCOLS"),
             (metrics, "simulate")]:
         assert name not in catmix.__all__ and hasattr(module, name)
@@ -638,11 +665,9 @@ def _reference_model_from_dict(obj):
                 raise LoadError(
                     f"tildePsi[{h}][{j}] must have {d} entries, all finite numbers"
                 )
-    valid = np.arange(schema.max_cardinality) < schema.codes_array()[:, None]
-    packed = np.zeros((k,) + valid.shape)
-    packed[:, valid] = [[x for vec in comp for x in vec] for comp in tilde]
+    flat = [[x for vec in comp for x in vec] for comp in tilde]
     try:
-        return CollapsedModel(schema, np.asarray(theta, dtype=np.float64), packed)
+        return CollapsedModel(schema, np.asarray(theta, dtype=np.float64), flat)
     except (TypeError, ValueError) as exc:
         raise LoadError(str(exc)) from None
 
@@ -778,10 +803,10 @@ class TestReadersAgainstReferences:
             draws = json.loads(text)["draws"]
             models = list(core._checked(map(model_from_dict, draws),
                                         LoadError, cards))
-            return [(m.theta.tobytes(), m.tilde_psi.tobytes()) for m in models]
+            return [(m.theta.tobytes(), m.probs.tobytes()) for m in models]
 
         def read():
-            return [(m.theta.tobytes(), m.tilde_psi.tobytes())
+            return [(m.theta.tobytes(), m.probs.tobytes())
                     for m in core.deserialize_models(text)]
 
         ours = _outcome(load, core.model_from_dict)

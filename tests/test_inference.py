@@ -38,27 +38,32 @@ from catmix.synth import sample_xor_dataset
 
 def _point_mass_pair(theta=(0.5, 0.5)):
     """Two components with var0 = var1 pinned to code 1 resp. code 2."""
-    tilde = np.zeros((2, 2, 2))
-    tilde[0, :, 0] = 1.0
-    tilde[1, :, 1] = 1.0
-    return CollapsedModel(CategoricalSchema([2, 2]), theta, tilde)
+    probs = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
+    return CollapsedModel(CategoricalSchema([2, 2]), theta, probs)
 
 
 def _single_component(rows):
     """One-component model over binary variables with the given vectors."""
-    tilde = np.asarray(rows, dtype=float)[None, :, :]
-    return CollapsedModel(CategoricalSchema([2] * tilde.shape[1]),
-                          [1.0], tilde)
+    rows = np.asarray(rows, dtype=float)
+    return CollapsedModel(CategoricalSchema([2] * len(rows)), [1.0],
+                          rows.reshape(1, -1))
 
 
 def _random_model(seed, k=3, cards=(2, 3, 2)):
     rng = np.random.default_rng(seed)
     schema = CategoricalSchema(cards)
     theta = rng.dirichlet(np.full(k, 2.0))
-    tilde = np.zeros((k, len(cards), schema.max_cardinality))
-    for j, d in enumerate(cards):
-        tilde[:, j, :d] = rng.dirichlet(np.ones(d), size=k)
-    return CollapsedModel(schema, theta, tilde)
+    probs = [rng.dirichlet(np.ones(d), size=k) for d in cards]
+    return CollapsedModel(schema, theta, np.concatenate(probs, axis=1))
+
+
+def _padded(model):
+    """The model's table padded with zeros to shape (k, p, D)."""
+    cards = model.schema.codes_array()
+    real = np.arange(model.schema.max_cardinality) < cards[:, None]
+    padded = np.zeros((model.k,) + real.shape)
+    padded[:, real] = model.probs
+    return padded
 
 
 class TestClassPosterior:
@@ -157,7 +162,7 @@ def _reference_impute(data, draws, rule, rng):
     for m in draws:
         with np.errstate(divide="ignore"):
             log_theta = np.log(m.theta)
-            log_tilde = np.log(m.tilde_psi)
+            log_tilde = np.log(_padded(m))
         by_var = np.moveaxis(log_tilde, 0, 2)
         gathered = by_var[np.arange(sub.shape[1])[None, :],
                           np.maximum(sub - 1, 0)]
@@ -166,7 +171,7 @@ def _reference_impute(data, draws, rule, rng):
         shifted = logpost - logpost.max(axis=1, keepdims=True)
         post = np.exp(shifted - np.log(np.exp(shifted).sum(axis=1,
                                                            keepdims=True)))
-        acc += np.einsum("mk,kjc->mjc", post, m.tilde_psi)
+        acc += np.einsum("mk,kjc->mjc", post, _padded(m))
     acc /= len(draws)
     completed = cells.copy()
     posteriors = {}
@@ -238,7 +243,7 @@ class TestImpute:
     def test_invariant_to_component_relabelling(self):
         m = _random_model(4, k=4)
         perm = np.random.default_rng(0).permutation(4)
-        shuffled = CollapsedModel(m.schema, m.theta[perm], m.tilde_psi[perm])
+        shuffled = CollapsedModel(m.schema, m.theta[perm], m.probs[perm])
         data = Dataset(m.schema, [[0, 2, 1], [1, 0, 0], [0, 0, 0]])
         out_a = impute(data, [m, m])
         out_b = impute(data, [shuffled, m])
@@ -270,10 +275,8 @@ class TestImpute:
     def test_impossible_row_is_named_by_its_dataset_index(self):
         # components all-1 and all-2; row 1 is complete and not imputed,
         # row 2 mixes codes 1 and 2 and fits neither component
-        tilde = np.zeros((2, 3, 2))
-        tilde[0, :, 0] = 1.0
-        tilde[1, :, 1] = 1.0
-        m = CollapsedModel(CategoricalSchema([2, 2, 2]), [0.5, 0.5], tilde)
+        probs = np.array([[1.0, 0.0] * 3, [0.0, 1.0] * 3])
+        m = CollapsedModel(CategoricalSchema([2, 2, 2]), [0.5, 0.5], probs)
         data = Dataset(m.schema, [[1, 1, 0], [1, 1, 1], [1, 2, 0]])
         with pytest.raises(ValueError, match="^row 2 has probability zero"):
             impute(data, m)
@@ -342,7 +345,7 @@ class TestPoolDraws:
         m = _random_model(7)
         pooled = pool_draws([m])
         assert np.array_equal(pooled.theta, m.theta)
-        assert np.array_equal(pooled.tilde_psi, m.tilde_psi)
+        assert np.array_equal(pooled.probs, m.probs)
 
     def test_pooling_averages_linear_summaries(self):
         a, b = _random_model(8), _random_model(9, k=2)
@@ -387,7 +390,7 @@ class TestJointDistribution:
     def test_refuses_huge_tables(self):
         # 7**9 cells: refused before the 323 MB table is allocated
         schema = CategoricalSchema([7] * 9)
-        m = CollapsedModel(schema, [1.0], np.full((1, 9, 7), 1 / 7))
+        m = CollapsedModel(schema, [1.0], np.full((1, 9 * 7), 1 / 7))
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=r"limit 10000000\).*pair_marginal"):
@@ -418,7 +421,7 @@ class TestPairMarginal:
     def test_margins_match_single_variable_marginals(self):
         m = _random_model(13)
         table = pair_marginal(m, 0, 1)
-        want0 = m.theta @ m.tilde_psi[:, 0, :2]
+        want0 = m.theta @ m.probs[:, :2]
         np.testing.assert_allclose(table.sum(axis=1), want0, atol=1e-12)
 
     def test_rejects_bad_indices(self):
@@ -623,8 +626,7 @@ class TestSaturatedConstruction:
         q = MissingnessTable(schema, np.array([[0.1, 0.2]]))
         aug = construct_saturated_model(pi, q)
         assert aug.theta.tolist() == [0.3, 0.7]
-        assert aug.psi[0, 0].tolist() == [0.1, 0.9, 0.0]
-        assert aug.psi[1, 0].tolist() == [0.2, 0.0, 0.8]
+        assert aug.psi.tolist() == [[0.1, 0.9, 0.0], [0.2, 0.0, 0.8]]
 
     def test_zero_probability_cells_are_skipped(self):
         schema = CategoricalSchema([2, 2])
@@ -670,17 +672,22 @@ class TestSaturatedConstruction:
     def test_augmented_model_validation(self):
         schema = CategoricalSchema([2])
         with pytest.raises(ValueError, match="sum to 1"):
-            AugmentedModel(schema, [1.0], np.array([[[0.5, 0.4, 0.0]]]))
+            AugmentedModel(schema, [1.0], np.array([[0.5, 0.4, 0.0]]))
         with pytest.raises(ValueError, match="theta"):
-            AugmentedModel(schema, [0.5], np.array([[[0.0, 1.0, 0.0]]]))
+            AugmentedModel(schema, [0.5], np.array([[0.0, 1.0, 0.0]]))
         with pytest.raises(ValueError, match="nonnegative"):
-            AugmentedModel(schema, [1.0], np.array([[[0.0, 1.5, -0.5]]]))
+            AugmentedModel(schema, [1.0], np.array([[0.0, 1.5, -0.5]]))
         wide = CategoricalSchema([2, 3])
-        psi = np.zeros((1, 2, 4))
-        psi[0, 0] = [0.2, 0.4, 0.3, 0.1]  # stray mass beyond d_0
-        psi[0, 1] = 0.25
-        with pytest.raises(ValueError, match="padding of variable 0"):
+        # the row sums to p = 2, but variable 0's segment holds 0.9
+        psi = np.array([[0.2, 0.4, 0.3, 0.1, 0.25, 0.25, 0.5]])
+        with pytest.raises(ValueError, match="variable 0 do not sum to 1"):
             AugmentedModel(wide, [1.0], psi)
+        padded = np.zeros((1, 2, 4))
+        padded[0, 0, :3] = [0.2, 0.4, 0.4]
+        padded[0, 1] = 0.25
+        with pytest.raises(ValueError, match=r"shape \(1, 2, 4\), "
+                                             r"expected \(1, 7\)"):
+            AugmentedModel(wide, [1.0], padded)
 
 
 def test_xor_fit_recovers_the_third_bit():

@@ -225,9 +225,8 @@ class TestUpdatePsi:
         np.testing.assert_allclose(acc / reps, [1 / 8, 6 / 8, 1 / 8],
                                    atol=0.02)
 
-    def test_keeps_padding_zero(self):
-        # the state's psi has no padding at all; its collapse pads
-        # variable 0 with zeros
+    def test_keeps_the_real_codes_only(self):
+        # neither the state's psi nor its collapse pads variable 0
         data = Dataset(CategoricalSchema([2, 3]), [[1, 3], [2, 1]])
         ch = sampler._Chain(data, GibbsConfig())
         ch.init(np.random.default_rng(1))
@@ -235,20 +234,20 @@ class TestUpdatePsi:
         out = ModelState(data.schema, *ch.labels(), psi)
         assert out.psi.shape == (out.k, 3 + 4)
         out.validate()
-        assert (collapse_state(out).tilde_psi[:, 0, 2] == 0.0).all()
+        assert collapse_state(out).probs.shape == (out.k, 2 + 3)
 
 
 class TestCollapseState:
     def test_divides_out_missing_mass(self):
         state = _pair_state([0.2, 0.4, 0.4])
         model = collapse_state(state)
-        assert model.tilde_psi[0, 0].tolist() == [0.5, 0.5]
+        assert model.probs.tolist() == [[0.5, 0.5]]
         assert model.theta.tolist() == [1.0]
 
     def test_zero_missing_mass_is_identity(self):
         state = _pair_state([0.0, 0.3, 0.7])
         model = collapse_state(state)
-        assert model.tilde_psi[0, 0].tolist() == [0.3, 0.7]
+        assert model.probs.tolist() == [[0.3, 0.7]]
 
     def test_theta_is_occupancy_fraction(self):
         schema = CategoricalSchema([2])
@@ -264,13 +263,17 @@ class TestCollapseState:
         with pytest.raises(ValueError, match="missing"):
             collapse_state(state)
 
-    def test_mixed_cardinality_padding(self):
+    def test_mixed_cardinalities_stay_flat(self):
         data = Dataset(CategoricalSchema([2, 3]), [[1, 3], [2, 1], [0, 2]])
         (state,) = islice(iterate_states(data, GibbsConfig(), seed=3), 1)
         model = collapse_state(state)
-        assert (model.tilde_psi[:, 0, 2] == 0.0).all()
-        np.testing.assert_allclose(
-            model.tilde_psi[:, 1].sum(axis=1), 1.0, atol=1e-12)
+        assert model.probs.shape == (state.k, 5)
+        # each segment is its vector's codes 1 .. d_j over their sum
+        for codes, real in ((slice(1, 3), slice(0, 2)),
+                            (slice(4, 7), slice(2, 5))):
+            want = state.psi[:, codes] / state.psi[:, codes].sum(
+                axis=1, keepdims=True)
+            assert model.probs[:, real].tobytes() == want.tobytes()
 
 
 def _toy_data(seed=0, n=8):
@@ -537,7 +540,7 @@ def test_chunked_psi_draws_match_the_reference_kernel_draw_for_draw():
     # short
     data = _wide_column_table(5, n=400)
     cfg = GibbsConfig()
-    chunk = sampler._BLOCK_CELLS // data.schema.offsets()[-1]
+    chunk = sampler._BLOCK_CELLS // data.schema.offsets(1)[-1]
     ours, ref = (np.random.default_rng(21) for _ in range(2))
     pairs = list(zip(islice(iterate_states(data, cfg, seed=ours), 4),
                      _reference_states(data, cfg, sweeps=4, seed=ref)))
@@ -630,7 +633,7 @@ def test_iterate_states_runs_the_whole_schedule():
     for state, theirs in zip(kept, draws, strict=True):
         ours = collapse_state(state)
         assert ours.theta.tobytes() == theirs.theta.tobytes()
-        assert ours.tilde_psi.tobytes() == theirs.tilde_psi.tobytes()
+        assert ours.probs.tobytes() == theirs.probs.tobytes()
         assert theirs.k == state.k
 
 
@@ -696,8 +699,7 @@ class TestGibbsConfig:
             data, GibbsConfig(alpha=1e12, beta=2.0), seed=0))
         assert np.array_equal(state.psi, manual.psi)
         assert state.k == draw.k == data.n_rows
-        assert np.array_equal(draw.tilde_psi,
-                              collapse_state(manual).tilde_psi)
+        assert np.array_equal(draw.probs, collapse_state(manual).probs)
 
 
 @pytest.mark.parametrize("beta", [0.2, 0.1, 0.01])
@@ -745,7 +747,7 @@ class TestRunGibbs:
         assert [m.k for m in a] == [m.k for m in b]
         for da, db in zip(a, b, strict=True):
             assert np.array_equal(da.theta, db.theta)
-            assert np.array_equal(da.tilde_psi, db.tilde_psi)
+            assert np.array_equal(da.probs, db.probs)
 
     def test_constant_dataset_concentrates_on_one_component(self):
         data = Dataset(CategoricalSchema([2, 2]), [[1, 2]] * 20)

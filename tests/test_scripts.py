@@ -28,9 +28,21 @@ def script():
     return _load(SCRIPT)
 
 
+#: A stand-in for bench/run.py: one environment line naming the
+#: interpreter's pycache prefix and whether it writes bytecode, then a
+#: correct result.
+FAKE_RUN = """import json, sys
+print("env: " + json.dumps({"pycache_prefix": sys.pycache_prefix,
+                            "writes": not sys.dont_write_bytecode}))
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {"wall_s": {"value": 1.0}}}))
+"""
+
+
 @pytest.fixture()
 def bench_pairs(script, tmp_path, monkeypatch):
-    """The script as a module, with a two-commit repository as REPO."""
+    """The script as a module, with a two-commit repository as REPO whose
+    commits differ in ``marker.txt`` and share a stand-in ``bench/``."""
     if shutil.which("git") is None:
         pytest.skip("needs git")
     module = script
@@ -40,7 +52,9 @@ def bench_pairs(script, tmp_path, monkeypatch):
            "-c", "user.email=t@example.invalid"]
     subprocess.run(git + ["init", "-q"], check=True)
     (repo / "marker.txt").write_text("first\n")
-    subprocess.run(git + ["add", "marker.txt"], check=True)
+    (repo / "bench").mkdir()
+    (repo / "bench" / "run.py").write_text(FAKE_RUN)
+    subprocess.run(git + ["add", "marker.txt", "bench"], check=True)
     subprocess.run(git + ["commit", "-q", "-m", "first"], check=True)
     (repo / "marker.txt").write_text("second\n")
     subprocess.run(git + ["commit", "-q", "-am", "second"], check=True)
@@ -133,6 +147,70 @@ def test_an_exported_tree_records_the_revision_it_came_from(
     # a git checkout still names its own commit
     assert json.loads(out.read_text())["revisions"] == {
         "parent": "abc123", "change": head}
+
+
+def test_each_side_runs_with_a_fresh_pycache_of_its_own(bench_pairs,
+                                                        tmp_path,
+                                                        monkeypatch):
+    module, repo = bench_pairs
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    export = tmp_path / "export"
+    shutil.copytree(repo / "bench", export / "bench")
+    # neither a stale cache nor the runs' own outputs count as bench/
+    (export / "bench" / "__pycache__").mkdir()
+    (export / "bench" / "__pycache__" / "run.cpython.pyc").write_text("x")
+    (export / "bench" / "out").mkdir()
+    (export / "bench" / "out" / "trace.jsonl").write_text("{}\n")
+    out = tmp_path / "pairs.json"
+    assert module.main(["--parent", "HEAD~1", "--change", f"{export}=abc",
+                        "--run", "wide:3", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["same_bench"] is True
+    assert doc["bench_sha1"]["parent"] == doc["bench_sha1"]["change"]
+    runs = doc["workloads"]["wide"]["runs"]
+    assert all(p[side]["correct"] for p in runs for side in module.SIDES)
+    prefixes = {side: {p[side]["env"]["pycache_prefix"] for p in runs}
+                for side in module.SIDES}
+    # bytecode is written, so that a side's later runs read its cache
+    assert all(p[side]["env"]["writes"] for p in runs
+               for side in module.SIDES)
+    # one prefix per side, outside both trees, gone once the pairs ran
+    (parent,), (change,) = prefixes["parent"], prefixes["change"]
+    assert parent != change
+    for prefix in (parent, change):
+        assert not Path(prefix).exists()
+        assert export not in Path(prefix).parents
+        assert repo not in Path(prefix).parents
+
+    # a side with another bench/ is flagged
+    (export / "bench" / "run.py").write_text(FAKE_RUN + "# edited\n")
+    assert module.main(["--parent", "HEAD", "--change", str(export),
+                        "--run", "wide:1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["same_bench"] is False
+    assert doc["bench_sha1"]["parent"] != doc["bench_sha1"]["change"]
+
+
+def test_impute_levels_gives_each_run_the_cache_it_is_handed(
+        tmp_path, monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    impute_levels = _load(ROOT / "scripts" / "impute_levels.py")
+    # a stand-in catmix whose CLI writes down its pycache prefix
+    package = tmp_path / "tree" / "src" / "catmix"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(
+        "import sys\nopen('prefix.txt', 'w').write("
+        "f'{sys.pycache_prefix} {sys.dont_write_bytecode}')\n")
+    cache = tmp_path / "cache"
+    run = impute_levels.catmix(tmp_path / "tree", ["impute"], tmp_path,
+                               str(cache))
+    assert (tmp_path / "prefix.txt").read_text() == f"{cache} False"
+    # the stand-in package was compiled into the cache, not beside itself
+    assert list(cache.rglob("__init__*.pyc"))
+    assert not list(package.rglob("*.pyc"))
+    assert run["wall_s"] > 0 and run["peak_rss_mb"] > 0
 
 
 def _pairs(parent, change):
@@ -247,13 +325,20 @@ def test_draw_hashes_print_one_line_per_fit(draw_hashes, tmp_path, capsys):
     draw_hashes.main(["--save", str(saved)])
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == len(draw_hashes.TABLES) * len(draw_hashes.PRIORS)
-    psi = np.load(saved)
+    arrays = np.load(saved)
+    assert len(arrays.files) == 3 * len(lines)
     for line in lines:
         name, *digests = line.split()
         assert len(digests) == 3
         assert all(len(d) == 40 and set(d) <= set("0123456789abcdef")
                    for d in digests)
-        assert hashlib.sha1(psi[name].tobytes()).hexdigest() == digests[1]
+        assert hashlib.sha1(arrays[name].tobytes()).hexdigest() == digests[1]
+        # the draws' weights and flat tables, one row per component
+        theta, probs = arrays[f"{name}.theta"], arrays[f"{name}.probs"]
+        assert theta.shape == (probs.shape[0],)
+        assert theta.sum() == pytest.approx(5.0)
+        width = sum(draw_hashes.TABLES[int(name[1])][1])
+        assert probs.shape[1] == width
     # --src imports catmix from the named directory, here in a fresh
     # interpreter whose working directory holds no catmix
     out = subprocess.run(
@@ -288,8 +373,8 @@ def test_cli_hashes_print_one_line_per_stream_and_file(tmp_path, capsys,
     # every command succeeds but the fit of the malformed table, the
     # commands with an output in a missing directory, naming no file or
     # given as an empty flag, the fit that names one path twice, the
-    # benchmark whose replications fail and the impute from a document
-    # that disagrees with its draws;
+    # benchmark whose replications fail, the impute from a document
+    # that disagrees with its draws and the fit whose output is its input;
     # none of these leaves a file behind
     exits = dict(line.split()[::2] for line in lines[1:streams:2])
     assert exits.pop("fit-malformed.stderr") == "exit=1"
@@ -307,6 +392,7 @@ def test_cli_hashes_print_one_line_per_stream_and_file(tmp_path, capsys,
     assert exits.pop("independence-empty-out.stderr") == "exit=1"
     assert exits.pop("impute-missing-dir.stderr") == "exit=1"
     assert exits.pop("independence-missing-dir.stderr") == "exit=1"
+    assert exits.pop("fit-out-is-input.stderr") == "exit=1"
     assert set(exits.values()) == {"exit=0"}
     assert [line.split()[0] for line in lines[streams:]] == [
         "argmax.csv", "argmax.csv.cells.csv", "binary.csv", "complete.csv",

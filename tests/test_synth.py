@@ -76,7 +76,7 @@ class TestSampleMixtureDataset:
         b, tb = sample_mixture_dataset(seed=5)
         c, _ = sample_mixture_dataset(seed=6)
         assert np.array_equal(a.cells, b.cells)
-        assert np.array_equal(ta.tilde_psi, tb.tilde_psi)
+        assert np.array_equal(ta.probs, tb.probs)
         assert not np.array_equal(a.cells, c.cells)
 
     def test_per_variable_cardinalities(self):
@@ -84,7 +84,7 @@ class TestSampleMixtureDataset:
                                              seed=1)
         assert data.schema.cardinalities == (2, 4, 3)
         assert (data.cells <= np.array([2, 4, 3])).all()
-        assert (truth.tilde_psi[:, 0, 2:] == 0).all()
+        assert truth.probs.shape == (truth.k, 2 + 4 + 3)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_cells_match_the_dense_cumsum_formula(self, seed):
@@ -98,16 +98,18 @@ class TestSampleMixtureDataset:
         conc = np.zeros((k, cards.size, cards.max()))
         for j, d in enumerate(cards):
             conc[:, j, :d] = 0.5
-        padded_dirichlet(conc, rng)
+        tilde = padded_dirichlet(conc, rng)
+        # the truth keeps the padded draw's real entries
+        assert truth.probs.tobytes() == tilde[conc > 0].reshape(k, -1).tobytes()
         z = rng.choice(k, size=n, p=truth.theta)
         u = rng.random((n, cards.size))
-        edges = np.cumsum(truth.tilde_psi[z], axis=2)
+        edges = np.cumsum(tilde[z], axis=2)
         idx = np.minimum((u[:, :, None] > edges).sum(axis=2), cards - 1)
         assert np.array_equal(data.cells, idx + 1)
 
     def test_empirical_frequencies_match_the_truth(self):
         data, truth = sample_mixture_dataset(n=50_000, p=5, seed=2)
-        marg = truth.theta @ truth.tilde_psi[:, :, 0]  # P(code 1) per var
+        marg = truth.theta @ truth.probs[:, ::2]  # P(code 1) per var
         emp = (data.cells == 1).mean(axis=0)
         assert np.abs(emp - marg).max() < 0.01
 
