@@ -16,7 +16,7 @@ three inline tables' fits, and from the xor point-mass truth model), ``fit`` of 
 1 with one error line, ``test-independence`` (to stdout, to ``--out`` and
 at ``--n 5000``), ``benchmark --reps 3 --jobs 1`` with ``--out`` and
 ``--summary-out``, ``preprocess-ratings`` (binary and five) on a small
-inline ratings table, and fifteen commands that exit 1: ``fit --out``
+inline ratings table, and seventeen commands that exit 1: ``fit --out``
 into a missing directory, ``fit --k-histogram`` into a missing directory,
 ``impute --out`` and ``test-independence --out`` into a missing
 directory, a ``benchmark --out`` whose every replication fails,
@@ -26,8 +26,9 @@ missing directory, ``fit --out`` naming an existing directory,
 ``simulate --out`` ending in a separator, ``impute`` from a draws
 document whose own cardinalities disagree with its draw's, and an empty
 ``fit --k-histogram``, ``impute --cell-posterior`` and
-``test-independence --out``, and, last, a ``fit`` whose ``--out`` names
-its own input table; none of them leaves a file. It prints one
+``test-independence --out``, ``impute`` from a document whose third draw
+is bad and from one cut short in its third draw, and, last, a ``fit``
+whose ``--out`` names its own input table; none of them leaves a file. It prints one
 ``name sha1`` line for each command's stdout, one ``name sha1 exit=N``
 line for its stderr and exit code, and then one ``name sha1`` line for
 each file the commands wrote. The elapsed seconds in ``fit``'s summary
@@ -80,6 +81,13 @@ MALFORMED = "a,b,c\n1,2,3\n\n2, na,\n1,2\n3,x,1\n"
 CLAIMED = json.dumps({"cardinalities": [2, 5, 9], "draws": [{
     "k": 1, "cardinalities": [2, 5, 9, 12], "theta": [1.0],
     "tildePsi": [[[1 / d] * d for d in (2, 5, 9, 12)]]}]})
+# three uniform draws over MIXED's cardinalities, the third with weights
+# that do not sum to 1, and the same document cut short in its third draw
+LATE = json.dumps({"cardinalities": [2, 5, 9, 12], "draws": [{
+    "k": 2, "cardinalities": [2, 5, 9, 12], "theta": [0.5, w],
+    "tildePsi": [[[1 / d] * d for d in (2, 5, 9, 12)]] * 2}
+    for w in (0.5, 0.5, 0.75)]}, indent=2)
+TRUNCATED = LATE[:LATE.rindex('"tildePsi"')]
 #: (name, argv) of each command, run in this order in one directory.
 COMMANDS = (
     ("simulate-mixture", ["simulate", "--protocol", "mixture", "--n", "40",
@@ -194,6 +202,10 @@ COMMANDS = (
                             "nodir/x.csv"]),
     ("independence-missing-dir", ["test-independence", "model.json", "--n",
                                   "40", "--out", "nodir/x.csv"]),
+    ("impute-late-bad-draw", ["impute", "../mixed.csv", "../late.json",
+                              "--out", "late.csv"]),
+    ("impute-truncated-model", ["impute", "../mixed.csv", "../truncated.json",
+                                "--out", "truncated.csv"]),
     # last, so that a tree which lets it replace the table hashes every
     # other command's files alike
     ("fit-out-is-input", ["fit", "mixture.csv", "--out", "mixture.csv",
@@ -220,6 +232,8 @@ def lines(src: Path):
         (Path(tmp) / "hundred.csv").write_text(HUNDRED)
         (Path(tmp) / "malformed.csv").write_text(MALFORMED)
         (Path(tmp) / "claimed.json").write_text(CLAIMED)
+        (Path(tmp) / "late.json").write_text(LATE)
+        (Path(tmp) / "truncated.json").write_text(TRUNCATED)
         (Path(tmp) / "dir").mkdir()
         work = Path(tmp) / "work"
         work.mkdir()

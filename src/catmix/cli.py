@@ -9,7 +9,9 @@ is refused.  ``fit`` writes each retained draw as the chain keeps it, so
 its memory does not grow with ``--samples`` unless ``--summary`` pools
 the draws.  ``benchmark`` claims ``--out`` and ``--summary-out`` before
 any fit, rewrites both after each replication, and removes them if none
-is written.  ``impute`` writes its cell CSV a block of cells at a time.
+is written.  ``impute`` holds one chunk of the model file and one group
+of draws, folding each draw in as it is decoded, and writes its cell CSV
+a block of cells at a time.
 Exit codes: 0 on success, 1 on runtime or contract errors, 2 on usage errors.
 """
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
@@ -225,19 +228,20 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_impute(args) -> int:
-    draws = core.deserialize_models(Path(args.model).read_text())
-    schema = draws[0].schema
-    data = core.parse_dataset(Path(args.input).read_text(), schema)
+    draws = core._models(open(args.model))  # decoded as they are folded in
+    first = next(draws)
+    data = core.parse_dataset(Path(args.input).read_text(), first.schema)
     result = None
 
     def completed():
         nonlocal result
-        result = inference.impute(data, draws, rule=args.rule, seed=args.seed)
+        result = inference.impute(data, itertools.chain([first], draws),
+                                  rule=args.rule, seed=args.seed)
         yield core.dataset_to_csv(result.completed)
 
     def cells():
-        yield from core._cell_lines(data.column_names, schema, result.filled,
-                                    result.cell_posteriors)
+        yield from core._cell_lines(data.column_names, data.schema,
+                                    result.filled, result.cell_posteriors)
 
     # the imputation runs as the first file is written, once both are open
     _write_atomic((args.out, completed()),
@@ -311,8 +315,7 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_test_independence(args) -> int:
-    models = core.deserialize_models(Path(args.model).read_text())
-    pooled = inference.pool_draws(models)
+    pooled = inference.pool_draws(core._models(open(args.model)))
     pairs = []
 
     def payload():  # the tests run once --out is open
@@ -329,8 +332,14 @@ def _cmd_test_independence(args) -> int:
 def _cmd_preprocess_ratings(args) -> int:
     triples = synth.parse_ratings_csv(Path(args.input).read_text())
     given = _given(args, "item_threshold", "user_threshold", "cutoff")
-    data = synth.preprocess_ratings(triples, coding=args.coding, **given)
-    _write_atomic((args.out, [core.dataset_to_csv(data)]), inputs=[args.input])
+    data = None
+
+    def payload():  # the table is coded once --out is open
+        nonlocal data
+        data = synth.preprocess_ratings(triples, coding=args.coding, **given)
+        yield core.dataset_to_csv(data)
+
+    _write_atomic((args.out, payload()), inputs=[args.input])
     _log(
         f"preprocess-ratings: {data.n_rows} users x {data.n_variables} items, "
         f"{data.n_missing() / data.cells.size:.2%} missing"

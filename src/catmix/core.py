@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import io
 import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from typing import Iterable
@@ -64,6 +66,13 @@ LOAD_TOL = 1e-8
 #: faster and hold four times the text.
 _FIELDS = 4096
 _BLOCK = 64
+
+#: Characters of a model file read at a time; a value is decoded from at
+#: least this much text, so a shorter draw is decoded once (fits of the
+#: 1500-row benchmark table write draws of 54,000 to 154,000).  A JSON value
+#: inside an array or an object is followed by what _DELIMITED matches.
+_CHUNK = 1 << 18
+_DELIMITED = re.compile(r"[ \t\n\r]*[,:\]}]")
 
 
 class ParseError(ValueError):
@@ -694,6 +703,8 @@ def _checked(models: Iterable[CollapsedModel], error=ValueError, cards=None):
     ``cards`` if that is given."""
     m = None
     for m in models:
+        if not isinstance(m, CollapsedModel):
+            raise error(f"expected CollapsedModel draws, got {type(m).__name__}")
         cards = list(m.schema.cardinalities) if cards is None else cards
         if list(m.schema.cardinalities) != cards:
             raise error("draws disagree on cardinalities")
@@ -726,15 +737,85 @@ def deserialize_models(text: str) -> list[CollapsedModel]:
     Single-model documents are accepted too and yield a one element
     list, so consumers can treat the two formats interchangeably.
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise LoadError(f"invalid JSON: {exc}") from None
-    if isinstance(obj, dict) and "draws" in obj:
-        draws = obj["draws"]
-        if not isinstance(draws, list):
+    return list(_models(io.StringIO(text)))
+
+
+def _models(f):
+    """Yield the models of the model document in the text file ``f``, each
+    element of ``"draws"`` as it is decoded, and close ``f``.  The text is
+    read ``_CHUNK`` characters at a time, more while a value does not fit.
+    A draw's error is raised when it is reached, a syntax error as
+    ``json.loads`` words it, and a key named twice is refused."""
+    buf, at, eof, doc, last, schemas = "", 0, False, {}, None, {}
+    decode, space = json.JSONDecoder().raw_decode, json.decoder.WHITESPACE.match
+
+    def peek(read=False) -> str:  # the next character but white space
+        nonlocal buf, at, eof
+        while read or (at := space(buf, at).end()) == len(buf) and not eof:
+            more = f.read(max(_CHUNK, len(buf) - at))
+            buf, at, eof, read = buf[at:] + more, 0, not more, False
+        return buf[at:at + 1]
+
+    def take(chars: str) -> str:  # the next character, one of ``chars``
+        nonlocal at
+        if (c := peek()) == "" or c not in chars:
+            raise json.JSONDecodeError("", buf, at)  # json.loads words it
+        at += 1
+        return c
+
+    def value():  # from a chunk or more, once a delimiter or the end follows
+        nonlocal at
+        peek(read=not eof and len(buf) - at < _CHUNK)
+        while not eof:
+            with contextlib.suppress(json.JSONDecodeError):
+                obj, end = decode(buf, at)
+                if _DELIMITED.match(buf, end):
+                    at = end
+                    return obj
+            peek(read=True)
+        obj, at = decode(buf, at)
+        return obj
+
+    def items(close: str):  # past an opening bracket, stop at each item
+        nonlocal at
+        at += 1
+        sep = "," if peek() != close else take(close)
+        while sep == ",":
+            yield
+            sep = take("," + close)
+
+    with f:
+        try:
+            if peek() != "{":
+                doc = value()
+            else:
+                for _ in items("}"):
+                    if not isinstance(key := value(), str):
+                        raise json.JSONDecodeError("", buf, at)
+                    take(":")
+                    if key in doc:
+                        raise LoadError(f"model document names {key!r} twice")
+                    if key != "draws" or peek() != "[":
+                        doc[key] = value()
+                        continue
+                    doc[key] = None  # its draws are yielded as they are decoded
+                    draws = (_model_from_dict(value(), schemas)
+                             for _ in items("]"))
+                    for last in _checked(draws, LoadError,
+                                         doc.get("cardinalities")):
+                        yield last
+            if peek():
+                raise json.JSONDecodeError("", buf, at)
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            f.seek(0)
+            try:
+                json.loads(f.read())
+            except json.JSONDecodeError as exc:
+                raise LoadError(f"invalid JSON: {exc}") from None
+            raise
+    if last is None:
+        if isinstance(doc, dict) and "draws" in doc:
             raise LoadError("'draws' must be a list")
-        schemas = {}
-        return list(_checked((_model_from_dict(d, schemas) for d in draws),
-                             LoadError, obj.get("cardinalities")))
-    return [model_from_dict(obj)]
+        yield model_from_dict(doc)
+    elif doc.get("cardinalities") not in (None, list(last.schema.cardinalities)):
+        raise LoadError("draws disagree on cardinalities")

@@ -8,6 +8,7 @@ sampler, so they work equally on fitted and synthetic models.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import comb
 
@@ -73,15 +74,11 @@ class ImputationResult:
         _freeze(self, filled=np.int64, cell_posteriors=np.float64)
 
 
-def _as_draws(posterior) -> list[CollapsedModel]:
-    """Accept a sequence of models or a single model."""
-    if isinstance(posterior, CollapsedModel):
-        return [posterior]
-    draws = list(posterior)
-    for m in draws:
-        if not isinstance(m, CollapsedModel):
-            raise ValueError(f"expected CollapsedModel draws, got {type(m).__name__}")
-    return list(_checked(draws))
+def _as_draws(posterior):
+    """Yield a single model, or the models of an iterable as they arrive,
+    checked to be draws of one schema."""
+    return _checked([posterior] if isinstance(posterior, CollapsedModel)
+                    else posterior)
 
 
 def pool_draws(posterior) -> CollapsedModel:
@@ -92,7 +89,7 @@ def pool_draws(posterior) -> CollapsedModel:
     pair marginals and the moments behind the correlation matrix) the
     pooled model gives exactly the average over draws.
     """
-    draws = _as_draws(posterior)
+    draws = list(_as_draws(posterior))
     theta = np.concatenate([m.theta for m in draws]) / len(draws)
     probs = np.concatenate([m.probs for m in draws], axis=0)
     return CollapsedModel(draws[0].schema, theta, probs)
@@ -123,7 +120,7 @@ def class_posterior(row, model: CollapsedModel) -> np.ndarray:
         If the row has probability zero under every component.
     """
     row = _check_row(row, model)
-    return next(_class_posteriors([model], row[None, :], [0]))[0][0]
+    return next(_class_posteriors([model], model.schema, row[None], [0]))[0][0]
 
 
 def predictive_cell(row, j: int, model: CollapsedModel) -> np.ndarray:
@@ -167,7 +164,9 @@ def impute(data: Dataset, posterior, rule: str = "argmax",
     Parameters
     ----------
     data : Dataset
-    posterior : sequence of CollapsedModel, or CollapsedModel
+    posterior : iterable of CollapsedModel, or CollapsedModel
+        Each draw is folded in as it arrives, so a generator of draws is
+        never held whole.
     rule : {"argmax", "sample"}
     seed : int, SeedSequence or Generator, optional
         Only used by the "sample" rule, which draws one uniform per
@@ -180,9 +179,10 @@ def impute(data: Dataset, posterior, rule: str = "argmax",
     if rule not in ("argmax", "sample"):
         raise ValueError(f"rule must be 'argmax' or 'sample', got {rule!r}")
     draws = _as_draws(posterior)
-    if draws[0].schema.cardinalities != data.schema.cardinalities:
+    first = next(draws)
+    if first.schema.cardinalities != data.schema.cardinalities:
         raise ValueError(
-            f"model cardinalities {draws[0].schema.cardinalities} do not "
+            f"model cardinalities {first.schema.cardinalities} do not "
             f"match the dataset's {data.schema.cardinalities}"
         )
     cells = np.asarray(data.cells)
@@ -190,9 +190,11 @@ def impute(data: Dataset, posterior, rule: str = "argmax",
     hit_rows = np.nonzero(miss.any(axis=1))[0]
     starts = data.schema.offsets(0)
     acc = np.zeros((hit_rows.size, starts[-1]))
-    for post, table in _class_posteriors(draws, cells[hit_rows], hit_rows):
+    posts = _class_posteriors(itertools.chain([first], draws), data.schema,
+                              cells[hit_rows], hit_rows)
+    for n, (post, table) in enumerate(posts, 1):
         acc += np.einsum("mk,kc->mc", post, table)
-    acc /= len(draws)
+    acc /= n
 
     # one uniform per cell in row-major order, as Generator.choice(d, p=vec)
     # spends it: the code is the count of cdf / cdf[-1] that are <= u
@@ -217,9 +219,10 @@ def impute(data: Dataset, posterior, rule: str = "argmax",
                             np.stack([rows, cols], axis=1), probs)
 
 
-def _class_posteriors(draws, cells: np.ndarray, rows):
+def _class_posteriors(draws, schema: CategoricalSchema, cells: np.ndarray,
+                      rows):
     """Yield each draw's (m, k) component posteriors for a batch of rows,
-    with the draw's flat (k, sum_j d_j) table.
+    with the draw's flat (k, sum_j d_j) table, as the draws arrive.
 
     ``cells`` is (m, p) with zeros marking unobserved entries, and
     ``rows[i]`` is the dataset index that error messages give for
@@ -227,14 +230,12 @@ def _class_posteriors(draws, cells: np.ndarray, rows):
     table hold about 2**15 floats.  A group's evidence is summed one
     variable at a time from a table in the chain's flat layout, one row
     per variable and code ``0 .. d_j``, whose code-0 rows are zero, so a
-    missing cell adds 0.0.
+    missing cell adds 0.0, and each column sums its component alone.
     """
     m, p = cells.shape
-    offsets = draws[0].schema.offsets(1)
+    offsets = schema.offsets(1)
     idx = cells + offsets[:-1]
-    step = max(1, 2 ** 15 // ((m + offsets[-1]) * max(g.k for g in draws)))
-    for start in range(0, len(draws), step):
-        group = draws[start:start + step]
+    for group in _groups(draws, 2 ** 15 // (m + offsets[-1])):
         probs = np.concatenate([g.probs for g in group])
         with np.errstate(divide="ignore"):
             log_probs = np.log(probs)
@@ -255,6 +256,18 @@ def _class_posteriors(draws, cells: np.ndarray, rows):
             shifted = logpost - top
             norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
             yield np.exp(shifted - norm), probs[end - model.k:end]
+
+
+def _groups(draws, most: int):
+    """Lists of consecutive ``draws`` as they arrive, each of at most
+    ``most`` components in all or of one draw that has more."""
+    group = []
+    for model in draws:
+        if group and sum(g.k for g in group) + model.k > most:
+            yield group
+            group = []
+        group.append(model)
+    yield group
 
 
 def _check_row(row, model: CollapsedModel) -> np.ndarray:

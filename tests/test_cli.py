@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from catmix import cli, inference, metrics, sampler
+from catmix import cli, core, inference, metrics, sampler, synth
 from catmix.core import (
     CategoricalSchema,
     CollapsedModel,
@@ -18,6 +18,7 @@ from catmix.core import (
     deserialize_models,
     parse_dataset,
     serialize_model,
+    serialize_models,
 )
 from catmix.metrics import run_replications
 from catmix.sampler import GibbsConfig, run_gibbs
@@ -428,6 +429,96 @@ class TestImpute:
             assert capsys.readouterr().err == \
                 "error: draws disagree on cardinalities\n"
             assert not out.exists()
+
+    def test_memory_does_not_grow_with_draws(self, tmp_path):
+        # the model file is read a chunk at a time and each group of draws
+        # folded in as it is decoded; 360 more draws of (6, 102) floats
+        # would add 7.8 MB of JSON text here, and more as models.  The 40
+        # draws span several chunks, and as a group's evidence and log
+        # table hold about 2**15 floats, with some 360 rows to impute they
+        # fill several groups too
+        cards = [2, 100]
+        rng = np.random.default_rng(1)
+        cells = rng.integers(1, np.array(cards) + 1, size=(1000, 2))
+        cells[rng.random(cells.shape) < 0.2] = 0
+        inp = tmp_path / "wide.csv"
+        inp.write_text(dataset_to_csv(Dataset(CategoricalSchema(cards), cells)))
+        draws = [CollapsedModel(CategoricalSchema(cards), rng.dirichlet([1] * 6),
+                                np.hstack([rng.dirichlet([1] * d, 6)
+                                           for d in cards]))
+                 for _ in range(400)]
+
+        def peak(n):
+            model = tmp_path / f"m{n}.json"
+            model.write_text(serialize_models(draws[:n]))
+            tracemalloc.start()
+            try:
+                assert cli.main(["impute", str(inp), str(model), "--out",
+                                 str(tmp_path / "x.csv"), "--rule", "sample",
+                                 "--seed", "0"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        few, many = peak(40), peak(400)
+        assert (tmp_path / "m40.json").stat().st_size > 3 * core._CHUNK
+        assert many < few + 100_000
+
+    @pytest.mark.parametrize("spoil", ["third draw", "cut short", "bad byte"])
+    def test_a_late_bad_draw_is_one_error_and_leaves_no_file(
+            self, tmp_path, capsys, monkeypatch, spoil):
+        # the draws before it have been read and the outputs opened; a
+        # syntax error or a byte that is not UTF-8, read in a later chunk,
+        # is worded as a read and parse of the whole file word it
+        monkeypatch.setattr(core, "_CHUNK", 64)
+        inp = _toy_csv(tmp_path)
+        text = _fit(tmp_path, inp, ("--samples", "40")).read_text()
+        assert len(text) > 3 * 8192  # the blocks a text file decodes
+        doc = json.loads(text)
+        doc["draws"][2]["theta"][0] += 0.5
+        model = tmp_path / "late.json"
+        if spoil == "third draw":
+            model.write_text(json.dumps(doc, indent=2))
+            message = "error: theta sums to "
+        elif spoil == "cut short":
+            model.write_text(text[:-200])
+            message = "error: invalid JSON: Expecting "
+        else:
+            model.write_bytes(text[:-200].encode() + b"\xff" + text[-200:].encode())
+            with pytest.raises(UnicodeDecodeError) as read:
+                model.read_text()
+            message = f"error: {read.value}"
+        before = sorted(p.name for p in tmp_path.iterdir())
+        capsys.readouterr()
+        rc = cli.main(["impute", str(inp), str(model), "--out",
+                       str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(message)
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    def test_a_late_bad_draw_is_reported_after_the_dataset_and_outputs(
+            self, tmp_path, capsys):
+        # the first draw gives the schema that the dataset is parsed with,
+        # and the outputs are claimed before the later draws are read
+        inp = _toy_csv(tmp_path)
+        good = json.loads(_fit(tmp_path, inp).read_text())
+        bad = tmp_path / "bad.csv"
+        bad.write_text("a,b,c\n1,2,x\n")
+        out = str(tmp_path / "x.csv")
+        for h, table, to, message in [
+                (2, bad, out, "error: line 2, column 'c': 'x' is not an integer"),
+                (2, inp, str(tmp_path / "nodir" / "x.csv"),
+                 f"error: cannot write {tmp_path / 'nodir' / 'x.csv'}: "
+                 "No such file or directory"),
+                (0, bad, out, "error: theta sums to ")]:
+            doc = json.loads(json.dumps(good))
+            doc["draws"][h]["theta"][0] += 0.5
+            (tmp_path / "m.json").write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert cli.main(["impute", str(table), str(tmp_path / "m.json"),
+                             "--out", to]) == 1
+            assert capsys.readouterr().err.startswith(message)
 
     def test_impossible_row_is_named_by_its_dataset_index(self, tmp_path,
                                                           capsys):
@@ -951,24 +1042,30 @@ def test_empty_output_flag_is_refused(tmp_path, capsys, monkeypatch,
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
-@pytest.mark.parametrize("command", ["impute", "test-independence"])
+@pytest.mark.parametrize("command", ["impute", "test-independence",
+                                     "preprocess-ratings"])
 def test_unwritable_out_is_refused_before_the_work(tmp_path, capsys,
                                                    monkeypatch, command):
     # the inputs are read first, then the outputs are claimed, and only
-    # then would the imputation or the tests run
+    # then would the imputation, the tests or the coding run
     def no_work(*args, **kwargs):
         raise AssertionError("the work ran")
 
     inp = _toy_csv(tmp_path)
     model = _fit(tmp_path, inp)
+    ratings = tmp_path / "ratings.csv"
+    ratings.write_text("user,item,rating\n1,101,4.0\n2,101,3.0\n")
     before = sorted(p.name for p in tmp_path.iterdir())
     capsys.readouterr()
     monkeypatch.setattr(inference, "impute", no_work)
     monkeypatch.setattr(inference, "pairwise_independence", no_work)
+    monkeypatch.setattr(synth, "preprocess_ratings", no_work)
     missing = tmp_path / "nodir" / "x.csv"
     argv = {"impute": ["impute", str(inp), str(model), "--out", str(missing)],
             "test-independence": ["test-independence", str(model), "--n",
-                                  "12", "--out", str(missing)]}[command]
+                                  "12", "--out", str(missing)],
+            "preprocess-ratings": ["preprocess-ratings", str(ratings),
+                                   "--out", str(missing)]}[command]
     assert cli.main(argv) == 1
     assert capsys.readouterr() == (
         "", f"error: cannot write {missing}: No such file or directory\n")

@@ -461,6 +461,49 @@ class TestModelSerialization:
         with pytest.raises(ValueError):
             serialize_models([m1, m2])
 
+    @pytest.mark.parametrize("chunk", [1, 3, 4096])
+    def test_syntax_errors_are_worded_as_json_loads_words_them(
+            self, monkeypatch, chunk):
+        # the reader stops where it finds the error, but the message gives
+        # the place in the whole text
+        monkeypatch.setattr(core, "_CHUNK", chunk)
+        rng = np.random.default_rng(6)
+        good = serialize_models([_random_model(rng) for _ in range(3)])
+        for text in (good[:len(good) // 2], good[:-3], good + "x",
+                     good.replace("\n  ]", ",\n  ]"),
+                     good.replace('"draws"', "draws"), "\ufeff" + good,
+                     "", " \n", "{1: 2}", '{"draws" [1]}', "[1 2]"):
+            with pytest.raises(json.JSONDecodeError) as expected:
+                json.loads(text)
+            with pytest.raises(LoadError) as err:
+                deserialize_models(text)
+            assert str(err.value) == f"invalid JSON: {expected.value}"
+
+    def test_a_bad_draw_is_reported_before_a_later_syntax_error(self):
+        # the draws before the syntax error are decoded, and checked, first
+        rng = np.random.default_rng(6)
+        doc = json.loads(serialize_models([_random_model(rng) for _ in range(3)]))
+        doc["draws"][1]["theta"][0] += 0.5
+        text = json.dumps(doc, indent=2)[:-40]
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(text)
+        with pytest.raises(LoadError, match="^theta sums to"):
+            deserialize_models(text)
+        with pytest.raises(LoadError, match="^need at least one posterior draw$"):
+            deserialize_models('{"draws": [], "cardinalities": [2]')
+
+    def test_a_key_named_twice_is_refused(self):
+        # json.loads keeps the last value, but the draws of the first list
+        # may already have been used
+        one = serialize_model(_random_model(np.random.default_rng(2)))
+        for text in (f'{{"draws": [{one}], "draws": [{one}]}}',
+                     f'{{"draws": [{one}], "draws": 5}}',
+                     '{"k": 1, "k": 1}'):
+            key = "k" if text.startswith('{"k"') else "draws"
+            with pytest.raises(LoadError) as err:
+                deserialize_models(text)
+            assert str(err.value) == f"model document names {key!r} twice"
+
 
 def _spiky_model(rng, k, cards):
     """A model whose vectors hold exact zeros, ones and tiny entries."""
@@ -681,6 +724,55 @@ def _reference_cell_lines(names, schema, filled, posteriors):
     return core._csv(("row", "column", "category", "probability"), cells)
 
 
+def _draw_corpus(data):
+    """Cardinalities and a list of draw documents over them, some of them
+    spoilt: a bad entry, a short or long vector, a bad vector or
+    component, or other cardinalities."""
+    cards = data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+    draws = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        k = data.draw(st.integers(1, 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 99)))
+        draws.append({
+            "k": k, "cardinalities": list(cards),
+            "theta": rng.dirichlet(np.ones(k)).tolist(),
+            "tildePsi": [[rng.dirichlet(np.ones(d)).tolist() for d in cards]
+                         for _ in range(k)]})
+    bad = [True, False, math.nan, math.inf, "0.5", None, [0.5], {},
+           10 ** 400, -10 ** 400, int(sys.float_info.max) + 1,
+           sys.float_info.max, 1, 0, 0.5]
+    for _ in range(data.draw(st.integers(0, 2))):
+        doc = data.draw(st.sampled_from(draws))
+        h = data.draw(st.integers(0, doc["k"] - 1))
+        j = data.draw(st.integers(0, len(cards) - 1))
+        how = data.draw(st.sampled_from(["entry", "short", "long",
+                                         "vector", "component",
+                                         "cardinalities"]))
+        if how == "cardinalities":
+            doc["cardinalities"] = data.draw(st.sampled_from([
+                cards + [3], [1] + cards[1:], [2.5] + cards[1:],
+                [True] + cards[1:], "22", [max(cards) + 1] * len(cards)]))
+            continue
+        comp = doc["tildePsi"][h]
+        if not (isinstance(comp, list) and j < len(comp)
+                and isinstance(comp[j], list) and comp[j]):
+            continue  # broken by an earlier change
+        vec = comp[j]
+        if how == "entry":
+            vec[data.draw(st.integers(0, len(vec) - 1))] = \
+                data.draw(st.sampled_from(bad))
+        elif how == "short":
+            vec.pop()
+        elif how == "long":
+            vec.append(0.0)
+        elif how == "vector":
+            doc["tildePsi"][h][j] = data.draw(st.sampled_from(bad))
+        else:
+            doc["tildePsi"][h] = data.draw(st.sampled_from(
+                [doc["tildePsi"][h][:-1], "ab", None, 3]))
+    return cards, draws
+
+
 def _outcome(read, *args):
     """What ``read(*args)`` returns or the error it raises, comparably."""
     try:
@@ -755,48 +847,7 @@ class TestReadersAgainstReferences:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(st.data())
     def test_array_validation_loads_as_the_vector_loop(self, data):
-        cards = data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
-        draws = []
-        for _ in range(data.draw(st.integers(1, 3))):
-            k = data.draw(st.integers(1, 3))
-            rng = np.random.default_rng(data.draw(st.integers(0, 99)))
-            draws.append({
-                "k": k, "cardinalities": list(cards),
-                "theta": rng.dirichlet(np.ones(k)).tolist(),
-                "tildePsi": [[rng.dirichlet(np.ones(d)).tolist() for d in cards]
-                             for _ in range(k)]})
-        bad = [True, False, math.nan, math.inf, "0.5", None, [0.5], {},
-               10 ** 400, -10 ** 400, int(sys.float_info.max) + 1,
-               sys.float_info.max, 1, 0, 0.5]
-        for _ in range(data.draw(st.integers(0, 2))):
-            doc = data.draw(st.sampled_from(draws))
-            h = data.draw(st.integers(0, doc["k"] - 1))
-            j = data.draw(st.integers(0, len(cards) - 1))
-            how = data.draw(st.sampled_from(["entry", "short", "long",
-                                             "vector", "component",
-                                             "cardinalities"]))
-            if how == "cardinalities":
-                doc["cardinalities"] = data.draw(st.sampled_from([
-                    cards + [3], [1] + cards[1:], [2.5] + cards[1:],
-                    [True] + cards[1:], "22", [max(cards) + 1] * len(cards)]))
-                continue
-            comp = doc["tildePsi"][h]
-            if not (isinstance(comp, list) and j < len(comp)
-                    and isinstance(comp[j], list) and comp[j]):
-                continue  # broken by an earlier change
-            vec = comp[j]
-            if how == "entry":
-                vec[data.draw(st.integers(0, len(vec) - 1))] = \
-                    data.draw(st.sampled_from(bad))
-            elif how == "short":
-                vec.pop()
-            elif how == "long":
-                vec.append(0.0)
-            elif how == "vector":
-                doc["tildePsi"][h][j] = data.draw(st.sampled_from(bad))
-            else:
-                doc["tildePsi"][h] = data.draw(st.sampled_from(
-                    [doc["tildePsi"][h][:-1], "ab", None, 3]))
+        cards, draws = _draw_corpus(data)
         text = json.dumps({"cardinalities": cards, "draws": draws})
 
         def load(model_from_dict):
@@ -813,6 +864,44 @@ class TestReadersAgainstReferences:
         assert ours == _outcome(load, _reference_model_from_dict)
         # the document reader, which checks each list of cardinalities once
         assert _outcome(read) == ours
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.data())
+    def test_chunked_reader_loads_as_json_loads(self, data):
+        # the corpus above, with its keys in either order or no top-level
+        # cardinalities, which may disagree with the draws, a bare number
+        # among the draws, laid out flat or indented, and read a few
+        # characters at a time, so that keys, numbers and draws span chunks
+        cards, draws = _draw_corpus(data)
+        if data.draw(st.booleans()):
+            draws.insert(data.draw(st.integers(0, len(draws))),
+                         data.draw(st.sampled_from([7, -1.5e300, 0.25])))
+        listed = data.draw(st.sampled_from([cards, cards + [2]]))
+        doc = data.draw(st.sampled_from([
+            {"cardinalities": listed, "draws": draws},
+            {"draws": draws, "cardinalities": listed}, {"draws": draws}]))
+        text = json.dumps(doc, indent=data.draw(st.sampled_from([None, 2])))
+        chunk = data.draw(st.sampled_from([1, 2, 5, 64]))
+
+        def load():
+            # a list of cardinalities after the draws is compared with
+            # them once they have all been read
+            obj = json.loads(text)
+            given = obj.get("cardinalities")
+            ahead = list(obj)[0] == "cardinalities"
+            models = list(core._checked(map(core.model_from_dict, obj["draws"]),
+                                        LoadError, given if ahead else None))
+            if given not in (None, list(models[0].schema.cardinalities)):
+                raise LoadError("draws disagree on cardinalities")
+            return [(m.theta.tobytes(), m.probs.tobytes()) for m in models]
+
+        def read():
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(core, "_CHUNK", chunk)
+                return [(m.theta.tobytes(), m.probs.tobytes())
+                        for m in deserialize_models(text)]
+
+        assert _outcome(read) == _outcome(load)
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 3),

@@ -272,6 +272,23 @@ class TestImpute:
         with pytest.raises(ValueError, match="cardinalities"):
             impute(data, m)
 
+    def test_draws_are_checked_as_they_arrive(self):
+        # any iterable of draws is folded in draw by draw: a draw of
+        # another schema is refused when it is reached, before the next
+        # element is looked at, and a later element that is not a model
+        # is refused by its type
+        m = CollapsedModel(CategoricalSchema([2, 2]), [1.0], [[0.3, 0.7] * 2])
+        other = CollapsedModel(CategoricalSchema([2, 3]), [1.0],
+                               [[0.3, 0.7, 0.2, 0.3, 0.5]])
+        data = Dataset(m.schema, [[1, 0], [0, 2]])
+        once = impute(data, iter([m, m]))
+        assert once.cell_posteriors.tobytes() == \
+            impute(data, [m, m]).cell_posteriors.tobytes()
+        with pytest.raises(ValueError, match="^draws disagree on cardinalities$"):
+            impute(data, iter([m, other, "x"]))
+        with pytest.raises(ValueError, match="^expected CollapsedModel draws, got str$"):
+            impute(data, iter([m, "x"]))
+
     def test_impossible_row_is_named_by_its_dataset_index(self):
         # components all-1 and all-2; row 1 is complete and not imputed,
         # row 2 mixes codes 1 and 2 and fits neither component

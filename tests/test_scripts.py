@@ -374,7 +374,8 @@ def test_cli_hashes_print_one_line_per_stream_and_file(tmp_path, capsys,
     # commands with an output in a missing directory, naming no file or
     # given as an empty flag, the fit that names one path twice, the
     # benchmark whose replications fail, the impute from a document
-    # that disagrees with its draws and the fit whose output is its input;
+    # that disagrees with its draws, the imputes from a document whose third
+    # draw is bad or cut short and the fit whose output is its input;
     # none of these leaves a file behind
     exits = dict(line.split()[::2] for line in lines[1:streams:2])
     assert exits.pop("fit-malformed.stderr") == "exit=1"
@@ -392,6 +393,8 @@ def test_cli_hashes_print_one_line_per_stream_and_file(tmp_path, capsys,
     assert exits.pop("independence-empty-out.stderr") == "exit=1"
     assert exits.pop("impute-missing-dir.stderr") == "exit=1"
     assert exits.pop("independence-missing-dir.stderr") == "exit=1"
+    assert exits.pop("impute-late-bad-draw.stderr") == "exit=1"
+    assert exits.pop("impute-truncated-model.stderr") == "exit=1"
     assert exits.pop("fit-out-is-input.stderr") == "exit=1"
     assert set(exits.values()) == {"exit=0"}
     assert [line.split()[0] for line in lines[streams:]] == [
