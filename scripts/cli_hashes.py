@@ -28,7 +28,10 @@ document whose own cardinalities disagree with its draw's, and an empty
 ``fit --k-histogram``, ``impute --cell-posterior`` and
 ``test-independence --out``, ``impute`` from a document whose third draw
 is bad and from one cut short in its third draw, and, last, a ``fit``
-whose ``--out`` names its own input table; none of them leaves a file. It prints one
+whose ``--out`` names its own input table; none of them leaves a file.
+Two more ``impute`` commands read their model from standard input, a
+pipe, as ``/dev/stdin``: the mixed table's fit, and the document cut
+short in its third draw, which exits 1.  It prints one
 ``name sha1`` line for each command's stdout, one ``name sha1 exit=N``
 line for its stderr and exit code, and then one ``name sha1`` line for
 each file the commands wrote. The elapsed seconds in ``fit``'s summary
@@ -206,11 +209,19 @@ COMMANDS = (
                               "--out", "late.csv"]),
     ("impute-truncated-model", ["impute", "../mixed.csv", "../truncated.json",
                                 "--out", "truncated.csv"]),
+    ("impute-piped-model", ["impute", "../mixed.csv", "/dev/stdin", "--out",
+                            "piped.csv"]),
+    ("impute-piped-truncated", ["impute", "../mixed.csv", "/dev/stdin",
+                                "--out", "piped-truncated.csv"]),
     # last, so that a tree which lets it replace the table hashes every
     # other command's files alike
     ("fit-out-is-input", ["fit", "mixture.csv", "--out", "mixture.csv",
                           "--seed", "3", *FAST, "--progress-every", "0"]),
 )
+#: The file, relative to the working directory, that a command named here
+#: reads through a pipe on its standard input; the others inherit it.
+PIPED = {"impute-piped-model": "mixed.json",
+         "impute-piped-truncated": "../truncated.json"}
 
 
 def sha1(data: bytes) -> str:
@@ -238,8 +249,10 @@ def lines(src: Path):
         work = Path(tmp) / "work"
         work.mkdir()
         for name, argv in COMMANDS:
+            piped = (work / PIPED[name]).read_bytes() if name in PIPED else None
             run = subprocess.run([sys.executable, "-m", "catmix.cli", *argv],
-                                 cwd=work, env=env, capture_output=True)
+                                 cwd=work, env=env, capture_output=True,
+                                 input=piped)
             yield f"{name}.stdout {sha1(run.stdout)}"
             yield f"{name}.stderr {sha1(masked(run.stderr))} exit={run.returncode}"
         for path in sorted(work.iterdir()):

@@ -737,29 +737,41 @@ def deserialize_models(text: str) -> list[CollapsedModel]:
     Single-model documents are accepted too and yield a one element
     list, so consumers can treat the two formats interchangeably.
     """
-    return list(_models(io.StringIO(text)))
+    raw = io.BytesIO(text.encode("utf-8", "surrogatepass"))
+    return list(_models(io.TextIOWrapper(raw, encoding="utf-8",
+                                         errors="surrogatepass", newline="")))
 
 
 def _models(f):
     """Yield the models of the model document in the text file ``f``, each
     element of ``"draws"`` as it is decoded, and close ``f``.  The text is
-    read ``_CHUNK`` characters at a time, more while a value does not fit.
-    A draw's error is raised when it is reached, a syntax error as
-    ``json.loads`` words it, and a key named twice is refused."""
+    read ``_CHUNK`` characters at a time, more while a value does not fit,
+    so ``f`` need not seek.  A draw's error is raised when it is reached, a
+    syntax error as ``json.loads`` words it for the whole text, and a key
+    named twice is refused."""
     buf, at, eof, doc, last, schemas = "", 0, False, {}, None, {}
     decode, space = json.JSONDecoder().raw_decode, json.decoder.WHITESPACE.match
+    # the characters and newlines dropped from the front of ``buf``, and
+    # the characters dropped after the last of those newlines
+    dropped = lines = column = 0
 
     def peek(read=False) -> str:  # the next character but white space
-        nonlocal buf, at, eof
+        nonlocal buf, at, eof, dropped, lines, column
         while read or (at := space(buf, at).end()) == len(buf) and not eof:
             more = f.read(max(_CHUNK, len(buf) - at))
+            if (newlines := buf.count("\n", 0, at)):
+                lines += newlines
+                column = at - buf.rindex("\n", 0, at) - 1
+            else:
+                column += at
+            dropped += at
             buf, at, eof, read = buf[at:] + more, 0, not more, False
         return buf[at:at + 1]
 
-    def take(chars: str) -> str:  # the next character, one of ``chars``
+    def take(chars: str, message: str) -> str:  # the next one, of ``chars``
         nonlocal at
         if (c := peek()) == "" or c not in chars:
-            raise json.JSONDecodeError("", buf, at)  # json.loads words it
+            raise json.JSONDecodeError(message, buf, at)
         at += 1
         return c
 
@@ -779,20 +791,28 @@ def _models(f):
     def items(close: str):  # past an opening bracket, stop at each item
         nonlocal at
         at += 1
-        sep = "," if peek() != close else take(close)
-        while sep == ",":
+        if peek() == close:
+            at += 1
+            return
+        yield
+        while take("," + close, "Expecting ',' delimiter") == ",":
             yield
-            sep = take("," + close)
 
     with f:
         try:
             if peek() != "{":
+                if buf.startswith("\ufeff") and not dropped:
+                    raise json.JSONDecodeError(
+                        "Unexpected UTF-8 BOM (decode using utf-8-sig)", buf, 0)
                 doc = value()
             else:
                 for _ in items("}"):
-                    if not isinstance(key := value(), str):
-                        raise json.JSONDecodeError("", buf, at)
-                    take(":")
+                    if peek() != '"':
+                        raise json.JSONDecodeError(
+                            "Expecting property name enclosed in double quotes",
+                            buf, at)
+                    key = value()
+                    take(":", "Expecting ':' delimiter")
                     if key in doc:
                         raise LoadError(f"model document names {key!r} twice")
                     if key != "draws" or peek() != "[":
@@ -805,13 +825,20 @@ def _models(f):
                                          doc.get("cardinalities")):
                         yield last
             if peek():
-                raise json.JSONDecodeError("", buf, at)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            f.seek(0)
-            try:
-                json.loads(f.read())
-            except json.JSONDecodeError as exc:
-                raise LoadError(f"invalid JSON: {exc}") from None
+                raise json.JSONDecodeError("Extra data", buf, at)
+        except json.JSONDecodeError as exc:
+            # placed in the whole text: json's line and column in ``buf``,
+            # after the lines and the part of a line dropped before it
+            pos, text = exc.pos, exc.doc
+            line = lines + text.count("\n", 0, pos) + 1
+            col = pos - (newline := text.rfind("\n", 0, pos))
+            col += column if newline < 0 else 0
+            raise LoadError(f"invalid JSON: {exc.msg}: line {line} column "
+                            f"{col} (char {dropped + pos})") from None
+        except UnicodeDecodeError:
+            if f.seekable():  # placed in the whole file, as one read places it
+                f.seek(0)
+                f.read()
             raise
     if last is None:
         if isinstance(doc, dict) and "draws" in doc:

@@ -49,6 +49,11 @@ __all__ = [
     "verify_construction",
 ]
 
+# Bound, in floats, of each block that impute works in: a group of draws'
+# evidence and log table, a block of rows' predictive terms and a block
+# of cells' predictive vectors.
+_BLOCK_FLOATS = 1 << 15
+
 
 @dataclass(frozen=True)
 class ImputationResult:
@@ -161,6 +166,12 @@ def impute(data: Dataset, posterior, rule: str = "argmax",
     either the most probable code, ties going to the lowest code, or a
     random code drawn from the averaged predictive.
 
+    Besides its outputs and the (rows with a missing cell, sum_j d_j)
+    accumulator, it holds one group of draws, the gather index of those
+    rows' cells while it sums, and blocks of about 2**15 floats: the
+    draws' terms are added one block of rows at a time, and the cells
+    are filled one block at a time, each entry summed in draw order.
+
     Parameters
     ----------
     data : Dataset
@@ -186,65 +197,103 @@ def impute(data: Dataset, posterior, rule: str = "argmax",
             f"match the dataset's {data.schema.cardinalities}"
         )
     cells = np.asarray(data.cells)
-    miss = cells == 0
-    hit_rows = np.nonzero(miss.any(axis=1))[0]
-    starts = data.schema.offsets(0)
-    acc = np.zeros((hit_rows.size, starts[-1]))
-    posts = _class_posteriors(itertools.chain([first], draws), data.schema,
-                              cells[hit_rows], hit_rows)
-    for n, (post, table) in enumerate(posts, 1):
-        acc += np.einsum("mk,kc->mc", post, table)
-    acc /= n
+    hit_rows = np.flatnonzero((cells == 0).any(axis=1))
+    completed, filled, probs = _fill(
+        cells, hit_rows, data.schema,
+        _predictive_sums(itertools.chain([first], draws), data.schema, cells,
+                         hit_rows),
+        np.random.default_rng(seed) if rule == "sample" else None)
+    return ImputationResult(data.replace_cells(completed), filled, probs)
 
-    # one uniform per cell in row-major order, as Generator.choice(d, p=vec)
-    # spends it: the code is the count of cdf / cdf[-1] that are <= u
-    local, cols = np.nonzero(miss[hit_rows])
-    rows = hit_rows[local]
-    cards = data.schema.codes_array()[cols]
-    u = np.random.default_rng(seed).random(cols.size) if rule == "sample" else None
-    probs = np.zeros((cols.size, data.schema.max_cardinality))
+
+def _predictive_sums(draws, schema: CategoricalSchema, cells: np.ndarray,
+                     rows: np.ndarray) -> np.ndarray:
+    """The (rows, sum_j d_j) predictive vectors of ``cells[rows]``,
+    averaged over ``draws``, each row's variables laid flat.
+
+    Each draw adds its terms one block of rows at a time, through one
+    scratch block of about ``_BLOCK_FLOATS`` floats; so every entry sums
+    the draws in order.
+    """
+    acc = np.zeros((rows.size, schema.offsets(0)[-1]))
+    block = np.empty((max(1, min(len(acc), _BLOCK_FLOATS // acc.shape[1])),
+                      acc.shape[1]))
+    posts = _class_posteriors(draws, schema, cells, rows)
+    for n, (post, table) in enumerate(posts, 1):
+        for start in range(0, len(acc), len(block)):
+            part = acc[start:start + len(block)]
+            part += np.einsum("mk,kc->mc", post[start:start + len(part)],
+                              table, out=block[:len(part)])
+    acc /= n
+    return acc
+
+
+def _fill(cells: np.ndarray, hit_rows: np.ndarray, schema: CategoricalSchema,
+          acc: np.ndarray, rng):
+    """The completed cells, every missing cell's ``(row, column)`` and its
+    normalised predictive, zero padded, from :func:`_predictive_sums` over
+    the rows ``hit_rows``; ``rng`` draws each code, or None takes the
+    argmax.  The cells are filled ``_BLOCK_FLOATS // max_j d_j`` at a
+    time."""
+    filled = np.argwhere(cells == 0)
+    starts = schema.offsets(0)
+    codes = schema.codes_array()
+    probs = np.zeros((len(filled), schema.max_cardinality))
     completed = cells.copy()
-    for d in set(data.schema.cardinalities):
-        at = np.nonzero(cards == d)[0]
-        vec = acc[local[at, None], starts[cols[at], None] + np.arange(d)]
-        vec = vec / vec.sum(axis=1, keepdims=True)
-        probs[at, :d] = vec
-        if rule == "argmax":
-            completed[rows[at], cols[at]] = vec.argmax(axis=1) + 1
-        else:
-            cdf = vec.cumsum(axis=1)
-            completed[rows[at], cols[at]] = (
-                cdf / cdf[:, -1:] <= u[at, None]).sum(axis=1) + 1
-    return ImputationResult(data.replace_cells(completed),
-                            np.stack([rows, cols], axis=1), probs)
+    step = max(1, _BLOCK_FLOATS // schema.max_cardinality)
+    for lo in range(0, len(filled), step):
+        rows, cols = filled[lo:lo + step].T
+        local = np.searchsorted(hit_rows, rows)
+        cards = codes[cols]
+        # one uniform per cell in row-major order, as Generator.choice(d,
+        # p=vec) spends it: the code is the count of cdf / cdf[-1] that
+        # are <= u
+        u = None if rng is None else rng.random(rows.size)
+        for d in set(cards.tolist()):
+            at = np.flatnonzero(cards == d)
+            vec = acc[local[at, None], starts[cols[at], None] + np.arange(d)]
+            vec /= vec.sum(axis=1, keepdims=True)
+            probs[lo + at, :d] = vec
+            if u is None:
+                code = vec.argmax(axis=1)
+            else:
+                cdf = vec.cumsum(axis=1)
+                code = (cdf / cdf[:, -1:] <= u[at, None]).sum(axis=1)
+            completed[rows[at], cols[at]] = code + 1
+    return completed, filled, probs
 
 
 def _class_posteriors(draws, schema: CategoricalSchema, cells: np.ndarray,
                       rows):
-    """Yield each draw's (m, k) component posteriors for a batch of rows,
-    with the draw's flat (k, sum_j d_j) table, as the draws arrive.
+    """Yield each draw's (m, k) component posteriors of the rows
+    ``cells[rows]``, with the draw's flat (k, sum_j d_j) table, as the
+    draws arrive.
 
-    ``cells`` is (m, p) with zeros marking unobserved entries, and
-    ``rows[i]`` is the dataset index that error messages give for
-    ``cells[i]``.  Draws are taken in groups whose evidence and log
-    table hold about 2**15 floats.  A group's evidence is summed one
-    variable at a time from a table in the chain's flat layout, one row
-    per variable and code ``0 .. d_j``, whose code-0 rows are zero, so a
-    missing cell adds 0.0, and each column sums its component alone.
+    ``cells`` is (n, p) with zeros marking unobserved entries, and
+    ``rows`` holds the m row indices, which error messages give.  Draws
+    are taken in groups whose evidence and log table hold about
+    ``_BLOCK_FLOATS`` floats.  A group's evidence is summed one variable at a
+    time from a table in the chain's flat layout, one row per variable
+    and code ``0 .. d_j``, whose code-0 rows are zero, so a missing cell
+    adds 0.0, and each column sums its component alone.
     """
-    m, p = cells.shape
     offsets = schema.offsets(1)
-    idx = cells + offsets[:-1]
-    for group in _groups(draws, 2 ** 15 // (m + offsets[-1])):
+    # idx[j, i]: the table row of cell (rows[i], j)
+    idx = cells.T.take(rows, axis=1)
+    idx += offsets[:-1, None]
+    p, m = idx.shape
+    for group in _groups(draws, _BLOCK_FLOATS // (m + offsets[-1])):
         probs = np.concatenate([g.probs for g in group])
+        # C order, so that take gathers rows without copying the table
         with np.errstate(divide="ignore"):
-            log_probs = np.log(probs)
-        table = np.insert(log_probs.T, offsets[:-1] - np.arange(p), 0.0, axis=0)
-        evidence = table[idx[:, 0]]
+            log_probs = np.log(probs.T, order="C")
+        table = np.insert(log_probs, offsets[:-1] - np.arange(p), 0.0, axis=0)
+        evidence = table.take(idx[0], axis=0)
         for j in range(1, p):
-            evidence += table[idx[:, j]]
-        ends = np.cumsum([g.k for g in group])
-        for model, end in zip(group, ends):
+            evidence += table.take(idx[j], axis=0)
+        end = 0
+        for model in group:
+            end += model.k
             with np.errstate(divide="ignore"):
                 logpost = np.log(model.theta) + evidence[:, end - model.k:end]
             top = logpost.max(axis=1, keepdims=True)
@@ -261,12 +310,13 @@ def _class_posteriors(draws, schema: CategoricalSchema, cells: np.ndarray,
 def _groups(draws, most: int):
     """Lists of consecutive ``draws`` as they arrive, each of at most
     ``most`` components in all or of one draw that has more."""
-    group = []
+    group, k = [], 0
     for model in draws:
-        if group and sum(g.k for g in group) + model.k > most:
+        if group and k + model.k > most:
             yield group
-            group = []
+            group, k = [], 0
         group.append(model)
+        k += model.k
     yield group
 
 

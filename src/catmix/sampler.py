@@ -38,8 +38,10 @@ column among 2- to 5-level ones would otherwise make nine entries in
 ten padding.  Every Dirichlet draw is one ``standard_gamma`` over the
 flat concentrations, normalised by :func:`~catmix.core.segment_sums`.
 Starting from one component per row, the log table takes
-O(n sum_j (d_j + 1)) floats, and its prior draw is made at most
-``_BLOCK_CELLS`` floats (256 KiB) at a time.
+O(n sum_j (d_j + 1)) floats.  Every batch of Dirichlet draws, the prior
+draw of the initial components and the redraw after each sweep alike,
+is made at most ``_BLOCK_CELLS`` floats (256 KiB), or one component, at
+a time, so a draw's scratch never grows with the table.
 
 Where it can, a sweep settles rows in blocks instead of one at a time,
 with unchanged draws.  A row that stays in its component changes no
@@ -118,9 +120,8 @@ _BETA_MAX = 1e300
 # only when that reaches _BLOCK_MIN rows: a pass costs a few single-row
 # visits.  Its (p, rows, slots) gather of log psi holds at most
 # _BLOCK_CELLS floats, which also bounds the work a block wastes on the
-# rows after its first mover.  The prior psi of the n initial
-# components is drawn at most _BLOCK_CELLS floats (or one component) at
-# a time.
+# rows after its first mover.  Every batch of psi draws is made at most
+# _BLOCK_CELLS floats (or one component) at a time.
 _BLOCK_MIN = 6
 _BLOCK_CELLS = 1 << 15
 _GROW = 2
@@ -196,7 +197,7 @@ def modal_k(ks) -> int:
 
 class _Chain:
     __slots__ = (
-        "n", "p", "schema", "offsets", "widths", "beta", "new_logw",
+        "n", "p", "schema", "offsets", "var", "beta", "new_logw",
         "z", "counts", "log_psi", "order", "free", "movers",
     )
 
@@ -208,7 +209,8 @@ class _Chain:
         starts = data.schema.offsets(1)
         # offsets[j, i]: position of cell (i, j) in the flat layout
         self.offsets = np.ascontiguousarray((starts[:-1] + data.cells).T)
-        self.widths = data.schema.codes_array() + 1
+        # var[c]: the variable of flat code c
+        self.var = np.repeat(np.arange(self.p), data.schema.codes_array() + 1)
         self.beta = np.full(starts[-1], config.beta, dtype=np.float64)
         # log weight of opening a new component; flat priors give every
         # code the same log(beta / sum_c beta), so code 0 stands for x_ij
@@ -239,16 +241,22 @@ class _Chain:
         self.order = np.arange(k)
         self.free = list(range(cap - 1, k - 1, -1))
 
-    def _draw(self, conc: np.ndarray, slots: slice,
-              rng: np.random.Generator) -> np.ndarray:
-        """Draw the psi of ``slots`` from the Dirichlet distributions with
-        flat concentrations ``conc``, one row per slot; keep its log and
-        return it."""
-        psi = rng.standard_gamma(conc)
-        psi /= np.repeat(segment_sums(psi, self.schema, 1), self.widths, axis=1)
-        with np.errstate(divide="ignore"):
-            np.log(psi.T, out=self.log_psi[:, slots])
-        return psi
+    def _draw(self, counts: np.ndarray, start: int,
+              rng: np.random.Generator, psi: np.ndarray | None = None) -> None:
+        """Draw the psi of the slots from ``start`` on, one per row of the
+        flat integer ``counts``, from the Dirichlet posteriors with
+        concentrations ``counts + beta``, and keep its log.  The draw is
+        made at most ``_BLOCK_CELLS`` floats, or one slot, at a time, each
+        batch into the rows of ``psi`` when that is given."""
+        step = max(1, _BLOCK_CELLS // self.beta.size)
+        for lo in range(0, len(counts), step):
+            hi = min(lo + step, len(counts))
+            batch = rng.standard_gamma(
+                counts[lo:hi] + self.beta,
+                out=None if psi is None else psi[lo:hi])
+            batch /= segment_sums(batch, self.schema, 1).take(self.var, axis=1)
+            with np.errstate(divide="ignore"):
+                np.log(batch.T, out=self.log_psi[:, start + lo:start + hi])
 
     def labels(self) -> tuple[np.ndarray, np.ndarray]:
         """New arrays of each row's component label and the counts in label
@@ -263,11 +271,7 @@ class _Chain:
     def init(self, rng: np.random.Generator) -> None:
         """Every row in its own component, log psi from a prior draw."""
         self._adopt(np.arange(self.n), np.ones(self.n, dtype=np.int64))
-        chunk = max(1, _BLOCK_CELLS // self.beta.size)
-        conc = np.broadcast_to(self.beta, (chunk, self.beta.size))
-        for start in range(0, self.n, chunk):
-            stop = min(start + chunk, self.n)
-            self._draw(conc[:stop - start], slice(start, stop), rng)
+        self._draw(np.broadcast_to(0, (self.n, self.beta.size)), 0, rng)
 
     def detach(self, i: int) -> None:
         """Remove row i from its component, dropping it if now empty."""
@@ -323,10 +327,10 @@ class _Chain:
             self.z[i] = s
             self.counts[s] += 1
             return
-        conc = self.beta.copy()
-        conc[self.offsets[:, i]] += 1.0
+        member = np.zeros((1, self.beta.size), dtype=np.int64)
+        member[0, self.offsets[:, i]] = 1
         s = self._free_slot()
-        self._draw(conc[None], slice(s, s + 1), rng)
+        self._draw(member, s, rng)
         self.counts[s] = 1
         self.order = np.append(self.order, s)
         self.z[i] = s
@@ -358,10 +362,12 @@ class _Chain:
         # release the slot buffer before the draw allocates a new one
         self.log_psi = None
         k, size = counts.size, self.beta.size
-        conc = np.bincount((z * size + self.offsets).ravel(),
-                           minlength=k * size).reshape(k, size) + self.beta
+        members = np.bincount((z * size + self.offsets).ravel(),
+                              minlength=k * size).reshape(k, size)
         self._adopt(z, counts)
-        return self._draw(conc, slice(k), rng)
+        psi = np.empty((k, size))
+        self._draw(members, 0, rng, psi)
+        return psi
 
     def settle(self, start: int, stop: int,
                rng: np.random.Generator) -> int:

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import sys
@@ -343,6 +344,16 @@ class TestParseDataset:
         assert again.column_names == d.column_names
 
 
+class _Unseekable(io.StringIO):
+    """A text stream that, like a pipe, cannot go back."""
+
+    def seekable(self):
+        return False
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("underlying stream is not seekable")
+
+
 def _random_model(rng, k=3, cards=(2, 3)):
     schema = CategoricalSchema(cards)
     theta = rng.dirichlet(np.ones(k))
@@ -478,6 +489,36 @@ class TestModelSerialization:
             with pytest.raises(LoadError) as err:
                 deserialize_models(text)
             assert str(err.value) == f"invalid JSON: {expected.value}"
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_a_stream_that_cannot_seek_keeps_the_syntax_message(
+            self, monkeypatch, chunk):
+        # a pipe cannot be read twice: the message is worded from what the
+        # reader dropped, for every cut of a document and for every
+        # structural character deleted or replaced, on one line or many;
+        # a draw spoilt into valid JSON is refused when it is reached
+        monkeypatch.setattr(core, "_CHUNK", chunk)
+        rng = np.random.default_rng(3)
+        draws = [_random_model(rng, k=1, cards=(2,)) for _ in range(2)]
+        texts = [serialize_models(draws),
+                 json.dumps(json.loads(serialize_models(draws)))]
+        for good in texts:
+            cuts = [good[:i] for i in range(len(good))]
+            spoilt = cuts + [
+                good[:i] + new + good[i + 1:]
+                for i, c in enumerate(good) if c in '{}[]:,"'
+                for new in ("", "x")]
+            for text in spoilt:
+                try:
+                    json.loads(text)
+                    continue  # a deletion may leave valid JSON
+                except json.JSONDecodeError as exc:
+                    expected = f"invalid JSON: {exc}"
+                for f in (io.StringIO(text), _Unseekable(text)):
+                    with pytest.raises(LoadError) as err:
+                        list(core._models(f))
+                    if str(err.value).startswith("invalid JSON") or text in cuts:
+                        assert str(err.value) == expected
 
     def test_a_bad_draw_is_reported_before_a_later_syntax_error(self):
         # the draws before the syntax error are decoded, and checked, first

@@ -356,6 +356,30 @@ class TestImpute:
         assert len(out.cell_posteriors) == data.n_missing() > 1000
         assert peak < 4_000_000
 
+    def test_peak_is_the_accumulator_and_the_outputs(self):
+        # 10,000 x 50 codes of 4 levels, 30% missing, 20 draws: the terms
+        # are added and the cells filled in blocks of about 2**15 floats,
+        # so beyond the (rows, sum_j d_j) accumulator and the three
+        # outputs the peak holds a few blocks; summed as one (rows,
+        # sum_j d_j) term per draw and filled with (cells, d)
+        # temporaries, it held over 20 MB more
+        cards = (4,) * 50
+        draws = [_random_model(s, k=5, cards=cards) for s in range(20)]
+        rng = np.random.default_rng(2)
+        cells = rng.integers(1, 5, (10_000, 50))
+        cells[rng.random(cells.shape) < 0.3] = 0
+        data = Dataset(draws[0].schema, cells)
+        tracemalloc.start()
+        try:
+            out = impute(data, draws, rule="sample", seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        acc = 8 * (cells == 0).any(axis=1).sum() * sum(cards)
+        outputs = (out.completed.cells.nbytes + out.filled.nbytes
+                   + out.cell_posteriors.nbytes)
+        assert peak < acc + outputs + 16 * 8 * 2 ** 15
+
 
 class TestPoolDraws:
     def test_single_draw_is_identity(self):

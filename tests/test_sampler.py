@@ -610,6 +610,30 @@ def test_first_sweep_memory_stays_near_the_initial_psi():
     _assert_first_sweep_memory_near_the_real_codes(100)
 
 
+def test_first_sweep_redraw_draws_a_chunk_at_a_time():
+    # at a huge alpha every row opens a component of its own again, so
+    # the redraw after the first sweep draws n components' psi; it holds
+    # their integer code counts, the new log table and the psi it
+    # returns, three real-code tables, and draws them a bounded chunk at
+    # a time; with float concentrations and a whole-table normaliser it
+    # held four
+    rng = np.random.default_rng(0)
+    cards = [1000] + [2, 3, 4] * 3
+    n = 300
+    cells = np.column_stack([rng.integers(0, d + 1, n) for d in cards])
+    data = Dataset(CategoricalSchema(cards), cells)
+    real_bytes = 8 * n * sum(d + 1 for d in cards)
+    chunk_bytes = 8 * sampler._BLOCK_CELLS
+    tracemalloc.start()
+    try:
+        state = next(iterate_states(data, GibbsConfig(alpha=1e6), seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.k == n
+    assert peak <= 3 * real_bytes + 4 * chunk_bytes
+
+
 def test_iterate_states_rejects_bad_arguments():
     data = Dataset(CategoricalSchema([2]), np.zeros((0, 1), dtype=int))
     with pytest.raises(ValueError,

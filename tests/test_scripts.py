@@ -375,8 +375,8 @@ def test_cli_hashes_print_one_line_per_stream_and_file(tmp_path, capsys,
     # given as an empty flag, the fit that names one path twice, the
     # benchmark whose replications fail, the impute from a document
     # that disagrees with its draws, the imputes from a document whose third
-    # draw is bad or cut short and the fit whose output is its input;
-    # none of these leaves a file behind
+    # draw is bad or cut short, the cut one read from a file or a pipe, and
+    # the fit whose output is its input; none of these leaves a file behind
     exits = dict(line.split()[::2] for line in lines[1:streams:2])
     assert exits.pop("fit-malformed.stderr") == "exit=1"
     assert exits.pop("fit-missing-dir.stderr") == "exit=1"
@@ -395,6 +395,7 @@ def test_cli_hashes_print_one_line_per_stream_and_file(tmp_path, capsys,
     assert exits.pop("independence-missing-dir.stderr") == "exit=1"
     assert exits.pop("impute-late-bad-draw.stderr") == "exit=1"
     assert exits.pop("impute-truncated-model.stderr") == "exit=1"
+    assert exits.pop("impute-piped-truncated.stderr") == "exit=1"
     assert exits.pop("fit-out-is-input.stderr") == "exit=1"
     assert set(exits.values()) == {"exit=0"}
     assert [line.split()[0] for line in lines[streams:]] == [
@@ -409,7 +410,7 @@ def test_cli_hashes_print_one_line_per_stream_and_file(tmp_path, capsys,
         "mixed-argmax.csv.cells.csv", "mixed-sample.csv",
         "mixed-sample.csv.cells.csv", "mixed.json", "mixed.json.khist.csv",
         "mixture.csv", "mnar.csv", "model.json", "model.json.khist.csv",
-        "pooled.json",
+        "piped.csv", "piped.csv.cells.csv", "pooled.json",
         "pooled.json.khist.csv", "pvalues.csv", "reps.csv", "sample.csv",
         "sample.csv.cells.csv", "summary.json", "truth.json",
         "unmasked-mask.csv", "unmasked.csv",
