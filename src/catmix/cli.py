@@ -228,7 +228,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_impute(args) -> int:
-    draws = core._models(open(args.model))  # decoded as they are folded in
+    # decoded as they are folded in
+    draws = core._models(core._Utf8(open(args.model, "rb")))
     first = next(draws)
     data = core.parse_dataset(Path(args.input).read_text(), first.schema)
     result = None
@@ -315,7 +316,8 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_test_independence(args) -> int:
-    pooled = inference.pool_draws(core._models(open(args.model)))
+    pooled = inference.pool_draws(
+        core._models(core._Utf8(open(args.model, "rb"))))
     pairs = []
 
     def payload():  # the tests run once --out is open

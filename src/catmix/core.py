@@ -19,6 +19,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import functools
 import io
@@ -742,6 +743,41 @@ def deserialize_models(text: str) -> list[CollapsedModel]:
                                          errors="surrogatepass", newline="")))
 
 
+class _Utf8:
+    """The binary file ``raw`` read as ``open`` reads UTF-8 text, a part at
+    a time: a byte that is not UTF-8 is placed in the whole file, as one
+    read of the whole file places it, without seeking."""
+
+    def __init__(self, raw):
+        self.raw, self.done = raw, 0  # the bytes decoded so far
+        self.decoder = io.IncrementalNewlineDecoder(
+            codecs.getincrementaldecoder("utf-8")(), translate=True)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.raw.close()
+
+    def read(self, size: int) -> str:
+        """Up to ``size`` characters, or "" at the end of the file."""
+        text, data = "", b"."
+        while data and not text:  # a cut character may decode to nothing
+            data = self.raw.read(size)
+            # the decoder still holds the bytes of a character cut short
+            at = self.done - len(self.decoder.getstate()[0])
+            try:
+                text = self.decoder.decode(data, final=not data)
+            except UnicodeDecodeError as exc:
+                start, end = at + exc.start, at + exc.end - 1
+                where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+                         if start == end else f"bytes in position {start}-{end}")
+                raise LoadError(f"'{exc.encoding}' codec can't decode {where}: "
+                                f"{exc.reason}") from None
+            self.done += len(data)
+        return text
+
+
 def _models(f):
     """Yield the models of the model document in the text file ``f``, each
     element of ``"draws"`` as it is decoded, and close ``f``.  The text is
@@ -835,11 +871,6 @@ def _models(f):
             col += column if newline < 0 else 0
             raise LoadError(f"invalid JSON: {exc.msg}: line {line} column "
                             f"{col} (char {dropped + pos})") from None
-        except UnicodeDecodeError:
-            if f.seekable():  # placed in the whole file, as one read places it
-                f.seek(0)
-                f.read()
-            raise
     if last is None:
         if isinstance(doc, dict) and "draws" in doc:
             raise LoadError("'draws' must be a list")

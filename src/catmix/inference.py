@@ -166,11 +166,12 @@ def impute(data: Dataset, posterior, rule: str = "argmax",
     either the most probable code, ties going to the lowest code, or a
     random code drawn from the averaged predictive.
 
-    Besides its outputs and the (rows with a missing cell, sum_j d_j)
-    accumulator, it holds one group of draws, the gather index of those
-    rows' cells while it sums, and blocks of about 2**15 floats: the
-    draws' terms are added one block of rows at a time, and the cells
-    are filled one block at a time, each entry summed in draw order.
+    Besides its outputs it holds one sum and one index for each code of
+    each missing cell, one group of draws, the gather index of the rows
+    with a missing cell while it sums, and blocks of about 2**15 floats:
+    the draws' terms are made one block of rows at a time, from which
+    the block's missing cells add their own codes, each summed in draw
+    order, and the cells are filled one block at a time.
 
     Parameters
     ----------
@@ -197,61 +198,72 @@ def impute(data: Dataset, posterior, rule: str = "argmax",
             f"match the dataset's {data.schema.cardinalities}"
         )
     cells = np.asarray(data.cells)
-    hit_rows = np.flatnonzero((cells == 0).any(axis=1))
     completed, filled, probs = _fill(
-        cells, hit_rows, data.schema,
-        _predictive_sums(itertools.chain([first], draws), data.schema, cells,
-                         hit_rows),
+        cells, data.schema,
+        _predictive_sums(itertools.chain([first], draws), data.schema, cells),
         np.random.default_rng(seed) if rule == "sample" else None)
     return ImputationResult(data.replace_cells(completed), filled, probs)
 
 
-def _predictive_sums(draws, schema: CategoricalSchema, cells: np.ndarray,
-                     rows: np.ndarray) -> np.ndarray:
-    """The (rows, sum_j d_j) predictive vectors of ``cells[rows]``,
-    averaged over ``draws``, each row's variables laid flat.
+def _predictive_sums(draws, schema: CategoricalSchema,
+                     cells: np.ndarray) -> np.ndarray:
+    """The predictive vectors of the missing cells of ``cells``, averaged
+    over ``draws`` and laid end to end in row-major order, each cell's
+    codes ``1 .. d_j`` in turn.
 
-    Each draw adds its terms one block of rows at a time, through one
-    scratch block of about ``_BLOCK_FLOATS`` floats; so every entry sums
-    the draws in order.
+    Each draw's terms are made one block of the rows with a missing cell
+    at a time, in one scratch block of about ``_BLOCK_FLOATS`` floats, and
+    the block's missing cells add their own codes from it; so every entry
+    sums the draws in order.
     """
-    acc = np.zeros((rows.size, schema.offsets(0)[-1]))
-    block = np.empty((max(1, min(len(acc), _BLOCK_FLOATS // acc.shape[1])),
-                      acc.shape[1]))
+    rows = np.flatnonzero((cells == 0).any(axis=1))
+    starts, codes = schema.offsets(0), schema.codes_array()
+    block = np.empty((max(1, min(rows.size, _BLOCK_FLOATS // starts[-1])),
+                      starts[-1]))
+    # index[b]: each missing code of block b's rows at its place in the block
+    index = []
+    for lo in range(0, rows.size, len(block)):
+        r, c = np.nonzero(cells[rows[lo:lo + len(block)]] == 0)
+        d = codes[c]
+        index.append(np.repeat(r * starts[-1] + starts[c] + d - d.cumsum(), d)
+                     + np.arange(d.sum()))
+    sums = np.zeros(sum(map(len, index)))
     posts = _class_posteriors(draws, schema, cells, rows)
     for n, (post, table) in enumerate(posts, 1):
-        for start in range(0, len(acc), len(block)):
-            part = acc[start:start + len(block)]
-            part += np.einsum("mk,kc->mc", post[start:start + len(part)],
-                              table, out=block[:len(part)])
-    acc /= n
-    return acc
+        at = 0
+        for lo, own in zip(range(0, rows.size, len(block)), index):
+            terms = np.einsum("mk,kc->mc", post[lo:lo + len(block)], table,
+                              out=block[:min(len(block), rows.size - lo)])
+            sums[at:at + len(own)] += terms.take(own)
+            at += len(own)
+    sums /= n
+    return sums
 
 
-def _fill(cells: np.ndarray, hit_rows: np.ndarray, schema: CategoricalSchema,
-          acc: np.ndarray, rng):
+def _fill(cells: np.ndarray, schema: CategoricalSchema, sums: np.ndarray,
+          rng):
     """The completed cells, every missing cell's ``(row, column)`` and its
-    normalised predictive, zero padded, from :func:`_predictive_sums` over
-    the rows ``hit_rows``; ``rng`` draws each code, or None takes the
-    argmax.  The cells are filled ``_BLOCK_FLOATS // max_j d_j`` at a
-    time."""
+    normalised predictive, zero padded, from :func:`_predictive_sums`;
+    ``rng`` draws each code, or None takes the argmax.  The cells are
+    filled ``_BLOCK_FLOATS // max_j d_j`` at a time."""
     filled = np.argwhere(cells == 0)
-    starts = schema.offsets(0)
     codes = schema.codes_array()
     probs = np.zeros((len(filled), schema.max_cardinality))
     completed = cells.copy()
     step = max(1, _BLOCK_FLOATS // schema.max_cardinality)
+    end = 0  # where the block's first cell's codes begin in ``sums``
     for lo in range(0, len(filled), step):
         rows, cols = filled[lo:lo + step].T
-        local = np.searchsorted(hit_rows, rows)
         cards = codes[cols]
+        begin = end - cards + cards.cumsum()
+        end = begin[-1] + cards[-1]
         # one uniform per cell in row-major order, as Generator.choice(d,
         # p=vec) spends it: the code is the count of cdf / cdf[-1] that
         # are <= u
         u = None if rng is None else rng.random(rows.size)
         for d in set(cards.tolist()):
             at = np.flatnonzero(cards == d)
-            vec = acc[local[at, None], starts[cols[at], None] + np.arange(d)]
+            vec = sums[begin[at, None] + np.arange(d)]
             vec /= vec.sum(axis=1, keepdims=True)
             probs[lo + at, :d] = vec
             if u is None:

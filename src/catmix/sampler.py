@@ -397,8 +397,10 @@ class _Chain:
         self.commit(start + stayed, int(h[stayed]), rng)
         return stayed
 
-    def sweep(self, rng: np.random.Generator) -> np.ndarray:
-        """The row pass, one relabel, the psi redraw; returns that psi.
+    def sweep(self, rng: np.random.Generator):
+        """The row pass, one relabel, the psi redraw; returns the labelled
+        partition ``(z, counts)`` now adopted, ``z`` the chain's own, and
+        that psi.
 
         ``movers`` counts the rows that left their slot in the last
         sweep (``n`` before the first), and ``n / (movers + 1)`` is that
@@ -426,7 +428,8 @@ class _Chain:
                 stayed = int(not moved)
             self.movers += moved
             i += stayed + moved
-        return self.redraw_psi(*self.labels(), rng)
+        z, counts = self.labels()
+        return z, counts, self.redraw_psi(z, counts, rng)
 
 
 def collapse_state(state: ModelState) -> CollapsedModel:
@@ -477,8 +480,9 @@ def iterate_states(data: Dataset, config: GibbsConfig = GibbsConfig(),
     ch = _Chain(data, config)
     ch.init(rng)
     for _ in range(config.total_sweeps):
-        psi = ch.sweep(rng)
-        yield ModelState(data.schema, *ch.labels(), psi)
+        z, counts, psi = ch.sweep(rng)
+        # a copy, as the chain keeps moving its rows in ``z``
+        yield ModelState(data.schema, z.copy(), counts, psi)
 
 
 def _retained(data: Dataset, config: GibbsConfig, seed=None,

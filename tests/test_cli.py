@@ -1,8 +1,11 @@
+import gc
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
+import threading
 import tracemalloc
 import warnings
 
@@ -451,6 +454,9 @@ class TestImpute:
         def peak(n):
             model = tmp_path / f"m{n}.json"
             model.write_text(serialize_models(draws[:n]))
+            # each call's argparse parser is freed by the cyclic collector,
+            # at a moment that varies, unless no cycle is left before it
+            gc.collect()
             tracemalloc.start()
             try:
                 assert cli.main(["impute", str(inp), str(model), "--out",
@@ -496,6 +502,34 @@ class TestImpute:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(message)
         assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    def test_a_bad_byte_read_through_a_pipe_is_placed_in_the_whole_file(
+            self, tmp_path, capsys, monkeypatch):
+        # a pipe cannot seek back, so the reader counts the bytes it has
+        # decoded to place the byte as one read of the whole file does;
+        # the byte lies well past the first 8192-byte block
+        monkeypatch.setattr(core, "_CHUNK", 64)
+        inp = _toy_csv(tmp_path)
+        text = _fit(tmp_path, inp, ("--samples", "40")).read_bytes()
+        at = len(text) - 200
+        bad = text[:at] + b"\xff" + text[at + 1:]
+        model = tmp_path / "bad.json"
+        model.write_bytes(bad)
+        with pytest.raises(UnicodeDecodeError) as read:
+            model.read_text()
+        assert f"position {at}:" in str(read.value) and at > 3 * 8192
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_bytes, args=(bad,),
+                                  daemon=True)
+        writer.start()
+        for source in (model, pipe):
+            capsys.readouterr()
+            assert cli.main(["impute", str(inp), str(source), "--out",
+                             str(tmp_path / "x.csv")]) == 1
+            assert capsys.readouterr().err == f"error: {read.value}\n"
+        writer.join(timeout=10)
+        assert not writer.is_alive()
 
     def test_a_late_bad_draw_is_reported_after_the_dataset_and_outputs(
             self, tmp_path, capsys):

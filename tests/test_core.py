@@ -545,6 +545,29 @@ class TestModelSerialization:
                 deserialize_models(text)
             assert str(err.value) == f"model document names {key!r} twice"
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 64])
+    def test_utf8_reader_reads_as_one_read_of_the_whole_file(self, size):
+        # read a few bytes at a time, never seeking: the text is open's,
+        # newlines translated, and a bad byte, a bad continuation or a
+        # character cut short at the end is placed as one decode of the
+        # whole file places it
+        good = "é€\r\n𝄞 x\ray\r".encode()
+        for data in (good, good + b"\xff", good[:5] + b"\xe2\x28" + good[5:],
+                     good + "€".encode()[:2]):
+            with core._Utf8(io.BytesIO(data)) as f:
+                try:
+                    want = io.TextIOWrapper(io.BytesIO(data), "utf-8").read()
+                except UnicodeDecodeError as exc:
+                    with pytest.raises(LoadError) as err:
+                        while f.read(size):
+                            pass
+                    assert str(err.value) == str(exc)
+                else:
+                    parts = []
+                    while part := f.read(size):
+                        parts.append(part)
+                    assert "".join(parts) == want
+
 
 def _spiky_model(rng, k, cards):
     """A model whose vectors hold exact zeros, ones and tiny entries."""
