@@ -761,8 +761,7 @@ class _Utf8:
 
     def read(self, size: int) -> str:
         """Up to ``size`` characters, or "" at the end of the file."""
-        text, data = "", b"."
-        while data and not text:  # a cut character may decode to nothing
+        while True:
             data = self.raw.read(size)
             # the decoder still holds the bytes of a character cut short
             at = self.done - len(self.decoder.getstate()[0])
@@ -775,7 +774,8 @@ class _Utf8:
                 raise LoadError(f"'{exc.encoding}' codec can't decode {where}: "
                                 f"{exc.reason}") from None
             self.done += len(data)
-        return text
+            if text or not data:  # a cut character may decode to nothing
+                return text
 
 
 def _models(f):
