@@ -8,7 +8,10 @@ d = 3, 200x12 with d from 2 to 40, 120x6 with d = 5), each under four
 (alpha, beta) priors, with burn-in 10, 5 draws and thin 2.  For each
 fit it prints one line: the fit's name, then the sha1 of the final
 state's assignments and counts, the sha1 of its psi at the real codes
-``0 .. d_j`` of every variable, and the sha1 of the draws' model JSON.
+``0 .. d_j`` of every variable, and the sha1 of the draws' values: the
+list of their k, then the float64 bytes of the ``theta`` and ``probs``
+arrays that ``--save`` writes.  The values are read back from the
+draws' model JSON, so the hash does not depend on how it is laid out.
 The final state is the last one ``iterate_states`` yields under the
 fit's config and seed.  The draws are ``run_gibbs``'s, whether it
 returns them as a tuple or, as older trees do, as a record's ``draws``.
@@ -89,20 +92,19 @@ def fits(src: Path):
             state = deque(sampler.iterate_states(data, cfg, 10 * t + f),
                           maxlen=1)[0]
             psi = real_codes(state.psi, cards)
-            text = core.serialize_models(draws)
-            doc = json.loads(text)["draws"]
+            doc = json.loads(core.serialize_models(draws))["draws"]
             name = f"t{t}-{n}x{len(cards)}-a{alpha:g}-b{beta:g}"
-            arrays = {name: psi,
-                      f"{name}.theta": np.array(
-                          [x for d in doc for x in d["theta"]]),
-                      f"{name}.probs": np.array(
-                          [[x for vec in comp for x in vec]
-                           for d in doc for comp in d["tildePsi"]])}
+            theta = np.array([x for d in doc for x in d["theta"]])
+            probs = np.array([[x for vec in comp for x in vec]
+                              for d in doc for comp in d["tildePsi"]])
+            arrays = {name: psi, f"{name}.theta": theta,
+                      f"{name}.probs": probs}
             yield name, arrays, " ".join((
                 name,
                 sha1(state.assignments.tobytes(), state.counts.tobytes()),
                 sha1(psi.tobytes()),
-                sha1(text.encode())))
+                sha1(str([d["k"] for d in doc]).encode(), theta.tobytes(),
+                     probs.tobytes())))
 
 
 def main(argv=None) -> None:

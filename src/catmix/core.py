@@ -68,10 +68,15 @@ LOAD_TOL = 1e-8
 _FIELDS = 4096
 _BLOCK = 64
 
+#: Floats (256 KiB) in each scratch block that the sampler's batched
+#: passes and draws and ``impute``'s groups of draws, rows and cells work in.
+_BLOCK_FLOATS = 1 << 15
+
 #: Characters of a model file read at a time; a value is decoded from at
 #: least this much text, so a shorter draw is decoded once (fits of the
-#: 1500-row benchmark table write draws of 54,000 to 154,000).  A JSON value
-#: inside an array or an object is followed by what _DELIMITED matches.
+#: 1500-row benchmark table, seeds 0 to 7, write draws of 39,000 to 101,000
+#: characters).  A JSON value inside an array or an object is followed by
+#: what _DELIMITED matches.
 _CHUNK = 1 << 18
 _DELIMITED = re.compile(r"[ \t\n\r]*[,:\]}]")
 
@@ -665,37 +670,24 @@ def _model_from_dict(obj, schemas: dict) -> CollapsedModel:
         raise LoadError(str(exc)) from None
 
 
-def _json_list(items, pad: str) -> str:
-    """The JSON texts ``items`` in a list laid out as ``json.dumps(...,
-    indent=2)`` lays it out with its closing bracket at indent ``pad``."""
-    inner = ",\n" + pad + "  "
-    return "[" + inner[1:] + inner.join(items) + "\n" + pad + "]"
-
-
-def _model_texts(models: Iterable[CollapsedModel], schema, pad: str):
-    """Yield the JSON document of each model of ``schema`` as
-    ``json.dumps(..., indent=2)`` lays it out at indent ``pad``.  One
-    ``%r`` template per distinct k takes theta, then the flat table:
-    ``repr`` of a finite float is the text ``json`` writes."""
-    cards = schema.cardinalities
-    key = pad + "  "
-    head = (f'{{\n{key}"k": %d,\n{key}"cardinalities": '
-            f'{_json_list(map(str, cards), key)},\n{key}"theta": ')
-    comp = _json_list([_json_list(["%r"] * d, key + "    ") for d in cards],
-                      key + "  ")
-    templates = {}
-    for m in models:
-        if m.k not in templates:
-            templates[m.k] = (head + _json_list(["%r"] * m.k, key) +
-                              f',\n{key}"tildePsi": ' +
-                              _json_list([comp] * m.k, key) + f"\n{pad}}}")
-        yield templates[m.k] % (m.k, *m.theta.tolist(),
-                                *m.probs.ravel().tolist())
+def _model_text(model: CollapsedModel) -> str:
+    """One model's document on one line, through json's C encoder, which
+    writes each float as its ``repr``; the tree is built here, so it has
+    no cycle to check for."""
+    starts = model.schema.offsets(0).tolist()
+    spans = list(zip(starts[:-1], starts[1:]))
+    return json.dumps({
+        "k": model.k,
+        "cardinalities": list(model.schema.cardinalities),
+        "theta": model.theta.tolist(),
+        "tildePsi": [[row[i:j] for i, j in spans]
+                     for row in model.probs.tolist()],
+    }, separators=(",", ":"), check_circular=False)
 
 
 def serialize_model(model: CollapsedModel) -> str:
     """Serialize one model as a JSON document (bit exact round trip)."""
-    return next(_model_texts([model], model.schema, "")) + "\n"
+    return _model_text(model) + "\n"
 
 
 def _checked(models: Iterable[CollapsedModel], error=ValueError, cards=None):
@@ -715,16 +707,16 @@ def _checked(models: Iterable[CollapsedModel], error=ValueError, cards=None):
 
 
 def _document(models: Iterable[CollapsedModel]):
-    """Yield :func:`serialize_models`'s document, one piece per draw as
-    the draws arrive."""
+    """Yield :func:`serialize_models`'s document, one draw per line as the
+    draws arrive, between a first line that lists the cardinalities and a
+    last that closes the list."""
     draws = _checked(models)
     first = next(draws)
-    cards = _json_list(map(str, first.schema.cardinalities), "  ")
-    yield f'{{\n  "cardinalities": {cards},\n  "draws": ['
-    texts = _model_texts(itertools.chain([first], draws), first.schema, "    ")
-    for i, text in enumerate(texts):
-        yield (",\n    " if i else "\n    ") + text
-    yield "\n  ]\n}\n"
+    cards = ",".join(map(str, first.schema.cardinalities))
+    yield f'{{"cardinalities":[{cards}],"draws":['
+    for i, m in enumerate(itertools.chain([first], draws)):
+        yield (",\n" if i else "\n") + _model_text(m)
+    yield "\n]}\n"
 
 
 def serialize_models(models: Iterable[CollapsedModel]) -> str:

@@ -21,6 +21,7 @@ from catmix.core import (
     Dataset,
     JointDistribution,
     MissingnessTable,
+    _BLOCK_FLOATS,
     _check_shape,
     _check_tables,
     _check_weights,
@@ -48,11 +49,6 @@ __all__ = [
     "saturated_model",
     "verify_construction",
 ]
-
-# Bound, in floats, of each block that impute works in: a group of draws'
-# evidence and log table, a block of rows' predictive terms and a block
-# of cells' predictive vectors.
-_BLOCK_FLOATS = 1 << 15
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ flat concentrations, normalised by :func:`~catmix.core.segment_sums`.
 Starting from one component per row, the log table takes
 O(n sum_j (d_j + 1)) floats.  Every batch of Dirichlet draws, the prior
 draw of the initial components and the redraw after each sweep alike,
-is made at most ``_BLOCK_CELLS`` floats (256 KiB), or one component, at
+is made at most ``_BLOCK_FLOATS`` floats (256 KiB), or one component, at
 a time, so a draw's scratch never grows with the table.
 
 Where it can, a sweep settles rows in blocks instead of one at a time,
@@ -95,6 +95,7 @@ from catmix.core import (
     CollapsedModel,
     Dataset,
     ModelState,
+    _BLOCK_FLOATS,
     _check_count,
     rescale_missing,
     segment_sums,
@@ -119,11 +120,10 @@ _BETA_MAX = 1e300
 # previous sweep's mean run of rows between two movers, and is tried
 # only when that reaches _BLOCK_MIN rows: a pass costs a few single-row
 # visits.  Its (p, rows, slots) gather of log psi holds at most
-# _BLOCK_CELLS floats, which also bounds the work a block wastes on the
+# _BLOCK_FLOATS floats, which also bounds the work a block wastes on the
 # rows after its first mover.  Every batch of psi draws is made at most
-# _BLOCK_CELLS floats (or one component) at a time.
+# _BLOCK_FLOATS floats (or one component) at a time.
 _BLOCK_MIN = 6
-_BLOCK_CELLS = 1 << 15
 _GROW = 2
 
 
@@ -246,9 +246,9 @@ class _Chain:
         """Draw the psi of the slots from ``start`` on, one per row of the
         flat integer ``counts``, from the Dirichlet posteriors with
         concentrations ``counts + beta``, and keep its log.  The draw is
-        made at most ``_BLOCK_CELLS`` floats, or one slot, at a time, each
+        made at most ``_BLOCK_FLOATS`` floats, or one slot, at a time, each
         batch into the rows of ``psi`` when that is given."""
-        step = max(1, _BLOCK_CELLS // self.beta.size)
+        step = max(1, _BLOCK_FLOATS // self.beta.size)
         for lo in range(0, len(counts), step):
             hi = min(lo + step, len(counts))
             batch = rng.standard_gamma(
@@ -416,7 +416,7 @@ class _Chain:
             stop = i
             if span >= _BLOCK_MIN:
                 stop += min(span, self.n - i,
-                            _BLOCK_CELLS // (self.p * self.counts.size))
+                            _BLOCK_FLOATS // (self.p * self.counts.size))
                 single = self.counts[self.z[i:stop]] == 1
                 if single.any():
                     stop = i + int(single.argmax())

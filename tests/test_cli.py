@@ -435,8 +435,8 @@ class TestImpute:
 
     def test_memory_does_not_grow_with_draws(self, tmp_path):
         # the model file is read a chunk at a time and each group of draws
-        # folded in as it is decoded; 360 more draws of (6, 102) floats
-        # would add 7.8 MB of JSON text here, and more as models.  The 40
+        # folded in as it is decoded; 360 more draws of (12, 102) floats
+        # would add 9.4 MB of JSON text here, and more as models.  The 40
         # draws span several chunks, and as a group's evidence and log
         # table hold about 2**15 floats, with some 360 rows to impute they
         # fill several groups too
@@ -446,8 +446,8 @@ class TestImpute:
         cells[rng.random(cells.shape) < 0.2] = 0
         inp = tmp_path / "wide.csv"
         inp.write_text(dataset_to_csv(Dataset(CategoricalSchema(cards), cells)))
-        draws = [CollapsedModel(CategoricalSchema(cards), rng.dirichlet([1] * 6),
-                                np.hstack([rng.dirichlet([1] * d, 6)
+        draws = [CollapsedModel(CategoricalSchema(cards), rng.dirichlet([1] * 12),
+                                np.hstack([rng.dirichlet([1] * d, 12)
                                            for d in cards]))
                  for _ in range(400)]
 
@@ -478,7 +478,7 @@ class TestImpute:
         # is worded as a read and parse of the whole file word it
         monkeypatch.setattr(core, "_CHUNK", 64)
         inp = _toy_csv(tmp_path)
-        text = _fit(tmp_path, inp, ("--samples", "40")).read_text()
+        text = _fit(tmp_path, inp, ("--samples", "100")).read_text()
         assert len(text) > 3 * 8192  # the blocks a text file decodes
         doc = json.loads(text)
         doc["draws"][2]["theta"][0] += 0.5
@@ -510,7 +510,7 @@ class TestImpute:
         # the byte lies well past the first 8192-byte block
         monkeypatch.setattr(core, "_CHUNK", 64)
         inp = _toy_csv(tmp_path)
-        text = _fit(tmp_path, inp, ("--samples", "40")).read_bytes()
+        text = _fit(tmp_path, inp, ("--samples", "100")).read_bytes()
         at = len(text) - 200
         bad = text[:at] + b"\xff" + text[at + 1:]
         model = tmp_path / "bad.json"

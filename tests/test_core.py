@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -481,7 +482,7 @@ class TestModelSerialization:
         rng = np.random.default_rng(6)
         good = serialize_models([_random_model(rng) for _ in range(3)])
         for text in (good[:len(good) // 2], good[:-3], good + "x",
-                     good.replace("\n  ]", ",\n  ]"),
+                     good.replace("\n]}", ",\n]}"),
                      good.replace('"draws"', "draws"), "\ufeff" + good,
                      "", " \n", "{1: 2}", '{"draws" [1]}', "[1 2]"):
             with pytest.raises(json.JSONDecodeError) as expected:
@@ -591,31 +592,68 @@ def _oracle_dict(m):
     }
 
 
+def _compact(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"))
+
+
 class TestModelJsonLayout:
-    """The model JSON is byte for byte what json.dumps(indent=2) writes."""
+    """The model JSON is what json.dumps writes with compact separators,
+    each draw of a draws document on a line of its own."""
 
     CARDS = (2, 100, 3, 17, 2, 5, 64)
 
+    def _assert_draws_document(self, models):
+        draws = [_oracle_dict(m) for m in models]
+        text = serialize_models(models)
+        assert text.replace("\n", "") == _compact(
+            {"cardinalities": list(models[0].schema.cardinalities),
+             "draws": draws})
+        lines = text.split("\n")
+        assert lines[1:-2] == [_compact(d) + "," for d in draws[:-1]] + [
+            _compact(draws[-1])]
+        assert lines[-2:] == ["]}", ""]
+
     def test_draws_of_several_k_match_json_dumps(self):
         rng = np.random.default_rng(12)
-        # a repeated k reuses its template
-        models = [_spiky_model(rng, k, self.CARDS) for k in (3, 1, 3, 7, 1)]
-        oracle = json.dumps({"cardinalities": list(self.CARDS),
-                             "draws": [_oracle_dict(m) for m in models]},
-                            indent=2) + "\n"
-        assert serialize_models(models) == oracle
+        self._assert_draws_document(
+            [_spiky_model(rng, k, self.CARDS) for k in (3, 1, 3, 7, 1)])
 
     @pytest.mark.parametrize("k", [1, 4])
     def test_single_model_matches_json_dumps(self, k):
         m = _spiky_model(np.random.default_rng(k), k, self.CARDS)
-        assert serialize_model(m) == json.dumps(_oracle_dict(m),
-                                                indent=2) + "\n"
+        assert serialize_model(m) == _compact(_oracle_dict(m)) + "\n"
 
     def test_one_binary_variable(self):
         m = _random_model(np.random.default_rng(2), k=1, cards=(2,))
-        assert serialize_models([m]) == json.dumps(
-            {"cardinalities": [2], "draws": [_oracle_dict(m)]},
-            indent=2) + "\n"
+        self._assert_draws_document([m])
+
+    def test_old_indented_files_load_as_the_compact_ones(self, tmp_path):
+        # documents laid out as json.dumps(indent=2), as earlier versions
+        # wrote them, read back as the same draws and impute alike
+        rng = np.random.default_rng(5)
+        cards = (2, 5, 3)
+        models = [_random_model(rng, k, cards) for k in (2, 1, 3)]
+        compact = serialize_models(models)
+        old = json.dumps({"cardinalities": list(cards),
+                          "draws": [_oracle_dict(m) for m in models]},
+                         indent=2) + "\n"
+        for a, b in zip(deserialize_models(old), deserialize_models(compact),
+                        strict=True):
+            assert a.theta.tobytes() == b.theta.tobytes()
+            assert a.probs.tobytes() == b.probs.tobytes()
+        cells = np.column_stack([rng.integers(0, d + 1, 60) for d in cards])
+        table = tmp_path / "t.csv"
+        table.write_text(dataset_to_csv(Dataset(CategoricalSchema(cards), cells)))
+        outputs = []
+        for name, text in (("old", old), ("compact", compact)):
+            (tmp_path / f"{name}.json").write_text(text)
+            out = tmp_path / f"{name}.csv"
+            assert cli.main(["impute", str(table), str(tmp_path / f"{name}.json"),
+                             "--out", str(out), "--rule", "sample",
+                             "--seed", "3"]) == 0
+            outputs.append((out.read_bytes(),
+                            Path(f"{out}.cells.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 @settings(max_examples=25, deadline=None)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from catmix import cli, sampler
 from catmix.core import (
-    CategoricalSchema, Dataset, ModelState, padded_dirichlet, parse_dataset,
-    serialize_models)
+    _BLOCK_FLOATS, CategoricalSchema, Dataset, ModelState, padded_dirichlet,
+    parse_dataset, serialize_models)
 from catmix.inference import impute
 from catmix.sampler import (
     GibbsConfig,
@@ -540,7 +540,7 @@ def test_chunked_psi_draws_match_the_reference_kernel_draw_for_draw():
     # short
     data = _wide_column_table(5, n=400)
     cfg = GibbsConfig()
-    chunk = sampler._BLOCK_CELLS // data.schema.offsets(1)[-1]
+    chunk = _BLOCK_FLOATS // data.schema.offsets(1)[-1]
     ours, ref = (np.random.default_rng(21) for _ in range(2))
     pairs = list(zip(islice(iterate_states(data, cfg, seed=ours), 4),
                      _reference_states(data, cfg, sweeps=4, seed=ref)))
@@ -590,7 +590,7 @@ def _assert_first_sweep_memory_near_the_real_codes(top):
     cells = np.column_stack([rng.integers(0, d + 1, n) for d in cards])
     data = Dataset(CategoricalSchema(cards), cells)
     real_bytes = 8 * n * sum(d + 1 for d in cards)
-    chunk_bytes = 8 * sampler._BLOCK_CELLS
+    chunk_bytes = 8 * _BLOCK_FLOATS
     tracemalloc.start()
     try:
         next(iterate_states(data, GibbsConfig(), seed=0))
@@ -623,7 +623,7 @@ def test_first_sweep_redraw_draws_a_chunk_at_a_time():
     cells = np.column_stack([rng.integers(0, d + 1, n) for d in cards])
     data = Dataset(CategoricalSchema(cards), cells)
     real_bytes = 8 * n * sum(d + 1 for d in cards)
-    chunk_bytes = 8 * sampler._BLOCK_CELLS
+    chunk_bytes = 8 * _BLOCK_FLOATS
     tracemalloc.start()
     try:
         state = next(iterate_states(data, GibbsConfig(alpha=1e6), seed=0))
