@@ -670,7 +670,8 @@ def _model_from_dict(obj, schemas: dict) -> CollapsedModel:
         raise LoadError(str(exc)) from None
 
 
-#: JSON text on one line, as json's C encoder writes it.
+#: JSON text on one line, as json's C encoder writes it; the values are
+#: built here, so none holds a cycle to check for.
 _compact = functools.partial(json.dumps, separators=(",", ":"),
                              check_circular=False)
 
