@@ -12,7 +12,10 @@ with ``--summary``, and with ``--schema`` on a small inline table of
 cardinalities 2, 5, 9 and 12 and on a messy one with spaces, ``na``,
 empty fields and blank lines, and on one of cardinalities 2, 4 and 100),
 ``impute`` (argmax, and ``--rule sample``, from the mixture fit, from the
-three inline tables' fits, and from the xor point-mass truth model), ``fit`` of a malformed inline table, which exits
+three inline tables' fits, and from the xor point-mass truth model),
+``impute --rule sample`` from an inline single model in the bare layout
+that earlier versions wrote for ``fit --summary`` and ``simulate
+--truth-out``, ``fit`` of a malformed inline table, which exits
 1 with one error line, ``test-independence`` (to stdout, to ``--out`` and
 at ``--n 5000``), ``benchmark --reps 3 --jobs 1`` with ``--out`` and
 ``--summary-out``, ``preprocess-ratings`` (binary and five) on a small
@@ -91,6 +94,14 @@ LATE = json.dumps({"cardinalities": [2, 5, 9, 12], "draws": [{
     "tildePsi": [[[1 / d] * d for d in (2, 5, 9, 12)]] * 2}
     for w in (0.5, 0.5, 0.75)]}, indent=2)
 TRUNCATED = LATE[:LATE.rindex('"tildePsi"')]
+# one model over MIXED's cardinalities, not under "draws", laid out as
+# earlier versions wrote a single model: two components, one favouring
+# the first code of each variable and one the last
+LEGACY = json.dumps({"k": 2, "cardinalities": [2, 5, 9, 12],
+                     "theta": [0.25, 0.75], "tildePsi": [
+    [[(2 if c == end % d else 1) / (d + 1) for c in range(d)]
+     for d in (2, 5, 9, 12)] for end in (0, -1)]},
+    separators=(",", ":")) + "\n"
 #: (name, argv) of each command, run in this order in one directory.
 COMMANDS = (
     ("simulate-mixture", ["simulate", "--protocol", "mixture", "--n", "40",
@@ -152,6 +163,9 @@ COMMANDS = (
     ("impute-xor-sample", ["impute", "xor.csv", "xor-truth.json",
                            "--out", "xor-sample.csv", "--rule", "sample",
                            "--seed", "11"]),
+    ("impute-legacy-model", ["impute", "../mixed.csv", "../legacy.json",
+                             "--out", "legacy.csv", "--rule", "sample",
+                             "--seed", "17"]),
     ("independence-stdout", ["test-independence", "model.json", "--n", "40"]),
     ("independence-out", ["test-independence", "pooled.json", "--n", "60",
                           "--out", "pvalues.csv"]),
@@ -245,6 +259,7 @@ def lines(src: Path):
         (Path(tmp) / "claimed.json").write_text(CLAIMED)
         (Path(tmp) / "late.json").write_text(LATE)
         (Path(tmp) / "truncated.json").write_text(TRUNCATED)
+        (Path(tmp) / "legacy.json").write_text(LEGACY)
         (Path(tmp) / "dir").mkdir()
         work = Path(tmp) / "work"
         work.mkdir()

@@ -207,16 +207,16 @@ def _cmd_fit(args) -> int:
             k_values.append(model.k)
             yield model
 
-    def pooled():
-        yield core.serialize_model(inference.pool_draws(draws()))
+    def pooled():  # the one-draw case of the draws document
+        yield inference.pool_draws(draws())
 
     def histogram():
         hist = sampler.k_histogram(k_values)
         yield core._csv(("k", "count"), sorted(hist.items()))
 
     # the chain runs as the model file is written, once both are open
-    _write_atomic((args.out, pooled() if args.summary
-                   else core._document(draws())),
+    _write_atomic((args.out, core._document(pooled() if args.summary
+                                            else draws())),
                   (f"{args.out}.khist.csv" if args.k_histogram is None
                    else args.k_histogram, histogram()), inputs=[args.input])
     _log(
@@ -268,7 +268,7 @@ def _cmd_simulate(args) -> int:
     # each map renders only if its path is given, once every file is open
     _write_atomic((args.out, map(core.dataset_to_csv, [out_data])),
                   (args.complete_out, map(core.dataset_to_csv, [data])),
-                  (args.truth_out, map(core.serialize_model, [truth_model])),
+                  (args.truth_out, core._document([truth_model])),
                   (args.mask_out, map(core._csv, [("row", "column", "value")], [rows])))
     _log(
         f"simulate: {data.n_rows}x{data.n_variables} {args.protocol} data, "

@@ -44,9 +44,7 @@ __all__ = [
     "ParseError",
     "dataset_to_csv",
     "deserialize_models",
-    "model_from_dict",
     "parse_dataset",
-    "serialize_model",
     "serialize_models",
 ]
 
@@ -598,8 +596,9 @@ def _json_numbers(values, kind=(int, float)) -> bool:
         or not abs(v) <= sys.float_info.max for v in values)
 
 
-def model_from_dict(obj) -> CollapsedModel:
-    """The model of a parsed :func:`serialize_model` document, validated.
+def _model_from_dict(obj, schemas: dict) -> CollapsedModel:
+    """The model of one parsed draw, validated, keeping each checked schema
+    in ``schemas``.
 
     Raises
     ------
@@ -608,11 +607,6 @@ def model_from_dict(obj) -> CollapsedModel:
         are not JSON numbers, negative or not finite, or a probability
         vector deviates from sum 1 by more than 1e-8.
     """
-    return _model_from_dict(obj, {})
-
-
-def _model_from_dict(obj, schemas: dict) -> CollapsedModel:
-    """:func:`model_from_dict`, keeping each checked schema in ``schemas``."""
     if not isinstance(obj, dict):
         raise LoadError(f"model document must be an object, got {type(obj).__name__}")
     for key in ("k", "cardinalities", "theta", "tildePsi"):
@@ -690,11 +684,6 @@ def _model_text(model: CollapsedModel) -> str:
             f'"theta":{_compact(model.theta.tolist())},"tildePsi":[{comps}]}}')
 
 
-def serialize_model(model: CollapsedModel) -> str:
-    """Serialize one model as a JSON document (bit exact round trip)."""
-    return _model_text(model) + "\n"
-
-
 def _checked(models: Iterable[CollapsedModel], error=ValueError, cards=None):
     """Yield ``models`` as they arrive; raises ``error`` unless they are
     at least one and share one schema, of the cardinalities listed in
@@ -724,19 +713,18 @@ def _document(models: Iterable[CollapsedModel]):
 
 
 def serialize_models(models: Iterable[CollapsedModel]) -> str:
-    """Serialize a list of posterior draws as one JSON document."""
+    """Serialize posterior draws as one JSON document (bit exact round
+    trip); a single model is the one-draw list ``[model]``."""
     return "".join(_document(models))
 
 
 def deserialize_models(text: str) -> list[CollapsedModel]:
     """Parse a document produced by :func:`serialize_models`.
 
-    Single-model documents are accepted too and yield a one element
-    list, so consumers can treat the two formats interchangeably.
+    A bare single-model document, as earlier versions wrote for one
+    model, loads too, as a one element list.
     """
-    raw = io.BytesIO(text.encode("utf-8", "surrogatepass"))
-    return list(_models(io.TextIOWrapper(raw, encoding="utf-8",
-                                         errors="surrogatepass", newline="")))
+    return list(_models(io.StringIO(text)))
 
 
 class _Utf8:
@@ -870,6 +858,6 @@ def _models(f):
     if last is None:
         if isinstance(doc, dict) and "draws" in doc:
             raise LoadError("'draws' must be a list")
-        yield model_from_dict(doc)
+        yield _model_from_dict(doc, schemas)
     elif doc.get("cardinalities") not in (None, list(last.schema.cardinalities)):
         raise LoadError("draws disagree on cardinalities")

@@ -20,7 +20,6 @@ from catmix.core import (
     dataset_to_csv,
     deserialize_models,
     parse_dataset,
-    serialize_model,
     serialize_models,
 )
 from catmix.metrics import run_replications
@@ -78,9 +77,14 @@ class TestFit:
     def test_summary_pools_into_one_model(self, tmp_path):
         inp = _toy_csv(tmp_path)
         out = _fit(tmp_path, inp, extra=["--summary"])
-        model = deserialize_models(out.read_text())[0]
-        assert isinstance(model, CollapsedModel)
-        assert len(deserialize_models(out.read_text())) == 1
+        (model,) = deserialize_models(out.read_text())
+        # the one-draw document of the library's pooled draws, to the byte
+        pooled = inference.pool_draws(run_gibbs(
+            parse_dataset(inp.read_text()),
+            GibbsConfig(burnin=20, samples=10, thin=1), seed=7))
+        assert out.read_text() == serialize_models([pooled])
+        assert model.theta.tobytes() == pooled.theta.tobytes()
+        assert model.probs.tobytes() == pooled.probs.tobytes()
 
     def test_custom_histogram_path(self, tmp_path):
         inp = _toy_csv(tmp_path)
@@ -357,7 +361,7 @@ class TestImpute:
     def test_nan_model_fails_cleanly(self, tmp_path, capsys):
         inp = _toy_csv(tmp_path)
         doc = json.loads(_fit(tmp_path, inp, ("--summary",)).read_text())
-        doc["tildePsi"][0][1][0] = math.nan
+        doc["draws"][0]["tildePsi"][0][1][0] = math.nan
         model = tmp_path / "nan.json"
         model.write_text(json.dumps(doc))
         assert "NaN" in model.read_text()
@@ -417,6 +421,7 @@ class TestImpute:
     def test_draws_of_two_schemas_are_one_error(self, tmp_path, capsys):
         inp = _toy_csv(tmp_path)
         one = json.loads(_fit(tmp_path, inp, ("--summary",)).read_text())
+        one = one["draws"][0]
         other = {"k": 1, "cardinalities": [2, 3], "theta": [1.0],
                  "tildePsi": [[[0.5, 0.5], [0.2, 0.3, 0.5]]]}
         model = tmp_path / "mixed.json"
@@ -558,8 +563,8 @@ class TestImpute:
                                                           capsys):
         probs = [[1.0, 0.0] * 3, [0.0, 1.0] * 3]
         model = tmp_path / "model.json"
-        model.write_text(serialize_model(
-            CollapsedModel(CategoricalSchema([2, 2, 2]), [0.5, 0.5], probs)))
+        model.write_text(serialize_models(
+            [CollapsedModel(CategoricalSchema([2, 2, 2]), [0.5, 0.5], probs)]))
         inp = tmp_path / "data.csv"
         inp.write_text("a,b,c\n1,1,NA\n1,1,1\n1,2,NA\n")
         rc = cli.main(["impute", str(inp), str(model), "--out",
@@ -698,7 +703,10 @@ class TestSimulate:
         data, model = metrics.simulate(protocol, seed=4)
         assert data.n_rows == {"mixture": 50, "xor": 300}[protocol]
         assert out.read_text() == dataset_to_csv(data)
-        assert truth.read_text() == serialize_model(model)
+        assert truth.read_text() == serialize_models([model])
+        (again,) = deserialize_models(truth.read_text())
+        assert again.theta.tobytes() == model.theta.tobytes()
+        assert again.probs.tobytes() == model.probs.tobytes()
 
 
 class TestBenchmark:
@@ -936,7 +944,7 @@ class TestIndependence:
         probs = [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]]
         model = CollapsedModel(CategoricalSchema([2, 2]), [0.5, 0.5], probs)
         path = tmp_path / "model.json"
-        path.write_text(serialize_model(model))
+        path.write_text(serialize_models([model]))
         return path
 
     def test_stdout_table(self, tmp_path, capsys):
@@ -958,13 +966,19 @@ class TestIndependence:
         assert capsys.readouterr().out == ""
         assert table.read_text().startswith("j1,j2,p_value\n0,1,")
 
-    def test_uncountable_n_is_one_error_line(self, tmp_path, capsys):
+    def test_uncountable_n_is_one_error_line(self, tmp_path, capsys,
+                                             monkeypatch):
+        def no_test(table):
+            raise AssertionError("a pair was tested")
+
+        monkeypatch.setattr(inference, "fisher_exact_2x2", no_test)
         path = self._coupled_model(tmp_path)
-        n = "100000000000000000000"
-        rc = cli.main(["test-independence", str(path), "--n", n])
-        assert rc == 1
-        assert capsys.readouterr() == (
-            "", f"error: n must lie in 0 .. 2**53, got {n}\n")
+        # the first n above the bound, and one beyond float64's counting
+        for n in (str(2 ** 15 + 1), "100000000000000000000"):
+            rc = cli.main(["test-independence", str(path), "--n", n])
+            assert rc == 1
+            assert capsys.readouterr() == ("", "error: effective sample size "
+                                           f"must lie in 1 .. 2**15, got {n}\n")
 
 
 class TestPreprocessRatings:

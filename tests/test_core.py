@@ -26,7 +26,6 @@ from catmix.core import (
     deserialize_models,
     padded_dirichlet,
     parse_dataset,
-    serialize_model,
     serialize_models,
 )
 
@@ -96,6 +95,8 @@ class TestDataset:
     def test_rejects_wrong_width(self):
         with pytest.raises(ValueError, match="columns"):
             Dataset(CategoricalSchema([2, 2]), [[1, 1, 1]])
+        with pytest.raises(ValueError, match="must be 2-dimensional"):
+            Dataset(CategoricalSchema([2, 2]), [1, 1])
 
     def test_rejects_wrong_name_count(self):
         with pytest.raises(ValueError, match="column names"):
@@ -120,6 +121,18 @@ class TestModelState:
         s = self._state()
         bad = ModelState(s.schema, [0, 0, 0], s.counts, s.psi)
         with pytest.raises(ValueError, match="disagree"):
+            bad.validate()
+
+    @pytest.mark.parametrize("assignments, counts, message", [
+        ([0, 0, 0], [3, 0], "every retained component must be occupied"),
+        ([0, 1, 0], [2, 2], "component counts do not add up"),
+        ([0, 2, 0], [2, 1], "assignments reference missing components"),
+    ], ids=["empty", "total", "range"])
+    def test_validate_rejects_broken_invariants(self, assignments, counts,
+                                                message):
+        bad = ModelState(self._state().schema, assignments, counts,
+                         self._state().psi)
+        with pytest.raises(ValueError, match=message):
             bad.validate()
 
     def test_validate_rejects_unnormalized_psi(self):
@@ -161,6 +174,8 @@ class TestCollapsedModel:
         for theta in ([0.6, 0.6], [np.nan, 1.0]):
             with pytest.raises(ValueError, match="theta"):
                 CollapsedModel(schema, theta, np.full((2, 2), 0.5))
+        with pytest.raises(ValueError, match="theta must be a nonempty vector"):
+            CollapsedModel(schema, [], np.zeros((0, 2)))
 
     def test_rejects_bad_row_sum(self):
         schema = CategoricalSchema([2])
@@ -365,20 +380,20 @@ def _random_model(rng, k=3, cards=(2, 3)):
 class TestModelSerialization:
     def test_minimal_round_trip(self):
         m = CollapsedModel(CategoricalSchema([2]), [1.0], np.array([[0.5, 0.5]]))
-        again = deserialize_models(serialize_model(m))[0]
+        again = deserialize_models(serialize_models([m]))[0]
         assert np.array_equal(again.theta, m.theta)
         assert np.array_equal(again.probs, m.probs)
 
     def test_round_trip_is_bit_exact(self):
         m = _random_model(np.random.default_rng(7))
-        again = deserialize_models(serialize_model(m))[0]
+        again = deserialize_models(serialize_models([m]))[0]
         assert again.schema.cardinalities == m.schema.cardinalities
         assert np.array_equal(again.theta, m.theta)
         assert np.array_equal(again.probs, m.probs)
 
     def test_ragged_document_hides_padding(self):
         m = _random_model(np.random.default_rng(1), cards=(2, 3))
-        obj = json.loads(serialize_model(m))
+        obj = json.loads(serialize_models([m]))["draws"][0]
         assert [len(v) for v in obj["tildePsi"][0]] == [2, 3]
 
     def test_rejects_theta_sum_violation(self):
@@ -433,6 +448,14 @@ class TestModelSerialization:
                 "k": 1, "cardinalities": [3], "theta": [1.0],
                 "tildePsi": [[[0.5, 0.5]]],
             }))
+        with pytest.raises(LoadError, match="^tildePsi must be a list of "
+                                            "length k=2$"):
+            deserialize_models(json.dumps({
+                "k": 2, "cardinalities": [2], "theta": [0.5, 0.5],
+                "tildePsi": [[[0.5, 0.5]]],
+            }))
+        with pytest.raises(LoadError, match="^'draws' must be a list$"):
+            deserialize_models('{"draws": 5}')
 
     def test_models_document_round_trip(self):
         rng = np.random.default_rng(3)
@@ -461,10 +484,11 @@ class TestModelSerialization:
         assert out.read_text() == serialize_models(draws)
 
     def test_single_model_document_loads_as_one_draw(self):
+        # a bare model, as earlier versions wrote a single model
         m = _random_model(np.random.default_rng(5))
-        loaded = deserialize_models(serialize_model(m))
-        assert len(loaded) == 1
-        assert np.array_equal(loaded[0].theta, m.theta)
+        (loaded,) = deserialize_models(core._model_text(m) + "\n")
+        assert loaded.theta.tobytes() == m.theta.tobytes()
+        assert loaded.probs.tobytes() == m.probs.tobytes()
 
     def test_models_document_rejects_mixed_schemas(self):
         rng = np.random.default_rng(9)
@@ -537,7 +561,7 @@ class TestModelSerialization:
     def test_a_key_named_twice_is_refused(self):
         # json.loads keeps the last value, but the draws of the first list
         # may already have been used
-        one = serialize_model(_random_model(np.random.default_rng(2)))
+        one = core._model_text(_random_model(np.random.default_rng(2)))
         for text in (f'{{"draws": [{one}], "draws": [{one}]}}',
                      f'{{"draws": [{one}], "draws": 5}}',
                      '{"k": 1, "k": 1}'):
@@ -545,6 +569,24 @@ class TestModelSerialization:
             with pytest.raises(LoadError) as err:
                 deserialize_models(text)
             assert str(err.value) == f"model document names {key!r} twice"
+
+    def test_a_string_is_read_as_it_stands(self):
+        # carriage returns are white space, not translated, and a lone
+        # surrogate in a key that no reader looks at is kept; a syntax
+        # error is placed as json.loads places it in the string
+        models = [_random_model(np.random.default_rng(h)) for h in (3, 4)]
+        want = [(m.theta.tobytes(), m.probs.tobytes()) for m in models]
+        crlf = serialize_models(models).replace("\n", "\r\n")
+        lone = '{"x\ud800":1,' + crlf[1:]
+        for text in (crlf, lone):
+            assert [(m.theta.tobytes(), m.probs.tobytes())
+                    for m in deserialize_models(text)] == want
+        for text in (crlf[:-9], lone.replace(",\r\n", "\r\n", 1)):
+            with pytest.raises(json.JSONDecodeError) as expected:
+                json.loads(text)
+            with pytest.raises(LoadError) as err:
+                deserialize_models(text)
+            assert str(err.value) == f"invalid JSON: {expected.value}"
 
     @pytest.mark.parametrize("size", [1, 2, 3, 64])
     def test_utf8_reader_reads_as_one_read_of_the_whole_file(self, size):
@@ -621,7 +663,8 @@ class TestModelJsonLayout:
     @pytest.mark.parametrize("k", [1, 4])
     def test_single_model_matches_json_dumps(self, k):
         m = _spiky_model(np.random.default_rng(k), k, self.CARDS)
-        assert serialize_model(m) == _compact(_oracle_dict(m)) + "\n"
+        assert core._model_text(m) == _compact(_oracle_dict(m))
+        self._assert_draws_document([m])
 
     def test_one_binary_variable(self):
         m = _random_model(np.random.default_rng(2), k=1, cards=(2,))
@@ -660,7 +703,7 @@ class TestModelJsonLayout:
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_random_model_round_trips_bit_exactly(seed):
     m = _random_model(np.random.default_rng(seed), k=1 + seed % 4)
-    again = deserialize_models(serialize_model(m))[0]
+    again = deserialize_models(serialize_models([m]))[0]
     assert np.array_equal(again.theta, m.theta)
     assert np.array_equal(again.probs, m.probs)
 
@@ -684,17 +727,17 @@ PACKAGE_NAMES = {
     "deserialize_models", "fisher_exact_2x2", "impute",
     "imputation_accuracy", "iterate_states", "joint_distribution",
     "k_histogram", "largest_remainder_counts", "mask", "mask_fraction",
-    "modal_k", "model_from_dict", "pair_marginal", "pairwise_independence",
+    "modal_k", "pair_marginal", "pairwise_independence",
     "parse_dataset", "parse_ratings_csv", "predictive_cell",
     "preprocess_ratings", "pool_draws", "run_gibbs", "run_replications",
     "sample_mixture_dataset", "sample_xor_dataset", "saturated_model",
-    "serialize_model", "serialize_models", "verify_construction",
+    "serialize_models", "verify_construction",
 }
 
 
 def test_package_surface_is_the_union_of_the_module_lists():
     modules = (core, sampler, inference, synth, metrics)
-    assert len(PACKAGE_NAMES) == 48
+    assert len(PACKAGE_NAMES) == 46
     assert sorted(catmix.__all__) == sorted(PACKAGE_NAMES)
     for module in modules:
         for name in module.__all__:
@@ -781,8 +824,13 @@ def _reference_csv(dataset):
     return core._csv(dataset.column_names, rows)
 
 
+def _one_model(obj):
+    """One parsed draw, read as the model file reader reads it."""
+    return core._model_from_dict(obj, {})
+
+
 def _reference_model_from_dict(obj):
-    """model_from_dict as it checked one vector at a time."""
+    """_model_from_dict as it checked one vector at a time."""
     if not isinstance(obj, dict):
         raise LoadError(f"model document must be an object, got {type(obj).__name__}")
     for key in ("k", "cardinalities", "theta", "tildePsi"):
@@ -962,7 +1010,7 @@ class TestReadersAgainstReferences:
             return [(m.theta.tobytes(), m.probs.tobytes())
                     for m in core.deserialize_models(text)]
 
-        ours = _outcome(load, core.model_from_dict)
+        ours = _outcome(load, _one_model)
         assert ours == _outcome(load, _reference_model_from_dict)
         # the document reader, which checks each list of cardinalities once
         assert _outcome(read) == ours
@@ -991,7 +1039,7 @@ class TestReadersAgainstReferences:
             obj = json.loads(text)
             given = obj.get("cardinalities")
             ahead = list(obj)[0] == "cardinalities"
-            models = list(core._checked(map(core.model_from_dict, obj["draws"]),
+            models = list(core._checked(map(_one_model, obj["draws"]),
                                         LoadError, given if ahead else None))
             if given not in (None, list(models[0].schema.cardinalities)):
                 raise LoadError("draws disagree on cardinalities")

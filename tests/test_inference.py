@@ -680,8 +680,14 @@ class TestPairwiseIndependence:
         with pytest.raises(ValueError, match="cardinality 3"):
             pairwise_independence(m, 50)
         good = _single_component([[0.5, 0.5], [0.5, 0.5]])
-        with pytest.raises(ValueError, match="sample size"):
-            pairwise_independence(good, 0)
+        for n in (0, 2 ** 15 + 1):
+            with pytest.raises(ValueError, match="sample size"):
+                pairwise_independence(good, n)
+
+    def test_n_up_to_the_bound_is_tested(self):
+        # the balanced table is the most probable one, so every table counts
+        m = _single_component([[0.5, 0.5], [0.5, 0.5]])
+        assert pairwise_independence(m, 2 ** 15) == [(0, 1, 1.0)]
 
 
 class TestSaturatedConstruction:
@@ -725,6 +731,9 @@ class TestSaturatedConstruction:
                              np.zeros((1, 3)))
         with pytest.raises(ValueError, match="schemas differ"):
             construct_saturated_model(pi, q)
+        same = MissingnessTable(pi.schema, np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="schemas differ"):
+            verify_construction(construct_saturated_model(pi, same), pi, q)
 
     def test_rejects_certain_missingness(self):
         schema = CategoricalSchema([2])

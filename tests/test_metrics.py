@@ -10,7 +10,7 @@ import pytest
 
 from catmix import metrics
 from catmix.core import (
-    CategoricalSchema, Dataset, dataset_to_csv, serialize_model)
+    CategoricalSchema, Dataset, dataset_to_csv, serialize_models)
 from catmix.inference import saturated_model
 from catmix.metrics import (
     ReplicationReport,
@@ -136,15 +136,20 @@ class TestSimulate:
         data, truth = metrics.simulate("mixture", seed=6)
         want, want_truth = sample_mixture_dataset(seed=6)
         assert dataset_to_csv(data) == dataset_to_csv(want)
-        assert serialize_model(truth) == serialize_model(want_truth)
+        assert serialize_models([truth]) == serialize_models([want_truth])
         data, truth = metrics.simulate("xor", seed=6)
         want, joint = sample_xor_dataset(seed=6)
         assert dataset_to_csv(data) == dataset_to_csv(want)
-        assert serialize_model(truth) == serialize_model(saturated_model(joint))
+        assert (serialize_models([truth])
+                == serialize_models([saturated_model(joint)]))
 
     def test_xor_refuses_the_mixture_shape(self):
         with pytest.raises(TypeError):
             metrics.simulate("xor", p=3)
+
+    def test_unknown_protocol_is_refused(self):
+        with pytest.raises(ValueError, match="protocol must be one of"):
+            metrics.simulate("bootstrap")
 
 
 class TestRunReplications:

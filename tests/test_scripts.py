@@ -402,7 +402,8 @@ def test_cli_hashes_print_one_line_per_stream_and_file(tmp_path, capsys,
         "argmax.csv", "argmax.csv.cells.csv", "binary.csv", "complete.csv",
         "five.csv", "hundred-argmax.csv", "hundred-argmax.csv.cells.csv",
         "hundred-sample.csv", "hundred-sample.csv.cells.csv", "hundred.json",
-        "hundred.json.khist.csv", "mar-mask.csv", "mar.csv", "mask.csv", "mcar-rate.csv",
+        "hundred.json.khist.csv", "legacy.csv", "legacy.csv.cells.csv",
+        "mar-mask.csv", "mar.csv", "mask.csv", "mcar-rate.csv",
         "messy-argmax.csv",
         "messy-argmax.csv.cells.csv", "messy-sample.csv",
         "messy-sample.csv.cells.csv", "messy.json", "messy.json.khist.csv",
